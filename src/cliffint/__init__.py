@@ -33,7 +33,7 @@ from .pizzetti import (PizzettiResult, directional_power_closed_form, gauss_sum_
                        stiefel_pizzetti_composed, stiefel_volume,
                        surface_area)
 from .polyalg import (DiffOp, ExactScalar, VectorPoly, apply_diffop,
-                      delta_pair, fischer_commute, gamma_half,
+                      delta_pair, fischer_commute, fischer_pair, gamma_half,
                       pochhammer_half)
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
     "stiefel2_explicit", "stiefel_pizzetti_composed", "stiefel_volume",
     "surface_area",
     "DiffOp", "ExactScalar", "VectorPoly", "apply_diffop", "delta_pair",
-    "fischer_commute", "gamma_half", "pochhammer_half",
+    "fischer_commute", "fischer_pair", "gamma_half", "pochhammer_half",
 ]
 
 __version__ = "0.1.0"

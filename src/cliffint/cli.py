@@ -417,9 +417,9 @@ def _handle_pizzetti_stiefel(args) -> tuple[dict, bool]:
     if args.method == "explicit2" and args.k != 2:
         raise ParseError("--method explicit2 requires k = 2")
     if args.method == "explicit2":
-        value = stiefel2_explicit(poly, args.m)
+        value = stiefel2_explicit(poly, args.m, args.extra_terms)
     else:
-        value = stiefel_pizzetti_composed(poly, args.m, args.k)
+        value = stiefel_pizzetti_composed(poly, args.m, args.k, args.extra_terms)
     log.info("frame integral on %d-frames in R^%d via %s", args.k, args.m, args.method)
     payload = {"command": "pizzetti stiefel", "m": args.m, "k": args.k,
                "method": args.method, "poly": render_poly(poly)}
@@ -550,6 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="polynomial in x1_1..xk_m; dot(xa,xb), normsq(xa) allowed")
     stiefel.add_argument("--method", choices=["composed", "explicit2"],
                          default="composed")
+    stiefel.add_argument("--extra-terms", type=int, default=0, dest="extra_terms")
     stiefel.set_defaults(handler=_handle_pizzetti_stiefel)
 
     oracle = sub.add_parser("oracle", help="Monte Carlo reference values")

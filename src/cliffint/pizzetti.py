@@ -18,7 +18,10 @@ innermost factor treats the last vector variable.
 
 For two-column frames an explicit double sum in the operators
 A = Delta_x + Delta_y and B = Delta_x Delta_y - <d/dx, d/dy>^2 is provided
-as an independent route to the same value.
+as an independent route to the same value.  Each of its terms S(d/dx) P at
+the origin is read off through the Fischer pairing
+    <S, P> = sum_alpha s_alpha p_alpha alpha!,
+one coefficient lookup per monomial instead of a full differentiation.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .polyalg import (ExactScalar, VectorPoly, apply_diffop, gamma_half,
-                      pochhammer_half)
+from .polyalg import (ExactScalar, VectorPoly, _accumulate, fischer_pair,
+                      gamma_half, pochhammer_half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PizzettiResult:
     """Exact value plus bookkeeping about the operator series."""
 
@@ -106,14 +109,41 @@ def sphere_pizzetti(p: VectorPoly, extra_terms: int = 0) -> ExactScalar:
 
 
 def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:
-    """Apply Delta_{x_j} - sum_{l<j} <x_l, d/dx_j>^2 once."""
-    out = work.laplacian(j)
-    m, nvars = work.m, work.nvars
-    for l in range(1, j):
-        weights = [VectorPoly.variable(m, l, i, nvars) for i in range(1, m + 1)]
-        once = work.directional(j, weights)
-        out = out - once.directional(j, weights)
-    return out
+    """Apply Delta_{x_j} - sum_{l<j} <x_l, d/dx_j>^2 once.
+
+    Since d/dx_j does not act on x_l for l < j, the square expands to
+    sum_{i,i'} x_{l,i} x_{l,i'} d_{j,i} d_{j,i'}; it is applied term by term,
+    with weight e(e-1) on the diagonal and 2 e_i e_i' off it.
+    """
+    m = work.m
+    base = (j - 1) * m
+    lower = [l * m for l in range(j - 1)]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, coeff in work.terms.items():
+        active = [(i, key[base + i]) for i in range(m) if key[base + i]]
+        for t, (i, e) in enumerate(active):
+            if e >= 2:
+                weight = coeff * (e * (e - 1))
+                lowered = list(key)
+                lowered[base + i] = e - 2
+                _accumulate(out, tuple(lowered), weight)
+                for lb in lower:
+                    raised = list(lowered)
+                    raised[lb + i] += 2
+                    _accumulate(out, tuple(raised), -weight)
+            if not lower:
+                continue  # j = 1: the Laplacian alone has no cross terms
+            for i2, e2 in active[t + 1:]:
+                weight = coeff * (2 * e * e2)
+                lowered = list(key)
+                lowered[base + i] = e - 1
+                lowered[base + i2] = e2 - 1
+                for lb in lower:
+                    raised = list(lowered)
+                    raised[lb + i] += 1
+                    raised[lb + i2] += 1
+                    _accumulate(out, tuple(raised), -weight)
+    return work._raw(out)
 
 
 def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int,
@@ -144,10 +174,11 @@ def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int,
             if term.is_zero():
                 break  # the operator lowers degree in x_j, later terms vanish
             q, _ = _series_rational(s, nu)
-            acc = acc + term * q
+            # setting x_j = 0 commutes with the sum: keep each term's x_j-free part
+            acc = acc + term.subs_vector_zero(j) * q
             term = _tangential_operator(term, j)
         total_h += nu - (nu % 2)
-        work = acc.subs_vector_zero(j)
+        work = acc
     return ExactScalar(work.eval_zero(), total_h)
 
 
@@ -187,14 +218,11 @@ def stiefel2_explicit(p: VectorPoly, m: int, extra_terms: int = 0) -> ExactScala
     smax = p.degree() // 2 + extra_terms
     total = Fraction(0)
     for s in range(smax + 1):
-        outer = Fraction(1, 4**s) / pochhammer_half(m, s)
         for r in range(s // 2 + 1):
-            inner = outer / pochhammer_half(m - 1, r)
-            inner /= factorial(s - 2 * r) * factorial(r)
-            sym = _ab_symbol_power(m, s - 2 * r, r)
-            val = apply_diffop(sym, p).eval_zero()
-            if val:
-                total += inner * val
+            val = fischer_pair(_ab_symbol_power(m, s - 2 * r, r), p)
+            if val:  # most pairings vanish; build the coefficient only when needed
+                total += val / (4**s * pochhammer_half(m, s) * pochhammer_half(m - 1, r)
+                                * factorial(s - 2 * r) * factorial(r))
     return stiefel_volume(m, 2) * ExactScalar(total, 0)
 
 

@@ -310,23 +310,59 @@ class DiffOp:
         return apply_diffop(self.symbol, p)
 
 
-def apply_diffop(symbol: VectorPoly, p: VectorPoly) -> VectorPoly:
-    """Apply symbol(d/dx) to p, term by term."""
+def _check_shapes(symbol: VectorPoly, p: VectorPoly):
     if (symbol.m, symbol.nvars) != (p.m, p.nvars):
         raise ValueError("shape mismatch between operator symbol and argument")
-    out = VectorPoly.zero(p.m, p.nvars)
-    for key, coeff in symbol.terms.items():
-        q = p
-        for idx, e in enumerate(key):
-            for _ in range(e):
-                q = q.diff_index(idx)
-                if q.is_zero():
+
+
+def _accumulate(out: dict[ExpKey, Fraction], key: ExpKey, value: Fraction):
+    """out[key] += value, dropping the key when the sum cancels."""
+    acc = out.get(key, 0) + value
+    if acc:
+        out[key] = acc
+    elif key in out:
+        del out[key]
+
+
+def apply_diffop(symbol: VectorPoly, p: VectorPoly) -> VectorPoly:
+    """Apply symbol(d/dx) to p.
+
+    Each pair of terms is differentiated in one pass with
+    d^beta x^alpha = alpha!/(alpha-beta)! x^(alpha-beta), zero unless
+    beta <= alpha componentwise.
+    """
+    _check_shapes(symbol, p)
+    out: dict[ExpKey, Fraction] = {}
+    for skey, scoeff in symbol.terms.items():
+        support = [(idx, e) for idx, e in enumerate(skey) if e]
+        for pkey, pcoeff in p.terms.items():
+            new = list(pkey)
+            mult = 1
+            for idx, e in support:
+                a = new[idx]
+                if a < e:
                     break
-            if q.is_zero():
-                break
-        if not q.is_zero():
-            out = out + q * coeff
-    return out
+                mult *= math.perm(a, e)
+                new[idx] = a - e
+            else:
+                _accumulate(out, tuple(new), scoeff * pcoeff * mult)
+    return p._raw(out)
+
+
+def fischer_pair(a: VectorPoly, b: VectorPoly) -> Fraction:
+    """Fischer inner product <a, b> = sum_alpha a_alpha b_alpha alpha!.
+
+    Equals (a(d/dx) b)(0): only equal monomials survive differentiation
+    followed by evaluation at the origin, so one lookup per term suffices.
+    """
+    _check_shapes(a, b)
+    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    total = Fraction(0)
+    for key, coeff in small.items():
+        other = large.get(key)
+        if other is not None:
+            total += coeff * other * math.prod(map(math.factorial, key))
+    return total
 
 
 def fischer_commute(r: VectorPoly, q: VectorPoly) -> VectorPoly:
@@ -340,11 +376,11 @@ def fischer_commute(r: VectorPoly, q: VectorPoly) -> VectorPoly:
 
 
 def delta_pair(r: VectorPoly, test: VectorPoly) -> Fraction:
-    """Pairing (R(d/dx)[delta], test) = (R(-d/dx)[test])(0)."""
-    return apply_diffop(r.reflect(), test).eval_zero()
+    """Pairing (R(d/dx)[delta], test) = (R(-d/dx)[test])(0) = <R(-x), test>."""
+    return fischer_pair(r.reflect(), test)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactScalar:
     """Exact value q * pi^(h/2) with rational q and integer h >= 0."""
 

@@ -67,3 +67,73 @@ def pair_to_float(pair: tuple[Fraction, int]) -> float:
     from math import pi
     q, h = pair
     return float(q) * pi ** (h / 2)
+
+
+# -- dict-only reference kernels ---------------------------------------------
+#
+# Polynomials below are plain {exponent tuple: Fraction} dicts with the
+# library's flat layout: vector j, coordinate i (both 1-based) at index
+# (j-1)*m + (i-1).  Every operator is built from the single-index
+# derivative, the slow way the library's fused kernels replace.
+
+
+def _accumulate(out: dict, key: tuple, value) -> None:
+    acc = out.get(key, 0) + value
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
+def diff_terms(terms: dict, idx: int) -> dict:
+    """d/dx_idx of a term dict."""
+    out = {}
+    for key, c in terms.items():
+        if key[idx]:
+            new = list(key)
+            new[idx] -= 1
+            _accumulate(out, tuple(new), c * key[idx])
+    return out
+
+
+def diffop_terms(symbol: dict, terms: dict) -> dict:
+    """symbol(d/dx) applied to terms by repeated single-index derivatives."""
+    out = {}
+    for skey, sc in symbol.items():
+        q = terms
+        for idx, e in enumerate(skey):
+            for _ in range(e):
+                q = diff_terms(q, idx)
+        for key, c in q.items():
+            _accumulate(out, key, sc * c)
+    return out
+
+
+def reflect_terms(terms: dict) -> dict:
+    """x -> -x: negate the odd-degree terms."""
+    return {k: (-c if sum(k) % 2 else c) for k, c in terms.items()}
+
+
+def directional_terms(terms: dict, m: int, j: int, l: int) -> dict:
+    """<x_l, d/dx_j> = sum_i x_{l,i} d/dx_{j,i}."""
+    out = {}
+    for i in range(m):
+        for key, c in diff_terms(terms, (j - 1) * m + i).items():
+            new = list(key)
+            new[(l - 1) * m + i] += 1
+            _accumulate(out, tuple(new), c)
+    return out
+
+
+def tangential_terms(terms: dict, m: int, j: int) -> dict:
+    """Delta_{x_j} - sum_{l<j} <x_l, d/dx_j>^2, the square applied as two passes."""
+    out = {}
+    for i in range(m):
+        idx = (j - 1) * m + i
+        for key, c in diff_terms(diff_terms(terms, idx), idx).items():
+            _accumulate(out, key, c)
+    for l in range(1, j):
+        twice = directional_terms(directional_terms(terms, m, j, l), m, j, l)
+        for key, c in twice.items():
+            _accumulate(out, key, -c)
+    return out

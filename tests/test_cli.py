@@ -36,6 +36,17 @@ def test_pizzetti_stiefel_methods_agree(capsys):
     assert composed["float"] == pytest.approx(explicit["float"], rel=1e-14)
 
 
+def test_pizzetti_stiefel_extra_terms(capsys):
+    args = ["pizzetti", "stiefel", "--m", "4", "--k", "2",
+            "--poly", "x1_1^2*x2_2^2 - 3*x1_1*x1_2*x2_1*x2_2"]
+    _, plain = run_json(args, capsys)
+    for method in ("composed", "explicit2"):
+        code, doc = run_json(args + ["--method", method, "--extra-terms", "2"], capsys)
+        assert code == 0
+        assert doc["value"] == plain["value"]
+        assert run(args + ["--method", method, "--extra-terms", "-1", "-q"]) == 1
+
+
 def test_oracle_mc_schema(capsys):
     code, doc = run_json(["oracle", "mc", "--m", "3", "--k", "1",
                           "--poly", "x1_1^2", "--n-samples", "2000",

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffint import (ExactScalar, VectorPoly, directional_power_closed_form,
                       gauss_sum_check, phi_coefficient, sphere_pizzetti,
@@ -9,7 +11,8 @@ from cliffint import (ExactScalar, VectorPoly, directional_power_closed_form,
                       stiefel_pizzetti_composed, stiefel_volume,
                       surface_area)
 
-from oracles import sphere_monomial
+from cliffint.pizzetti import _tangential_operator
+from oracles import sphere_monomial, stiefel_volume_pair, tangential_terms
 
 
 def mono1(m, *expo):
@@ -145,3 +148,59 @@ def test_gauss_sum_small_grid():
                     assert gauss_sum_check(r, l, k, m)
     with pytest.raises(ValueError):
         gauss_sum_check(2, 1, 0, 3)
+
+
+@st.composite
+def tangential_cases(draw, nvars=3):
+    m = draw(st.integers(2, 5))
+    j = draw(st.integers(1, nvars))
+    width = m * nvars
+    # half of the factors land in x_j, the block the operator differentiates
+    slot = st.one_of(st.integers(0, width - 1), st.integers((j - 1) * m, j * m - 1))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        key = [0] * width
+        for _ in range(draw(st.integers(0, 5))):
+            key[draw(slot)] += 1
+        c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+        terms[tuple(key)] = terms.get(tuple(key), Fraction(0)) + c
+    return m, j, VectorPoly(m, nvars, terms)
+
+
+@given(tangential_cases())
+@settings(max_examples=150, deadline=None)
+def test_tangential_operator_matches_laplacian_minus_directional_squares(case):
+    m, j, p = case
+    once = _tangential_operator(p, j)
+    assert once.terms == tangential_terms(p.terms, m, j)
+    assert _tangential_operator(once, j).terms == tangential_terms(once.terms, m, j)
+
+
+def _two_frame(m, *factors):
+    """Product of frame coordinates q_ij = coordinate i of frame vector j."""
+    p = VectorPoly.constant(m, 1, nvars=2)
+    for i, j in factors:
+        p = p * VectorPoly.variable(m, j, i, nvars=2)
+    return p
+
+
+# Haar moments of one entry block of a random orthogonal matrix
+# (Collins & Matsumoto, J. Math. Phys. 2009).
+WEINGARTEN = [
+    (((1, 1), (1, 1)), lambda m: Fraction(1, m)),
+    (((1, 1),) * 4, lambda m: Fraction(3, m * (m + 2))),
+    (((1, 1), (1, 1), (2, 2), (2, 2)),
+     lambda m: Fraction(m + 1, (m - 1) * m * (m + 2))),
+    (((1, 1), (1, 2), (2, 1), (2, 2)),
+     lambda m: Fraction(-1, (m - 1) * m * (m + 2))),
+]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("factors,moment", WEINGARTEN)
+def test_two_frame_routes_match_weingarten_moments(m, factors, moment):
+    vol_q, vol_h = stiefel_volume_pair(m, 2)
+    expected = ExactScalar(vol_q * moment(m), vol_h)
+    p = _two_frame(m, *factors)
+    assert stiefel_pizzetti_composed(p, m, 2) == expected
+    assert stiefel2_explicit(p, m) == expected

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffint import (DiffOp, ExactScalar, VectorPoly, apply_diffop,
-                      delta_pair, fischer_commute, gamma_half,
+                      delta_pair, fischer_commute, fischer_pair, gamma_half,
                       pochhammer_half)
+
+from oracles import diffop_terms, reflect_terms
 
 
 def x(j, i, m=3, nvars=2):
@@ -148,6 +150,47 @@ def test_delta_pair_orthogonality_of_monomials():
                       VectorPoly.monomial(m, (2, 2))) == 4
     b = VectorPoly.monomial(m, (1, 2))
     assert delta_pair(a, b) == 0
+
+
+# -- kernels against the dict-only references ----------------------------------
+
+@given(polys(m=2, nvars=2, max_deg=3, max_terms=6), polys(m=2, nvars=2, max_deg=4, max_terms=6))
+@settings(max_examples=80, deadline=None)
+def test_apply_diffop_matches_repeated_single_derivatives(sym, p):
+    assert apply_diffop(sym, p).terms == diffop_terms(sym.terms, p.terms)
+
+
+@given(polys(m=2, nvars=2, max_deg=3, max_terms=6), polys(m=2, nvars=2, max_deg=3, max_terms=6))
+@settings(max_examples=80, deadline=None)
+def test_fischer_pair_is_derivative_at_origin(a, b):
+    zero = (0,) * 4
+    for s, t in ((a, b), (a, a + b), (b, b)):
+        expected = diffop_terms(s.terms, t.terms).get(zero, 0)
+        assert fischer_pair(s, t) == expected
+        assert fischer_pair(t, s) == fischer_pair(s, t)
+    assert isinstance(fischer_pair(a, b), Fraction)
+
+
+@given(polys(m=2, nvars=2, max_deg=3, max_terms=6), polys(m=2, nvars=2, max_deg=3, max_terms=6))
+@settings(max_examples=80, deadline=None)
+def test_delta_pair_matches_reflected_derivative(r, t):
+    zero = (0,) * 4
+    for test in (t, r + t):
+        expected = diffop_terms(reflect_terms(r.terms), test.terms).get(zero, 0)
+        assert delta_pair(r, test) == expected
+
+
+def test_fischer_pair_values_and_shapes():
+    m = 2
+    a = VectorPoly.monomial(m, (3, 2), Fraction(1, 2))
+    b = VectorPoly.monomial(m, (3, 2), 3) + VectorPoly.monomial(m, (1, 0))
+    # 1/2 * 3 * 3! * 2!
+    assert fischer_pair(a, b) == 18
+    assert fischer_pair(a, VectorPoly.zero(m)) == 0
+    with pytest.raises(ValueError):
+        fischer_pair(a, VectorPoly.monomial(3, (3, 2, 0)))
+    with pytest.raises(ValueError):
+        apply_diffop(a, VectorPoly.monomial(m, (3, 2, 0, 0), nvars=2))
 
 
 # -- exact scalars -----------------------------------------------------------

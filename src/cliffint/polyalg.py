@@ -315,38 +315,22 @@ def _check_shapes(symbol: VectorPoly, p: VectorPoly):
         raise ValueError("shape mismatch between operator symbol and argument")
 
 
-def _accumulate(out: dict[ExpKey, Fraction], key: ExpKey, value: Fraction):
-    """out[key] += value, dropping the key when the sum cancels."""
-    acc = out.get(key, 0) + value
-    if acc:
-        out[key] = acc
-    elif key in out:
-        del out[key]
-
-
 def apply_diffop(symbol: VectorPoly, p: VectorPoly) -> VectorPoly:
-    """Apply symbol(d/dx) to p.
-
-    Each pair of terms is differentiated in one pass with
-    d^beta x^alpha = alpha!/(alpha-beta)! x^(alpha-beta), zero unless
-    beta <= alpha componentwise.
-    """
+    """Apply symbol(d/dx) to p, term by term."""
     _check_shapes(symbol, p)
-    out: dict[ExpKey, Fraction] = {}
-    for skey, scoeff in symbol.terms.items():
-        support = [(idx, e) for idx, e in enumerate(skey) if e]
-        for pkey, pcoeff in p.terms.items():
-            new = list(pkey)
-            mult = 1
-            for idx, e in support:
-                a = new[idx]
-                if a < e:
+    out = VectorPoly.zero(p.m, p.nvars)
+    for key, coeff in symbol.terms.items():
+        q = p
+        for idx, e in enumerate(key):
+            for _ in range(e):
+                q = q.diff_index(idx)
+                if q.is_zero():
                     break
-                mult *= math.perm(a, e)
-                new[idx] = a - e
-            else:
-                _accumulate(out, tuple(new), scoeff * pcoeff * mult)
-    return p._raw(out)
+            if q.is_zero():
+                break
+        if not q.is_zero():
+            out = out + q * coeff
+    return out
 
 
 def fischer_pair(a: VectorPoly, b: VectorPoly) -> Fraction:

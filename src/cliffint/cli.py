@@ -191,11 +191,6 @@ def parse_poly(text: str, m: int, nvars: int = 1) -> VectorPoly:
     return _Parser(_tokenize(text), m, nvars).parse()
 
 
-def render_poly(p: VectorPoly) -> str:
-    """Canonical printable form; parse_poly inverts it."""
-    return repr(p)
-
-
 def parse_exact(text: str) -> ExactScalar:
     """Inverse of str(ExactScalar): accepts 'q', 'q * pi', 'q * pi^p', 'q * pi^(h/2)'."""
     text = text.strip()
@@ -407,7 +402,7 @@ def _handle_pizzetti_sphere(args) -> tuple[dict, bool]:
     detail = sphere_pizzetti_detailed(poly, args.extra_terms)
     log.info("sphere integral in dimension %d, %d series terms", args.m, detail.terms_used)
     payload = {"command": "pizzetti sphere", "m": args.m,
-               "poly": render_poly(poly), "terms_used": detail.terms_used}
+               "poly": repr(poly), "terms_used": detail.terms_used}
     payload.update(_exact_json(detail.value))
     return payload, True
 
@@ -422,7 +417,7 @@ def _handle_pizzetti_stiefel(args) -> tuple[dict, bool]:
         value = stiefel_pizzetti_composed(poly, args.m, args.k, args.extra_terms)
     log.info("frame integral on %d-frames in R^%d via %s", args.k, args.m, args.method)
     payload = {"command": "pizzetti stiefel", "m": args.m, "k": args.k,
-               "method": args.method, "poly": render_poly(poly)}
+               "method": args.method, "poly": repr(poly)}
     payload.update(_exact_json(value))
     return payload, True
 
@@ -432,7 +427,7 @@ def _handle_oracle_mc(args) -> tuple[dict, bool]:
     est = mc_stiefel_integral(poly, args.m, args.k, args.n_samples, args.seed)
     log.info("Monte Carlo with %d samples, seed %d", est.n_samples, est.seed)
     payload = {"command": "oracle mc", "m": args.m, "k": args.k,
-               "poly": render_poly(poly), "n_samples": est.n_samples,
+               "poly": repr(poly), "n_samples": est.n_samples,
                "seed": est.seed, "mean": est.mean,
                "standard_error": est.standard_error}
     return payload, True

@@ -5,9 +5,20 @@ e_j squares to -1 and distinct generators anticommute.  A multivector is a
 finite sum over basis blades e_A = e_{j_1} ... e_{j_k} indexed by strictly
 increasing tuples A = (j_1 < ... < j_k) of indices from {1, .., m}.
 
+``Terms`` is the sparse blade algebra shared by ``Multivector`` here and by
+``CliffordPoly`` and ``CliffordForm`` in ``exterior``: a dict from blades
+to coefficients in some ring, with addition, negation, equality, hashing,
+printing, grade projection and the blade-by-blade product.  The algebras
+differ only in what a repeated generator squares to (the square rule of
+``_mul_blades``): -1 for the Clifford generators e_j, 0 for the
+differentials dx_j, whose blades therefore multiply like the exterior
+algebra.
+
 Coefficients are generic ring elements: ``fractions.Fraction`` for exact
-work, ``float`` for numerics.  Operations never mix coefficient handling
-beyond ordinary arithmetic, so both work uniformly.
+work, ``float`` for numerics, polynomials and Clifford polynomials in
+``exterior``.  Operations never mix coefficient handling beyond ordinary
+arithmetic, and a coefficient is zero exactly when it is false, so every
+ring works uniformly.
 """
 
 from __future__ import annotations
@@ -19,12 +30,13 @@ from typing import Iterable, Sequence
 Blade = tuple[int, ...]
 
 
-def _mul_blades(a: Blade, b: Blade) -> tuple[int, Blade]:
+def _mul_blades(a: Blade, b: Blade, square: int) -> tuple[int, Blade]:
     """Product of two basis blades: sign and resulting sorted blade.
 
     Elements of ``b`` are merged into ``a`` one at a time, counting the
     transpositions needed to keep indices sorted; a repeated index pair
-    contracts with e_j^2 = -1.
+    contracts to ``square``: -1 for e_j e_j, 0 for dx_j dx_j.  A zero sign
+    means the product vanishes.
     """
     sign = 1
     out = list(a)
@@ -32,10 +44,13 @@ def _mul_blades(a: Blade, b: Blade) -> tuple[int, Blade]:
         pos = len(out)
         while pos > 0 and out[pos - 1] > j:
             pos -= 1
-        sign *= (-1) ** (len(out) - pos)
+        if (len(out) - pos) % 2:
+            sign = -sign
         if pos > 0 and out[pos - 1] == j:
+            if not square:
+                return 0, ()
             out.pop(pos - 1)
-            sign = -sign  # e_j e_j = -1
+            sign *= square
         else:
             out.insert(pos, j)
     return sign, tuple(out)
@@ -50,26 +65,141 @@ def _check_blade(blade: Blade, m: int) -> Blade:
     return blade
 
 
-class Multivector:
-    """Element of the real Clifford algebra of dimension ``m``.
+class Terms:
+    """Sparse sum of basis blades over a coefficient ring.
 
-    ``terms`` maps sorted index tuples to coefficients; zero coefficients
-    are dropped on construction so equality is plain dict equality.
+    ``terms`` maps sorted index tuples to nonzero coefficients, so equality
+    is plain dict equality.  ``nvars`` is the number of m-vector variables
+    of polynomial coefficients, 0 when the coefficients are numbers.
+    Subclasses supply their constructors, their coercions and ``__mul__``.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "nvars", "terms")
+    _generator = "e"
 
-    def __init__(self, m: int, terms: dict[Blade, object] | None = None):
+    def __init__(self, m: int, nvars: int = 1, terms: dict | None = None):
         if m < 0:
             raise ValueError("dimension must be nonnegative")
         self.m = m
-        clean: dict[Blade, object] = {}
+        self.nvars = nvars
+        clean = {}
         if terms:
             for blade, coeff in terms.items():
+                if nvars and (coeff.m, coeff.nvars) != (m, nvars):
+                    raise ValueError("coefficient shape mismatch")
                 blade = _check_blade(blade, m)
                 if coeff:
                     clean[blade] = coeff
         self.terms = clean
+
+    def _like(self, terms: dict):
+        """Same class and shape with the given terms, zero coefficients dropped.
+
+        Trusted: the blades are not validated again.
+        """
+        out = object.__new__(type(self))
+        out.m, out.nvars = self.m, self.nvars
+        out.terms = {b: c for b, c in terms.items() if c}
+        return out
+
+    def _coerce(self, other):
+        """``other`` as an element of this algebra, or NotImplemented."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if (other.m, other.nvars) != (self.m, self.nvars):
+            raise ValueError(f"shape (m, nvars) mismatch: {(other.m, other.nvars)} "
+                             f"!= {(self.m, self.nvars)}")
+        return other
+
+    def _product(self, other, square: int):
+        """Blade-by-blade product; coefficients multiply in order."""
+        out: dict = {}
+        for ba, ca in self.terms.items():
+            for bb, cb in other.terms.items():
+                sign, blade = _mul_blades(ba, bb, square)
+                if not sign:
+                    continue
+                coeff = ca * cb
+                if sign < 0:
+                    coeff = -coeff
+                acc = out.get(blade)
+                out[blade] = coeff if acc is None else acc + coeff
+        return self._like(out)
+
+    def _scale(self, factor):
+        """Every coefficient multiplied by ``factor`` on the right."""
+        return self._like({b: c * factor for b, c in self.terms.items()})
+
+    def grades(self) -> set[int]:
+        return {len(blade) for blade in self.terms}
+
+    def grade_project(self, k: int):
+        """Grade projection [a]_k."""
+        return self._like({b: c for b, c in self.terms.items() if len(b) == k})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for blade, coeff in other.terms.items():
+            acc = out.get(blade)
+            out[blade] = coeff if acc is None else acc + coeff
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like({b: -c for b, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, Terms):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (type(other) is type(self) and (self.m, self.nvars) == (other.m, other.nvars)
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.m, self.nvars, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for blade in sorted(self.terms, key=lambda b: (len(b), b)):
+            coeff = self.terms[blade]
+            text = f"{coeff}" if isinstance(coeff, (int, Fraction, float)) else f"({coeff})"
+            name = self._generator + "".join(map(str, blade))
+            parts.append(f"{text}*{name}" if blade else text)
+        return " + ".join(parts)
+
+
+class Multivector(Terms):
+    """Element of the real Clifford algebra of dimension ``m``.
+
+    Coefficients are numbers, so ``nvars`` is 0.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, m: int, terms: dict[Blade, object] | None = None):
+        super().__init__(m, 0, terms)
 
     @classmethod
     def scalar(cls, m: int, value) -> "Multivector":
@@ -89,16 +219,6 @@ class Multivector:
     def coefficient(self, blade: Iterable[int]):
         return self.terms.get(tuple(blade), 0)
 
-    def grades(self) -> set[int]:
-        return {len(blade) for blade in self.terms}
-
-    def grade_project(self, k: int) -> "Multivector":
-        """Grade projection [a]_k."""
-        return Multivector(self.m, {b: c for b, c in self.terms.items() if len(b) == k})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def scalar_part(self):
         return self.terms.get((), 0)
 
@@ -106,82 +226,22 @@ class Multivector:
         """Sum of squared blade coefficients (positive definite)."""
         return sum(c * c for c in self.terms.values())
 
-    def __add__(self, other):
-        other = _coerce(other, self.m)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for blade, coeff in other.terms.items():
-            out[blade] = out.get(blade, 0) + coeff
-        return Multivector(self.m, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other, self.m)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Multivector(self.m, {b: -c for b, c in self.terms.items()})
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction, float)):
+            return Multivector.scalar(self.m, other)
+        return super()._coerce(other)
 
     def __mul__(self, other):
-        other = _coerce(other, self.m)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Blade, object] = {}
-        for ba, ca in self.terms.items():
-            for bb, cb in other.terms.items():
-                sign, blade = _mul_blades(ba, bb)
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
-                acc = out.get(blade, 0) + coeff
-                if acc:
-                    out[blade] = acc
-                elif blade in out:
-                    del out[blade]
-        return Multivector(self.m, out)
+        return self._product(other, -1)
 
     def __rmul__(self, other):
-        other = _coerce(other, self.m)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other * self
-
-    def __eq__(self, other):
-        if isinstance(other, Multivector):
-            return self.m == other.m and self.terms == other.terms
-        if isinstance(other, (int, Fraction, float)):
-            return self.terms == ({(): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for blade in sorted(self.terms, key=lambda b: (len(b), b)):
-            coeff = self.terms[blade]
-            name = "e" + "".join(str(j) for j in blade) if blade else "1"
-            parts.append(f"{coeff}*{name}" if blade else f"{coeff}")
-        return " + ".join(parts)
-
-
-def _coerce(value, m: int):
-    if isinstance(value, Multivector):
-        if value.m != m:
-            raise ValueError(f"dimension mismatch: {value.m} != {m}")
-        return value
-    if isinstance(value, (int, Fraction, float)):
-        return Multivector.scalar(m, value)
-    return NotImplemented
 
 
 class Vector1:
@@ -215,10 +275,10 @@ class Vector1:
         return f"Vector1({list(self.components)})"
 
 
-def _as_multivector(a, m: int | None = None) -> Multivector:
+def _as_multivector(a, m: int | None = None) -> Terms:
     if isinstance(a, Vector1):
         return a.to_multivector()
-    if isinstance(a, Multivector):
+    if isinstance(a, Terms):
         return a
     if m is not None and isinstance(a, (int, Fraction, float)):
         return Multivector.scalar(m, a)
@@ -235,35 +295,36 @@ def grade_project(a, k: int) -> Multivector:
     return _as_multivector(a).grade_project(k)
 
 
-def dot(a, b) -> Multivector:
+def _graded_product(a, b, grade) -> Terms:
+    """Sum over grade components a_k, b_l of [a_k b_l]_{grade(k, l)}."""
+    a = _as_multivector(a)
+    b = _as_multivector(b, a.m)
+    out = a._like({})
+    for k in a.grades():
+        ak = a.grade_project(k)
+        for l in b.grades():
+            g = grade(k, l)
+            if g <= a.m:
+                out = out + (ak * b.grade_project(l)).grade_project(g)
+    return out
+
+
+def dot(a, b) -> Terms:
     """Inner (dot) product: on grades k and l it is [a b]_{|l-k|}.
 
     Extended bilinearly over grade components of both arguments.  For a
     vector v against a grade-k element this agrees with (va - (-1)^k av)/2.
+    Serves multivectors and Clifford-valued polynomials alike.
     """
-    a = _as_multivector(a)
-    b = _as_multivector(b, a.m)
-    out = Multivector(a.m, {})
-    for k in a.grades():
-        ak = a.grade_project(k)
-        for l in b.grades():
-            prod = ak * b.grade_project(l)
-            out = out + prod.grade_project(abs(l - k))
-    return out
+    return _graded_product(a, b, lambda k, l: abs(l - k))
 
 
-def wedge(a, b) -> Multivector:
-    """Outer (wedge) product: on grades k and l it is [a b]_{k+l}."""
-    a = _as_multivector(a)
-    b = _as_multivector(b, a.m)
-    out = Multivector(a.m, {})
-    for k in a.grades():
-        ak = a.grade_project(k)
-        for l in b.grades():
-            if k + l <= a.m:
-                prod = ak * b.grade_project(l)
-                out = out + prod.grade_project(k + l)
-    return out
+def wedge(a, b) -> Terms:
+    """Outer (wedge) product: on grades k and l it is [a b]_{k+l}.
+
+    Serves multivectors and Clifford-valued polynomials alike.
+    """
+    return _graded_product(a, b, lambda k, l: k + l)
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:

@@ -2,8 +2,14 @@
 
 Differentials dx_1, ..., dx_m anticommute among themselves, square to
 zero, and commute with the Clifford generators e_j and with polynomial
-coefficients.  A form is stored as a map from sorted dx-index tuples to
-Clifford-valued polynomial coefficients.
+coefficients.  Both algebras here are subclasses of ``clifford.Terms``,
+the sparse blade algebra they share with ``Multivector``:
+
+- ``CliffordPoly`` maps Clifford blades e_A to polynomial coefficients;
+  its product contracts a repeated generator with e_j^2 = -1.
+- ``CliffordForm`` maps sorted dx-index tuples to ``CliffordPoly``
+  coefficients; its product (``form_mul``) applies the square rule
+  dx_j^2 = 0, so a repeated differential kills the term.
 
 The module provides the oriented surface-measure forms Psi_{m-k}, the
 exterior derivative (differentials multiply from the left), and exact
@@ -19,26 +25,14 @@ from itertools import combinations
 from math import factorial
 from typing import Sequence
 
-from .clifford import Blade, Multivector, _mul_blades
+from .clifford import Blade, Multivector, Terms, _mul_blades, dot, wedge
 from .polyalg import VectorPoly
 
 
-class CliffordPoly:
+class CliffordPoly(Terms):
     """Clifford-algebra element whose blade coefficients are polynomials."""
 
-    __slots__ = ("m", "nvars", "terms")
-
-    def __init__(self, m: int, nvars: int = 1, terms: dict[Blade, VectorPoly] | None = None):
-        self.m = m
-        self.nvars = nvars
-        clean: dict[Blade, VectorPoly] = {}
-        if terms:
-            for blade, poly in terms.items():
-                if (poly.m, poly.nvars) != (m, nvars):
-                    raise ValueError("coefficient shape mismatch")
-                if not poly.is_zero():
-                    clean[tuple(blade)] = poly
-        self.terms = clean
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -65,103 +59,25 @@ class CliffordPoly:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "CliffordPoly") -> "CliffordPoly":
-        out = dict(self.terms)
-        for blade, poly in other.terms.items():
-            acc = out.get(blade)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero():
-                out.pop(blade, None)
-            else:
-                out[blade] = acc
-        return CliffordPoly(self.m, self.nvars, out)
-
-    def __sub__(self, other: "CliffordPoly") -> "CliffordPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordPoly":
-        return CliffordPoly(self.m, self.nvars, {b: -p for b, p in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, VectorPoly)):
-            return CliffordPoly(self.m, self.nvars, {b: p * other for b, p in self.terms.items()})
-        if not isinstance(other, CliffordPoly):
+            return self._scale(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        out: dict[Blade, VectorPoly] = {}
-        for ba, pa in self.terms.items():
-            for bb, pb in other.terms.items():
-                sign, blade = _mul_blades(ba, bb)
-                contrib = pa * pb
-                if sign < 0:
-                    contrib = -contrib
-                acc = out.get(blade)
-                acc = contrib if acc is None else acc + contrib
-                if acc.is_zero():
-                    out.pop(blade, None)
-                else:
-                    out[blade] = acc
-        return CliffordPoly(self.m, self.nvars, out)
+        return self._product(other, -1)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, VectorPoly)):
             return self * other
         return NotImplemented
 
-    def grade_project(self, k: int) -> "CliffordPoly":
-        return CliffordPoly(self.m, self.nvars,
-                            {b: p for b, p in self.terms.items() if len(b) == k})
-
-    def grades(self) -> set[int]:
-        return {len(b) for b in self.terms}
-
     def diff(self, i: int, j: int = 1) -> "CliffordPoly":
         """Differentiate every coefficient with respect to x_{j,i}."""
-        return CliffordPoly(self.m, self.nvars,
-                            {b: p.diff(j, i) for b, p in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like({b: p.diff(j, i) for b, p in self.terms.items()})
 
     def eval(self, point: Sequence) -> Multivector:
         return Multivector(self.m, {b: p.eval(point) for b, p in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordPoly):
-            return NotImplemented
-        return (self.m, self.nvars) == (other.m, other.nvars) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.m, self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for blade in sorted(self.terms, key=lambda b: (len(b), b)):
-            name = "e" + "".join(map(str, blade)) if blade else "1"
-            parts.append(f"({self.terms[blade]})*{name}")
-        return " + ".join(parts)
-
-
-def cp_dot(a: CliffordPoly, b: CliffordPoly) -> CliffordPoly:
-    """Inner product by grades: [a_k b_l]_{|l-k|}, bilinear in both."""
-    out = CliffordPoly.zero(a.m, a.nvars)
-    for k in a.grades():
-        ak = a.grade_project(k)
-        for l in b.grades():
-            out = out + (ak * b.grade_project(l)).grade_project(abs(l - k))
-    return out
-
-
-def cp_wedge(a: CliffordPoly, b: CliffordPoly) -> CliffordPoly:
-    """Outer product by grades: [a_k b_l]_{k+l}."""
-    out = CliffordPoly.zero(a.m, a.nvars)
-    for k in a.grades():
-        ak = a.grade_project(k)
-        for l in b.grades():
-            if k + l <= a.m:
-                out = out + (ak * b.grade_project(l)).grade_project(k + l)
-    return out
 
 
 def gradient(phi: VectorPoly, j: int = 1) -> CliffordPoly:
@@ -180,37 +96,18 @@ def wedge_gradients(phases: Sequence[VectorPoly]) -> CliffordPoly:
         raise ValueError("need at least one phase")
     out = gradient(phases[0])
     for phi in phases[1:]:
-        out = cp_wedge(out, gradient(phi))
+        out = wedge(out, gradient(phi))
     return out
 
 
 # -- differential forms ----------------------------------------------------
 
 
-def _merge_disjoint(b1: Blade, b2: Blade) -> tuple[int, Blade] | None:
-    """Sign and sorted union for disjoint dx blades; None if they overlap."""
-    if set(b1) & set(b2):
-        return None
-    swaps = sum(1 for x in b1 for y in b2 if y < x)
-    return (-1) ** swaps, tuple(sorted(b1 + b2))
-
-
-class CliffordForm:
+class CliffordForm(Terms):
     """Differential form with Clifford-valued polynomial coefficients."""
 
-    __slots__ = ("m", "nvars", "terms")
-
-    def __init__(self, m: int, nvars: int = 1, terms: dict[Blade, CliffordPoly] | None = None):
-        self.m = m
-        self.nvars = nvars
-        clean: dict[Blade, CliffordPoly] = {}
-        if terms:
-            for dxb, coeff in terms.items():
-                if (coeff.m, coeff.nvars) != (m, nvars):
-                    raise ValueError("coefficient shape mismatch")
-                if not coeff.is_zero():
-                    clean[tuple(dxb)] = coeff
-        self.terms = clean
+    __slots__ = ()
+    _generator = "dx"
 
     @classmethod
     def zero(cls, m: int, nvars: int = 1) -> "CliffordForm":
@@ -225,75 +122,19 @@ class CliffordForm:
     def from_coefficient(cls, coeff: CliffordPoly, dx_blade: Blade = ()) -> "CliffordForm":
         return cls(coeff.m, coeff.nvars, {tuple(dx_blade): coeff})
 
-    def __add__(self, other: "CliffordForm") -> "CliffordForm":
-        out = dict(self.terms)
-        for dxb, coeff in other.terms.items():
-            acc = out.get(dxb)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(dxb, None)
-            else:
-                out[dxb] = acc
-        return CliffordForm(self.m, self.nvars, out)
-
-    def __sub__(self, other: "CliffordForm") -> "CliffordForm":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordForm":
-        return CliffordForm(self.m, self.nvars, {b: -c for b, c in self.terms.items()})
-
     def scale_left(self, factor) -> "CliffordForm":
         """Multiply every coefficient by a Clifford factor on the left."""
         if isinstance(factor, (int, Fraction, VectorPoly)):
-            return CliffordForm(self.m, self.nvars,
-                                {b: c * factor for b, c in self.terms.items()})
-        return CliffordForm(self.m, self.nvars,
-                            {b: factor * c for b, c in self.terms.items()})
+            return self._scale(factor)
+        return self._like({b: factor * c for b, c in self.terms.items()})
 
     def scale_right(self, factor) -> "CliffordForm":
-        return CliffordForm(self.m, self.nvars,
-                            {b: c * factor for b, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> set[int]:
-        return {len(b) for b in self.terms}
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordForm):
-            return NotImplemented
-        return (self.m, self.nvars) == (other.m, other.nvars) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for dxb in sorted(self.terms, key=lambda b: (len(b), b)):
-            name = "dx" + "".join(map(str, dxb)) if dxb else "1"
-            parts.append(f"[{self.terms[dxb]}] {name}")
-        return " + ".join(parts)
+        return self._scale(factor)
 
 
 def form_mul(a: CliffordForm, b: CliffordForm) -> CliffordForm:
     """Product of forms: dx parts anticommute, coefficients multiply in order."""
-    out: dict[Blade, CliffordPoly] = {}
-    for ba, ca in a.terms.items():
-        for bb, cb in b.terms.items():
-            merged = _merge_disjoint(ba, bb)
-            if merged is None:
-                continue
-            sign, dxb = merged
-            contrib = ca * cb
-            if sign < 0:
-                contrib = -contrib
-            acc = out.get(dxb)
-            acc = contrib if acc is None else acc + contrib
-            if acc.is_zero():
-                out.pop(dxb, None)
-            else:
-                out[dxb] = acc
-    return CliffordForm(a.m, a.nvars, out)
+    return a._product(b, 0)
 
 
 def exterior_derivative(a: CliffordForm, j: int = 1) -> CliffordForm:
@@ -301,17 +142,12 @@ def exterior_derivative(a: CliffordForm, j: int = 1) -> CliffordForm:
     out = CliffordForm.zero(a.m, a.nvars)
     for dxb, coeff in a.terms.items():
         for i in range(1, a.m + 1):
-            if i in dxb:
+            sign, new = _mul_blades((i,), dxb, 0)
+            if not sign:
                 continue
             d = coeff.diff(i, j)
-            if d.is_zero():
-                continue
-            swaps = sum(1 for x in dxb if x < i)
-            pos = swaps
-            new = dxb[:pos] + (i,) + dxb[pos:]
-            if swaps % 2:
-                d = -d
-            out = out + CliffordForm.from_coefficient(d, new)
+            if d:
+                out = out + CliffordForm.from_coefficient(d if sign > 0 else -d, new)
     return out
 
 
@@ -381,7 +217,7 @@ def dot_vector_form(v: CliffordPoly, a: CliffordForm) -> CliffordForm:
     """Apply the Clifford dot of a vector field to every coefficient."""
     out = {}
     for dxb, coeff in a.terms.items():
-        d = cp_dot(v, coeff)
+        d = dot(v, coeff)
         if not d.is_zero():
             out[dxb] = d
     return CliffordForm(a.m, a.nvars, out)
@@ -399,7 +235,7 @@ def dirac_wedge_form(f: VectorPoly, a: CliffordForm) -> CliffordForm:
             continue
         ei = CliffordPoly.basis(a.m, (i,), a.nvars)
         for dxb, coeff in a.terms.items():
-            w = cp_wedge(ei, coeff) * df
+            w = wedge(ei, coeff) * df
             if not w.is_zero():
                 out = out + CliffordForm.from_coefficient(w, dxb)
     return out

@@ -86,23 +86,20 @@ class ImplicitSurfaceSpec:
 class QuadratureConfig:
     """Grid quadrature settings.
 
-    ``n`` is the number of cells per axis; ``eps`` the mollifier half-width
-    (``None`` selects 6 times the largest cell spacing); ``kernel`` names
-    the mollifier shape.  ``eps`` must exceed the spacing and stay below the
-    smallest box extent.
+    ``n`` is the number of cells per axis; ``eps`` the half-width of the
+    cosine-bump mollifier (``None`` selects 6 times the largest cell
+    spacing).  ``eps`` must exceed the spacing and stay below the smallest
+    box extent.
     """
 
     n: int = 201
     eps: float | None = None
-    kernel: str = "cos"
     independence_tol: float = 1e-6
     boundary_tol: float = 1e-4
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("need at least 16 cells per axis")
-        if self.kernel != "cos":
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.eps is not None and self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.independence_tol <= 0 or self.boundary_tol <= 0:
@@ -266,34 +263,59 @@ def _boundary_cell_mask(pts: np.ndarray, spec: ImplicitSurfaceSpec,
     return mask
 
 
-def _band_stream(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig, eps: float,
+def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
                  spacings: list[float], axes: list[np.ndarray]):
     """Yield (points, delta_product, jacobian, boundary_mask) inside the band.
 
-    The jacobian has shape (N, k, m) with row j holding grad phi_j.
+    The jacobian has shape (N, k, m) with row j holding grad phi_j.  Each
+    phase is evaluated only on the cells the earlier phases kept, and a
+    slab is dropped as soon as one phase leaves it no band cell.  With no
+    phases (k = 0) every cell is in the band with delta product 1.
     """
     grads = [[phi.diff(1, i) for i in range(1, spec.m + 1)] for phi in spec.phases]
     for pts in _slab_points(axes):
-        mask_pts = pts
+        # None, not a slab-sized array of ones: allocating one per slab
+        # cost about a fifth of the sweep for a circle at n = 160
         delta = None
-        alive = True
         for phi, grow in zip(spec.phases, grads):
-            vals = poly_on_points(phi, mask_pts)
-            span = _phase_spans(grow, mask_pts, spacings)
+            vals = poly_on_points(phi, pts)
+            span = _phase_spans(grow, pts, spacings)
             keep = np.abs(vals) < eps + 0.5 * span
             if not keep.any():
-                alive = False
                 break
-            mask_pts = mask_pts[keep]
+            pts = pts[keep]
             d = _delta_values(vals[keep], eps, span[keep])
             delta = d if delta is None else delta[keep] * d
-        if not alive or delta is None:
-            continue
-        jac = np.empty((mask_pts.shape[0], spec.k, spec.m))
-        for j, row in enumerate(grads):
-            for i, dphi in enumerate(row):
-                jac[:, j, i] = poly_on_points(dphi, mask_pts)
-        yield mask_pts, delta, jac, _boundary_cell_mask(mask_pts, spec, spacings)
+        else:
+            if delta is None:
+                delta = np.ones(pts.shape[0])
+            yield (pts, delta, _phase_jacobian(grads, pts, spec.m),
+                   _boundary_cell_mask(pts, spec, spacings))
+
+
+def _phase_jacobian(phase_grads, pts: np.ndarray, m: int) -> np.ndarray:
+    """(N, len(phase_grads), m) values of the gradient polynomials at pts."""
+    jac = np.empty((pts.shape[0], len(phase_grads), m))
+    for j, row in enumerate(phase_grads):
+        for i, dphi in enumerate(row):
+            jac[:, j, i] = poly_on_points(dphi, pts)
+    return jac
+
+
+def _orthonormal_frames(jac: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal bases per point: (N, m, m) column stacks.
+
+    Complete QR factorization of the transposed jacobian: columns 0..k-1
+    span the gradients (the normal space), columns k..m-1 their orthogonal
+    complement (the tangent space).  With k = 0 the basis is the identity.
+    """
+    n, k, m = jac.shape
+    if k == 0:
+        return np.broadcast_to(np.eye(m), (n, m, m))
+    q, r = np.linalg.qr(jac.transpose(0, 2, 1), mode="complete")
+    if np.any(np.abs(np.diagonal(r, axis1=1, axis2=2)) <= tol):
+        raise IndependenceError("phase gradients are numerically dependent at surface points")
+    return q
 
 
 def _wedge_norms(jac: np.ndarray, tol: float) -> np.ndarray:
@@ -331,7 +353,7 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
     total = 0.0
     total_abs = 0.0
     boundary_abs = 0.0
-    for pts, delta, jac, bmask in _band_stream(spec, cfg, eps, spacings, axes):
+    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
         norms = _wedge_norms(jac, cfg.independence_tol)
         contrib = delta * norms * _field_values(f, pts) * cellvol
         total += float(contrib.sum())
@@ -357,7 +379,7 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     sums = {cols: 0.0 for cols in col_sets}
     total_abs = 0.0
     boundary_abs = 0.0
-    for pts, delta, jac, bmask in _band_stream(spec, cfg, eps, spacings, axes):
+    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
         _wedge_norms(jac, cfg.independence_tol)
         weight = delta * _field_values(f, pts) * cellvol
         point_abs = np.zeros(pts.shape[0])
@@ -399,7 +421,7 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
     det_poly = _poly_det(entries)
     eps = cfg.resolve_eps(new_spec.box)
     axes, spacings, _ = _grid_geometry(new_spec, cfg)
-    for pts, _, _, _ in _band_stream(new_spec, cfg, eps, spacings, axes):
+    for pts, _, _, _ in _band_stream(new_spec, eps, spacings, axes):
         dvals = np.abs(poly_on_points(det_poly, pts))
         if np.any(dvals <= det_tol):
             raise ValueError("phase-mixing determinant is numerically zero "
@@ -441,10 +463,11 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float],
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal normal and tangent bases at a point of the surface.
 
-    Normals come from Gram-Schmidt on the phase gradients in phase order;
-    tangents complete the basis greedily from the coordinate axes (largest
-    remaining projection first).  Returns (normals, tangents) as row-vector
-    arrays of shapes (k, m) and (m - k, m), orthonormal to 1e-10.
+    Both come from the complete QR factorization of the transposed phase
+    jacobian, the same one the boundary-value check uses per grid cell:
+    the normals span the phase gradients, the tangents their orthogonal
+    complement.  Returns (normals, tangents) as row-vector arrays of shapes
+    (k, m) and (m - k, m), orthonormal to 1e-10.
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
@@ -456,35 +479,9 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float],
         val = float(poly_on_points(phi, pt)[0])
         if abs(val) > on_surface_tol:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
-    rows = []
-    for phi in spec.phases:
-        g = np.array([float(poly_on_points(phi.diff(1, i), pt)[0])
-                      for i in range(1, spec.m + 1)])
-        for r in rows:
-            g = g - (g @ r) * r
-        norm = float(np.linalg.norm(g))
-        if norm <= independence_tol:
-            raise IndependenceError("phase gradients are dependent at the point")
-        rows.append(g / norm)
-    normals = np.array(rows)
-    tangents = []
-    basis = list(rows)
-    for _ in range(spec.m - spec.k):
-        best = None
-        best_vec = None
-        for i in range(spec.m):
-            v = np.zeros(spec.m)
-            v[i] = 1.0
-            for r in basis:
-                v = v - (v @ r) * r
-            norm = float(np.linalg.norm(v))
-            if best is None or norm > best:
-                best, best_vec = norm, v
-        best_vec = best_vec / best
-        basis.append(best_vec)
-        tangents.append(best_vec)
-    tangents = np.array(tangents) if tangents else np.zeros((0, spec.m))
-    return normals, tangents
+    grads = [[phi.diff(1, i) for i in range(1, spec.m + 1)] for phi in spec.phases]
+    q = _orthonormal_frames(_phase_jacobian(grads, pt, spec.m), independence_tol)[0]
+    return q[:, :spec.k].T, q[:, spec.k:].T
 
 
 def _as_cliffpoly(value, m: int) -> CliffordPoly:
@@ -536,7 +533,7 @@ def _cayley(m: int):
     sign = np.zeros((size, size), dtype=np.int8)
     for a in range(size):
         for b in range(size):
-            s, blade = _mul_blades(blades[a], blades[b])
+            s, blade = _mul_blades(blades[a], blades[b], -1)
             c = 0
             for j in blade:
                 c |= 1 << (j - 1)
@@ -633,37 +630,27 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     g_cp = _as_cliffpoly(g_field, m)
     df = [f_cp.diff(i) for i in range(1, m + 1)]
     dg = [g_cp.diff(i) for i in range(1, m + 1)]
-    phase_grads = [[p.diff(1, i) for i in range(1, m + 1)] for p in spec.phases]
     phi_grad = [phi.diff(1, i) for i in range(1, m + 1)]
     size = 1 << m
     lhs_vec = np.zeros(size)
     rhs_vec = np.zeros(size)
     sign_k = -1.0 if k % 2 else 1.0
 
-    for pts in _slab_points(axes):
-        phase_vals = np.stack([poly_on_points(p, pts) for p in spec.phases]) \
-            if k else np.zeros((0, pts.shape[0]))
-        phase_span = np.stack([_phase_spans(row, pts, spacings)
-                               for row in phase_grads]) \
-            if k else np.zeros((0, pts.shape[0]))
-        band = np.all(np.abs(phase_vals) < eps + 0.5 * phase_span, axis=0) if k \
-            else np.ones(pts.shape[0], dtype=bool)
+    for pts, delta, jac, _ in _band_stream(spec, eps, spacings, axes):
         phi_vals = poly_on_points(phi, pts)
+        phi_span = _phase_spans(phi_grad, pts, spacings)
 
         # left side: band cut by the sharp Heaviside H(-phi).  Cells the cut
         # straddles get the linearized fraction of the cell with phi < 0;
         # midpoint-sampling the jump itself leaves an O(h) alignment error.
-        phi_span = _phase_spans(phi_grad, pts, spacings)
         hfrac = np.clip(0.5 - phi_vals / np.maximum(phi_span, 1e-300), 0.0, 1.0)
-        lmask = band & (hfrac > 0.0)
+        lmask = hfrac > 0.0
         if lmask.any():
             lpts = pts[lmask]
-            weight = hfrac[lmask].copy()
-            for row, srow in zip(phase_vals, phase_span):
-                weight *= _delta_values(row[lmask], eps, srow[lmask])
-            jac = _phase_jacobian(phase_grads, lpts, m)
-            tangents = _tangent_bases(jac, cfg.independence_tol)
-            w_dense = _dense_wedge_of_rows(jac, m)
+            ljac = jac[lmask]
+            weight = hfrac[lmask] * delta[lmask]
+            tangents = _orthonormal_frames(ljac, cfg.independence_tol)[:, :, k:]
+            w_dense = _dense_wedge_of_rows(ljac, m)
             fv = _dense_from_cliffpoly(f_cp, lpts, m)
             gv = _dense_from_cliffpoly(g_cp, lpts, m)
             df_vals = [_dense_from_cliffpoly(d, lpts, m) for d in df]
@@ -683,18 +670,11 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
             lhs_vec += cellvol * (weight[:, None] * integrand).sum(axis=0)
 
         # right side: band cut by the mollified zero set of phi
-        rmask = band & (np.abs(phi_vals) < eps + 0.5 * phi_span)
+        rmask = np.abs(phi_vals) < eps + 0.5 * phi_span
         if rmask.any():
             rpts = pts[rmask]
-            weight = _delta_values(phi_vals[rmask], eps, phi_span[rmask])
-            for row, srow in zip(phase_vals, phase_span):
-                weight *= _delta_values(row[rmask], eps, srow[rmask])
-            jac_full = np.empty((rpts.shape[0], k + 1, m))
-            for i, dphi in enumerate(phi_grad):
-                jac_full[:, 0, i] = poly_on_points(dphi, rpts)
-            for j, row in enumerate(phase_grads):
-                for i, dphi in enumerate(row):
-                    jac_full[:, j + 1, i] = poly_on_points(dphi, rpts)
+            weight = _delta_values(phi_vals[rmask], eps, phi_span[rmask]) * delta[rmask]
+            jac_full = np.concatenate([_phase_jacobian([phi_grad], rpts, m), jac[rmask]], axis=1)
             wfull = _dense_wedge_of_rows(jac_full, m)
             norms = np.sqrt((wfull * wfull).sum(axis=1))
             if np.any(norms <= cfg.independence_tol):
@@ -712,50 +692,27 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
                         _multivector_from_dense(rhs_vec, m), residual)
 
 
-def _phase_jacobian(phase_grads, pts: np.ndarray, m: int) -> np.ndarray:
-    jac = np.empty((pts.shape[0], len(phase_grads), m))
-    for j, row in enumerate(phase_grads):
-        for i, dphi in enumerate(row):
-            jac[:, j, i] = poly_on_points(dphi, pts)
-    return jac
-
-
-def _tangent_bases(jac: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal tangent bases per point: (N, m, m-k) column stacks.
-
-    Columns k..m-1 of the complete QR factorization of the transposed
-    jacobian span the orthogonal complement of the gradients.  The
-    tangential Dirac operator does not depend on the basis choice.
-    """
-    n, k, m = jac.shape
-    if k == 0:
-        eye = np.eye(m)
-        return np.broadcast_to(eye, (n, m, m)).copy()
-    q, r = np.linalg.qr(jac.transpose(0, 2, 1), mode="complete")
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    if np.any(diag.min(axis=1) <= tol):
-        raise IndependenceError(
-            "phase gradients are numerically dependent inside the surface band")
-    return q[:, :, k:]
-
-
 # -- Haar sampling and Monte Carlo -------------------------------------------
+
+
+def _haar_frames(rng: np.random.Generator, m: int, k: int, count: int) -> np.ndarray:
+    """``count`` Haar-distributed orthonormal k-frames in R^m, shape (count, m, k).
+
+    QR of standard Gaussian matrices with the R-diagonal sign convention
+    (diagonal made positive), which makes the distribution exactly Haar.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((count, m, k)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    signs = np.where(d == 0, 1.0, np.sign(d))
+    return q * signs[:, None, :]
 
 
 def haar_sample_stiefel(m: int, k: int,
                         rng: np.random.Generator) -> Frame:
-    """One Haar-distributed orthonormal k-frame in R^m.
-
-    QR of a standard Gaussian matrix with the R-diagonal sign convention
-    (diagonal made positive), which makes the distribution exactly Haar.
-    """
+    """One Haar-distributed orthonormal k-frame in R^m."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}")
-    z = rng.standard_normal((m, k))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    signs = np.where(d == 0, 1.0, np.sign(d))
-    return Frame(q * signs[None, :])
+    return Frame(_haar_frames(rng, m, k, 1)[0])
 
 
 def _partition_rng(seed: int, partition: int) -> np.random.Generator:
@@ -784,12 +741,7 @@ def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
     partition = 0
     while done < n_samples:
         cnt = min(chunk, n_samples - done)
-        rng = _partition_rng(seed, partition)
-        z = rng.standard_normal((cnt, m, k))
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        signs = np.where(d == 0, 1.0, np.sign(d))
-        q = q * signs[:, None, :]
+        q = _haar_frames(_partition_rng(seed, partition), m, k, cnt)
         pts = q.transpose(0, 2, 1).reshape(cnt, k * m)
         vals = poly_on_points(p, pts)
         total += float(vals.sum())

@@ -167,6 +167,9 @@ class VectorPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     # -- calculus ----------------------------------------------------------
 
     def _flat(self, j: int, i: int) -> int:

@@ -137,3 +137,22 @@ def tangential_terms(terms: dict, m: int, j: int) -> dict:
         for key, c in twice.items():
             _accumulate(out, key, -c)
     return out
+
+
+# -- blade products ------------------------------------------------------------
+
+
+def blade_product(a: tuple, b: tuple, square: int) -> tuple[int, tuple]:
+    """Sign and blade of g_a g_b for generators with g_j g_j = square.
+
+    Sorting the concatenation a + b (stable, so equal indices end up side by
+    side without a swap) costs the sign of that permutation, (-1)^inversions;
+    each repeated index then contracts to the scalar ``square``.  The blade
+    left over is the symmetric difference.
+    """
+    seq = list(a) + list(b)
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    contractions = len(set(a) & set(b))
+    sign = (-1) ** inversions * square ** contractions
+    return sign, tuple(sorted(set(a) ^ set(b)))

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cliffint import (Multivector, Vector1, blades_of_grade, dot,
-                      geometric_product, grade_project, gram_det, wedge,
-                      wedge_vectors)
+from cliffint import (CliffordForm, CliffordPoly, Multivector, Vector1,
+                      VectorPoly, blades_of_grade, dot, geometric_product,
+                      grade_project, gram_det, wedge, wedge_vectors)
+from cliffint.clifford import _mul_blades
+
+from oracles import blade_product
 
 
 def e(m, *idx):
@@ -156,3 +159,41 @@ def test_mixed_dimension_rejected():
 
 def test_vector1_inner():
     assert Vector1([1, 2]).inner(Vector1([3, -1])) == 1
+
+
+# -- the shared blade algebra ---------------------------------------------------
+
+@pytest.mark.parametrize("square", [-1, 0])
+def test_mul_blades_matches_sorting_reference(square):
+    for m in range(5):
+        blades = [b for k in range(m + 1) for b in blades_of_grade(m, k)]
+        for a in blades:
+            for b in blades:
+                sign, blade = _mul_blades(a, b, square)
+                ref_sign, ref_blade = blade_product(a, b, square)
+                assert sign == ref_sign, (a, b)
+                if sign:
+                    assert blade == ref_blade, (a, b)
+
+
+def _terms_samples():
+    m = 3
+    x1 = VectorPoly.variable(m, 1, 1)
+    mv = Multivector(m, {(): Fraction(3), (1,): Fraction(2), (1, 3): Fraction(-1, 2)})
+    cp = CliffordPoly.basis(m, (2,)) * x1 + CliffordPoly.from_scalar(m, Fraction(1, 3))
+    form = CliffordForm(m, 1, {(1,): cp, (2, 3): CliffordPoly.basis(m, (1, 2))})
+    return [pytest.param(mv, lambda a, c: a * c, id="Multivector"),
+            pytest.param(cp, lambda a, c: a * c, id="CliffordPoly"),
+            pytest.param(form, lambda a, c: a.scale_right(c), id="CliffordForm")]
+
+
+@pytest.mark.parametrize("a,scale", _terms_samples())
+def test_terms_contract(a, scale):
+    assert (a + (-a)).is_zero() and not (a + (-a))
+    assert (a - a) == a + (-a)
+    assert scale(a, 0).is_zero()
+    doubled = scale(a, 2)
+    assert a + a == doubled
+    assert hash(a + a) == hash(doubled)
+    assert (a + a).grades() == a.grades()
+    assert sum((a.grade_project(k) for k in a.grades()), scale(a, 0)) == a

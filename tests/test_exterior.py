@@ -6,9 +6,9 @@ import pytest
 from cliffint import (CliffordForm, CliffordPoly, Multivector, VectorPoly,
                       check_psi_blade_pairing, check_gradient_contraction, check_dirac_psi_derivative, check_gradient_blade_volume,
                       check_oriented_measure_product, exterior_derivative, form_mul, psi)
-from cliffint.exterior import (cp_dot, cp_wedge, d_of_scalar,
+from cliffint.exterior import (d_of_scalar, dot,
                                dx_power_normalized, ell, ell_sign, gradient,
-                               vector_differential, volume_form,
+                               vector_differential, volume_form, wedge,
                                wedge_gradients)
 
 
@@ -40,7 +40,7 @@ def test_cp_dot_and_wedge_split_vector_product():
     m = 3
     a = CliffordPoly.basis(m, (1,)) * xv(2, m)
     b = CliffordPoly.basis(m, (2,))
-    assert cp_dot(a, b) + cp_wedge(a, b) == a * b
+    assert dot(a, b) + wedge(a, b) == a * b
 
 
 def test_gradient_and_wedge_gradients():

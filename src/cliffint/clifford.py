@@ -231,6 +231,12 @@ class Multivector(Terms):
             return Multivector.scalar(self.m, other)
         return super()._coerce(other)
 
+    def __hash__(self):
+        # a scalar equals the plain number (see _coerce), so it hashes like it
+        if set(self.terms) <= {()}:
+            return hash(self.scalar_part())
+        return super().__hash__()
+
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

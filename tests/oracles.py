@@ -1,13 +1,16 @@
 """Reference values computed independently of the library internals.
 
-Everything here is built directly from factorials over Fraction, so
+The exact values are built directly from factorials over Fraction, so
 agreement with the library is a meaningful cross-check rather than the
-same code evaluated twice.  Values are returned as (q, h) pairs meaning
-q * pi^(h/2).
+same code evaluated twice; they are returned as (q, h) pairs meaning
+q * pi^(h/2).  The grid quadratures are recomputed by a dense sweep over
+every cell in plain numpy.
 """
 
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
 
 
 def gamma_half_pair(two_a: int) -> tuple[Fraction, int]:
@@ -156,3 +159,147 @@ def blade_product(a: tuple, b: tuple, square: int) -> tuple[int, tuple]:
     contractions = len(set(a) & set(b))
     sign = (-1) ** inversions * square ** contractions
     return sign, tuple(sorted(set(a) ^ set(b)))
+
+
+# -- dense band sweep ------------------------------------------------------------
+#
+# Every cell of the midpoint grid, one slab of the first axis at a time, in
+# plain numpy.  Polynomials are {exponent tuple: coefficient} dicts in the m
+# coordinates of one vector; Clifford fields are {blade: polynomial dict}.
+
+
+def poly_values(terms: dict, pts: np.ndarray) -> np.ndarray:
+    """Values of a term dict at the rows of an (N, m) array."""
+    out = np.zeros(pts.shape[0])
+    for key, c in terms.items():
+        term = np.full(pts.shape[0], float(c))
+        for i, e in enumerate(key):
+            term = term * pts[:, i] ** e
+        out = out + term
+    return out
+
+
+def grid_slabs(box, n: int):
+    """Yield (n^(m-1), m) arrays of cell midpoints lo + h (i + 1/2), one per slab."""
+    axes = [lo + (hi - lo) / n * (np.arange(n) + 0.5) for lo, hi in box]
+    rest = np.meshgrid(*axes[1:], indexing="ij")
+    rest = np.column_stack([r.ravel() for r in rest]) if rest else np.empty((1, 0))
+    for x0 in axes[0]:
+        yield np.column_stack([np.full(rest.shape[0], x0), rest])
+
+
+def bump_average(vals: np.ndarray, span: np.ndarray, eps: float) -> np.ndarray:
+    """The cosine bump (1 + cos(pi t / eps)) / (2 eps) averaged over [v - s/2, v + s/2].
+
+    Its antiderivative from -eps is (t + eps + eps/pi sin(pi t / eps)) / (2 eps)
+    on [-eps, eps], 0 below and 1 above.  A span under 1e-9 eps takes the
+    value at v instead.
+    """
+    def cdf(t):
+        t = np.clip(t, -eps, eps)
+        return (t + eps + eps / np.pi * np.sin(np.pi * t / eps)) / (2 * eps)
+
+    point = (1 + np.cos(np.pi * np.clip(vals, -eps, eps) / eps)) / (2 * eps)
+    wide = span > 1e-9 * eps
+    s = np.where(wide, span, 1.0)
+    return np.where(wide, (cdf(vals + s / 2) - cdf(vals - s / 2)) / s, point)
+
+
+def dense_band(phases: list, box, n: int, eps: float):
+    """Band cells of the phases over every grid cell.
+
+    A cell is in the band when |phi_j| < eps + span_j / 2 for every phase,
+    with span_j = sum_i h_i |d_i phi_j|.  Returns the band cell midpoints
+    (N, m), the product of the span-averaged bumps (N,) and the gradients
+    (N, k, m).  With no phases every cell is in the band with weight 1.
+    """
+    m = len(box)
+    h = [(hi - lo) / n for lo, hi in box]
+    grads = [[diff_terms(p, i) for i in range(m)] for p in phases]
+    pts_out, weight_out, jac_out = [], [], []
+    for pts in grid_slabs(box, n):
+        keep = np.ones(pts.shape[0], dtype=bool)
+        weight = np.ones(pts.shape[0])
+        jac = np.zeros((pts.shape[0], len(phases), m))
+        for j, (p, row) in enumerate(zip(phases, grads)):
+            vals = poly_values(p, pts)
+            for i in range(m):
+                jac[:, j, i] = poly_values(row[i], pts)
+            span = sum(h[i] * np.abs(jac[:, j, i]) for i in range(m))
+            keep &= np.abs(vals) < eps + span / 2
+            weight = weight * bump_average(vals, span, eps)
+        pts_out.append(pts[keep])
+        weight_out.append(weight[keep])
+        jac_out.append(jac[keep])
+    return np.concatenate(pts_out), np.concatenate(weight_out), np.concatenate(jac_out)
+
+
+def blade_norms(jac: np.ndarray) -> np.ndarray:
+    """|v_1 ^ .. ^ v_k| of the rows of (N, k, m) arrays, k = 1 or 2 (Lagrange identity)."""
+    sq = (jac * jac).sum(axis=2)
+    if jac.shape[1] == 1:
+        return np.sqrt(sq[:, 0])
+    cross = (jac[:, 0] * jac[:, 1]).sum(axis=1)
+    return np.sqrt(np.maximum(sq[:, 0] * sq[:, 1] - cross * cross, 0.0))
+
+
+def blade_minors(jac: np.ndarray) -> dict:
+    """{blade: coefficient array} of v_1 ^ .. ^ v_k for rows of (N, k, m) arrays, k = 1 or 2."""
+    m = jac.shape[2]
+    if jac.shape[1] == 1:
+        return {(a + 1,): jac[:, 0, a] for a in range(m)}
+    return {(a + 1, b + 1): jac[:, 0, a] * jac[:, 1, b] - jac[:, 0, b] * jac[:, 1, a]
+            for a in range(m) for b in range(a + 1, m)}
+
+
+def _field_mul(x: dict, y: dict) -> dict:
+    """Clifford product (e_j^2 = -1) of {blade: array} fields."""
+    out = {}
+    for ba, ca in x.items():
+        for bb, cb in y.items():
+            sign, blade = blade_product(ba, bb, -1)
+            out[blade] = out.get(blade, 0.0) + sign * ca * cb
+    return out
+
+
+def _field_values(field: dict, pts: np.ndarray) -> dict:
+    return {blade: poly_values(p, pts) for blade, p in field.items()}
+
+
+def dense_cauchy_classical(f_field: dict, g_field: dict, phi: dict, box, n: int,
+                           eps: float) -> tuple[dict, dict]:
+    """Both sides of the classical (k = 0) boundary formula over every grid cell.
+
+    Left: the linearized share clip(1/2 - phi / span, 0, 1) of each cell in
+    {phi < 0} times (F D) G + F (D G), with F D = sum_i (d_i F) e_i and
+    D G = sum_i e_i (d_i G).  Right: the span-averaged bump of phi times
+    F (grad phi) G.  Both sums are times the cell volume; {blade: float}.
+    """
+    m = len(box)
+    h = [(hi - lo) / n for lo, hi in box]
+    cellvol = float(np.prod(h))
+    df = [{b: diff_terms(p, i) for b, p in f_field.items()} for i in range(m)]
+    dg = [{b: diff_terms(p, i) for b, p in g_field.items()} for i in range(m)]
+    dphi = [diff_terms(phi, i) for i in range(m)]
+    lhs, rhs = {}, {}
+    for pts in grid_slabs(box, n):
+        fv, gv = _field_values(f_field, pts), _field_values(g_field, pts)
+        vals = poly_values(phi, pts)
+        grad = [poly_values(d, pts) for d in dphi]
+        span = sum(h[i] * np.abs(grad[i]) for i in range(m))
+        share = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
+        integrand = {}
+        for i in range(m):
+            e_i = {(i + 1,): np.ones(pts.shape[0])}
+            for part in (_field_mul(_field_mul(_field_values(df[i], pts), e_i), gv),
+                         _field_mul(fv, _field_mul(e_i, _field_values(dg[i], pts)))):
+                for blade, c in part.items():
+                    integrand[blade] = integrand.get(blade, 0.0) + c
+        for blade, c in integrand.items():
+            lhs[blade] = lhs.get(blade, 0.0) + cellvol * float((share * c).sum())
+        near = np.abs(vals) < eps + span / 2
+        weight = np.where(near, bump_average(vals, span, eps), 0.0)
+        grad_field = {(i + 1,): grad[i] for i in range(m)}
+        for blade, c in _field_mul(_field_mul(fv, grad_field), gv).items():
+            rhs[blade] = rhs.get(blade, 0.0) + cellvol * float((weight * c).sum())
+    return lhs, rhs

@@ -197,3 +197,14 @@ def test_terms_contract(a, scale):
     assert hash(a + a) == hash(doubled)
     assert (a + a).grades() == a.grades()
     assert sum((a.grade_project(k) for k in a.grades()), scale(a, 0)) == a
+
+
+def test_scalar_multivector_hashes_like_its_number():
+    three = Multivector.scalar(2, 3)
+    assert three == 3
+    assert len({three, 3}) == 1
+    assert {3: "found"}[three] == "found"
+    assert {three: "found"}[3] == "found"
+    assert {Fraction(3, 2): "found"}[Multivector.scalar(3, 1.5)] == "found"
+    assert {0: "found"}[Multivector(2, {})] == "found"
+    assert len({Multivector.basis(2, (1,)), 1}) == 2

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffint import (BoundaryContactError, CliffordPoly, Frame,
                       ImplicitSurfaceSpec, IndependenceError, Multivector,
@@ -11,6 +15,11 @@ from cliffint import (BoundaryContactError, CliffordPoly, Frame,
                       integrate_oriented, mc_stiefel_integral,
                       phase_rescale_invariance, stiefel_volume,
                       tangent_normal_frames, tangential_dirac)
+from cliffint.geomint import (_band_stream, _grid_geometry, _interval_bounds,
+                              _orthonormal_frames, _wedge_norms)
+
+from oracles import (blade_minors, blade_norms, dense_band, dense_cauchy_classical,
+                     poly_values)
 
 BOX3 = ((-1.6, 1.6),) * 3
 BOX2 = ((-1.6, 1.6),) * 2
@@ -121,6 +130,29 @@ def test_dependent_gradients_detected():
         integrate_implicit(1, spec, QuadratureConfig(n=64))
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 10**11), 10**11])
+def test_frames_do_not_depend_on_phase_scale(scale):
+    spec = ImplicitSurfaceSpec(3, [sphere_phase(3) * scale], BOX3)
+    normals, tangents = tangent_normal_frames(spec, [1.0, 0.0, 0.0])
+    assert abs(normals[0, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(tangents[:, 0], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e11])
+def test_independence_checks_are_scale_invariant(scale):
+    jac = scale * np.array([[[2.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                            [[0.0, 1.5, 0.5], [0.0, 0.0, 3.0]]])
+    assert np.allclose(_wedge_norms(jac, 1e-6),
+                       scale ** 2 * np.array([2.0, 4.5]), rtol=1e-12)
+    _orthonormal_frames(jac, 1e-6)
+    # a zero gradient row is dependent at any scale
+    jac[1, 0] = 0.0
+    with pytest.raises(IndependenceError):
+        _wedge_norms(jac, 1e-6)
+    with pytest.raises(IndependenceError):
+        _orthonormal_frames(jac, 1e-6)
+
+
 def test_rescale_invariance_identity_is_exact():
     spec = circle_spec()
     base, mixed = phase_rescale_invariance(spec, [[1, 0], [0, 1]],
@@ -132,6 +164,137 @@ def test_rescale_rejects_singular_mixing():
     with pytest.raises(ValueError):
         phase_rescale_invariance(circle_spec(), [[1, 1], [1, 1]],
                                  cfg=QuadratureConfig(n=75))
+
+
+# -- block culling and the dense reference sweep --------------------------------
+
+def _shifted_sphere(m, center, radius_sq):
+    out = VectorPoly.constant(m, -radius_sq)
+    for i, c in enumerate(center, start=1):
+        out = out + (xvar(i, m) - c) ** 2
+    return out
+
+
+def _torus():
+    # (|x|^2 + R^2 - r^2)^2 - 4 R^2 (x1^2 + x2^2) with R = 1, r = 2/5
+    x1, x2, x3 = xvar(1), xvar(2), xvar(3)
+    inner = x1 ** 2 + x2 ** 2 + x3 ** 2 + Fraction(21, 25)
+    return inner * inner - 4 * (x1 ** 2 + x2 ** 2)
+
+
+def _dense_case(shape):
+    center = (Fraction(1, 20), Fraction(-3, 100), Fraction(1, 50))
+    sphere = _shifted_sphere(3, center, Fraction(11, 10))
+    if shape == "sphere":
+        return ImplicitSurfaceSpec(3, [sphere], BOX3)
+    if shape == "circle":
+        return ImplicitSurfaceSpec(3, [sphere, xvar(3) - Fraction(1, 5)], BOX3)
+    return ImplicitSurfaceSpec(3, [_torus()], BOX3)
+
+
+def _sorted_rows(pts, *arrays):
+    order = np.lexsort(pts.T[::-1])
+    return (pts[order],) + tuple(a[order] for a in arrays)
+
+
+def _assert_blades_close(got: dict, want: dict, scale: float):
+    for blade in set(got) | set(want):
+        assert abs(got.get(blade, 0.0) - want.get(blade, 0.0)) <= 1e-12 * scale, blade
+
+
+@pytest.mark.parametrize("shape,n", [("sphere", 101), ("sphere", 201), ("circle", 101),
+                                     ("circle", 201), ("torus", 101)])
+def test_band_sweep_matches_dense_sweep(shape, n):
+    spec = _dense_case(shape)
+    cfg = QuadratureConfig(n=n)
+    eps = cfg.resolve_eps(spec.box)
+    axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    ref_pts, ref_weight, ref_jac = dense_band([dict(p.terms) for p in spec.phases],
+                                              spec.box, n, eps)
+    got = list(_band_stream(spec, eps, spacings, axes))
+    pts, weight, jac = (np.concatenate([item[i] for item in got]) for i in range(3))
+    # the same band cells, at the same coordinates, with the same weights
+    assert pts.shape == ref_pts.shape
+    pts, weight, jac = _sorted_rows(pts, weight, jac)
+    ref_pts, ref_weight, ref_jac = _sorted_rows(ref_pts, ref_weight, ref_jac)
+    assert np.array_equal(pts, ref_pts)
+    # the bump average is a difference of two nearby antiderivative values,
+    # so its rounding is bounded relative to the largest weight
+    assert np.abs(weight - ref_weight).max() <= 1e-12 * ref_weight.max()
+    assert np.allclose(jac, ref_jac, rtol=1e-12, atol=0.0)
+    # and the same sums
+    f = 1 + xvar(1) * xvar(2) - xvar(3) ** 2
+    fvals = poly_values(dict(f.terms), ref_pts)
+    want = cellvol * float((ref_weight * blade_norms(ref_jac) * fvals).sum())
+    assert abs(integrate_implicit(f, spec, cfg) - want) <= 1e-12 * abs(want)
+    if shape != "torus":
+        oriented = integrate_oriented(xvar(1), spec, cfg)
+        want = {b: cellvol * float((ref_weight * ref_pts[:, 0] * c).sum())
+                for b, c in blade_minors(ref_jac).items()}
+        _assert_blades_close(oriented.terms, want, math.sqrt(oriented.norm_squared()))
+
+
+@pytest.mark.parametrize("n", [101, 201])
+def test_classical_cauchy_matches_dense_sweep(n):
+    spec = ImplicitSurfaceSpec(2, [], BOX2)
+    phi = _shifted_sphere(2, (Fraction(1, 20), Fraction(-3, 100)), 1)
+    x1, x2 = xvar(1, 2), xvar(2, 2)
+    f = CliffordPoly.from_scalar(2, 1) + CliffordPoly.basis(2, (1,)) * x2
+    g = CliffordPoly.from_poly(x1) + CliffordPoly.basis(2, (1, 2)) * (x1 * x2)
+    cfg = QuadratureConfig(n=n)
+    res = cauchy_check(f, g, phi, spec, cfg)
+    fields = [{b: dict(p.terms) for b, p in c.terms.items()} for c in (f, g)]
+    lhs, rhs = dense_cauchy_classical(*fields, dict(phi.terms), spec.box, n,
+                                      cfg.resolve_eps(spec.box))
+    _assert_blades_close(res.lhs.terms, lhs, math.sqrt(res.lhs.norm_squared()))
+    _assert_blades_close(res.rhs.terms, rhs, math.sqrt(res.rhs.norm_squared()))
+
+
+@st.composite
+def _bound_cases(draw):
+    m = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        key = tuple(draw(st.integers(0, 4)) for _ in range(m))
+        if sum(key) <= 4:
+            terms[key] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=8))
+    ranges = []
+    for _ in range(m):
+        # eighths, so that many intervals straddle zero and some are points
+        los = draw(st.lists(st.integers(-24, 16), min_size=1, max_size=3))
+        widths = draw(st.lists(st.integers(0, 32), min_size=len(los), max_size=len(los)))
+        ranges.append((np.array(los) / 8, (np.array(los) + np.array(widths)) / 8))
+    return VectorPoly(m, 1, terms), ranges, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bound_cases())
+def test_block_bound_contains_phase(case):
+    p, ranges, seed = case
+    lo, hi = _interval_bounds(p, ranges)
+    rng = np.random.default_rng(seed)
+    for box in np.ndindex(lo.shape):
+        a = np.array([ranges[i][0][b] for i, b in enumerate(box)])
+        b = np.array([ranges[i][1][b] for i, b in enumerate(box)])
+        # the corners, the point nearest the origin and random points
+        corners = np.array([np.where(bits, b, a) for bits in np.ndindex((2,) * len(a))])
+        pts = np.concatenate([corners, np.clip(0.0, a, b)[None, :],
+                              a + (b - a) * rng.random((32, len(a)))])
+        vals = poly_values(dict(p.terms), pts)
+        assert np.all(lo[box] <= vals) and np.all(vals <= hi[box])
+
+
+def test_s3_quadrature_in_bounded_memory():
+    # a dense slab at m = 4, n = 64 holds 64^3 points; the band sweep
+    # works on batches of a few thousand cells
+    tracemalloc.start()
+    try:
+        val = integrate_implicit(1, sphere_spec(4), QuadratureConfig(n=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(2 * math.pi ** 2, rel=1e-2)
+    assert peak < 8e6
 
 
 # -- frames and the tangential Dirac operator ---------------------------------

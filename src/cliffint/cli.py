@@ -233,11 +233,7 @@ def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
 
 
 def _multivector_json(mv: Multivector) -> dict[str, float]:
-    out = {}
-    for blade in sorted(mv.terms, key=lambda b: (len(b), b)):
-        name = "e" + "".join(str(j) for j in blade) if blade else "1"
-        out[name] = float(mv.terms[blade])
-    return out
+    return {name or "1": float(coeff) for name, coeff in mv._named_terms()}
 
 
 def _exact_json(value: ExactScalar) -> dict:
@@ -433,14 +429,10 @@ def _handle_oracle_mc(args) -> tuple[dict, bool]:
     return payload, True
 
 
-def _build_surface(args, nphases: int | None = None) -> tuple[ImplicitSurfaceSpec, QuadratureConfig]:
-    phase_texts = [p for p in args.phases.split(";") if p.strip()] if args.phases else []
-    if nphases is not None and len(phase_texts) != nphases:
-        raise ParseError(f"expected {nphases} phases, found {len(phase_texts)}")
-    phases = [parse_poly(t, args.m, 1) for t in phase_texts]
-    box = _parse_box(args.box, args.m)
+def _checked_surface(m: int, phases: list, box, args) -> tuple[ImplicitSurfaceSpec, QuadratureConfig]:
+    """Surface and grid settings, with every invalid value a ParseError."""
     try:
-        spec = ImplicitSurfaceSpec(args.m, phases, box)
+        spec = ImplicitSurfaceSpec(m, phases, box)
         cfg = QuadratureConfig(n=args.n, eps=args.eps)
         cfg.resolve_eps(spec.box)
     except ValueError as exc:
@@ -448,27 +440,25 @@ def _build_surface(args, nphases: int | None = None) -> tuple[ImplicitSurfaceSpe
     return spec, cfg
 
 
-def _handle_integrate_implicit(args) -> tuple[dict, bool]:
+def _build_surface(args) -> tuple[ImplicitSurfaceSpec, QuadratureConfig]:
+    phase_texts = [p for p in args.phases.split(";") if p.strip()] if args.phases else []
+    phases = [parse_poly(t, args.m, 1) for t in phase_texts]
+    return _checked_surface(args.m, phases, _parse_box(args.box, args.m), args)
+
+
+def _handle_integrate(args) -> tuple[dict, bool]:
     spec, cfg = _build_surface(args)
     if spec.k < 1:
         raise ParseError("need at least one phase")
     f = parse_poly(args.f, args.m, 1)
-    value = integrate_implicit(f, spec, cfg)
-    log.info("grid %d^%d, eps %.6g", cfg.n, args.m, cfg.resolve_eps(spec.box))
-    payload = {"command": "integrate implicit", "m": args.m, "k": spec.k,
-               "n": cfg.n, "eps": cfg.resolve_eps(spec.box), "value": value}
-    return payload, True
-
-
-def _handle_integrate_oriented(args) -> tuple[dict, bool]:
-    spec, cfg = _build_surface(args)
-    if spec.k < 1:
-        raise ParseError("need at least one phase")
-    f = parse_poly(args.f, args.m, 1)
-    value = integrate_oriented(f, spec, cfg)
-    payload = {"command": "integrate oriented", "m": args.m, "k": spec.k,
-               "n": cfg.n, "eps": cfg.resolve_eps(spec.box),
-               "value": _multivector_json(value)}
+    if args.subcommand == "implicit":
+        value = integrate_implicit(f, spec, cfg)
+    else:
+        value = _multivector_json(integrate_oriented(f, spec, cfg))
+    eps = cfg.resolve_eps(spec.box)
+    log.info("grid %d^%d, eps %.6g", cfg.n, args.m, eps)
+    payload = {"command": f"integrate {args.subcommand}", "m": args.m, "k": spec.k,
+               "n": cfg.n, "eps": eps, "value": value}
     return payload, True
 
 
@@ -503,12 +493,7 @@ def _handle_verify_cauchy(args) -> tuple[dict, bool]:
         f_field = VectorPoly.constant(2, 1)
         g_field = VectorPoly.variable(2, 1, 1)
         box = [(-1.6, 1.6)] * 2
-    spec = ImplicitSurfaceSpec(m, phases, box)
-    try:
-        cfg = QuadratureConfig(n=args.n, eps=args.eps)
-        cfg.resolve_eps(spec.box)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    spec, cfg = _checked_surface(m, phases, box, args)
     result = cauchy_check(f_field, g_field, phi, spec, cfg)
     ok = result.residual < args.threshold
     log.info("case %s: residual %.4g (threshold %g)", args.case,
@@ -561,8 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     integ = sub.add_parser("integrate", help="grid surface quadrature")
     isub = integ.add_subparsers(dest="subcommand", required=True)
-    for name, handler in (("implicit", _handle_integrate_implicit),
-                          ("oriented", _handle_integrate_oriented)):
+    for name in ("implicit", "oriented"):
         p = isub.add_parser(name, parents=[common])
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--phases", required=True,
@@ -572,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'lo,hi' for all axes or 'lo,hi;lo,hi;...' per axis")
         p.add_argument("--n", type=int, default=201)
         p.add_argument("--eps", type=float, default=None)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_handle_integrate)
 
     verify = sub.add_parser("verify", help="identity suites and residual checks")
     vsub = verify.add_subparsers(dest="subcommand", required=True)

@@ -178,15 +178,19 @@ class Terms:
     def __hash__(self):
         return hash((type(self).__name__, self.m, self.nvars, frozenset(self.terms.items())))
 
+    def _named_terms(self):
+        """(blade name, coefficient) pairs by grade, then by index; the scalar's name is ''."""
+        for blade in sorted(self.terms, key=lambda b: (len(b), b)):
+            name = self._generator + "".join(map(str, blade)) if blade else ""
+            yield name, self.terms[blade]
+
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for blade in sorted(self.terms, key=lambda b: (len(b), b)):
-            coeff = self.terms[blade]
+        for name, coeff in self._named_terms():
             text = f"{coeff}" if isinstance(coeff, (int, Fraction, float)) else f"({coeff})"
-            name = self._generator + "".join(map(str, blade))
-            parts.append(f"{text}*{name}" if blade else text)
+            parts.append(f"{text}*{name}" if name else text)
         return " + ".join(parts)
 
 

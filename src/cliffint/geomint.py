@@ -21,7 +21,8 @@ does not grow with the grid's slab size, not even at m = 4.
 
 The Cauchy-type boundary-value check integrates Clifford-valued fields with
 a batched dense representation of the algebra (2^m coefficients per point)
-so that all per-point geometric products are vectorized.
+so that all per-point geometric products are vectorized; the pointwise
+tangential Dirac operator is the same batched operator on one point.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -248,6 +248,8 @@ _DENSE_COEFFS = 8192
 
 
 def _grid_geometry(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig):
+    """(eps, cell-midpoint axes, spacings, cell volume) of the quadrature grid."""
+    eps = cfg.resolve_eps(spec.box)
     axes = []
     spacings = []
     for lo, hi in spec.box:
@@ -255,7 +257,7 @@ def _grid_geometry(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig):
         axes.append(lo + h * (np.arange(cfg.n) + 0.5))
         spacings.append(h)
     cellvol = math.prod(spacings)
-    return axes, spacings, cellvol
+    return eps, axes, spacings, cellvol
 
 
 def _interval_bounds(p: VectorPoly, ranges) -> tuple[np.ndarray, np.ndarray]:
@@ -443,6 +445,33 @@ def _check_boundary(total_abs: float, boundary_abs: float, cfg: QuadratureConfig
 # -- scalar and oriented quadrature ------------------------------------------
 
 
+def _band_sum(f, spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
+              measure: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+    """Grid sum over the surface band of delta-products * measure * f.
+
+    ``measure(jac, independence_tol)`` maps the (N, k, m) jacobian of a batch
+    to (N, c) values per cell, and the result has c entries (a single zero
+    when no cell is in the band).  Raises BoundaryContactError when the
+    boundary cells carry more than ``boundary_tol`` of the total magnitude.
+    """
+    if spec.k < 1:
+        raise ValueError("need at least one phase")
+    cfg = cfg or QuadratureConfig()
+    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    total = np.zeros(1)
+    total_abs = 0.0
+    boundary_abs = 0.0
+    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
+        weight = delta * _field_values(f, pts) * cellvol
+        contrib = weight[:, None] * measure(jac, cfg.independence_tol)
+        total = total + contrib.sum(axis=0)
+        point_abs = np.abs(contrib).sum(axis=1)
+        total_abs += float(point_abs.sum())
+        boundary_abs += float(point_abs[bmask].sum())
+    _check_boundary(total_abs, boundary_abs, cfg)
+    return total
+
+
 def integrate_implicit(f, spec: ImplicitSurfaceSpec,
                        cfg: QuadratureConfig | None = None) -> float:
     """Scalar surface integral of f over the implicit surface.
@@ -450,22 +479,7 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
     Computes the grid sum of delta_eps(phi_1) .. delta_eps(phi_k) times the
     blade norm |grad phi_1 ^ .. ^ grad phi_k| times f.
     """
-    if spec.k < 1:
-        raise ValueError("need at least one phase")
-    cfg = cfg or QuadratureConfig()
-    eps = cfg.resolve_eps(spec.box)
-    axes, spacings, cellvol = _grid_geometry(spec, cfg)
-    total = 0.0
-    total_abs = 0.0
-    boundary_abs = 0.0
-    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
-        norms = _wedge_norms(jac, cfg.independence_tol)
-        contrib = delta * norms * _field_values(f, pts) * cellvol
-        total += float(contrib.sum())
-        total_abs += float(np.abs(contrib).sum())
-        boundary_abs += float(np.abs(contrib[bmask]).sum())
-    _check_boundary(total_abs, boundary_abs, cfg)
-    return total
+    return float(_band_sum(f, spec, cfg, lambda jac, tol: _wedge_norms(jac, tol)[:, None])[0])
 
 
 def integrate_oriented(f, spec: ImplicitSurfaceSpec,
@@ -475,29 +489,11 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     Returns the grade-k multivector with float coefficients
     sum over the band of delta-products * (grad phi_1 ^ .. ^ grad phi_k) * f.
     """
-    if spec.k < 1:
-        raise ValueError("need at least one phase")
-    cfg = cfg or QuadratureConfig()
-    eps = cfg.resolve_eps(spec.box)
-    axes, spacings, cellvol = _grid_geometry(spec, cfg)
-    col_sets = list(combinations(range(spec.m), spec.k))
-    sums = {cols: 0.0 for cols in col_sets}
-    total_abs = 0.0
-    boundary_abs = 0.0
-    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
-        _wedge_norms(jac, cfg.independence_tol)
-        weight = delta * _field_values(f, pts) * cellvol
-        point_abs = np.zeros(pts.shape[0])
-        for cols in col_sets:
-            minors = np.linalg.det(jac[:, :, cols])
-            sums[cols] += float((weight * minors).sum())
-            point_abs += np.abs(weight * minors)
-        total_abs += float(point_abs.sum())
-        boundary_abs += float(point_abs[bmask].sum())
-    _check_boundary(total_abs, boundary_abs, cfg)
-    terms = {tuple(c + 1 for c in cols): val
-             for cols, val in sums.items() if val}
-    return Multivector(spec.m, terms)
+    def gradient_blades(jac, tol):
+        _wedge_norms(jac, tol)
+        return _dense_wedge_of_rows(jac, spec.m)
+
+    return _multivector_from_dense(_band_sum(f, spec, cfg, gradient_blades), spec.m)
 
 
 def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence],
@@ -524,8 +520,7 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
     new_spec = ImplicitSurfaceSpec(spec.m, psis, spec.box)
     cfg = cfg or QuadratureConfig()
     det_poly = _poly_det(entries)
-    eps = cfg.resolve_eps(new_spec.box)
-    axes, spacings, _ = _grid_geometry(new_spec, cfg)
+    eps, axes, spacings, _ = _grid_geometry(new_spec, cfg)
     for pts, _, _, _ in _band_stream(new_spec, eps, spacings, axes):
         dvals = np.abs(poly_on_points(det_poly, pts))
         if np.any(dvals <= det_tol):
@@ -608,48 +603,49 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
     """Tangential Dirac operator sum_t eps_t <eps_t, d/dx> applied at a point.
 
     The sum runs over an orthonormal tangent basis; the result does not
-    depend on which basis is chosen.
+    depend on which basis is chosen.  It is the batched operator of
+    ``cauchy_check`` on a batch of one point.
     """
     f = _as_cliffpoly(field, spec.m)
     _, tangents = tangent_normal_frames(spec, point)
     pt = np.asarray(point, dtype=float)[None, :]
-    partials = [f.diff(i).eval(tuple(pt[0])) for i in range(1, spec.m + 1)]
-    out = Multivector(spec.m, {})
-    for t in range(tangents.shape[0]):
-        direction = tangents[t]
-        dirderiv = Multivector(spec.m, {})
-        for i in range(spec.m):
-            if direction[i]:
-                dirderiv = dirderiv + float(direction[i]) * partials[i]
-        eps_vec = Multivector.from_vector([float(c) for c in direction])
-        out = out + eps_vec * dirderiv
-    return out
+    partials = [_dense_from_cliffpoly(f.diff(i), pt, spec.m) for i in range(1, spec.m + 1)]
+    out = _dense_dirac(tangents.T[None], partials, spec.m, left=True)
+    return _multivector_from_dense(out[0], spec.m)
 
 
 # -- dense Clifford batch algebra --------------------------------------------
 
 
 @lru_cache(maxsize=None)
+def _blades(m: int) -> tuple[list, dict]:
+    """Blades by dense position and positions by blade.
+
+    Position bit j - 1 is set exactly when e_j is in the blade, so the
+    scalar sits at 0 and e_j at 1 << (j - 1).
+    """
+    blades = [tuple(j + 1 for j in range(m) if b >> j & 1) for b in range(1 << m)]
+    return blades, {blade: pos for pos, blade in enumerate(blades)}
+
+
+@lru_cache(maxsize=None)
 def _cayley(m: int):
-    """Multiplication table over bitmask-indexed blades: (index, sign) arrays."""
-    size = 1 << m
-    blades = [tuple(j + 1 for j in range(m) if b >> j & 1) for b in range(size)]
+    """Multiplication table over dense blade positions: (index, sign) arrays."""
+    blades, position = _blades(m)
+    size = len(blades)
     idx = np.zeros((size, size), dtype=np.int64)
     sign = np.zeros((size, size), dtype=np.int8)
     for a in range(size):
         for b in range(size):
             s, blade = _mul_blades(blades[a], blades[b], -1)
-            c = 0
-            for j in blade:
-                c |= 1 << (j - 1)
-            idx[a, b] = c
+            idx[a, b] = position[blade]
             sign[a, b] = s
-    return idx, sign, blades
+    return idx, sign
 
 
 def _batch_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Geometric product of batched dense multivectors, shape (N, 2^m)."""
-    idx, sign, _ = _cayley(m)
+    idx, sign = _cayley(m)
     out = np.zeros_like(a)
     size = 1 << m
     for i in range(size):
@@ -665,45 +661,52 @@ def _batch_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _dense_from_cliffpoly(f: CliffordPoly, pts: np.ndarray, m: int) -> np.ndarray:
+    _, position = _blades(m)
     out = np.zeros((pts.shape[0], 1 << m))
     for blade, poly in f.terms.items():
-        pos = 0
-        for j in blade:
-            pos |= 1 << (j - 1)
-        out[:, pos] = poly_on_points(poly, pts)
-    return out
-
-
-def _dense_from_vectors(vecs: np.ndarray, m: int) -> np.ndarray:
-    """Grade-1 dense multivectors from an (N, m) component array."""
-    out = np.zeros((vecs.shape[0], 1 << m))
-    for i in range(m):
-        out[:, 1 << i] = vecs[:, i]
+        out[:, position[blade]] = poly_on_points(poly, pts)
     return out
 
 
 def _dense_wedge_of_rows(jac: np.ndarray, m: int) -> np.ndarray:
-    """Dense grade-k blade v_1 ^ ... ^ v_k from rows of (N, k, m) arrays."""
+    """Dense grade-k blade v_1 ^ ... ^ v_k from rows of (N, k, m) arrays.
+
+    The coefficient of e_A is the minor of the columns in A.  A 1 x 1
+    minor is the entry itself, so vectors (k = 1) cost no LAPACK call.
+    """
     n, k, _ = jac.shape
     out = np.zeros((n, 1 << m))
-    if k == 0:
-        out[:, 0] = 1.0
-        return out
-    for cols in combinations(range(m), k):
-        pos = 0
-        for c in cols:
-            pos |= 1 << c
-        out[:, pos] = np.linalg.det(jac[:, :, cols])
+    for pos, blade in enumerate(_blades(m)[0]):
+        if len(blade) == k:
+            cols = [j - 1 for j in blade]
+            out[:, pos] = jac[:, 0, cols[0]] if k == 1 else np.linalg.det(jac[:, :, cols])
     return out
 
 
 def _multivector_from_dense(vec: np.ndarray, m: int) -> Multivector:
-    _, _, blades = _cayley(m)
+    blades, _ = _blades(m)
     terms = {}
     for pos, coeff in enumerate(vec):
         if coeff:
             terms[blades[pos]] = float(coeff)
     return Multivector(m, terms)
+
+
+def _dense_dirac(tangents: np.ndarray, partials: list, m: int, left: bool) -> np.ndarray:
+    """Tangential Dirac operator on a batch of dense fields.
+
+    ``tangents`` (N, m, T) holds T orthonormal tangent columns per point and
+    ``partials`` the m dense partial derivatives d_i F, each (N, 2^m).
+    Returns sum_t e_t (d_t F) when ``left``, else sum_t (d_t F) e_t, where
+    e_t is the tangent as a vector and d_t the derivative along it.
+    """
+    out = np.zeros_like(partials[0])
+    for t in range(tangents.shape[2]):
+        direction = tangents[:, :, t]
+        along = sum(direction[:, i:i + 1] * partials[i] for i in range(m))
+        vec = _dense_wedge_of_rows(direction[:, None, :], m)
+        out += _batch_mul(vec, along, m) if left else _batch_mul(along, vec, m)
+    return out
 
 
 # -- Cauchy-type boundary-value check ----------------------------------------
@@ -729,8 +732,7 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     m, k = spec.m, spec.k
     if phi.nvars != 1 or phi.m != m:
         raise ValueError("phi must be a polynomial in one m-vector")
-    eps = cfg.resolve_eps(spec.box)
-    axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
     f_cp = _as_cliffpoly(f_field, m)
     g_cp = _as_cliffpoly(g_field, m)
     df = [f_cp.diff(i) for i in range(1, m + 1)]
@@ -763,18 +765,10 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
             w_dense = _dense_wedge_of_rows(ljac, m)
             fv = _dense_from_cliffpoly(f_cp, lpts, m)
             gv = _dense_from_cliffpoly(g_cp, lpts, m)
-            df_vals = [_dense_from_cliffpoly(d, lpts, m) for d in df]
-            dg_vals = [_dense_from_cliffpoly(d, lpts, m) for d in dg]
-            n_t = tangents.shape[2]
-            f_right = np.zeros_like(fv)
-            g_left = np.zeros_like(gv)
-            for t in range(n_t):
-                direction = tangents[:, :, t]
-                ddir_f = sum(direction[:, i:i + 1] * df_vals[i] for i in range(m))
-                ddir_g = sum(direction[:, i:i + 1] * dg_vals[i] for i in range(m))
-                dir_dense = _dense_from_vectors(direction, m)
-                f_right += _batch_mul(ddir_f, dir_dense, m)
-                g_left += _batch_mul(dir_dense, ddir_g, m)
+            f_right = _dense_dirac(tangents, [_dense_from_cliffpoly(d, lpts, m) for d in df],
+                                   m, left=False)
+            g_left = _dense_dirac(tangents, [_dense_from_cliffpoly(d, lpts, m) for d in dg],
+                                  m, left=True)
             integrand = _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
             integrand += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
             lhs_vec += cellvol * (weight[:, None] * integrand).sum(axis=0)
@@ -844,6 +838,8 @@ def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
         raise ValueError("integrand must use exactly k vector variables of dimension m")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if chunk < 1:
+        raise ValueError("need a chunk of at least one sample")
     vol = stiefel_volume(m, k).to_float()
     total = 0.0
     total_sq = 0.0

@@ -162,6 +162,10 @@ class VectorPoly:
         return (self.m, self.nvars) == (other.m, other.nvars) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its plain number (see __eq__), so it hashes like it
+        zero = (0,) * (self.m * self.nvars)
+        if set(self.terms) <= {zero}:
+            return hash(self.terms.get(zero, 0))
         return hash((self.m, self.nvars, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:

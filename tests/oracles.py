@@ -266,6 +266,27 @@ def _field_values(field: dict, pts: np.ndarray) -> dict:
     return {blade: poly_values(p, pts) for blade, p in field.items()}
 
 
+def tangential_dirac_frame_free(field: dict, phases: list, x) -> dict:
+    """The tangential Dirac operator at x as sum_i (P e_i) d_i F, {blade: float}.
+
+    P = I - N^T (N N^T)^-1 N projects onto the tangent space, with the phase
+    gradients at x as the rows of N; no tangent frame is chosen.  ``field``
+    is {blade: term dict}, ``phases`` a list of term dicts.
+    """
+    x = np.asarray(x, dtype=float)[None, :]
+    m = x.shape[1]
+    grads = np.array([[poly_values(diff_terms(p, i), x)[0] for i in range(m)]
+                      for p in phases])
+    proj = np.eye(m) - grads.T @ np.linalg.solve(grads @ grads.T, grads)
+    out = {}
+    for i in range(m):
+        tangent = {(j + 1,): proj[j, i:i + 1] for j in range(m)}
+        partial = _field_values({b: diff_terms(p, i) for b, p in field.items()}, x)
+        for blade, c in _field_mul(tangent, partial).items():
+            out[blade] = out.get(blade, 0.0) + float(c[0])
+    return out
+
+
 def dense_cauchy_classical(f_field: dict, g_field: dict, phi: dict, box, n: int,
                            eps: float) -> tuple[dict, dict]:
     """Both sides of the classical (k = 0) boundary formula over every grid cell.

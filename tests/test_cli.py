@@ -88,6 +88,22 @@ def test_verify_cauchy_circle(capsys):
     assert doc["ok"] and doc["residual"] < doc["threshold"]
 
 
+def test_verify_cauchy_classical(capsys):
+    code, doc = run_json(["verify", "cauchy", "--case", "classical"], capsys)
+    assert code == 0
+    assert doc["lhs"]["e1"] == pytest.approx(math.pi, rel=0.02)
+    assert run(["verify", "cauchy", "--case", "classical", "--eps", "0", "-q"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["implicit", "oriented"])
+@pytest.mark.parametrize("bad", [["--phases", ";"],
+                                 ["--phases", "x1_1^2+x1_2^2-1", "--eps", "0"]])
+def test_integrate_rejects_bad_surface(kind, bad, capsys):
+    code = run(["integrate", kind, "--m", "2", "--box=-1.6,1.6", "--n", "32", *bad, "-q"])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_out_file_round_trip(tmp_path, capsys):
     target = tmp_path / "res.json"
     code, doc = run_json(["pizzetti", "sphere", "--m", "2",

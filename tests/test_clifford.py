@@ -208,3 +208,14 @@ def test_scalar_multivector_hashes_like_its_number():
     assert {Fraction(3, 2): "found"}[Multivector.scalar(3, 1.5)] == "found"
     assert {0: "found"}[Multivector(2, {})] == "found"
     assert len({Multivector.basis(2, (1,)), 1}) == 2
+
+
+def test_constant_vectorpoly_hashes_like_its_number():
+    three = VectorPoly.constant(3, 3)
+    assert three == 3
+    assert len({three, 3}) == 1
+    assert {3: "found"}[three] == "found"
+    assert {VectorPoly.constant(2, Fraction(3, 2), nvars=2): "found"}[Fraction(3, 2)] == "found"
+    assert {0: "found"}[VectorPoly.zero(3, 1)] == "found"
+    assert len({VectorPoly.variable(3, 1, 1), 1}) == 2
+    assert len({VectorPoly.variable(3, 1, 1) + 3, 3}) == 2

@@ -19,7 +19,7 @@ from cliffint.geomint import (_band_stream, _grid_geometry, _interval_bounds,
                               _orthonormal_frames, _wedge_norms)
 
 from oracles import (blade_minors, blade_norms, dense_band, dense_cauchy_classical,
-                     poly_values)
+                     poly_values, tangential_dirac_frame_free)
 
 BOX3 = ((-1.6, 1.6),) * 3
 BOX2 = ((-1.6, 1.6),) * 2
@@ -208,7 +208,7 @@ def test_band_sweep_matches_dense_sweep(shape, n):
     spec = _dense_case(shape)
     cfg = QuadratureConfig(n=n)
     eps = cfg.resolve_eps(spec.box)
-    axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    _, axes, spacings, cellvol = _grid_geometry(spec, cfg)
     ref_pts, ref_weight, ref_jac = dense_band([dict(p.terms) for p in spec.phases],
                                               spec.box, n, eps)
     got = list(_band_stream(spec, eps, spacings, axes))
@@ -354,6 +354,28 @@ def test_tangential_dirac_values():
     assert out == Multivector.basis(3, (2,))
 
 
+@pytest.mark.parametrize("m,k", [(3, 1), (4, 1), (3, 2)])
+def test_tangential_dirac_matches_frame_free_oracle(m, k):
+    # S^2, S^3 and the unit circle in the x1 x2 plane of R^3
+    x = [xvar(i, m) for i in range(1, m + 1)]
+    phases = [sphere_phase(m)] + [x[2]] * (k - 1)
+    spec = ImplicitSurfaceSpec(m, phases, ((-1.6, 1.6),) * m)
+    field = (CliffordPoly.basis(m, (1,)) * (x[0] * x[1])
+             + CliffordPoly.basis(m, (1, 2)) * x[m - 1] ** 2
+             + CliffordPoly.from_poly(x[1] ** 3 - 2 * x[0]))
+    field_terms = {b: dict(c.terms) for b, c in field.terms.items()}
+    phase_terms = [dict(p.terms) for p in phases]
+    rng = np.random.default_rng(30 + 10 * m + k)
+    for _ in range(8):
+        point = rng.standard_normal(m)
+        if k == 2:
+            point[2] = 0.0
+        point /= np.linalg.norm(point)
+        want = tangential_dirac_frame_free(field_terms, phase_terms, point)
+        scale = max(1.0, math.sqrt(sum(c * c for c in want.values())))
+        _assert_blades_close(tangential_dirac(field, spec, point).terms, want, scale)
+
+
 # -- boundary-value check ------------------------------------------------------
 
 def test_cauchy_constant_case_cancels():
@@ -419,6 +441,13 @@ def test_mc_reproducible_and_partitioned():
     # estimate is sane: within 6 standard errors of the exact value
     exact = stiefel_volume(3, 2).to_float() / 3
     assert abs(a.mean - exact) < 6 * a.standard_error
+
+
+def test_mc_rejects_empty_chunks():
+    p = VectorPoly.constant(3, 1)
+    for chunk in (0, -5):
+        with pytest.raises(ValueError):
+            mc_stiefel_integral(p, 3, 1, 100, seed=0, chunk=chunk)
 
 
 # -- block-orthogonal basis identities -------------------------------------------

@@ -175,13 +175,18 @@ def poly_on_points(p: VectorPoly, pts: np.ndarray) -> np.ndarray:
         raise ValueError(f"points must have {p.m * p.nvars} columns")
     out = np.zeros(pts.shape[0])
     for key, coeff in p.terms.items():
-        term = np.full(pts.shape[0], float(coeff))
+        # the first factor times the coefficient starts the term: the same
+        # IEEE products as multiplying into a filled array, one array fewer
+        c = float(coeff)
+        term = None
         for idx, e in enumerate(key):
-            if e == 1:
-                term *= pts[:, idx]
-            elif e:
-                term *= pts[:, idx] ** e
-        out += term
+            if e:
+                factor = pts[:, idx] if e == 1 else pts[:, idx] ** e
+                if term is None:
+                    term = factor * c
+                else:
+                    term *= factor
+        out += c if term is None else term
     return out
 
 
@@ -204,23 +209,24 @@ def _kernel_cdf(vals: np.ndarray, eps: float) -> np.ndarray:
     return (t + (eps / math.pi) * np.sin(math.pi * t / eps)) / (2.0 * eps) + 0.5
 
 
-def _delta_values(vals: np.ndarray, eps: float,
-                  span: np.ndarray | None = None) -> np.ndarray:
+def _delta_values(vals: np.ndarray, eps: float, span: np.ndarray) -> np.ndarray:
     """Mollified delta weight per grid cell.
 
     span is the linearized variation of the phase across the cell
-    (sum of spacing_i * |d_i phi|).  With it the kernel is averaged in
-    closed form over that variation; sampling the kernel only at the cell
-    midpoint leaves an alignment error at the support edge that does not
-    shrink while eps stays tied to the spacing.
+    (sum of spacing_i * |d_i phi|).  The kernel is averaged in closed form
+    over that variation; sampling the kernel only at the cell midpoint
+    leaves an alignment error at the support edge that does not shrink
+    while eps stays tied to the spacing.  Cells whose span is below
+    1e-9 eps, where the average loses its digits, take the midpoint value.
     """
-    point = (1.0 + np.cos(np.pi * np.clip(vals, -eps, eps) / eps)) / (2.0 * eps)
-    if span is None:
-        return point
     wide = span > 1e-9 * eps
     s = np.where(wide, span, 1.0)
-    avg = (_kernel_cdf(vals + 0.5 * s, eps) - _kernel_cdf(vals - 0.5 * s, eps)) / s
-    return np.where(wide, avg, point)
+    out = (_kernel_cdf(vals + 0.5 * s, eps) - _kernel_cdf(vals - 0.5 * s, eps)) / s
+    narrow = ~wide
+    if narrow.any():
+        t = np.clip(vals[narrow], -eps, eps)
+        out[narrow] = (1.0 + np.cos(np.pi * t / eps)) / (2.0 * eps)
+    return out
 
 
 def _spans(gvals: np.ndarray, spacings: list[float]) -> np.ndarray:
@@ -417,6 +423,20 @@ def _orthonormal_frames(jac: np.ndarray, tol: float) -> np.ndarray:
     return q
 
 
+def _minors(rows: np.ndarray, cols) -> np.ndarray:
+    """Determinants of the columns ``cols`` of each (k, m) matrix of a stack.
+
+    k = 1 is the entry itself and k = 2 the closed form a d - b c; a LAPACK
+    call per stack of matrices that small costs more than the products.
+    """
+    if len(cols) == 1:
+        return rows[:, 0, cols[0]]
+    if len(cols) == 2:
+        a, b = cols
+        return rows[:, 0, a] * rows[:, 1, b] - rows[:, 0, b] * rows[:, 1, a]
+    return np.linalg.det(rows[:, :, list(cols)])
+
+
 def _wedge_norms(jac: np.ndarray, tol: float) -> np.ndarray:
     """Blade norms |grad phi_1 ^ .. ^ grad phi_k| per point.
 
@@ -425,8 +445,7 @@ def _wedge_norms(jac: np.ndarray, tol: float) -> np.ndarray:
     is dependent).
     """
     gram = jac @ jac.transpose(0, 2, 1)
-    # a 1 x 1 determinant is the entry itself; LAPACK per cell costs more
-    det = gram[:, 0, 0] if jac.shape[1] == 1 else np.linalg.det(gram)
+    det = _minors(gram, range(jac.shape[1]))
     norms = np.sqrt(np.clip(det, 0.0, None))
     lengths = np.sqrt(np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1))
     if np.any(norms <= tol * lengths):
@@ -671,15 +690,13 @@ def _dense_from_cliffpoly(f: CliffordPoly, pts: np.ndarray, m: int) -> np.ndarra
 def _dense_wedge_of_rows(jac: np.ndarray, m: int) -> np.ndarray:
     """Dense grade-k blade v_1 ^ ... ^ v_k from rows of (N, k, m) arrays.
 
-    The coefficient of e_A is the minor of the columns in A.  A 1 x 1
-    minor is the entry itself, so vectors (k = 1) cost no LAPACK call.
+    The coefficient of e_A is the minor of the columns in A.
     """
     n, k, _ = jac.shape
     out = np.zeros((n, 1 << m))
     for pos, blade in enumerate(_blades(m)[0]):
         if len(blade) == k:
-            cols = [j - 1 for j in blade]
-            out[:, pos] = jac[:, 0, cols[0]] if k == 1 else np.linalg.det(jac[:, :, cols])
+            out[:, pos] = _minors(jac, [j - 1 for j in blade])
     return out
 
 
@@ -802,13 +819,33 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
 def _haar_frames(rng: np.random.Generator, m: int, k: int, count: int) -> np.ndarray:
     """``count`` Haar-distributed orthonormal k-frames in R^m, shape (count, m, k).
 
-    QR of standard Gaussian matrices with the R-diagonal sign convention
-    (diagonal made positive), which makes the distribution exactly Haar.
+    Gram-Schmidt on the columns of standard Gaussian (m, k) matrices, all
+    frames of the batch at once.  Each column is projected off the earlier
+    ones twice (one pass leaves orthogonality errors up to 5e-10 at k = 3
+    and 5; two leave rounding level) and then normalized.  That is the Q of
+    the QR factorization with a positive R diagonal, up to rounding, which
+    makes the distribution exactly Haar (Mezzadri, Notices AMS 2007).
+    Raises ValueError when a drawn column lies in the span of the earlier
+    ones, where the frame is undefined.
     """
-    q, r = np.linalg.qr(rng.standard_normal((count, m, k)))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    signs = np.where(d == 0, 1.0, np.sign(d))
-    return q * signs[:, None, :]
+    gauss = rng.standard_normal((count, m, k))
+    rows = np.empty((count, k, m))
+    for j in range(k):
+        col = gauss[:, :, j]
+        v = col.copy()
+        if j:
+            done = rows[:, :j]
+            for _ in range(2):
+                v -= np.einsum("nim,ni->nm", done, np.einsum("nim,nm->ni", done, v))
+        norm = np.sqrt(np.einsum("nm,nm->n", v, v))
+        # an exactly dependent column keeps a residual of a few machine
+        # epsilons of its length (2e-16 for a repeated one); a Gaussian
+        # column comes this close to the span with probability about 1e-13
+        # per draw at k = m, and far less below
+        if np.any(norm <= 1e-13 * np.sqrt(np.einsum("nm,nm->n", col, col))):
+            raise ValueError("Gaussian draw has a dependent column; its frame is undefined")
+        rows[:, j] = v / norm[:, None]
+    return rows.transpose(0, 2, 1)
 
 
 def haar_sample_stiefel(m: int, k: int,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 # apply_diffop is no longer called here but stays bound: bench/selftest.py
@@ -61,8 +62,9 @@ def surface_area(m: int) -> ExactScalar:
     return ExactScalar(Fraction(2), m) / gamma_half(m)
 
 
+@lru_cache(maxsize=256)
 def stiefel_volume(m: int, k: int) -> ExactScalar:
-    """Volume of the Stiefel manifold of k-frames in R^m."""
+    """Volume of the Stiefel manifold of k-frames in R^m (cached; immutable)."""
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m}")
     out = ExactScalar(Fraction(1), 0)
@@ -71,8 +73,9 @@ def stiefel_volume(m: int, k: int) -> ExactScalar:
     return out
 
 
+@lru_cache(maxsize=1024)
 def _series_rational(s: int, nu: int) -> tuple[Fraction, int]:
-    """c_{s,nu} split as (rational part, power h with c = q * pi^(h/2))."""
+    """c_{s,nu} split as (rational part, power h with c = q * pi^(h/2)), cached."""
     g = gamma_half(2 * s + nu)
     q = Fraction(2) / (Fraction(4**s * factorial(s)) * g.q)
     return q, nu - g.h

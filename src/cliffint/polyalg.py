@@ -379,7 +379,8 @@ class ExactScalar:
     h: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        if not isinstance(self.q, Fraction):
+            object.__setattr__(self, "q", Fraction(self.q))
         if self.h < 0:
             raise ValueError("negative power of pi")
         if not self.q and self.h:

@@ -205,6 +205,11 @@ def bump_average(vals: np.ndarray, span: np.ndarray, eps: float) -> np.ndarray:
     return np.where(wide, (cdf(vals + s / 2) - cdf(vals - s / 2)) / s, point)
 
 
+def bump_point(vals: np.ndarray, eps: float) -> np.ndarray:
+    """The cosine bump (1 + cos(pi t / eps)) / (2 eps) at t = vals, 0 outside (-eps, eps)."""
+    return np.where(np.abs(vals) < eps, (1 + np.cos(np.pi * vals / eps)) / (2 * eps), 0.0)
+
+
 def dense_band(phases: list, box, n: int, eps: float):
     """Band cells of the phases over every grid cell.
 
@@ -324,3 +329,17 @@ def dense_cauchy_classical(f_field: dict, g_field: dict, phi: dict, box, n: int,
         for blade, c in _field_mul(_field_mul(fv, grad_field), gv).items():
             rhs[blade] = rhs.get(blade, 0.0) + cellvol * float((weight * c).sum())
     return lhs, rhs
+
+
+# -- Haar frames -----------------------------------------------------------------
+
+
+def haar_frames_qr(gauss: np.ndarray) -> np.ndarray:
+    """Q factors of a stack of (m, k) Gaussian matrices, columns signed so R's diagonal is positive.
+
+    The sign fix is what makes QR-sampled frames Haar (Mezzadri, "How to
+    generate random matrices from the classical compact groups", Notices
+    AMS 2007).
+    """
+    q, r = np.linalg.qr(gauss)
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]

@@ -15,11 +15,13 @@ from cliffint import (BoundaryContactError, CliffordPoly, Frame,
                       integrate_oriented, mc_stiefel_integral,
                       phase_rescale_invariance, stiefel_volume,
                       tangent_normal_frames, tangential_dirac)
-from cliffint.geomint import (_band_stream, _grid_geometry, _interval_bounds,
-                              _orthonormal_frames, _wedge_norms)
+from cliffint.geomint import (_band_stream, _delta_values, _dense_wedge_of_rows,
+                              _grid_geometry, _haar_frames, _interval_bounds,
+                              _minors, _orthonormal_frames, _wedge_norms)
 
-from oracles import (blade_minors, blade_norms, dense_band, dense_cauchy_classical,
-                     poly_values, tangential_dirac_frame_free)
+from oracles import (blade_minors, blade_norms, bump_average, bump_point, dense_band,
+                     dense_cauchy_classical, haar_frames_qr, poly_values,
+                     tangential_dirac_frame_free)
 
 BOX3 = ((-1.6, 1.6),) * 3
 BOX2 = ((-1.6, 1.6),) * 2
@@ -151,6 +153,45 @@ def test_independence_checks_are_scale_invariant(scale):
         _wedge_norms(jac, 1e-6)
     with pytest.raises(IndependenceError):
         _orthonormal_frames(jac, 1e-6)
+
+
+def test_small_minors_match_lapack():
+    rng = np.random.default_rng(21)
+    for m in (2, 3, 5):
+        for k in (1, 2):
+            jac = rng.standard_normal((400, k, m)) * rng.uniform(1e-3, 1e3, (400, 1, 1))
+            for cols in ([0], [m - 1]) if k == 1 else ([0, 1], [m - 1, 0], [1, m - 1]):
+                got = _minors(jac, cols)
+                sub = jac[:, :, cols]
+                # rounding scale of a d - b c: |a d| + |b c|
+                scale = np.abs(sub[:, 0, 0] * sub[:, -1, -1]) + np.abs(sub[:, 0, -1] * sub[:, -1, 0])
+                assert np.all(np.abs(got - np.linalg.det(sub)) <= 1e-12 * scale)
+            gram = jac @ jac.transpose(0, 2, 1)
+            lengths_sq = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+            norms = _wedge_norms(jac, 1e-9)
+            assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
+    # three rows still go through LAPACK, column by column of the blade
+    jac = rng.standard_normal((50, 3, 4))
+    dense = _dense_wedge_of_rows(jac, 4)
+    assert np.allclose(dense[:, 0b0111], np.linalg.det(jac[:, :, [0, 1, 2]]), rtol=1e-12)
+    assert np.allclose(dense[:, 0b1101], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
+
+
+def test_delta_values_take_the_midpoint_only_on_narrow_cells():
+    eps = 0.05
+    rng = np.random.default_rng(22)
+    vals = rng.uniform(-1.5 * eps, 1.5 * eps, 600)
+    span = np.concatenate([np.zeros(100), eps * 10.0 ** rng.uniform(-15, -9.01, 100),
+                           eps * 10.0 ** rng.uniform(-8.99, 0.5, 400)])
+    got = _delta_values(vals, eps, span)
+    narrow = span <= 1e-9 * eps
+    # below the threshold the average would lose its digits: the midpoint value
+    assert np.allclose(got[narrow], bump_point(vals[narrow], eps), rtol=1e-14, atol=1e-12)
+    # above it the average, to the rounding of a difference of two CDF
+    # values (at most 1) divided by the span
+    wide_err = np.abs(got[~narrow] - bump_average(vals[~narrow], span[~narrow], eps))
+    assert np.all(wide_err <= 1e-12 / eps + 1e-15 / span[~narrow])
+    assert np.all(got >= 0.0)
 
 
 def test_rescale_invariance_identity_is_exact():
@@ -421,6 +462,51 @@ def test_haar_sample_scalar_case():
     rng = np.random.default_rng(1)
     vals = {float(haar_sample_stiefel(1, 1, rng).matrix[0, 0]) for _ in range(40)}
     assert vals <= {1.0, -1.0} and len(vals) == 2
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_haar_frames_match_sign_fixed_qr(m):
+    for k in range(1, m + 1):
+        got = _haar_frames(np.random.default_rng(100 * m + k), m, k, 500)
+        gauss = np.random.default_rng(100 * m + k).standard_normal((500, m, k))
+        assert got.shape == (500, m, k)
+        assert np.max(np.abs(got - haar_frames_qr(gauss))) <= 1e-12
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (3, 3), (5, 5)])
+def test_haar_frames_are_orthonormal(m, k):
+    worst = 0.0
+    for part in range(4):  # 200 000 draws in parts of 50 000
+        q = _haar_frames(np.random.default_rng([m, k, part]), m, k, 50_000)
+        gram = np.einsum("nmi,nmj->nij", q, q)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(k)))))
+    assert worst <= 1e-13
+
+
+class _StubNormal:
+    """Generator stand-in whose standard_normal returns a fixed array."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def standard_normal(self, shape):
+        assert self.values.shape == shape
+        return self.values.copy()
+
+
+def test_haar_frames_reject_dependent_draws():
+    good = np.random.default_rng(23).standard_normal((4, 3, 2))
+    zero = good.copy()
+    zero[2, :, 1] = 0.0
+    repeated = good.copy()
+    repeated[1, :, 1] = repeated[1, :, 0]
+    for draw in (zero, repeated):
+        with pytest.raises(ValueError, match="dependent column"):
+            _haar_frames(_StubNormal(draw), 3, 2, 4)
+    first_zero = np.zeros((1, 3, 1))
+    with pytest.raises(ValueError, match="dependent column"):
+        haar_sample_stiefel(3, 1, _StubNormal(first_zero))
+    assert np.all(np.isfinite(_haar_frames(_StubNormal(good), 3, 2, 4)))
 
 
 def test_mc_constant_is_exact():

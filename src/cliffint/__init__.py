@@ -1,6 +1,6 @@
 """Exact and numerical integration built on real Clifford algebra.
 
-Subpackages:
+Modules:
 
 - ``clifford``: multivectors, geometric/dot/wedge products, Gram determinants.
 - ``polyalg``: exact polynomials in several vector variables, differential
@@ -32,8 +32,8 @@ from .pizzetti import (PizzettiResult, directional_power_closed_form, gauss_sum_
                        sphere_pizzetti_detailed, stiefel2_explicit,
                        stiefel_pizzetti_composed, stiefel_volume,
                        surface_area)
-from .polyalg import (DiffOp, ExactScalar, VectorPoly, apply_diffop,
-                      delta_pair, fischer_commute, fischer_pair, gamma_half,
+from .polyalg import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
+                      fischer_commute, fischer_pair, gamma_half,
                       pochhammer_half)
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
     "phi_coefficient", "sphere_pizzetti", "sphere_pizzetti_detailed",
     "stiefel2_explicit", "stiefel_pizzetti_composed", "stiefel_volume",
     "surface_area",
-    "DiffOp", "ExactScalar", "VectorPoly", "apply_diffop", "delta_pair",
+    "ExactScalar", "VectorPoly", "apply_diffop", "delta_pair",
     "fischer_commute", "fischer_pair", "gamma_half", "pochhammer_half",
 ]
 

@@ -7,12 +7,14 @@ increasing tuples A = (j_1 < ... < j_k) of indices from {1, .., m}.
 
 ``Terms`` is the sparse blade algebra shared by ``Multivector`` here and by
 ``CliffordPoly`` and ``CliffordForm`` in ``exterior``: a dict from blades
-to coefficients in some ring, with addition, negation, equality, hashing,
-printing, grade projection and the blade-by-blade product.  The algebras
-differ only in what a repeated generator squares to (the square rule of
-``_mul_blades``): -1 for the Clifford generators e_j, 0 for the
+to coefficients in some ring, with printing, grade projection and the
+blade-by-blade product.  Addition, negation, equality and hashing come
+from its base ``polyalg._SparseTerms``, which ``VectorPoly`` shares.  The
+algebras differ only in what a repeated generator squares to (the square
+rule of ``_mul_blades``): -1 for the Clifford generators e_j, 0 for the
 differentials dx_j, whose blades therefore multiply like the exterior
-algebra.
+algebra.  ``wedge_vectors`` uses the same square-0 rule: the wedge of
+vectors is their blade product with e_j^2 = 0.
 
 Coefficients are generic ring elements: ``fractions.Fraction`` for exact
 work, ``float`` for numerics, polynomials and Clifford polynomials in
@@ -24,8 +26,10 @@ ring works uniformly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
+
+from .polyalg import _SparseTerms
 
 Blade = tuple[int, ...]
 
@@ -65,16 +69,17 @@ def _check_blade(blade: Blade, m: int) -> Blade:
     return blade
 
 
-class Terms:
+class Terms(_SparseTerms):
     """Sparse sum of basis blades over a coefficient ring.
 
-    ``terms`` maps sorted index tuples to nonzero coefficients, so equality
-    is plain dict equality.  ``nvars`` is the number of m-vector variables
-    of polynomial coefficients, 0 when the coefficients are numbers.
-    Subclasses supply their constructors, their coercions and ``__mul__``.
+    ``terms`` maps sorted index tuples to nonzero coefficients.  ``nvars``
+    is the number of m-vector variables of polynomial coefficients, 0 when
+    the coefficients are numbers.  Addition, negation, equality and hashing
+    come from ``polyalg._SparseTerms``; this class adds blade validation,
+    grades, printing and the blade-by-blade product.
     """
 
-    __slots__ = ("m", "nvars", "terms")
+    __slots__ = ()
     _generator = "e"
 
     def __init__(self, m: int, nvars: int = 1, terms: dict | None = None):
@@ -92,25 +97,6 @@ class Terms:
                     clean[blade] = coeff
         self.terms = clean
 
-    def _like(self, terms: dict):
-        """Same class and shape with the given terms, zero coefficients dropped.
-
-        Trusted: the blades are not validated again.
-        """
-        out = object.__new__(type(self))
-        out.m, out.nvars = self.m, self.nvars
-        out.terms = {b: c for b, c in terms.items() if c}
-        return out
-
-    def _coerce(self, other):
-        """``other`` as an element of this algebra, or NotImplemented."""
-        if type(other) is not type(self):
-            return NotImplemented
-        if (other.m, other.nvars) != (self.m, self.nvars):
-            raise ValueError(f"shape (m, nvars) mismatch: {(other.m, other.nvars)} "
-                             f"!= {(self.m, self.nvars)}")
-        return other
-
     def _product(self, other, square: int):
         """Blade-by-blade product; coefficients multiply in order."""
         out: dict = {}
@@ -124,11 +110,7 @@ class Terms:
                     coeff = -coeff
                 acc = out.get(blade)
                 out[blade] = coeff if acc is None else acc + coeff
-        return self._like(out)
-
-    def _scale(self, factor):
-        """Every coefficient multiplied by ``factor`` on the right."""
-        return self._like({b: c * factor for b, c in self.terms.items()})
+        return self._like({b: c for b, c in out.items() if c})
 
     def grades(self) -> set[int]:
         return {len(blade) for blade in self.terms}
@@ -136,47 +118,6 @@ class Terms:
     def grade_project(self, k: int):
         """Grade projection [a]_k."""
         return self._like({b: c for b, c in self.terms.items() if len(b) == k})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for blade, coeff in other.terms.items():
-            acc = out.get(blade)
-            out[blade] = coeff if acc is None else acc + coeff
-        return self._like(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return self._like({b: -c for b, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Terms):
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return (type(other) is type(self) and (self.m, self.nvars) == (other.m, other.nvars)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.m, self.nvars, frozenset(self.terms.items())))
 
     def _named_terms(self):
         """(blade name, coefficient) pairs by grade, then by index; the scalar's name is ''."""
@@ -235,11 +176,8 @@ class Multivector(Terms):
             return Multivector.scalar(self.m, other)
         return super()._coerce(other)
 
-    def __hash__(self):
-        # a scalar equals the plain number (see _coerce), so it hashes like it
-        if set(self.terms) <= {()}:
-            return hash(self.scalar_part())
-        return super().__hash__()
+    def _scalar_key(self):
+        return ()
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -337,53 +275,22 @@ def wedge(a, b) -> Terms:
     return _graded_product(a, b, lambda k, l: k + l)
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def wedge_vectors(vectors: Sequence) -> Multivector:
     """Wedge v_1 ^ ... ^ v_k of grade-1 elements.
 
-    Computed as the antisymmetrized average (1/k!) sum over permutations of
-    signed geometric products, which equals the grade-k part of v_1 ... v_k.
+    The exterior product of vectors is their antisymmetrised geometric
+    product, which is the blade product in which a repeated index squares
+    to 0 instead of -1: the dx_j^2 = 0 rule of ``exterior.form_mul``.
     """
     if not vectors:
         raise ValueError("need at least one vector")
     mvs = [_as_multivector(v) for v in vectors]
-    m = mvs[0].m
     for v in mvs:
         if v.grades() not in ({1}, set()):
             raise ValueError("wedge_vectors expects grade-1 arguments")
-    k = len(mvs)
-    if k > m:
-        return Multivector(m, {})
-    acc = Multivector(m, {})
-    for perm in permutations(range(k)):
-        prod = Multivector.scalar(m, _permutation_sign(perm))
-        for idx in perm:
-            prod = prod * mvs[idx]
-        acc = acc + prod
-    inv_fact = Fraction(1, _factorial(k))
-    return Multivector(m, {b: c * inv_fact for b, c in acc.terms.items()})
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
+    out = mvs[0]
+    for v in mvs[1:]:
+        out = out._product(out._coerce(v), 0)
     return out
 
 

@@ -3,13 +3,16 @@
 Differentials dx_1, ..., dx_m anticommute among themselves, square to
 zero, and commute with the Clifford generators e_j and with polynomial
 coefficients.  Both algebras here are subclasses of ``clifford.Terms``,
-the sparse blade algebra they share with ``Multivector``:
+the sparse blade algebra they share with ``Multivector``, whose base
+``polyalg._SparseTerms`` also carries the addition, negation, equality and
+hashing of their ``VectorPoly`` coefficients:
 
 - ``CliffordPoly`` maps Clifford blades e_A to polynomial coefficients;
   its product contracts a repeated generator with e_j^2 = -1.
 - ``CliffordForm`` maps sorted dx-index tuples to ``CliffordPoly``
   coefficients; its product (``form_mul``) applies the square rule
-  dx_j^2 = 0, so a repeated differential kills the term.
+  dx_j^2 = 0, so a repeated differential kills the term.  The same rule
+  gives ``clifford.wedge_vectors``.
 
 The module provides the oriented surface-measure forms Psi_{m-k}, the
 exterior derivative (differentials multiply from the left), and exact
@@ -74,7 +77,7 @@ class CliffordPoly(Terms):
 
     def diff(self, i: int, j: int = 1) -> "CliffordPoly":
         """Differentiate every coefficient with respect to x_{j,i}."""
-        return self._like({b: p.diff(j, i) for b, p in self.terms.items()})
+        return self._like({b: d for b, p in self.terms.items() if (d := p.diff(j, i))})
 
     def eval(self, point: Sequence) -> Multivector:
         return Multivector(self.m, {b: p.eval(point) for b, p in self.terms.items()})
@@ -124,9 +127,7 @@ class CliffordForm(Terms):
 
     def scale_left(self, factor) -> "CliffordForm":
         """Multiply every coefficient by a Clifford factor on the left."""
-        if isinstance(factor, (int, Fraction, VectorPoly)):
-            return self._scale(factor)
-        return self._like({b: factor * c for b, c in self.terms.items()})
+        return self._like({b: p for b, c in self.terms.items() if (p := factor * c)})
 
     def scale_right(self, factor) -> "CliffordForm":
         return self._scale(factor)

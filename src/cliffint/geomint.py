@@ -16,8 +16,10 @@ Only a thin band of cells, |phi| < eps + span/2, carries weight.  The band
 sweep splits the grid into blocks of 8 cells per axis and drops every
 block where an interval bound of some phase (from monomial ranges over the
 block) shows |phi| stays above that threshold.  The cells of the remaining
-blocks are evaluated in batches of at most _BATCH_CELLS cells, so memory
-does not grow with the grid's slab size, not even at m = 4.
+blocks are evaluated in batches of at most _BATCH_CELLS cells, so the
+per-cell arrays stay bounded.  The culling itself is not: ``_band_blocks``
+holds about 89 B for every block of the full block grid before it drops
+any, which comes to hundreds of MB at m = 5 (285 MB at n = 80).
 
 The Cauchy-type boundary-value check integrates Clifford-valued fields with
 a batched dense representation of the algebra (2^m coefficients per point)

@@ -50,9 +50,7 @@ def phi_coefficient(s: int, nu: int) -> ExactScalar:
     """Series coefficient c_{s,nu} = 2 pi^(nu/2) / (4^s s! Gamma(s + nu/2))."""
     if s < 0 or nu < 1:
         raise ValueError("need s >= 0 and nu >= 1")
-    num = ExactScalar(Fraction(2), nu)
-    den = ExactScalar(Fraction(4**s * factorial(s)), 0) * gamma_half(2 * s + nu)
-    return num / den
+    return ExactScalar(*_series_rational(s, nu))
 
 
 def surface_area(m: int) -> ExactScalar:
@@ -157,7 +155,7 @@ def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:
                     raised[lb + i] += 1
                     raised[lb + i2] += 1
                     _accumulate(out, tuple(raised), -weight)
-    return work._raw(out)
+    return work._like(out)
 
 
 def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int,
@@ -196,21 +194,13 @@ def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int,
     return ExactScalar(work.eval_zero(), total_h)
 
 
-_SYMBOL_CACHE: dict[tuple, VectorPoly] = {}
-
-
+@lru_cache(maxsize=256)
 def _ab_symbol_power(m: int, a: int, r: int) -> VectorPoly:
-    """Symbol (|x|^2 + |y|^2)^a (|x|^2 |y|^2 - <x,y>^2)^r, cached per m."""
-    key = (m, a, r)
-    cached = _SYMBOL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Symbol (|x|^2 + |y|^2)^a (|x|^2 |y|^2 - <x,y>^2)^r (cached; immutable)."""
     nx = VectorPoly.norm_squared_var(m, 1, 2)
     ny = VectorPoly.norm_squared_var(m, 2, 2)
     xy = VectorPoly.dot_vars(m, 2, 1, 2)
-    sym = (nx + ny) ** a * (nx * ny - xy * xy) ** r
-    _SYMBOL_CACHE[key] = sym
-    return sym
+    return (nx + ny) ** a * (nx * ny - xy * xy) ** r
 
 
 def stiefel2_explicit(p: VectorPoly, m: int, extra_terms: int = 0) -> ExactScalar:

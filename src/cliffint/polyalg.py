@@ -6,10 +6,13 @@ keyed by flat exponent tuples of length ``nvars * m``; the component
 x_{j,i} (vector j, coordinate i, both 1-based) sits at flat index
 ``(j-1)*m + (i-1)``.
 
+``VectorPoly`` shares its addition, negation, equality and hashing with
+the blade algebras of ``clifford`` through the base ``_SparseTerms``.
+
 Constant-coefficient differential operators arise from polynomials by the
-substitution x_{j,i} -> d/dx_{j,i} (``DiffOp``).  The module also provides
-the adjoint calculus for pairing such operators against test polynomials
-through the delta distribution, plus exact scalars of the form
+substitution x_{j,i} -> d/dx_{j,i} (``apply_diffop``).  The module also
+provides the adjoint calculus for pairing such operators against test
+polynomials through the delta distribution, plus exact scalars of the form
 q * pi^(h/2) used by the sphere and Stiefel integrators.
 """
 
@@ -23,10 +26,101 @@ from typing import Sequence
 ExpKey = tuple[int, ...]
 
 
-class VectorPoly:
-    """Polynomial with Fraction coefficients in nvars vector variables."""
+class _SparseTerms:
+    """Sparse sum of terms: a dict from keys to nonzero coefficients.
+
+    The key-agnostic half of the exact algebras: ``VectorPoly`` keys its
+    terms by exponent tuples, the blade algebras of ``clifford.Terms`` by
+    sorted index tuples.  ``m`` is the dimension and ``nvars`` the number of
+    m-vector variables.  No stored coefficient is zero, so equality is plain
+    dict equality.  Subclasses supply their constructors, the coercion of
+    plain numbers and ``__mul__``.
+    """
 
     __slots__ = ("m", "nvars", "terms")
+
+    def _like(self, terms: dict):
+        """Same class and shape with the given terms.
+
+        Trusted: the keys are not validated again and no coefficient may be
+        zero.
+        """
+        out = object.__new__(type(self))
+        out.m, out.nvars, out.terms = self.m, self.nvars, terms
+        return out
+
+    def _scalar_key(self):
+        """Key of the scalar term when a scalar equals its plain number, else None."""
+        return None
+
+    def _coerce(self, other):
+        """``other`` as an element of this algebra, or NotImplemented."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if (other.m, other.nvars) != (self.m, self.nvars):
+            raise ValueError(f"shape (m, nvars) mismatch: {(other.m, other.nvars)} "
+                             f"!= {(self.m, self.nvars)}")
+        return other
+
+    def _scale(self, factor):
+        """Every coefficient multiplied by ``factor`` on the right; zero products dropped."""
+        return self._like({k: p for k, c in self.terms.items() if (p := c * factor)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            acc = out.get(key)
+            if acc is None:
+                out[key] = coeff
+            elif acc := acc + coeff:
+                out[key] = acc
+            else:
+                del out[key]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, _SparseTerms):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (type(other) is type(self) and (self.m, self.nvars) == (other.m, other.nvars)
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        # a scalar that equals its plain number (see __eq__) hashes like it
+        key = self._scalar_key()
+        if key is not None and set(self.terms) <= {key}:
+            return hash(self.terms.get(key, 0))
+        return hash((self.m, self.nvars, frozenset(self.terms.items())))
+
+
+class VectorPoly(_SparseTerms):
+    """Polynomial with Fraction coefficients in nvars vector variables."""
+
+    __slots__ = ()
 
     def __init__(self, m: int, nvars: int, terms: dict[ExpKey, Fraction] | None = None):
         if m < 1 or nvars < 1:
@@ -85,36 +179,14 @@ class VectorPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        result = VectorPoly.__new__(VectorPoly)
-        result.m, result.nvars, result.terms = self.m, self.nvars, out
-        return result
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return self._raw({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return self._raw({})
-            return self._raw({k: c * other for k, c in self.terms.items()})
+                return self._like({})
+            return self._like({k: c * other for k, c in self.terms.items()})
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         out: dict[ExpKey, Fraction] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -124,7 +196,7 @@ class VectorPoly:
                     out[key] = acc
                 elif key in out:
                     del out[key]
-        return self._raw(out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -140,39 +212,13 @@ class VectorPoly:
             n >>= 1
         return out
 
-    def _coerce(self, other) -> "VectorPoly":
-        if isinstance(other, VectorPoly):
-            if (other.m, other.nvars) != (self.m, self.nvars):
-                raise ValueError("shape mismatch between polynomials")
-            return other
+    def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return VectorPoly.constant(self.m, other, self.nvars)
-        raise TypeError(f"cannot combine VectorPoly with {type(other)!r}")
+        return super()._coerce(other)
 
-    def _raw(self, terms: dict[ExpKey, Fraction]) -> "VectorPoly":
-        result = VectorPoly.__new__(VectorPoly)
-        result.m, result.nvars, result.terms = self.m, self.nvars, terms
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = VectorPoly.constant(self.m, other, self.nvars)
-        if not isinstance(other, VectorPoly):
-            return NotImplemented
-        return (self.m, self.nvars) == (other.m, other.nvars) and self.terms == other.terms
-
-    def __hash__(self):
-        # a constant equals its plain number (see __eq__), so it hashes like it
-        zero = (0,) * (self.m * self.nvars)
-        if set(self.terms) <= {zero}:
-            return hash(self.terms.get(zero, 0))
-        return hash((self.m, self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _scalar_key(self):
+        return (0,) * (self.m * self.nvars)
 
     # -- calculus ----------------------------------------------------------
 
@@ -187,7 +233,7 @@ class VectorPoly:
                 new = list(key)
                 new[idx] = e - 1
                 out[tuple(new)] = coeff * e
-        return self._raw(out)
+        return self._like(out)
 
     def diff(self, j: int, i: int) -> "VectorPoly":
         """Partial derivative with respect to x_{j,i}."""
@@ -209,7 +255,7 @@ class VectorPoly:
                         out[new] = acc
                     elif new in out:
                         del out[new]
-        return self._raw(out)
+        return self._like(out)
 
     def directional(self, j: int, weights: Sequence["VectorPoly | Fraction | int"]) -> "VectorPoly":
         """Apply the first-order operator sum_i w_i d/dx_{j,i}.
@@ -242,11 +288,11 @@ class VectorPoly:
         """Substitute x_j = 0, dropping every term that involves it."""
         base = (j - 1) * self.m
         out = {k: c for k, c in self.terms.items() if not any(k[base:base + self.m])}
-        return self._raw(out)
+        return self._like(out)
 
     def reflect(self) -> "VectorPoly":
         """Substitute x -> -x in every variable: negate odd-degree terms."""
-        return self._raw({k: (-c if sum(k) % 2 else c) for k, c in self.terms.items()})
+        return self._like({k: (-c if sum(k) % 2 else c) for k, c in self.terms.items()})
 
     def eval(self, point: Sequence) -> object:
         """Evaluate at a flat point tuple of length nvars*m."""
@@ -305,16 +351,6 @@ class VectorPoly:
             mono = "*".join(factors)
             parts.append(f"{coeff}*{mono}" if mono else f"{coeff}")
         return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class DiffOp:
-    """Constant-coefficient operator: the symbol with x_{j,i} -> d/dx_{j,i}."""
-
-    symbol: VectorPoly
-
-    def apply(self, p: VectorPoly) -> VectorPoly:
-        return apply_diffop(self.symbol, p)
 
 
 def _check_shapes(symbol: VectorPoly, p: VectorPoly):

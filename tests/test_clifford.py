@@ -98,10 +98,9 @@ def test_wedge_grades_and_antisymmetry():
 
 def test_wedge_vectors_agrees_with_iterated_wedge():
     rng = random.Random(10)
-    for _ in range(25):
-        m = rng.randint(2, 5)
-        k = rng.randint(1, min(3, m))
-        vs = [Vector1([Fraction(rng.randint(-3, 3)) for _ in range(m)])
+    # every k <= m up to m = 5, three draws each, with rational entries
+    for m, k in [(m, k) for m in range(2, 6) for k in range(1, m + 1)] * 3:
+        vs = [Vector1([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)])
               for _ in range(k)]
         step = vs[0].to_multivector()
         for v in vs[1:]:
@@ -176,7 +175,7 @@ def test_mul_blades_matches_sorting_reference(square):
                     assert blade == ref_blade, (a, b)
 
 
-def _terms_samples():
+def _blade_samples():
     m = 3
     x1 = VectorPoly.variable(m, 1, 1)
     mv = Multivector(m, {(): Fraction(3), (1,): Fraction(2), (1, 3): Fraction(-1, 2)})
@@ -187,6 +186,12 @@ def _terms_samples():
             pytest.param(form, lambda a, c: a.scale_right(c), id="CliffordForm")]
 
 
+def _terms_samples():
+    x11, x22 = VectorPoly.variable(2, 1, 1, nvars=2), VectorPoly.variable(2, 2, 2, nvars=2)
+    p = x11 ** 2 * Fraction(3, 2) - x11 * x22 + 5
+    return _blade_samples() + [pytest.param(p, lambda a, c: a * c, id="VectorPoly")]
+
+
 @pytest.mark.parametrize("a,scale", _terms_samples())
 def test_terms_contract(a, scale):
     assert (a + (-a)).is_zero() and not (a + (-a))
@@ -195,6 +200,12 @@ def test_terms_contract(a, scale):
     doubled = scale(a, 2)
     assert a + a == doubled
     assert hash(a + a) == hash(doubled)
+    assert a + doubled - a == doubled and a != doubled
+    assert -(-a) == a and hash(-(-a)) == hash(a)
+
+
+@pytest.mark.parametrize("a,scale", _blade_samples())
+def test_blade_terms_grades(a, scale):
     assert (a + a).grades() == a.grades()
     assert sum((a.grade_project(k) for k in a.grades()), scale(a, 0)) == a
 

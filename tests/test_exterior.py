@@ -36,6 +36,18 @@ def test_clifford_poly_product_mixes_blades():
     assert (a * CliffordPoly.basis(m, (2,))).grades() == {2}
 
 
+def test_vectorpoly_and_cliffordpoly_multiply_either_way():
+    m = 3
+    p = xv(1, m) ** 2 - Fraction(1, 2) * xv(3, m)
+    cp = CliffordPoly.basis(m, (1, 2)) * xv(2, m) + CliffordPoly.from_scalar(m, 3)
+    assert p * cp == cp * p
+    assert (p * cp).terms[(1, 2)] == p * xv(2, m)
+    with pytest.raises(TypeError):
+        p + "x"
+    with pytest.raises(TypeError):
+        p * "x"
+
+
 def test_cp_dot_and_wedge_split_vector_product():
     m = 3
     a = CliffordPoly.basis(m, (1,)) * xv(2, m)

@@ -12,7 +12,7 @@ from cliffint import (ExactScalar, VectorPoly, directional_power_closed_form,
                       surface_area)
 
 from cliffint.pizzetti import _tangential_operator
-from oracles import sphere_monomial, stiefel_volume_pair, tangential_terms
+from oracles import gamma_half_pair, sphere_monomial, stiefel_volume_pair, tangential_terms
 
 
 def mono1(m, *expo):
@@ -32,6 +32,15 @@ def test_phi_coefficient_leading_term():
         assert phi_coefficient(0, m) == surface_area(m)
     with pytest.raises(ValueError):
         phi_coefficient(-1, 3)
+
+
+def test_phi_coefficient_matches_gamma_formula():
+    # c_{s,nu} = 2 pi^(nu/2) / (4^s s! Gamma(s + nu/2)), from the oracle's Gamma values
+    for s in range(21):
+        for nu in range(1, 13):
+            gq, gh = gamma_half_pair(2 * s + nu)
+            expected = ExactScalar(Fraction(2) / (4**s * math.factorial(s) * gq), nu - gh)
+            assert phi_coefficient(s, nu) == expected, (s, nu)
 
 
 def test_sphere_constant_and_squares():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffint import (DiffOp, ExactScalar, VectorPoly, apply_diffop,
-                      delta_pair, fischer_commute, fischer_pair, gamma_half,
+from cliffint import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
+                      fischer_commute, fischer_pair, gamma_half,
                       pochhammer_half)
 
 from oracles import diffop_terms, reflect_terms
@@ -120,8 +120,6 @@ def test_apply_diffop_basic():
     sym = VectorPoly.monomial(m, (2, 0))
     target = VectorPoly.monomial(m, (3, 0))
     assert apply_diffop(sym, target) == 6 * VectorPoly.monomial(m, (1, 0))
-    op = DiffOp(sym)
-    assert op.apply(target) == apply_diffop(sym, target)
 
 
 def test_apply_diffop_laplacian_symbol():

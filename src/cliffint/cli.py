@@ -395,7 +395,7 @@ def _directional_power_brute(j: int, k: int, m: int) -> VectorPoly:
 
 def _handle_pizzetti_sphere(args) -> tuple[dict, bool]:
     poly = parse_poly(args.poly, args.m, 1)
-    detail = sphere_pizzetti_detailed(poly, args.extra_terms)
+    detail = sphere_pizzetti_detailed(poly)
     log.info("sphere integral in dimension %d, %d series terms", args.m, detail.terms_used)
     payload = {"command": "pizzetti sphere", "m": args.m,
                "poly": repr(poly), "terms_used": detail.terms_used}
@@ -408,9 +408,9 @@ def _handle_pizzetti_stiefel(args) -> tuple[dict, bool]:
     if args.method == "explicit2" and args.k != 2:
         raise ParseError("--method explicit2 requires k = 2")
     if args.method == "explicit2":
-        value = stiefel2_explicit(poly, args.m, args.extra_terms)
+        value = stiefel2_explicit(poly, args.m)
     else:
-        value = stiefel_pizzetti_composed(poly, args.m, args.k, args.extra_terms)
+        value = stiefel_pizzetti_composed(poly, args.m, args.k)
     log.info("frame integral on %d-frames in R^%d via %s", args.k, args.m, args.method)
     payload = {"command": "pizzetti stiefel", "m": args.m, "k": args.k,
                "method": args.method, "poly": repr(poly)}
@@ -520,7 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="integral over the unit sphere")
     sphere.add_argument("--m", type=int, required=True, help="ambient dimension")
     sphere.add_argument("--poly", required=True, help="polynomial in x1_1..x1_m")
-    sphere.add_argument("--extra-terms", type=int, default=0, dest="extra_terms")
     sphere.set_defaults(handler=_handle_pizzetti_sphere)
     stiefel = psub.add_parser("stiefel", parents=[common],
                              help="integral over orthonormal k-frames")
@@ -530,7 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="polynomial in x1_1..xk_m; dot(xa,xb), normsq(xa) allowed")
     stiefel.add_argument("--method", choices=["composed", "explicit2"],
                          default="composed")
-    stiefel.add_argument("--extra-terms", type=int, default=0, dest="extra_terms")
     stiefel.set_defaults(handler=_handle_pizzetti_stiefel)
 
     oracle = sub.add_parser("oracle", help="Monte Carlo reference values")

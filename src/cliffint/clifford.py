@@ -13,8 +13,8 @@ from its base ``polyalg._SparseTerms``, which ``VectorPoly`` shares.  The
 algebras differ only in what a repeated generator squares to (the square
 rule of ``_mul_blades``): -1 for the Clifford generators e_j, 0 for the
 differentials dx_j, whose blades therefore multiply like the exterior
-algebra.  ``wedge_vectors`` uses the same square-0 rule: the wedge of
-vectors is their blade product with e_j^2 = 0.
+algebra.  ``wedge`` and ``wedge_vectors`` use the same square-0 rule: the
+wedge of two elements is their blade product with e_j^2 = 0.
 
 Coefficients are generic ring elements: ``fractions.Fraction`` for exact
 work, ``float`` for numerics, polynomials and Clifford polynomials in
@@ -26,6 +26,7 @@ ring works uniformly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -243,20 +244,6 @@ def grade_project(a, k: int) -> Multivector:
     return _as_multivector(a).grade_project(k)
 
 
-def _graded_product(a, b, grade) -> Terms:
-    """Sum over grade components a_k, b_l of [a_k b_l]_{grade(k, l)}."""
-    a = _as_multivector(a)
-    b = _as_multivector(b, a.m)
-    out = a._like({})
-    for k in a.grades():
-        ak = a.grade_project(k)
-        for l in b.grades():
-            g = grade(k, l)
-            if g <= a.m:
-                out = out + (ak * b.grade_project(l)).grade_project(g)
-    return out
-
-
 def dot(a, b) -> Terms:
     """Inner (dot) product: on grades k and l it is [a b]_{|l-k|}.
 
@@ -264,15 +251,28 @@ def dot(a, b) -> Terms:
     vector v against a grade-k element this agrees with (va - (-1)^k av)/2.
     Serves multivectors and Clifford-valued polynomials alike.
     """
-    return _graded_product(a, b, lambda k, l: abs(l - k))
+    a = _as_multivector(a)
+    b = _as_multivector(b, a.m)
+    out = a._like({})
+    for k in a.grades():
+        ak = a.grade_project(k)
+        for l in b.grades():
+            out = out + (ak * b.grade_project(l)).grade_project(abs(l - k))
+    return out
 
 
 def wedge(a, b) -> Terms:
     """Outer (wedge) product: on grades k and l it is [a b]_{k+l}.
 
-    Serves multivectors and Clifford-valued polynomials alike.
+    On blades [e_A e_B]_{|A|+|B|} is nonzero only when A and B are
+    disjoint, so this is the blade product with square 0.  Serves
+    multivectors and Clifford-valued polynomials alike.
     """
-    return _graded_product(a, b, lambda k, l: k + l)
+    a = _as_multivector(a)
+    b = a._coerce(_as_multivector(b, a.m))
+    if b is NotImplemented:
+        raise TypeError(f"cannot wedge {type(a).__name__} with another algebra")
+    return a._product(b, 0)
 
 
 def wedge_vectors(vectors: Sequence) -> Multivector:
@@ -288,10 +288,7 @@ def wedge_vectors(vectors: Sequence) -> Multivector:
     for v in mvs:
         if v.grades() not in ({1}, set()):
             raise ValueError("wedge_vectors expects grade-1 arguments")
-    out = mvs[0]
-    for v in mvs[1:]:
-        out = out._product(out._coerce(v), 0)
-    return out
+    return reduce(wedge, mvs)
 
 
 def _det_fraction(rows: list[list]) -> object:

@@ -12,7 +12,7 @@ hashing of their ``VectorPoly`` coefficients:
 - ``CliffordForm`` maps sorted dx-index tuples to ``CliffordPoly``
   coefficients; its product (``form_mul``) applies the square rule
   dx_j^2 = 0, so a repeated differential kills the term.  The same rule
-  gives ``clifford.wedge_vectors``.
+  gives ``clifford.wedge`` and ``wedge_vectors``.
 
 The module provides the oriented surface-measure forms Psi_{m-k}, the
 exterior derivative (differentials multiply from the left), and exact
@@ -28,7 +28,7 @@ from itertools import combinations
 from math import factorial
 from typing import Sequence
 
-from .clifford import Blade, Multivector, Terms, _mul_blades, dot, wedge
+from .clifford import Blade, Multivector, Terms, _mul_blades, dot, wedge, wedge_vectors
 from .polyalg import VectorPoly
 
 
@@ -75,6 +75,18 @@ class CliffordPoly(Terms):
             return self * other
         return NotImplemented
 
+    def _coerce(self, other):
+        # numbers and same-shape VectorPolys are scalar fields
+        if isinstance(other, (int, Fraction)):
+            return CliffordPoly.from_scalar(self.m, other, self.nvars)
+        if isinstance(other, VectorPoly):
+            other = CliffordPoly.from_poly(other)
+        return super()._coerce(other)
+
+    def _scalar_key(self):
+        # the scalar coefficient is a VectorPoly, which hashes like its number
+        return ()
+
     def diff(self, i: int, j: int = 1) -> "CliffordPoly":
         """Differentiate every coefficient with respect to x_{j,i}."""
         return self._like({b: d for b, p in self.terms.items() if (d := p.diff(j, i))})
@@ -95,12 +107,7 @@ def gradient(phi: VectorPoly, j: int = 1) -> CliffordPoly:
 
 def wedge_gradients(phases: Sequence[VectorPoly]) -> CliffordPoly:
     """grad(phi_1) ^ ... ^ grad(phi_k)."""
-    if not phases:
-        raise ValueError("need at least one phase")
-    out = gradient(phases[0])
-    for phi in phases[1:]:
-        out = wedge(out, gradient(phi))
-    return out
+    return wedge_vectors([gradient(phi) for phi in phases])
 
 
 # -- differential forms ----------------------------------------------------

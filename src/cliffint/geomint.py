@@ -98,21 +98,17 @@ class QuadratureConfig:
     ``n`` is the number of cells per axis; ``eps`` the half-width of the
     cosine-bump mollifier (``None`` selects 6 times the largest cell
     spacing).  ``eps`` must exceed the spacing and stay below the smallest
-    box extent.
+    box extent.  The tolerances are module constants.
     """
 
     n: int = 201
     eps: float | None = None
-    independence_tol: float = 1e-6
-    boundary_tol: float = 1e-4
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("need at least 16 cells per axis")
         if self.eps is not None and self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.independence_tol <= 0 or self.boundary_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
     def resolve_eps(self, box: Sequence[Sequence[float]]) -> float:
         spacing = max((hi - lo) / self.n for lo, hi in box)
@@ -253,6 +249,14 @@ _BATCH_CELLS = 8192
 # cauchy_check's dense Clifford products hold a few dozen arrays of 2^m
 # floats per cell; they run on parts of at most this many floats per array
 _DENSE_COEFFS = 8192
+# Fixed tolerances (the independence one is relative to gradient lengths)
+# and the frames drawn per Monte Carlo stream.
+_INDEPENDENCE_TOL = 1e-6
+_BOUNDARY_TOL = 1e-4
+_DET_TOL = 1e-6
+_ON_SURFACE_TOL = 1e-8
+_BLOCK_ORTHOGONAL_TOL = 1e-10
+_MC_CHUNK = 20000
 
 
 def _grid_geometry(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig):
@@ -405,22 +409,22 @@ def _phase_jacobian(phase_grads, pts: np.ndarray, m: int) -> np.ndarray:
     return jac
 
 
-def _orthonormal_frames(jac: np.ndarray, tol: float) -> np.ndarray:
+def _orthonormal_frames(jac: np.ndarray) -> np.ndarray:
     """Orthonormal bases per point: (N, m, m) column stacks.
 
     Complete QR factorization of the transposed jacobian: columns 0..k-1
     span the gradients (the normal space), columns k..m-1 their orthogonal
     complement (the tangent space).  With k = 0 the basis is the identity.
-    Gradient j counts as dependent when |R_jj| <= tol * |grad phi_j|, so
-    the verdict does not change when a phase is rescaled; a zero gradient
-    is dependent.
+    Gradient j counts as dependent when |R_jj| <= _INDEPENDENCE_TOL *
+    |grad phi_j|, so the verdict does not change when a phase is rescaled;
+    a zero gradient is dependent.
     """
     n, k, m = jac.shape
     if k == 0:
         return np.broadcast_to(np.eye(m), (n, m, m))
     q, r = np.linalg.qr(jac.transpose(0, 2, 1), mode="complete")
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    if np.any(diag <= tol * np.linalg.norm(jac, axis=2)):
+    if np.any(diag <= _INDEPENDENCE_TOL * np.linalg.norm(jac, axis=2)):
         raise IndependenceError("phase gradients are numerically dependent at surface points")
     return q
 
@@ -439,25 +443,34 @@ def _minors(rows: np.ndarray, cols) -> np.ndarray:
     return np.linalg.det(rows[:, :, list(cols)])
 
 
-def _wedge_norms(jac: np.ndarray, tol: float) -> np.ndarray:
+def _wedge_norms(jac: np.ndarray) -> np.ndarray:
     """Blade norms |grad phi_1 ^ .. ^ grad phi_k| per point.
 
-    The gradients count as dependent where the blade norm is at most tol
-    times the product of their lengths (scale-invariant; a zero gradient
-    is dependent).
+    The gradients count as dependent where the blade norm is at most
+    _INDEPENDENCE_TOL times the product of their lengths (scale-invariant;
+    a zero gradient is dependent).
     """
     gram = jac @ jac.transpose(0, 2, 1)
     det = _minors(gram, range(jac.shape[1]))
     norms = np.sqrt(np.clip(det, 0.0, None))
     lengths = np.sqrt(np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1))
-    if np.any(norms <= tol * lengths):
+    if np.any(norms <= _INDEPENDENCE_TOL * lengths):
         raise IndependenceError(
             "phase gradients are numerically dependent inside the surface band")
     return norms
 
 
-def _check_boundary(total_abs: float, boundary_abs: float, cfg: QuadratureConfig):
-    if boundary_abs > cfg.boundary_tol * max(total_abs, 1.0):
+def _accumulate(total: np.ndarray, magnitude: np.ndarray, contrib: np.ndarray,
+                bmask: np.ndarray, scale: float = 1.0):
+    """total + scale * the cell sum of contrib (N, c); adds to magnitude the
+    sums of scale * |contrib| over all cells and over boundary cells."""
+    magnitude[0] += scale * float(np.abs(contrib).sum())
+    magnitude[1] += scale * float(np.abs(contrib[bmask]).sum())
+    return total + scale * contrib.sum(axis=0)
+
+
+def _check_boundary(total_abs: float, boundary_abs: float):
+    if boundary_abs > _BOUNDARY_TOL * max(total_abs, 1.0):
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "
             f"(total magnitude {total_abs:g}); enlarge the box")
@@ -467,29 +480,24 @@ def _check_boundary(total_abs: float, boundary_abs: float, cfg: QuadratureConfig
 
 
 def _band_sum(f, spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
-              measure: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+              measure: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Grid sum over the surface band of delta-products * measure * f.
 
-    ``measure(jac, independence_tol)`` maps the (N, k, m) jacobian of a batch
-    to (N, c) values per cell, and the result has c entries (a single zero
-    when no cell is in the band).  Raises BoundaryContactError when the
-    boundary cells carry more than ``boundary_tol`` of the total magnitude.
+    ``measure(jac)`` maps the (N, k, m) jacobian of a batch to (N, c) values
+    per cell, and the result has c entries (a single zero when no cell is
+    in the band).  Raises BoundaryContactError when the boundary cells carry
+    more than _BOUNDARY_TOL of the total magnitude.
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
     cfg = cfg or QuadratureConfig()
     eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
     total = np.zeros(1)
-    total_abs = 0.0
-    boundary_abs = 0.0
+    magnitude = np.zeros(2)
     for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
         weight = delta * _field_values(f, pts) * cellvol
-        contrib = weight[:, None] * measure(jac, cfg.independence_tol)
-        total = total + contrib.sum(axis=0)
-        point_abs = np.abs(contrib).sum(axis=1)
-        total_abs += float(point_abs.sum())
-        boundary_abs += float(point_abs[bmask].sum())
-    _check_boundary(total_abs, boundary_abs, cfg)
+        total = _accumulate(total, magnitude, weight[:, None] * measure(jac), bmask)
+    _check_boundary(*magnitude)
     return total
 
 
@@ -500,7 +508,7 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
     Computes the grid sum of delta_eps(phi_1) .. delta_eps(phi_k) times the
     blade norm |grad phi_1 ^ .. ^ grad phi_k| times f.
     """
-    return float(_band_sum(f, spec, cfg, lambda jac, tol: _wedge_norms(jac, tol)[:, None])[0])
+    return float(_band_sum(f, spec, cfg, lambda jac: _wedge_norms(jac)[:, None])[0])
 
 
 def integrate_oriented(f, spec: ImplicitSurfaceSpec,
@@ -510,21 +518,21 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     Returns the grade-k multivector with float coefficients
     sum over the band of delta-products * (grad phi_1 ^ .. ^ grad phi_k) * f.
     """
-    def gradient_blades(jac, tol):
-        _wedge_norms(jac, tol)
+    def gradient_blades(jac):
+        _wedge_norms(jac)
         return _dense_wedge_of_rows(jac, spec.m)
 
     return _multivector_from_dense(_band_sum(f, spec, cfg, gradient_blades), spec.m)
 
 
 def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence],
-                             f=1, cfg: QuadratureConfig | None = None,
-                             det_tol: float = 1e-6) -> tuple[float, float]:
+                             f=1, cfg: QuadratureConfig | None = None
+                             ) -> tuple[float, float]:
     """Scalar integral before and after mixing phases by the matrix alpha.
 
     psi_l = sum_j alpha[l][j] phi_j; entries may be rationals or polynomials
-    in the same vector variable.  The determinant of alpha is checked to be
-    bounded away from zero on the transformed band.
+    in the same vector variable.  |det alpha| must exceed _DET_TOL on the
+    transformed band.
     """
     k = spec.k
     if k < 1:
@@ -544,7 +552,7 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
     eps, axes, spacings, _ = _grid_geometry(new_spec, cfg)
     for pts, _, _, _ in _band_stream(new_spec, eps, spacings, axes):
         dvals = np.abs(poly_on_points(det_poly, pts))
-        if np.any(dvals <= det_tol):
+        if np.any(dvals <= _DET_TOL):
             raise ValueError("phase-mixing determinant is numerically zero "
                              "on the surface band")
     base = integrate_implicit(f, spec, cfg)
@@ -578,9 +586,7 @@ def _poly_det(entries: list[list[VectorPoly]]) -> VectorPoly:
 # -- frames and tangential operators -----------------------------------------
 
 
-def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float],
-                          on_surface_tol: float = 1e-8,
-                          independence_tol: float = 1e-10
+def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal normal and tangent bases at a point of the surface.
 
@@ -588,7 +594,8 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float],
     jacobian, the same one the boundary-value check uses per grid cell:
     the normals span the phase gradients, the tangents their orthogonal
     complement.  Returns (normals, tangents) as row-vector arrays of shapes
-    (k, m) and (m - k, m), orthonormal to 1e-10.
+    (k, m) and (m - k, m), orthonormal to 1e-10.  The independence test
+    is the band's; |phi| at the point must not exceed _ON_SURFACE_TOL.
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
@@ -598,25 +605,20 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float],
     pt = x[None, :]
     for phi in spec.phases:
         val = float(poly_on_points(phi, pt)[0])
-        if abs(val) > on_surface_tol:
+        if abs(val) > _ON_SURFACE_TOL:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
     grads = [[phi.diff(1, i) for i in range(1, spec.m + 1)] for phi in spec.phases]
-    q = _orthonormal_frames(_phase_jacobian(grads, pt, spec.m), independence_tol)[0]
+    q = _orthonormal_frames(_phase_jacobian(grads, pt, spec.m))[0]
     return q[:, :spec.k].T, q[:, spec.k:].T
 
 
 def _as_cliffpoly(value, m: int) -> CliffordPoly:
-    if isinstance(value, CliffordPoly):
-        if value.m != m or value.nvars != 1:
-            raise ValueError("field must live in one m-dimensional variable")
-        return value
     if isinstance(value, Multivector):
-        return CliffordPoly.from_multivector(value)
-    if isinstance(value, VectorPoly):
-        return CliffordPoly.from_poly(value)
-    if isinstance(value, (int, Fraction)):
-        return CliffordPoly.from_scalar(m, value)
-    raise TypeError(f"cannot interpret {type(value)!r} as a Clifford field")
+        value = CliffordPoly.from_multivector(value)
+    field = CliffordPoly.zero(m)._coerce(value)  # ValueError unless in one m-vector
+    if field is NotImplemented:
+        raise TypeError(f"cannot interpret {type(value)!r} as a Clifford field")
+    return field
 
 
 def tangential_dirac(field, spec: ImplicitSurfaceSpec,
@@ -745,7 +747,8 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     d_par the full Dirac operator and W = 1, which is the classical case.
 
     Returns both sides as multivectors and the relative residual
-    |lhs - rhs| / max(|lhs|, |rhs|, 1).
+    |lhs - rhs| / max(|lhs|, |rhs|, 1).  Each side is checked for boundary
+    contact like the quadratures.
     """
     cfg = cfg or QuadratureConfig()
     m, k = spec.m, spec.k
@@ -757,16 +760,15 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     df = [f_cp.diff(i) for i in range(1, m + 1)]
     dg = [g_cp.diff(i) for i in range(1, m + 1)]
     phi_grad = [phi.diff(1, i) for i in range(1, m + 1)]
-    size = 1 << m
-    lhs_vec = np.zeros(size)
-    rhs_vec = np.zeros(size)
+    lhs_vec, rhs_vec = np.zeros((2, 1 << m))
+    magnitude = np.zeros((2, 2))  # (total, boundary) per side
     sign_k = -1.0 if k % 2 else 1.0
 
     part = max(1, _DENSE_COEFFS >> m)
-    parts = ((pts[i:i + part], delta[i:i + part], jac[i:i + part])
-             for pts, delta, jac, _ in _band_stream(spec, eps, spacings, axes)
+    parts = ((pts[i:i + part], delta[i:i + part], jac[i:i + part], bmask[i:i + part])
+             for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes)
              for i in range(0, len(pts), part))
-    for pts, delta, jac in parts:
+    for pts, delta, jac, bmask in parts:
         phi_vals = poly_on_points(phi, pts)
         phi_jac = _phase_jacobian([phi_grad], pts, m)
         phi_span = _spans(phi_jac[:, 0], spacings)
@@ -780,7 +782,7 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
             lpts = pts[lmask]
             ljac = jac[lmask]
             weight = hfrac[lmask] * delta[lmask]
-            tangents = _orthonormal_frames(ljac, cfg.independence_tol)[:, :, k:]
+            tangents = _orthonormal_frames(ljac)[:, :, k:]
             w_dense = _dense_wedge_of_rows(ljac, m)
             fv = _dense_from_cliffpoly(f_cp, lpts, m)
             gv = _dense_from_cliffpoly(g_cp, lpts, m)
@@ -790,7 +792,8 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
                                   m, left=True)
             integrand = _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
             integrand += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
-            lhs_vec += cellvol * (weight[:, None] * integrand).sum(axis=0)
+            lhs_vec = _accumulate(lhs_vec, magnitude[0], weight[:, None] * integrand,
+                                  bmask[lmask], cellvol)
 
         # right side: band cut by the mollified zero set of phi
         rmask = np.abs(phi_vals) < eps + 0.5 * phi_span
@@ -800,14 +803,17 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
             jac_full = np.concatenate([phi_jac[rmask], jac[rmask]], axis=1)
             wfull = _dense_wedge_of_rows(jac_full, m)
             norms = np.sqrt((wfull * wfull).sum(axis=1))
-            if np.any(norms <= cfg.independence_tol):
+            if np.any(norms <= _INDEPENDENCE_TOL):
                 raise TransversalityError(
                     "grad phi is not transversal to the surface on its band")
             fv = _dense_from_cliffpoly(f_cp, rpts, m)
             gv = _dense_from_cliffpoly(g_cp, rpts, m)
             integrand = _batch_mul(_batch_mul(fv, wfull, m), gv, m)
-            rhs_vec += cellvol * (weight[:, None] * integrand).sum(axis=0)
+            rhs_vec = _accumulate(rhs_vec, magnitude[1], weight[:, None] * integrand,
+                                  bmask[rmask], cellvol)
 
+    for side in magnitude:
+        _check_boundary(*side)
     lhs_norm = float(np.linalg.norm(lhs_vec))
     rhs_norm = float(np.linalg.norm(rhs_vec))
     residual = float(np.linalg.norm(lhs_vec - rhs_vec)) / max(lhs_norm, rhs_norm, 1.0)
@@ -864,12 +870,12 @@ def _partition_rng(seed: int, partition: int) -> np.random.Generator:
 
 
 def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
-                        seed: int, chunk: int = 20000) -> MCEstimate:
+                        seed: int) -> MCEstimate:
     """Monte Carlo estimate of the integral of P over orthonormal k-frames.
 
-    Samples are drawn in fixed-size partitions with independent
+    Samples are drawn in partitions of _MC_CHUNK with independent
     counter-based streams keyed by (seed, partition index), so results are
-    reproducible for a given (seed, chunk).  Partition sums are combined by
+    reproducible for a given seed.  Partition sums are combined by
     count-weighted summation.  The estimate and its standard error are
     scaled by the manifold volume, matching the exact integrators.
     """
@@ -877,15 +883,13 @@ def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
         raise ValueError("integrand must use exactly k vector variables of dimension m")
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    if chunk < 1:
-        raise ValueError("need a chunk of at least one sample")
     vol = stiefel_volume(m, k).to_float()
     total = 0.0
     total_sq = 0.0
     done = 0
     partition = 0
     while done < n_samples:
-        cnt = min(chunk, n_samples - done)
+        cnt = min(_MC_CHUNK, n_samples - done)
         q = _haar_frames(_partition_rng(seed, partition), m, k, cnt)
         pts = q.transpose(0, 2, 1).reshape(cnt, k * m)
         vals = poly_on_points(p, pts)
@@ -919,15 +923,15 @@ def _wedge_norm_rows(rows: np.ndarray) -> float:
     return math.sqrt(max(det, 0.0))
 
 
-def block_orthogonal_check(matrix: np.ndarray, k: int,
-                           tol: float = 1e-10) -> BlockOrthogonalResult:
+def block_orthogonal_check(matrix: np.ndarray, k: int) -> BlockOrthogonalResult:
     """Check the duality identities for a block-orthogonal basis.
 
     ``matrix`` holds basis vectors in rows; rows 1..k must be orthogonal to
     rows k+1..m.  With w_j the columns of the inverse matrix, the checks
     are: dual vectors across the split stay orthogonal; |det| splits into
     the product of the two blade norms; and the blade norm of each block
-    times the blade norm of its dual block equals one.
+    times the blade norm of its dual block equals one, each to within
+    _BLOCK_ORTHOGONAL_TOL.
     """
     a = np.asarray(matrix, dtype=float)
     mdim = a.shape[0]
@@ -952,5 +956,5 @@ def block_orthogonal_check(matrix: np.ndarray, k: int,
     r2 = abs(det - nv_first * nv_second) / det
     r3 = abs(nv_first * _wedge_norm_rows(w_first.T) - 1.0)
     r4 = abs(nv_second * _wedge_norm_rows(w_second.T) - 1.0)
-    ok = max(r1, r2, r3, r4) <= tol
+    ok = max(r1, r2, r3, r4) <= _BLOCK_ORTHOGONAL_TOL
     return BlockOrthogonalResult(ok, r1, r2, r3, r4)

@@ -7,7 +7,7 @@ half-integer power of pi.
 
 Sphere: the integral of P over the unit sphere in R^m is
     sum_s  c_{s,m} (Laplacian^s P)(0),   c_{s,nu} = 2 pi^(nu/2) / (4^s s! Gamma(s + nu/2)),
-truncated once 2s exceeds deg P.
+which is finite: every term with 2s > deg P vanishes.
 
 Stiefel: the integral of P(x_1, .., x_k) over orthonormal k-frames is the
 composition, for j = k down to 1, of the sphere series in dimension
@@ -79,19 +79,18 @@ def _series_rational(s: int, nu: int) -> tuple[Fraction, int]:
     return q, nu - g.h
 
 
-def sphere_pizzetti_detailed(p: VectorPoly, extra_terms: int = 0) -> PizzettiResult:
+def sphere_pizzetti_detailed(p: VectorPoly) -> PizzettiResult:
     """Exact sphere integral with series bookkeeping.
 
-    ``extra_terms`` appends terms beyond the degree-based truncation; they
-    vanish identically, which makes truncation exactness testable.
+    ``terms_used`` counts the nonzero Laplacian powers summed and
+    ``truncation_degree`` is 2 * (deg P // 2), the last degree the series
+    reaches; later terms vanish identically.
     """
     if p.nvars != 1:
         raise ValueError("sphere integrand must use a single vector variable")
     if p.m < 2:
         raise ValueError("need dimension m >= 2")
-    if extra_terms < 0:
-        raise ValueError("extra_terms must be nonnegative")
-    smax = p.degree() // 2 + extra_terms
+    smax = p.degree() // 2
     total_q = Fraction(0)
     h = p.m - (p.m % 2)
     work = p
@@ -106,9 +105,9 @@ def sphere_pizzetti_detailed(p: VectorPoly, extra_terms: int = 0) -> PizzettiRes
     return PizzettiResult(ExactScalar(total_q, h), terms_used, 2 * smax)
 
 
-def sphere_pizzetti(p: VectorPoly, extra_terms: int = 0) -> ExactScalar:
+def sphere_pizzetti(p: VectorPoly) -> ExactScalar:
     """Integral of P over the unit sphere in R^m, exactly."""
-    return sphere_pizzetti_detailed(p, extra_terms).value
+    return sphere_pizzetti_detailed(p).value
 
 
 def _accumulate(out: dict[tuple[int, ...], Fraction], key: tuple[int, ...], value: Fraction):
@@ -158,8 +157,7 @@ def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:
     return work._like(out)
 
 
-def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int,
-                              extra_terms: int = 0) -> ExactScalar:
+def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int) -> ExactScalar:
     """Integral of P over orthonormal k-frames in R^m by operator composition.
 
     Factors are applied for j = k down to 1; the factor for vector j is the
@@ -173,16 +171,13 @@ def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int,
         raise ValueError("dimension mismatch")
     if not 1 <= k <= m - 1:
         raise ValueError(f"need 1 <= k <= m - 1 = {m - 1}")
-    if extra_terms < 0:
-        raise ValueError("extra_terms must be nonnegative")
     work = p
     total_h = 0
     for j in range(k, 0, -1):
         nu = m - j + 1
-        smax = work.degree_in(j) // 2 + extra_terms
         acc = VectorPoly.zero(p.m, p.nvars)
         term = work
-        for s in range(smax + 1):
+        for s in range(work.degree_in(j) // 2 + 1):
             if term.is_zero():
                 break  # the operator lowers degree in x_j, later terms vanish
             q, _ = _series_rational(s, nu)
@@ -203,10 +198,10 @@ def _ab_symbol_power(m: int, a: int, r: int) -> VectorPoly:
     return (nx + ny) ** a * (nx * ny - xy * xy) ** r
 
 
-def stiefel2_explicit(p: VectorPoly, m: int, extra_terms: int = 0) -> ExactScalar:
+def stiefel2_explicit(p: VectorPoly, m: int) -> ExactScalar:
     """Integral of P(x, y) over orthonormal 2-frames in R^m, explicit series.
 
-    vol * sum_{s} sum_{r <= s/2}
+    vol * sum_{s <= deg P / 2} sum_{r <= s/2}
         [1 / (4^s (m/2)_s)] [1 / ((m-1)/2)_r] (A^{s-2r}/(s-2r)!) (B^r/r!) P |_0
     where A and B act as constant-coefficient operators and (a)_n is the
     rising factorial.
@@ -217,11 +212,8 @@ def stiefel2_explicit(p: VectorPoly, m: int, extra_terms: int = 0) -> ExactScala
         raise ValueError("dimension mismatch")
     if m < 3:
         raise ValueError("need m >= 3 for two-frames")
-    if extra_terms < 0:
-        raise ValueError("extra_terms must be nonnegative")
-    smax = p.degree() // 2 + extra_terms
     total = Fraction(0)
-    for s in range(smax + 1):
+    for s in range(p.degree() // 2 + 1):
         for r in range(s // 2 + 1):
             val = fischer_pair(_ab_symbol_power(m, s - 2 * r, r), p)
             if val:  # most pairings vanish; build the coefficient only when needed

@@ -96,6 +96,19 @@ def test_wedge_grades_and_antisymmetry():
     assert wedge(a, a).is_zero()
 
 
+def test_wedge_matches_graded_product_definition():
+    # sum over grade parts a_k, b_l of [a_k b_l]_{k+l}, from the Clifford product
+    rng = random.Random(12)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        a, b = rand_mv(m, rng), rand_mv(m, rng)
+        want = Multivector.scalar(m, 0)
+        for k in a.grades():
+            for l in b.grades():
+                want = want + grade_project(grade_project(a, k) * grade_project(b, l), k + l)
+        assert wedge(a, b) == want
+
+
 def test_wedge_vectors_agrees_with_iterated_wedge():
     rng = random.Random(10)
     # every k <= m up to m = 5, three draws each, with rational entries

@@ -48,6 +48,23 @@ def test_vectorpoly_and_cliffordpoly_multiply_either_way():
         p * "x"
 
 
+def test_cliffordpoly_coerces_numbers_and_vectorpolys():
+    m = 2
+    cp = CliffordPoly.from_scalar(m, 3)
+    assert cp + 2 == CliffordPoly.from_scalar(m, 5)
+    assert 2 + cp == cp + 2
+    assert cp - 1 == CliffordPoly.from_scalar(m, 2)
+    assert 1 - cp == CliffordPoly.from_scalar(m, -2)
+    assert cp + xv(1, m) == CliffordPoly.from_poly(3 + xv(1, m))
+    assert cp - xv(1, m) == CliffordPoly.from_poly(3 - xv(1, m))
+    assert cp == 3 and cp != 4
+    assert len({cp, 3}) == 1
+    with pytest.raises(ValueError):
+        cp + VectorPoly.variable(3, 1, 1)
+    with pytest.raises(ValueError):
+        cp + VectorPoly.variable(m, 1, 1, nvars=2)
+
+
 def test_cp_dot_and_wedge_split_vector_product():
     m = 3
     a = CliffordPoly.basis(m, (1,)) * xv(2, m)

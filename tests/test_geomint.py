@@ -140,19 +140,27 @@ def test_frames_do_not_depend_on_phase_scale(scale):
     assert np.allclose(tangents[:, 0], 0.0, atol=1e-12)
 
 
+def test_point_frames_share_the_band_independence_threshold():
+    # gradients (1, 0, 0) and (1, 1e-8, 0): dependent to 1e-8 relative,
+    # below the 1e-6 threshold the band quadrature applies
+    spec = ImplicitSurfaceSpec(3, [xvar(1), xvar(1) + Fraction(1, 10**8) * xvar(2)], BOX3)
+    with pytest.raises(IndependenceError):
+        tangent_normal_frames(spec, [0.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("scale", [1e-11, 1e11])
 def test_independence_checks_are_scale_invariant(scale):
     jac = scale * np.array([[[2.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                             [[0.0, 1.5, 0.5], [0.0, 0.0, 3.0]]])
-    assert np.allclose(_wedge_norms(jac, 1e-6),
+    assert np.allclose(_wedge_norms(jac),
                        scale ** 2 * np.array([2.0, 4.5]), rtol=1e-12)
-    _orthonormal_frames(jac, 1e-6)
+    _orthonormal_frames(jac)
     # a zero gradient row is dependent at any scale
     jac[1, 0] = 0.0
     with pytest.raises(IndependenceError):
-        _wedge_norms(jac, 1e-6)
+        _wedge_norms(jac)
     with pytest.raises(IndependenceError):
-        _orthonormal_frames(jac, 1e-6)
+        _orthonormal_frames(jac)
 
 
 def test_small_minors_match_lapack():
@@ -168,7 +176,7 @@ def test_small_minors_match_lapack():
                 assert np.all(np.abs(got - np.linalg.det(sub)) <= 1e-12 * scale)
             gram = jac @ jac.transpose(0, 2, 1)
             lengths_sq = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
-            norms = _wedge_norms(jac, 1e-9)
+            norms = _wedge_norms(jac)
             assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
     # three rows still go through LAPACK, column by column of the blade
     jac = rng.standard_normal((50, 3, 4))
@@ -441,6 +449,14 @@ def test_cauchy_classical_case():
     assert res.lhs.coefficient((1,)) == pytest.approx(math.pi, rel=0.02)
 
 
+def test_cauchy_boundary_contact_detected():
+    # the unit circle in [-1, 1]^2: its band reaches the boundary cells
+    spec = ImplicitSurfaceSpec(2, [], ((-1.0, 1.0),) * 2)
+    phi = VectorPoly.norm_squared_var(2, 1) - 1
+    with pytest.raises(BoundaryContactError):
+        cauchy_check(1, xvar(1, 2), phi, spec, QuadratureConfig(n=101))
+
+
 def test_cauchy_transversality_failure():
     # phi equal to a phase: grad phi ^ W vanishes on the whole band
     spec = circle_spec()
@@ -527,13 +543,6 @@ def test_mc_reproducible_and_partitioned():
     # estimate is sane: within 6 standard errors of the exact value
     exact = stiefel_volume(3, 2).to_float() / 3
     assert abs(a.mean - exact) < 6 * a.standard_error
-
-
-def test_mc_rejects_empty_chunks():
-    p = VectorPoly.constant(3, 1)
-    for chunk in (0, -5):
-        with pytest.raises(ValueError):
-            mc_stiefel_integral(p, 3, 1, 100, seed=0, chunk=chunk)
 
 
 # -- block-orthogonal basis identities -------------------------------------------

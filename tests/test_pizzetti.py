@@ -70,8 +70,6 @@ def test_truncation_bookkeeping():
     # series truncates once the operator power exceeds half the degree
     assert res.truncation_degree == 4
     assert res.terms_used == 3
-    # appending extra series terms cannot change an exact value
-    assert sphere_pizzetti(mono1(3, 4, 0, 0), extra_terms=3) == res.value
 
 
 def test_sphere_input_validation():
@@ -79,8 +77,6 @@ def test_sphere_input_validation():
         sphere_pizzetti(VectorPoly.constant(1, 1))
     with pytest.raises(ValueError):
         sphere_pizzetti(VectorPoly.constant(3, 1, nvars=2))
-    with pytest.raises(ValueError):
-        sphere_pizzetti(mono1(3, 2, 0, 0), extra_terms=-1)
 
 
 def test_stiefel_volume_and_constant():

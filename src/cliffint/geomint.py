@@ -21,10 +21,12 @@ per-cell arrays stay bounded.  The culling itself is not: ``_band_blocks``
 holds about 89 B for every block of the full block grid before it drops
 any, which comes to hundreds of MB at m = 5 (285 MB at n = 80).
 
-The Cauchy-type boundary-value check integrates Clifford-valued fields with
-a batched dense representation of the algebra (2^m coefficients per point)
-so that all per-point geometric products are vectorized; the pointwise
-tangential Dirac operator is the same batched operator on one point.
+Every grid sum runs through one band-sum driver.  The Cauchy-type check is
+two: the band cut by the Heaviside of phi, and the band of (phi, phi_1, ...,
+phi_k), so it needs k < m.  Its Clifford-valued fields take a batched dense
+form (2^m coefficients per point), so all per-point geometric products are
+vectorized; the pointwise tangential Dirac operator is the same batched
+operator on one point.
 """
 
 from __future__ import annotations
@@ -460,44 +462,37 @@ def _wedge_norms(jac: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _accumulate(total: np.ndarray, magnitude: np.ndarray, contrib: np.ndarray,
-                bmask: np.ndarray, scale: float = 1.0):
-    """total + scale * the cell sum of contrib (N, c); adds to magnitude the
-    sums of scale * |contrib| over all cells and over boundary cells."""
-    magnitude[0] += scale * float(np.abs(contrib).sum())
-    magnitude[1] += scale * float(np.abs(contrib[bmask]).sum())
-    return total + scale * contrib.sum(axis=0)
+# -- scalar and oriented quadrature ------------------------------------------
 
 
-def _check_boundary(total_abs: float, boundary_abs: float):
+def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
+              integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              part: int = _BATCH_CELLS) -> np.ndarray:
+    """Grid sum over the surface band of delta-products * integrand.
+
+    Every grid sum of the module runs through here.  ``integrand(pts, jac)``
+    maps the (N, m) points and the (N, k, m) jacobian of a run of band cells
+    to (N, c) values per cell; this driver applies the delta product and the
+    cell volume.  The cells go to the integrand in runs of at most ``part``.
+    The result has c entries (a single zero when no cell is in the band).
+    Raises BoundaryContactError when the boundary cells carry more than
+    _BOUNDARY_TOL of the total magnitude.
+    """
+    cfg = cfg or QuadratureConfig()
+    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    total = np.zeros(1)
+    total_abs = boundary_abs = 0.0
+    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
+        for i in range(0, len(pts), part):
+            run = slice(i, i + part)
+            contrib = (delta[run] * cellvol)[:, None] * integrand(pts[run], jac[run])
+            total = total + contrib.sum(axis=0)
+            total_abs += float(np.abs(contrib).sum())
+            boundary_abs += float(np.abs(contrib[bmask[run]]).sum())
     if boundary_abs > _BOUNDARY_TOL * max(total_abs, 1.0):
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "
             f"(total magnitude {total_abs:g}); enlarge the box")
-
-
-# -- scalar and oriented quadrature ------------------------------------------
-
-
-def _band_sum(f, spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
-              measure: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Grid sum over the surface band of delta-products * measure * f.
-
-    ``measure(jac)`` maps the (N, k, m) jacobian of a batch to (N, c) values
-    per cell, and the result has c entries (a single zero when no cell is
-    in the band).  Raises BoundaryContactError when the boundary cells carry
-    more than _BOUNDARY_TOL of the total magnitude.
-    """
-    if spec.k < 1:
-        raise ValueError("need at least one phase")
-    cfg = cfg or QuadratureConfig()
-    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
-    total = np.zeros(1)
-    magnitude = np.zeros(2)
-    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
-        weight = delta * _field_values(f, pts) * cellvol
-        total = _accumulate(total, magnitude, weight[:, None] * measure(jac), bmask)
-    _check_boundary(*magnitude)
     return total
 
 
@@ -508,7 +503,13 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
     Computes the grid sum of delta_eps(phi_1) .. delta_eps(phi_k) times the
     blade norm |grad phi_1 ^ .. ^ grad phi_k| times f.
     """
-    return float(_band_sum(f, spec, cfg, lambda jac: _wedge_norms(jac)[:, None])[0])
+    if spec.k < 1:
+        raise ValueError("need at least one phase")
+
+    def density(pts, jac):
+        return (_field_values(f, pts) * _wedge_norms(jac))[:, None]
+
+    return float(_band_sum(spec, cfg, density)[0])
 
 
 def integrate_oriented(f, spec: ImplicitSurfaceSpec,
@@ -518,11 +519,15 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     Returns the grade-k multivector with float coefficients
     sum over the band of delta-products * (grad phi_1 ^ .. ^ grad phi_k) * f.
     """
-    def gradient_blades(jac):
-        _wedge_norms(jac)
-        return _dense_wedge_of_rows(jac, spec.m)
+    if spec.k < 1:
+        raise ValueError("need at least one phase")
 
-    return _multivector_from_dense(_band_sum(f, spec, cfg, gradient_blades), spec.m)
+    def density(pts, jac):
+        values = _field_values(f, pts)
+        _wedge_norms(jac)
+        return values[:, None] * _dense_wedge_of_rows(jac, spec.m)
+
+    return _multivector_from_dense(_band_sum(spec, cfg, density), spec.m)
 
 
 def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence],
@@ -532,7 +537,7 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
 
     psi_l = sum_j alpha[l][j] phi_j; entries may be rationals or polynomials
     in the same vector variable.  |det alpha| must exceed _DET_TOL on the
-    transformed band.
+    transformed band, which the mixed integrand checks cell by cell.
     """
     k = spec.k
     if k < 1:
@@ -546,18 +551,16 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
         for coeff, phi in zip(row, spec.phases):
             acc = acc + coeff * phi
         psis.append(acc)
-    new_spec = ImplicitSurfaceSpec(spec.m, psis, spec.box)
-    cfg = cfg or QuadratureConfig()
     det_poly = _poly_det(entries)
-    eps, axes, spacings, _ = _grid_geometry(new_spec, cfg)
-    for pts, _, _, _ in _band_stream(new_spec, eps, spacings, axes):
-        dvals = np.abs(poly_on_points(det_poly, pts))
-        if np.any(dvals <= _DET_TOL):
+
+    def checked_f(pts):
+        if np.any(np.abs(poly_on_points(det_poly, pts)) <= _DET_TOL):
             raise ValueError("phase-mixing determinant is numerically zero "
                              "on the surface band")
-    base = integrate_implicit(f, spec, cfg)
-    mixed = integrate_implicit(f, new_spec, cfg)
-    return base, mixed
+        return _field_values(f, pts)
+
+    mixed = integrate_implicit(checked_f, ImplicitSurfaceSpec(spec.m, psis, spec.box), cfg)
+    return integrate_implicit(f, spec, cfg), mixed
 
 
 def _as_poly(value, m: int) -> VectorPoly:
@@ -740,80 +743,68 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     Left side: integral over the surface band restricted to {phi <= 0} of
         (F d_par) W G + (-1)^k F W (d_par G),
     where W is the blade of phase gradients and d_par the tangential Dirac
-    operator.  Right side: integral over the band intersected with the
-    mollified zero set of phi of
+    operator.  Right side: integral over the band of (phi, phi_1, ..., phi_k),
+    the surface cut by the mollified zero set of phi, of
         F (grad phi ^ W) G.
     With no phases (k = 0) the left side integrates over {phi <= 0} with
     d_par the full Dirac operator and W = 1, which is the classical case.
+    The surface must have dimension m - k >= 1, so k < m.
 
+    Each side is one band sum over runs of at most _DENSE_COEFFS >> m cells.
     Returns both sides as multivectors and the relative residual
     |lhs - rhs| / max(|lhs|, |rhs|, 1).  Each side is checked for boundary
     contact like the quadratures.
     """
-    cfg = cfg or QuadratureConfig()
     m, k = spec.m, spec.k
     if phi.nvars != 1 or phi.m != m:
         raise ValueError("phi must be a polynomial in one m-vector")
-    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    if k >= m:
+        raise ValueError(f"cauchy_check needs k < m phases, got k = {k} and m = {m}")
+    spacings = _grid_geometry(spec, cfg or QuadratureConfig())[2]
     f_cp = _as_cliffpoly(f_field, m)
     g_cp = _as_cliffpoly(g_field, m)
     df = [f_cp.diff(i) for i in range(1, m + 1)]
     dg = [g_cp.diff(i) for i in range(1, m + 1)]
     phi_grad = [phi.diff(1, i) for i in range(1, m + 1)]
-    lhs_vec, rhs_vec = np.zeros((2, 1 << m))
-    magnitude = np.zeros((2, 2))  # (total, boundary) per side
     sign_k = -1.0 if k % 2 else 1.0
-
     part = max(1, _DENSE_COEFFS >> m)
-    parts = ((pts[i:i + part], delta[i:i + part], jac[i:i + part], bmask[i:i + part])
-             for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes)
-             for i in range(0, len(pts), part))
-    for pts, delta, jac, bmask in parts:
-        phi_vals = poly_on_points(phi, pts)
-        phi_jac = _phase_jacobian([phi_grad], pts, m)
-        phi_span = _spans(phi_jac[:, 0], spacings)
 
-        # left side: band cut by the sharp Heaviside H(-phi).  Cells the cut
+    def left_density(pts, jac):
+        # the band cut by the sharp Heaviside H(-phi).  Cells the cut
         # straddles get the linearized fraction of the cell with phi < 0;
         # midpoint-sampling the jump itself leaves an O(h) alignment error.
-        hfrac = np.clip(0.5 - phi_vals / np.maximum(phi_span, 1e-300), 0.0, 1.0)
-        lmask = hfrac > 0.0
-        if lmask.any():
-            lpts = pts[lmask]
-            ljac = jac[lmask]
-            weight = hfrac[lmask] * delta[lmask]
-            tangents = _orthonormal_frames(ljac)[:, :, k:]
-            w_dense = _dense_wedge_of_rows(ljac, m)
-            fv = _dense_from_cliffpoly(f_cp, lpts, m)
-            gv = _dense_from_cliffpoly(g_cp, lpts, m)
-            f_right = _dense_dirac(tangents, [_dense_from_cliffpoly(d, lpts, m) for d in df],
+        phi_span = _spans(_phase_jacobian([phi_grad], pts, m)[:, 0], spacings)
+        hfrac = np.clip(0.5 - poly_on_points(phi, pts) / np.maximum(phi_span, 1e-300),
+                        0.0, 1.0)
+        out = np.zeros((len(pts), 1 << m))
+        inside = hfrac > 0.0
+        if inside.any():
+            pts, jac = pts[inside], jac[inside]
+            tangents = _orthonormal_frames(jac)[:, :, k:]
+            w_dense = _dense_wedge_of_rows(jac, m)
+            fv = _dense_from_cliffpoly(f_cp, pts, m)
+            gv = _dense_from_cliffpoly(g_cp, pts, m)
+            f_right = _dense_dirac(tangents, [_dense_from_cliffpoly(d, pts, m) for d in df],
                                    m, left=False)
-            g_left = _dense_dirac(tangents, [_dense_from_cliffpoly(d, lpts, m) for d in dg],
+            g_left = _dense_dirac(tangents, [_dense_from_cliffpoly(d, pts, m) for d in dg],
                                   m, left=True)
-            integrand = _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
-            integrand += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
-            lhs_vec = _accumulate(lhs_vec, magnitude[0], weight[:, None] * integrand,
-                                  bmask[lmask], cellvol)
+            values = _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
+            values += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
+            out[inside] = hfrac[inside, None] * values
+        return out
 
-        # right side: band cut by the mollified zero set of phi
-        rmask = np.abs(phi_vals) < eps + 0.5 * phi_span
-        if rmask.any():
-            rpts = pts[rmask]
-            weight = _delta_values(phi_vals[rmask], eps, phi_span[rmask]) * delta[rmask]
-            jac_full = np.concatenate([phi_jac[rmask], jac[rmask]], axis=1)
-            wfull = _dense_wedge_of_rows(jac_full, m)
-            norms = np.sqrt((wfull * wfull).sum(axis=1))
-            if np.any(norms <= _INDEPENDENCE_TOL):
-                raise TransversalityError(
-                    "grad phi is not transversal to the surface on its band")
-            fv = _dense_from_cliffpoly(f_cp, rpts, m)
-            gv = _dense_from_cliffpoly(g_cp, rpts, m)
-            integrand = _batch_mul(_batch_mul(fv, wfull, m), gv, m)
-            rhs_vec = _accumulate(rhs_vec, magnitude[1], weight[:, None] * integrand,
-                                  bmask[rmask], cellvol)
+    def right_density(pts, jac):
+        # the jacobian rows are grad phi, grad phi_1, ..., grad phi_k
+        blade = _dense_wedge_of_rows(jac, m)
+        if np.any(np.sqrt((blade * blade).sum(axis=1)) <= _INDEPENDENCE_TOL):
+            raise TransversalityError("grad phi is not transversal to the surface on its band")
+        fv = _dense_from_cliffpoly(f_cp, pts, m)
+        gv = _dense_from_cliffpoly(g_cp, pts, m)
+        return _batch_mul(_batch_mul(fv, blade, m), gv, m)
 
-    for side in magnitude:
-        _check_boundary(*side)
+    lhs_vec = _band_sum(spec, cfg, left_density, part)
+    cut = ImplicitSurfaceSpec(m, (phi, *spec.phases), spec.box)
+    rhs_vec = _band_sum(cut, cfg, right_density, part)
     lhs_norm = float(np.linalg.norm(lhs_vec))
     rhs_norm = float(np.linalg.norm(rhs_vec))
     residual = float(np.linalg.norm(lhs_vec - rhs_vec)) / max(lhs_norm, rhs_norm, 1.0)

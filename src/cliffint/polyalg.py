@@ -33,8 +33,9 @@ class _SparseTerms:
     terms by exponent tuples, the blade algebras of ``clifford.Terms`` by
     sorted index tuples.  ``m`` is the dimension and ``nvars`` the number of
     m-vector variables.  No stored coefficient is zero, so equality is plain
-    dict equality.  Subclasses supply their constructors, the coercion of
-    plain numbers and ``__mul__``.
+    dict equality once an operand of another type is coerced; an operand of
+    another shape compares unequal.  Subclasses supply their constructors,
+    the coercion of plain numbers and ``__mul__``.
     """
 
     __slots__ = ("m", "nvars", "terms")
@@ -102,12 +103,14 @@ class _SparseTerms:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, _SparseTerms):
-            other = self._coerce(other)
+        if type(other) is not type(self):
+            try:
+                other = self._coerce(other)
+            except ValueError:  # another shape: unequal, not an error
+                return False
             if other is NotImplemented:
                 return NotImplemented
-        return (type(other) is type(self) and (self.m, self.nvars) == (other.m, other.nvars)
-                and self.terms == other.terms)
+        return (self.m, self.nvars) == (other.m, other.nvars) and self.terms == other.terms
 
     def __hash__(self):
         # a scalar that equals its plain number (see __eq__) hashes like it

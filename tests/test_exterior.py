@@ -65,6 +65,20 @@ def test_cliffordpoly_coerces_numbers_and_vectorpolys():
         cp + VectorPoly.variable(m, 1, 1, nvars=2)
 
 
+def test_cliffordpoly_equals_its_vectorpoly_in_either_order():
+    m = 2
+    for x in (xv(1, m), 3 + xv(2, m) ** 2, VectorPoly.constant(m, 3)):
+        cp = CliffordPoly.from_poly(x)
+        assert cp == x and x == cp
+        assert not (cp != x or x != cp)
+        assert hash(cp) == hash(x)
+    assert CliffordPoly.from_poly(xv(1, m)) != xv(2, m)
+    # another shape compares unequal instead of raising
+    cp = CliffordPoly.from_scalar(m, 3)
+    assert cp != VectorPoly.constant(3, 3) and VectorPoly.constant(3, 3) != cp
+    assert cp != VectorPoly.constant(m, 3, nvars=2)
+
+
 def test_cp_dot_and_wedge_split_vector_product():
     m = 3
     a = CliffordPoly.basis(m, (1,)) * xv(2, m)

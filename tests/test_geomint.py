@@ -457,6 +457,28 @@ def test_cauchy_boundary_contact_detected():
         cauchy_check(1, xvar(1, 2), phi, spec, QuadratureConfig(n=101))
 
 
+def test_cauchy_rejects_k_equal_to_m():
+    # the unit circle cut by x2 = 0 in R^2 is two points: no surface to check
+    spec = ImplicitSurfaceSpec(2, [sphere_phase(2), xvar(2, 2)], BOX2)
+    with pytest.raises(ValueError, match="k < m"):
+        cauchy_check(1, 1, xvar(1, 2), spec, QuadratureConfig(n=64))
+
+
+@pytest.mark.parametrize("cuts", [0, 1])
+def test_cauchy_right_side_is_the_oriented_integral_of_the_cut(cuts):
+    # k = 1: the unit sphere; k = 2: the sphere cut by x3 = 1/5
+    phases = [sphere_phase(3), xvar(3) - Fraction(1, 5)][:1 + cuts]
+    spec = ImplicitSurfaceSpec(3, phases, BOX3)
+    g = xvar(2) + 2
+    phi = xvar(1) - Fraction(1, 10)
+    cfg = QuadratureConfig(n=96)
+    rhs = cauchy_check(1, g, phi, spec, cfg).rhs
+    want = integrate_oriented(g, ImplicitSurfaceSpec(3, [phi, *phases], BOX3), cfg)
+    diff = math.sqrt((rhs - want).norm_squared())
+    assert diff <= 1e-12 * math.sqrt(want.norm_squared())
+    assert want.norm_squared() > 0.1
+
+
 def test_cauchy_transversality_failure():
     # phi equal to a phase: grad phi ^ W vanishes on the whole band
     spec = circle_spec()

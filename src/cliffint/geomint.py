@@ -82,8 +82,9 @@ class ImplicitSurfaceSpec:
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         if len(box) != m:
             raise ValueError(f"box must have {m} extents")
-        if any(hi <= lo for lo, hi in box):
-            raise ValueError("box extents must satisfy lo < hi")
+        # an infinite or NaN end makes hi - lo non-finite
+        if not all(math.isfinite(hi - lo) and lo < hi for lo, hi in box):
+            raise ValueError("box extents must be finite with lo < hi")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "box", box)
@@ -133,6 +134,9 @@ class Frame:
         q = np.asarray(self.matrix, dtype=float)
         if q.ndim != 2 or q.shape[0] < q.shape[1]:
             raise ValueError("frame must be an (m, k) matrix with k <= m")
+        # a NaN entry would pass the orthonormality test: NaN > tol is False
+        if not np.isfinite(q).all():
+            raise ValueError("frame entries must be finite")
         gram = q.T @ q
         if np.max(np.abs(gram - np.eye(q.shape[1]))) > 1e-12:
             raise ValueError("columns are not orthonormal to 1e-12")
@@ -365,50 +369,63 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     dense test |phi| < eps + span/2 decides.  The gradient values that give
     the span are the rows of the jacobian, shape (N, k, m).  With no
     phases (k = 0) every cell is in the band with delta product 1.
+
+    The sweep is column-major: a batch holds its cell coordinates as one
+    (m, N) array, one contiguous row per axis, and the phase gradients as
+    one (k, m, N) array, and drops cells by index with ``take`` along the
+    cell axis.  The points and jacobian go out as their transposed views,
+    of shapes (N, m) and (N, k, m), so every per-axis column a caller reads
+    is contiguous.
     """
-    m = spec.m
+    m, k = spec.m, spec.k
     grads = [[phi.diff(1, i) for i in range(1, m + 1)] for phi in spec.phases]
     block = _BLOCK
     while block > 1 and block ** m > _BATCH_CELLS:
         block //= 2
     blocks = _band_blocks(spec, grads, eps, spacings, axes, block)
-    sizes = np.array([len(ax) for ax in axes])
+    sizes = np.array([len(ax) for ax in axes])[:, None]
     ragged = bool(np.any(sizes % block))
-    offsets = np.indices((block,) * m).reshape(m, -1).T
-    per_batch = _BATCH_CELLS // len(offsets)
+    offsets = np.indices((block,) * m).reshape(m, 1, -1)
+    per_batch = _BATCH_CELLS // offsets.shape[2]
     for start in range(0, len(blocks), per_batch):
-        idx = (blocks[start:start + per_batch, None, :] * block + offsets).reshape(-1, m)
+        idx = (blocks[start:start + per_batch].T[:, :, None] * block + offsets).reshape(m, -1)
         if ragged:
             # the last block along an axis may stick out of the grid
-            idx = idx[(idx < sizes).all(axis=1)]
-        pts = np.column_stack([ax[idx[:, i]] for i, ax in enumerate(axes)])
+            idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)
+        cols = np.empty(idx.shape)
+        for i, ax in enumerate(axes):
+            ax.take(idx[i], out=cols[i])
+        jcols = np.empty((k, m, cols.shape[1]))
         delta = None
-        rows = []
-        for phi, grow in zip(spec.phases, grads):
-            vals = poly_on_points(phi, pts)
-            gvals = _phase_jacobian([grow], pts, m)[:, 0]
-            span = _spans(gvals, spacings)
-            keep = np.abs(vals) < eps + 0.5 * span
-            if not keep.any():
+        for j, (phi, grow) in enumerate(zip(spec.phases, grads)):
+            vals = poly_on_points(phi, cols.T)
+            for i, dphi in enumerate(grow):
+                jcols[j, i] = poly_on_points(dphi, cols.T)
+            span = _spans(jcols[j].T, spacings)
+            keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
+            if not len(keep):
                 break
-            pts = pts[keep]
-            d = _delta_values(vals[keep], eps, span[keep])
-            delta = d if delta is None else delta[keep] * d
-            rows = [r[keep] for r in rows] + [gvals[keep]]
+            cols = cols.take(keep, axis=1)
+            jcols = jcols.take(keep, axis=2)
+            d = _delta_values(vals.take(keep), eps, span.take(keep))
+            delta = d if delta is None else delta.take(keep) * d
         else:
+            pts = cols.T
             if delta is None:
                 delta = np.ones(pts.shape[0])
-            jac = np.stack(rows, axis=1) if rows else np.empty((pts.shape[0], 0, m))
-            yield pts, delta, jac, _boundary_cell_mask(pts, spec, spacings)
+            yield pts, delta, jcols.transpose(2, 0, 1), _boundary_cell_mask(pts, spec, spacings)
 
 
 def _phase_jacobian(phase_grads, pts: np.ndarray, m: int) -> np.ndarray:
-    """(N, len(phase_grads), m) values of the gradient polynomials at pts."""
-    jac = np.empty((pts.shape[0], len(phase_grads), m))
+    """(N, len(phase_grads), m) values of the gradient polynomials at pts.
+
+    Laid out as in the band sweep: each column over the points is contiguous.
+    """
+    jcols = np.empty((len(phase_grads), m, pts.shape[0]))
     for j, row in enumerate(phase_grads):
         for i, dphi in enumerate(row):
-            jac[:, j, i] = poly_on_points(dphi, pts)
-    return jac
+            jcols[j, i] = poly_on_points(dphi, pts)
+    return jcols.transpose(2, 0, 1)
 
 
 def _orthonormal_frames(jac: np.ndarray) -> np.ndarray:
@@ -450,12 +467,19 @@ def _wedge_norms(jac: np.ndarray) -> np.ndarray:
 
     The gradients count as dependent where the blade norm is at most
     _INDEPENDENCE_TOL times the product of their lengths (scale-invariant;
-    a zero gradient is dependent).
+    a zero gradient is dependent).  Each Gram entry <grad phi_a, grad phi_b>
+    is the sum over axes of products of jacobian columns, into a (k, k, N)
+    array: on the band sweep's column-major jacobian these are contiguous
+    rows, where a batched matmul of k x m by m x k matrices costs far more.
     """
-    gram = jac @ jac.transpose(0, 2, 1)
-    det = _minors(gram, range(jac.shape[1]))
+    n, k, m = jac.shape
+    gram = np.empty((k, k, n))
+    for a in range(k):
+        for b in range(a + 1):
+            gram[a, b] = gram[b, a] = sum(jac[:, a, i] * jac[:, b, i] for i in range(m))
+    det = _minors(gram.transpose(2, 0, 1), range(k))
     norms = np.sqrt(np.clip(det, 0.0, None))
-    lengths = np.sqrt(np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1))
+    lengths = np.sqrt(np.prod(np.diagonal(gram), axis=1))
     if np.any(norms <= _INDEPENDENCE_TOL * lengths):
         raise IndependenceError(
             "phase gradients are numerically dependent inside the surface band")
@@ -487,8 +511,9 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
             run = slice(i, i + part)
             contrib = (delta[run] * cellvol)[:, None] * integrand(pts[run], jac[run])
             total = total + contrib.sum(axis=0)
-            total_abs += float(np.abs(contrib).sum())
-            boundary_abs += float(np.abs(contrib[bmask[run]]).sum())
+            mags = np.abs(contrib).sum(axis=1)
+            total_abs += float(mags.sum())
+            boundary_abs += float(mags.take(np.flatnonzero(bmask[run])).sum())
     if boundary_abs > _BOUNDARY_TOL * max(total_abs, 1.0):
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "
@@ -777,9 +802,11 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
         hfrac = np.clip(0.5 - poly_on_points(phi, pts) / np.maximum(phi_span, 1e-300),
                         0.0, 1.0)
         out = np.zeros((len(pts), 1 << m))
-        inside = hfrac > 0.0
-        if inside.any():
-            pts, jac = pts[inside], jac[inside]
+        inside = np.flatnonzero(hfrac > 0.0)
+        if len(inside):
+            # taken along the cell axis of the transposed arrays, each
+            # per-cell column stays contiguous as the band sweep made it
+            pts, jac = (a.T.take(inside, axis=-1).T for a in (pts, jac))
             tangents = _orthonormal_frames(jac)[:, :, k:]
             w_dense = _dense_wedge_of_rows(jac, m)
             fv = _dense_from_cliffpoly(f_cp, pts, m)
@@ -790,7 +817,7 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
                                   m, left=True)
             values = _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
             values += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
-            out[inside] = hfrac[inside, None] * values
+            out[inside] = hfrac.take(inside)[:, None] * values
         return out
 
     def right_density(pts, jac):

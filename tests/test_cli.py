@@ -100,6 +100,15 @@ def test_integrate_rejects_bad_surface(kind, bad, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", ["-1.6,1.6;nan,1.6", "-1.6,1.6;-1.6,inf", "nan,nan"])
+def test_integrate_rejects_non_finite_box(box, capsys):
+    # a NaN extent off the first axis passes resolve_eps; it must not give 0.0
+    code = run(["integrate", "implicit", "--m", "2", "--phases", "x1_1^2+x1_2^2-1",
+                f"--box={box}", "--n", "64", "-q"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_out_file_round_trip(tmp_path, capsys):
     target = tmp_path / "res.json"
     code, doc = run_json(["pizzetti", "sphere", "--m", "2",

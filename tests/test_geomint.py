@@ -15,6 +15,7 @@ from cliffint import (BoundaryContactError, CliffordPoly, Frame,
                       integrate_oriented, mc_stiefel_integral,
                       phase_rescale_invariance, stiefel_volume,
                       tangent_normal_frames, tangential_dirac)
+from cliffint import geomint
 from cliffint.geomint import (_band_stream, _delta_values, _dense_wedge_of_rows,
                               _grid_geometry, _haar_frames, _interval_bounds,
                               _minors, _orthonormal_frames, _wedge_norms)
@@ -54,6 +55,12 @@ def test_spec_validation():
         ImplicitSurfaceSpec(2, [xvar(1, 2)], ((1.0, -1.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         ImplicitSurfaceSpec(2, [xvar(1, 2)] * 3, BOX2)        # k > m
+    # a NaN end off the first axis passes resolve_eps; it would make every
+    # phase NaN and the band empty, a silent 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        for box in (((-1.6, 1.6), (bad, 1.6)), ((-1.6, 1.6), (-1.6, bad)), ((bad, 1.6), BOX2[1])):
+            with pytest.raises(ValueError, match="finite"):
+                ImplicitSurfaceSpec(2, [sphere_phase(2)], box)
     spec = circle_spec()
     assert spec.k == 2 and spec.m == 3
 
@@ -73,6 +80,13 @@ def test_frame_validation():
     Frame(np.eye(3)[:, :2])
     with pytest.raises(ValueError):
         Frame(np.ones((3, 2)))
+    # NaN fails every comparison, so only a finiteness test rejects it
+    for bad in (math.nan, math.inf, -math.inf):
+        matrix = np.eye(3)[:, :2].copy()
+        matrix[2, 1] = bad
+        for frame in (np.full((3, 2), bad), matrix):
+            with pytest.raises(ValueError, match="finite"):
+                Frame(frame)
 
 
 # -- scalar and oriented quadrature --------------------------------------------
@@ -185,6 +199,28 @@ def test_small_minors_match_lapack():
     assert np.allclose(dense[:, 0b1101], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_minors_and_wedges_do_not_depend_on_layout(k, m):
+    # the band sweep hands out jacobians as the transposed view of a
+    # (k, m, N) buffer; the same values in C order must give the same results
+    rng = np.random.default_rng(23 + 10 * k + m)
+    jac = rng.standard_normal((60, k, m)) * rng.uniform(1e-2, 1e2, (60, 1, 1))
+    view = np.ascontiguousarray(jac.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert not view.flags.c_contiguous and np.array_equal(view, jac)
+    for cols in ([0, 1, 2][:k], [m - 1, 0, 2][:k], list(range(m - k, m))):
+        assert np.array_equal(_minors(view, cols), _minors(jac, cols))
+    assert np.array_equal(_wedge_norms(view), _wedge_norms(jac))
+    assert np.array_equal(_dense_wedge_of_rows(view, m), _dense_wedge_of_rows(jac, m))
+    if k == 3:
+        # the closed-form Gram entries against LAPACK on the matmul Gram,
+        # to the rounding scale of the determinant: the product of |row|^2
+        gram = jac @ jac.swapaxes(1, 2)
+        lengths_sq = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+        norms = _wedge_norms(view)
+        assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
+
+
 def test_delta_values_take_the_midpoint_only_on_narrow_cells():
     eps = 0.05
     rng = np.random.default_rng(22)
@@ -281,6 +317,29 @@ def test_band_sweep_matches_dense_sweep(shape, n):
         want = {b: cellvol * float((ref_weight * ref_pts[:, 0] * c).sum())
                 for b, c in blade_minors(ref_jac).items()}
         _assert_blades_close(oriented.terms, want, math.sqrt(oriented.norm_squared()))
+
+
+def _stream_rows(spec, n):
+    cfg = QuadratureConfig(n=n)
+    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
+    got = list(_band_stream(spec, eps, spacings, axes))
+    assert all(len(item[0]) <= geomint._BATCH_CELLS for item in got)
+    return _sorted_rows(*(np.concatenate([item[i] for item in got]) for i in range(4)))
+
+
+@pytest.mark.parametrize("shape,n", [("sphere", 101), ("circle", 101), ("no phases", 201)])
+def test_band_does_not_depend_on_batch_or_block_size(shape, n, monkeypatch):
+    # n = 101 leaves ragged blocks at the grid edge for every block size
+    spec = ImplicitSurfaceSpec(2, [], BOX2) if shape == "no phases" else _dense_case(shape)
+    pts, weight, jac, bmask = _stream_rows(spec, n)
+    for batch, block in ((1000, 8), (64, 8), (8192, 4)):
+        monkeypatch.setattr(geomint, "_BATCH_CELLS", batch)
+        monkeypatch.setattr(geomint, "_BLOCK", block)
+        got_pts, got_weight, got_jac, got_bmask = _stream_rows(spec, n)
+        assert np.array_equal(got_pts, pts)
+        assert np.array_equal(got_bmask, bmask)
+        assert np.abs(got_weight - weight).max() <= 1e-14 * weight.max()
+        assert np.allclose(got_jac, jac, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [101, 201])

@@ -15,17 +15,22 @@ Heaviside factors stay sharp.
 Only a thin band of cells, |phi| < eps + span/2, carries weight.  The band
 sweep splits the grid into blocks of 8 cells per axis and drops every
 block where an interval bound of some phase (from monomial ranges over the
-block) shows |phi| stays above that threshold.  The cells of the remaining
-blocks are evaluated in batches of at most _BATCH_CELLS cells, so the
-per-cell arrays stay bounded.  The culling itself is not: ``_band_blocks``
-holds about 89 B for every block of the full block grid before it drops
-any, which comes to hundreds of MB at m = 5 (285 MB at n = 80).
+block) shows |phi| stays above that threshold; each kept block then splits
+once into 2^m half-size sub-blocks, and the same bound drops more of them.
+The cells of the remaining sub-blocks are evaluated in batches of at most
+_BATCH_CELLS cells, so the per-cell arrays stay bounded.  The first culling
+pass is not: ``_band_blocks`` holds about 89 B for every block of the full
+block grid before it drops any, which comes to hundreds of MB at m = 5
+(285 MB at n = 80).
 
 Every grid sum runs through one band-sum driver.  The Cauchy-type check is
 two: the band cut by the Heaviside of phi, and the band of (phi, phi_1, ...,
 phi_k), so it needs k < m.  Its Clifford-valued fields take a batched dense
 form (2^m coefficients per point), so all per-point geometric products are
-vectorized; the pointwise tangential Dirac operator is the same batched
+vectorized.  Its tangential Dirac operator needs no tangent frame: it is
+sum_i e_i (P_T d F)_i with the projector P_T = I - J^T (J J^T)^-1 J of the
+phase jacobian J, and the product with each e_i is a signed permutation of
+the dense coefficients.  The pointwise ``tangential_dirac`` is the same
 operator on one point.
 """
 
@@ -207,12 +212,6 @@ def _field_values(f, pts: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot evaluate integrand of type {type(f)!r}")
 
 
-def _kernel_cdf(vals: np.ndarray, eps: float) -> np.ndarray:
-    """Antiderivative of the cosine bump, clamped outside the support."""
-    t = np.clip(vals, -eps, eps)
-    return (t + (eps / math.pi) * np.sin(math.pi * t / eps)) / (2.0 * eps) + 0.5
-
-
 def _delta_values(vals: np.ndarray, eps: float, span: np.ndarray) -> np.ndarray:
     """Mollified delta weight per grid cell.
 
@@ -220,13 +219,27 @@ def _delta_values(vals: np.ndarray, eps: float, span: np.ndarray) -> np.ndarray:
     (sum of spacing_i * |d_i phi|).  The kernel is averaged in closed form
     over that variation; sampling the kernel only at the cell midpoint
     leaves an alignment error at the support edge that does not shrink
-    while eps stays tied to the spacing.  Cells whose span is below
-    1e-9 eps, where the average loses its digits, take the midpoint value.
+    while eps stays tied to the spacing.  With a and b the ends
+    vals -+ span/2 clipped to [-eps, eps], the average is the difference of
+    the kernel's antiderivatives at b and a over the span, as one product:
+        (b - a + (2 eps / pi) cos(pi (a + b) / (2 eps)) sin(pi (b - a) / (2 eps)))
+        / (2 eps span),
+    evaluated with the ends in units of 2 eps / pi, where it reads
+    (B - A + cos(A + B) sin(B - A)) / (pi span).  Cells whose span is at
+    most 1e-9 eps, where the average loses its digits, take the midpoint
+    value.
     """
-    wide = span > 1e-9 * eps
-    s = np.where(wide, span, 1.0)
-    out = (_kernel_cdf(vals + 0.5 * s, eps) - _kernel_cdf(vals - 0.5 * s, eps)) / s
-    narrow = ~wide
+    narrow = span <= 1e-9 * eps
+    # the narrow cells' average is overwritten; the floor keeps it finite
+    s = np.maximum(span, 1e-9 * eps)
+    scale = math.pi / (2.0 * eps)
+    mid = scale * vals
+    half = (0.5 * scale) * s
+    lo = np.clip(mid - half, -0.5 * math.pi, 0.5 * math.pi)
+    hi = np.clip(mid + half, -0.5 * math.pi, 0.5 * math.pi)
+    out = hi - lo
+    out += np.cos(lo + hi) * np.sin(out)
+    out /= math.pi * s
     if narrow.any():
         t = np.clip(vals[narrow], -eps, eps)
         out[narrow] = (1.0 + np.cos(np.pi * t / eps)) / (2.0 * eps)
@@ -279,17 +292,18 @@ def _grid_geometry(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig):
 
 
 def _interval_bounds(p: VectorPoly, ranges) -> tuple[np.ndarray, np.ndarray]:
-    """Enclosure (lo, hi) of p over each box of a product of per-axis ranges.
+    """Enclosure (lo, hi) of p over each box of per-axis ranges.
 
-    ``ranges`` holds one (lo, hi) pair of 1-d arrays per axis; the result
-    has one entry per box, shape (len(ranges[0][0]), ..., len(ranges[-1][0])).
-    Each monomial's range is the interval product of its exact per-axis
-    power ranges, so their sum encloses p.  The enclosure is widened by
-    1e-12 times the bound on sum |c x^alpha|, far above the rounding of
-    this bound and of a pointwise evaluation of p.
+    ``ranges`` holds one (lo, hi) pair of arrays per axis, and all of them
+    broadcast together; the result has their broadcast shape, one entry per
+    box.  A list of boxes passes 1-d arrays of one length; a product grid
+    passes axis i's ends shaped to lie along dimension i.  Each monomial's
+    range is the interval product of its exact per-axis power ranges, so
+    their sum encloses p.  The enclosure is widened by 1e-12 times the
+    bound on sum |c x^alpha|, far above the rounding of this bound and of
+    a pointwise evaluation of p.
     """
-    m = len(ranges)
-    shape = tuple(len(a) for a, _ in ranges)
+    shape = np.broadcast_shapes(*(a.shape for a, _ in ranges))
     lo = np.zeros(shape)
     hi = np.zeros(shape)
     mag = np.zeros(shape)
@@ -305,9 +319,6 @@ def _interval_bounds(p: VectorPoly, ranges) -> tuple[np.ndarray, np.ndarray]:
             else:
                 low = np.where((a < 0) & (b > 0), 0.0, np.minimum(pa, pb))
                 high = np.maximum(pa, pb)
-            axis_shape = [1] * m
-            axis_shape[i] = len(a)
-            low, high = low.reshape(axis_shape), high.reshape(axis_shape)
             prods = (tlo * low, tlo * high, thi * low, thi * high)
             tlo = np.minimum(np.minimum(prods[0], prods[1]), np.minimum(prods[2], prods[3]))
             thi = np.maximum(np.maximum(prods[0], prods[1]), np.maximum(prods[2], prods[3]))
@@ -318,21 +329,22 @@ def _interval_bounds(p: VectorPoly, ranges) -> tuple[np.ndarray, np.ndarray]:
     return lo - slack, hi + slack
 
 
-def _band_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                 axes: list[np.ndarray], block: int) -> np.ndarray:
-    """Multi-indices (B, m) of the blocks that may hold band cells.
+def _may_reach_band(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
+                    axes: list[np.ndarray], index, size: int) -> np.ndarray:
+    """Which blocks of ``size`` cells per axis may hold band cells.
 
-    A block of ``block`` cells per axis is dropped when, for some phase, the
-    enclosure of |phi| over its cell midpoints stays at or above
-    eps + sum_i h_i max|d_i phi| / 2, the widest threshold of the per-cell
-    test; no cell that test keeps is dropped.
+    ``index`` holds, per axis, the block indices along it as arrays that
+    broadcast together (a product grid or a list of blocks, as in
+    ``_interval_bounds``); a block is clipped to the grid.  It is ruled out
+    when, for some phase, the enclosure of |phi| over its cell midpoints
+    stays at or above eps + sum_i h_i max|d_i phi| / 2, the widest threshold
+    of the per-cell test; no cell that test keeps is ruled out.
     """
     ranges = []
-    for ax in axes:
-        starts = np.arange(0, len(ax), block)
-        ends = np.minimum(starts + block, len(ax)) - 1
-        ranges.append((ax[starts], ax[ends]))
-    alive = np.ones(tuple(len(a) for a, _ in ranges), dtype=bool)
+    for ax, b in zip(axes, index):
+        start = b * size
+        ranges.append((ax[start], ax[np.minimum(start + size, len(ax)) - 1]))
+    alive = np.ones(np.broadcast_shapes(*(np.shape(b) for b in index)), dtype=bool)
     for phi, row in zip(spec.phases, grads):
         lo, hi = _interval_bounds(phi, ranges)
         reach = np.full(alive.shape, eps)
@@ -343,7 +355,40 @@ def _band_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[fl
         # min |phi| over the block, <= 0 when the enclosure straddles zero;
         # the relative slack covers the rounding of the per-cell threshold
         alive &= np.maximum(lo, -hi) < reach * (1.0 + 1e-12)
-    return np.argwhere(alive)
+    return alive
+
+
+def _band_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
+                 axes: list[np.ndarray], block: int) -> np.ndarray:
+    """Multi-indices (B, m) of the blocks of ``block`` cells per axis that
+    may hold band cells: one ``_may_reach_band`` test over the block grid."""
+    m = len(axes)
+    index = [np.arange(-(-len(ax) // block)).reshape([-1 if j == i else 1 for j in range(m)])
+             for i, ax in enumerate(axes)]
+    return np.argwhere(_may_reach_band(spec, grads, eps, spacings, axes, index, block))
+
+
+def _refine_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
+                   axes: list[np.ndarray], blocks: np.ndarray, block: int):
+    """Yield the half-size sub-blocks of ``blocks`` that may hold band cells.
+
+    Each block of (even) ``block`` cells per axis splits into its 2^m
+    sub-blocks of ``block // 2``; those in the grid that pass
+    ``_may_reach_band`` on their own go out as (B', m) multi-indices, in
+    groups from _BATCH_CELLS >> m blocks at a time, so the arrays of the
+    test stay the size of a batch of cells.
+    """
+    m = len(axes)
+    half = block // 2
+    sizes = np.array([len(ax) for ax in axes])
+    bits = np.indices((2,) * m).reshape(m, -1).T
+    step = max(1, _BATCH_CELLS >> m)
+    for first in range(0, len(blocks), step):
+        children = (2 * blocks[first:first + step, None, :] + bits).reshape(-1, m)
+        # a block clipped at the grid edge may have sub-blocks wholly outside it
+        children = children.take(np.flatnonzero((children * half < sizes).all(axis=1)), axis=0)
+        alive = _may_reach_band(spec, grads, eps, spacings, axes, children.T, half)
+        yield children.take(np.flatnonzero(alive), axis=0)
 
 
 def _boundary_cell_mask(pts: np.ndarray, spec: ImplicitSurfaceSpec,
@@ -360,15 +405,20 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     """Yield (points, delta_product, jacobian, boundary_mask) inside the band.
 
     The grid is split into blocks of _BLOCK cells per axis (fewer when
-    _BLOCK^m exceeds _BATCH_CELLS), and a block is visited only if an
+    _BLOCK^m exceeds _BATCH_CELLS), and a block is kept only if an
     interval bound of every phase over it can reach the band
-    (``_band_blocks``).  The cells of the surviving blocks go out in
-    batches of at most _BATCH_CELLS candidates, built from block indices,
-    so no slab-sized array is ever made.  Per batch, each phase and its
-    gradient are evaluated on the cells the earlier phases kept, and the
-    dense test |phi| < eps + span/2 decides.  The gradient values that give
-    the span are the rows of the jacobian, shape (N, k, m).  With no
-    phases (k = 0) every cell is in the band with delta product 1.
+    (``_band_blocks``).  One refinement pass follows: each kept block of
+    even size splits into its 2^m half-size sub-blocks, and the same test
+    rules out more of them (``_refine_blocks``, on _BATCH_CELLS >> m blocks
+    at a time, so its arrays stay the size of a batch).  The cells of the
+    surviving sub-blocks go out in batches of at most _BATCH_CELLS
+    candidates, built from block indices, so no slab-sized array is ever
+    made.  Per batch, each phase and its gradient are evaluated on the
+    cells the earlier phases kept, and the dense test |phi| < eps + span/2
+    decides, so the culling changes only the order of the cells.  The
+    gradient values that give the span are the rows of the jacobian, shape
+    (N, k, m).  With no phases (k = 0) every cell is in the band with delta
+    product 1, and nothing is refined.
 
     The sweep is column-major: a batch holds its cell coordinates as one
     (m, N) array, one contiguous row per axis, and the phase gradients as
@@ -382,19 +432,25 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     block = _BLOCK
     while block > 1 and block ** m > _BATCH_CELLS:
         block //= 2
-    blocks = _band_blocks(spec, grads, eps, spacings, axes, block)
+    groups = [_band_blocks(spec, grads, eps, spacings, axes, block)]
+    if k and block % 2 == 0:
+        groups = _refine_blocks(spec, grads, eps, spacings, axes, groups[0], block)
+        block //= 2
     sizes = np.array([len(ax) for ax in axes])[:, None]
     ragged = bool(np.any(sizes % block))
     offsets = np.indices((block,) * m).reshape(m, 1, -1)
     per_batch = _BATCH_CELLS // offsets.shape[2]
-    for start in range(0, len(blocks), per_batch):
-        idx = (blocks[start:start + per_batch].T[:, :, None] * block + offsets).reshape(m, -1)
+    for subs in (g[s:s + per_batch] for g in groups for s in range(0, len(g), per_batch)):
+        # C order, so the reshape is a view rather than a copy
+        idx = np.add(subs.T[:, :, None] * block, offsets, order="C").reshape(m, -1)
         if ragged:
             # the last block along an axis may stick out of the grid
             idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)
         cols = np.empty(idx.shape)
         for i, ax in enumerate(axes):
-            ax.take(idx[i], out=cols[i])
+            # every index is in range; "clip" lets take write straight into
+            # out, where the default mode buffers it
+            ax.take(idx[i], out=cols[i], mode="clip")
         jcols = np.empty((k, m, cols.shape[1]))
         delta = None
         for j, (phi, grow) in enumerate(zip(spec.phases, grads)):
@@ -451,9 +507,12 @@ def _orthonormal_frames(jac: np.ndarray) -> np.ndarray:
 def _minors(rows: np.ndarray, cols) -> np.ndarray:
     """Determinants of the columns ``cols`` of each (k, m) matrix of a stack.
 
-    k = 1 is the entry itself and k = 2 the closed form a d - b c; a LAPACK
-    call per stack of matrices that small costs more than the products.
+    k = 0 is the empty determinant 1, k = 1 the entry itself and k = 2 the
+    closed form a d - b c; a LAPACK call per stack of matrices that small
+    costs more than the products.
     """
+    if len(cols) == 0:
+        return np.ones(rows.shape[0])
     if len(cols) == 1:
         return rows[:, 0, cols[0]]
     if len(cols) == 2:
@@ -462,15 +521,16 @@ def _minors(rows: np.ndarray, cols) -> np.ndarray:
     return np.linalg.det(rows[:, :, list(cols)])
 
 
-def _wedge_norms(jac: np.ndarray) -> np.ndarray:
-    """Blade norms |grad phi_1 ^ .. ^ grad phi_k| per point.
+def _checked_gram(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices (k, k, N) of the gradient rows and their determinants.
 
-    The gradients count as dependent where the blade norm is at most
-    _INDEPENDENCE_TOL times the product of their lengths (scale-invariant;
-    a zero gradient is dependent).  Each Gram entry <grad phi_a, grad phi_b>
-    is the sum over axes of products of jacobian columns, into a (k, k, N)
-    array: on the band sweep's column-major jacobian these are contiguous
-    rows, where a batched matmul of k x m by m x k matrices costs far more.
+    The gradients count as dependent where the blade norm, the square root
+    of the Gram determinant, is at most _INDEPENDENCE_TOL times the product
+    of their lengths (scale-invariant; a zero gradient is dependent).  Each
+    Gram entry <grad phi_a, grad phi_b> is the sum over axes of products of
+    jacobian columns: on the band sweep's column-major jacobian these are
+    contiguous rows, where a batched matmul of k x m by m x k matrices
+    costs far more.
     """
     n, k, m = jac.shape
     gram = np.empty((k, k, n))
@@ -478,12 +538,34 @@ def _wedge_norms(jac: np.ndarray) -> np.ndarray:
         for b in range(a + 1):
             gram[a, b] = gram[b, a] = sum(jac[:, a, i] * jac[:, b, i] for i in range(m))
     det = _minors(gram.transpose(2, 0, 1), range(k))
-    norms = np.sqrt(np.clip(det, 0.0, None))
     lengths = np.sqrt(np.prod(np.diagonal(gram), axis=1))
-    if np.any(norms <= _INDEPENDENCE_TOL * lengths):
-        raise IndependenceError(
-            "phase gradients are numerically dependent inside the surface band")
-    return norms
+    if np.any(np.sqrt(np.clip(det, 0.0, None)) <= _INDEPENDENCE_TOL * lengths):
+        raise IndependenceError("phase gradients are numerically dependent at surface points")
+    return gram, det
+
+
+def _wedge_norms(jac: np.ndarray) -> np.ndarray:
+    """Blade norms |grad phi_1 ^ .. ^ grad phi_k| per point.
+
+    The square roots of the Gram determinants, positive once the
+    independence test of ``_checked_gram`` passes.
+    """
+    return np.sqrt(_checked_gram(jac)[1])
+
+
+def _inverse_gram(jac: np.ndarray) -> np.ndarray:
+    """Inverses (k, k, N) of the Gram matrices of ``_checked_gram``.
+
+    Closed forms for k <= 2, LAPACK above; the independence test keeps
+    every determinant positive.
+    """
+    gram, det = _checked_gram(jac)
+    k = len(gram)
+    if k <= 1:
+        return 1.0 / gram
+    if k == 2:
+        return np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
+    return np.linalg.inv(gram.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 # -- scalar and oriented quadrature ------------------------------------------
@@ -614,16 +696,11 @@ def _poly_det(entries: list[list[VectorPoly]]) -> VectorPoly:
 # -- frames and tangential operators -----------------------------------------
 
 
-def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal normal and tangent bases at a point of the surface.
+def _surface_jacobian(spec: ImplicitSurfaceSpec, point: Sequence[float]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The point as a (1, m) batch and the (1, k, m) phase jacobian there.
 
-    Both come from the complete QR factorization of the transposed phase
-    jacobian, the same one the boundary-value check uses per grid cell:
-    the normals span the phase gradients, the tangents their orthogonal
-    complement.  Returns (normals, tangents) as row-vector arrays of shapes
-    (k, m) and (m - k, m), orthonormal to 1e-10.  The independence test
-    is the band's; |phi| at the point must not exceed _ON_SURFACE_TOL.
+    Needs k >= 1 and |phi| <= _ON_SURFACE_TOL at the point for every phase.
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
@@ -636,7 +713,21 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
         if abs(val) > _ON_SURFACE_TOL:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
     grads = [[phi.diff(1, i) for i in range(1, spec.m + 1)] for phi in spec.phases]
-    q = _orthonormal_frames(_phase_jacobian(grads, pt, spec.m))[0]
+    return pt, _phase_jacobian(grads, pt, spec.m)
+
+
+def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal normal and tangent bases at a point of the surface.
+
+    Both come from the complete QR factorization of the transposed phase
+    jacobian: the normals span the phase gradients, the tangents their
+    orthogonal complement.  Returns (normals, tangents) as row-vector arrays
+    of shapes (k, m) and (m - k, m), orthonormal to 1e-10.  For k <= 2 the
+    independence test is the band's (|R_22| = |blade| / |grad phi_1|);
+    |phi| at the point must not exceed _ON_SURFACE_TOL.
+    """
+    q = _orthonormal_frames(_surface_jacobian(spec, point)[1])[0]
     return q[:, :spec.k].T, q[:, spec.k:].T
 
 
@@ -653,16 +744,17 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
                      point: Sequence[float]) -> Multivector:
     """Tangential Dirac operator sum_t eps_t <eps_t, d/dx> applied at a point.
 
-    The sum runs over an orthonormal tangent basis; the result does not
-    depend on which basis is chosen.  It is the batched operator of
-    ``cauchy_check`` on a batch of one point.
+    The sum runs over an orthonormal tangent basis, but the operator depends
+    only on the tangent space: it is sum_i e_i (P_T d F)_i with the
+    projector P_T = I - J^T (J J^T)^-1 J, J the phase gradients, so no
+    basis is built.  It is the operator of ``cauchy_check`` on a batch of
+    one point, with the same independence test.
     """
     f = _as_cliffpoly(field, spec.m)
-    _, tangents = tangent_normal_frames(spec, point)
-    pt = np.asarray(point, dtype=float)[None, :]
-    partials = [_dense_from_cliffpoly(f.diff(i), pt, spec.m) for i in range(1, spec.m + 1)]
-    out = _dense_dirac(tangents.T[None], partials, spec.m, left=True)
-    return _multivector_from_dense(out[0], spec.m)
+    pt, jac = _surface_jacobian(spec, point)
+    partials = _dense_fields([f.diff(i) for i in range(1, spec.m + 1)], pt, spec.m)
+    out = _projected_dirac(jac, _inverse_gram(jac), partials, spec.m, left=True)
+    return Multivector(spec.m, {}) if out is None else _multivector_from_dense(out[0], spec.m)
 
 
 # -- dense Clifford batch algebra --------------------------------------------
@@ -694,20 +786,38 @@ def _cayley(m: int):
     return idx, sign
 
 
+@lru_cache(maxsize=None)
+def _vector_products(m: int, left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Products with the basis vectors as signed permutations of dense columns.
+
+    Returns (source, sign), both (m, 2^m): column c of e_i X (``left``) or
+    of X e_i is sign[i - 1, c] times column source[i - 1, c] of X.
+    """
+    idx, sign = _cayley(m)
+    _, position = _blades(m)
+    source = np.empty((m, 1 << m), dtype=np.int64)
+    signs = np.empty((m, 1 << m))
+    for i in range(m):
+        e = position[(i + 1,)]
+        target, s = (idx[e], sign[e]) if left else (idx[:, e], sign[:, e])
+        source[i, target] = np.arange(1 << m)
+        signs[i, target] = s
+    return source, signs
+
+
 def _batch_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Geometric product of batched dense multivectors, shape (N, 2^m)."""
     idx, sign = _cayley(m)
-    out = np.zeros_like(a)
-    size = 1 << m
-    for i in range(size):
+    out = np.zeros((a.shape[0], 1 << m))
+    # each operand's nonzero columns, found once by a matrix-vector product:
+    # a reduction along the cell axis of so narrow an array (a.any(axis=0))
+    # runs row by row and costs several times more
+    ones = np.ones(a.shape[0])
+    b_cols = np.flatnonzero(ones @ np.abs(b))
+    for i in np.flatnonzero(ones @ np.abs(a)):
         ca = a[:, i]
-        if not ca.any():
-            continue
-        for j in range(size):
-            cb = b[:, j]
-            if not cb.any():
-                continue
-            out[:, idx[i, j]] += (sign[i, j] * 1.0) * ca * cb
+        for j in b_cols:
+            out[:, idx[i, j]] += (sign[i, j] * 1.0) * ca * b[:, j]
     return out
 
 
@@ -717,6 +827,11 @@ def _dense_from_cliffpoly(f: CliffordPoly, pts: np.ndarray, m: int) -> np.ndarra
     for blade, poly in f.terms.items():
         out[:, position[blade]] = poly_on_points(poly, pts)
     return out
+
+
+def _dense_fields(fields: list, pts: np.ndarray, m: int) -> list:
+    """Dense values of each Clifford field at pts, None for a zero field."""
+    return [None if f.is_zero() else _dense_from_cliffpoly(f, pts, m) for f in fields]
 
 
 def _dense_wedge_of_rows(jac: np.ndarray, m: int) -> np.ndarray:
@@ -741,20 +856,33 @@ def _multivector_from_dense(vec: np.ndarray, m: int) -> Multivector:
     return Multivector(m, terms)
 
 
-def _dense_dirac(tangents: np.ndarray, partials: list, m: int, left: bool) -> np.ndarray:
-    """Tangential Dirac operator on a batch of dense fields.
+def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: int,
+                     left: bool) -> np.ndarray | None:
+    """Tangential Dirac operator on a batch of dense fields, with no frame.
 
-    ``tangents`` (N, m, T) holds T orthonormal tangent columns per point and
-    ``partials`` the m dense partial derivatives d_i F, each (N, 2^m).
-    Returns sum_t e_t (d_t F) when ``left``, else sum_t (d_t F) e_t, where
-    e_t is the tangent as a vector and d_t the derivative along it.
+    ``jac`` (N, k, m) holds the phase gradients J, ``gram_inv`` (k, k, N)
+    the inverses of G = J J^T, and ``partials`` the m dense partial
+    derivatives d_i F, each (N, 2^m), or None where one vanishes.  With
+        A_i = d_i F - sum_a J_ai sum_b (G^-1)_ab sum_j J_bj d_j F,
+    the derivative along the tangential projection of e_i, returns
+    sum_i e_i A_i when ``left``, else sum_i A_i e_i; with k = 0 the
+    projection is the identity.  Returns None when every d_i F vanishes.
     """
-    out = np.zeros_like(partials[0])
-    for t in range(tangents.shape[2]):
-        direction = tangents[:, :, t]
-        along = sum(direction[:, i:i + 1] * partials[i] for i in range(m))
-        vec = _dense_wedge_of_rows(direction[:, None, :], m)
-        out += _batch_mul(vec, along, m) if left else _batch_mul(along, vec, m)
+    present = [(j, d) for j, d in enumerate(partials) if d is not None]
+    if not present:
+        return None
+    k = jac.shape[1]
+    along = [sum(jac[:, b, j, None] * d for j, d in present) for b in range(k)]
+    normal = [sum(gram_inv[a, b, :, None] * along[b] for b in range(k)) for a in range(k)]
+    source, signs = _vector_products(m, left)
+    out = np.zeros_like(present[0][1])
+    for i in range(m):
+        if not k and partials[i] is None:
+            continue
+        a_i = 0.0 if partials[i] is None else partials[i]
+        for a in range(k):
+            a_i = a_i - jac[:, a, i, None] * normal[a]
+        out += a_i.take(source[i], axis=1) * signs[i]
     return out
 
 
@@ -775,7 +903,12 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     d_par the full Dirac operator and W = 1, which is the classical case.
     The surface must have dimension m - k >= 1, so k < m.
 
-    Each side is one band sum over runs of at most _DENSE_COEFFS >> m cells.
+    The tangential Dirac operator is the frame-free projector form of
+    ``tangential_dirac``, with the inverse Gram matrices of the phase
+    gradients in closed form for k <= 2; it raises IndependenceError on the
+    band's test, and a field whose derivatives all vanish (F = 1, say)
+    drops its whole term.  Each side is one band sum over runs of at most
+    _DENSE_COEFFS >> m cells.
     Returns both sides as multivectors and the relative residual
     |lhs - rhs| / max(|lhs|, |rhs|, 1).  Each side is checked for boundary
     contact like the quadratures.
@@ -807,16 +940,18 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
             # taken along the cell axis of the transposed arrays, each
             # per-cell column stays contiguous as the band sweep made it
             pts, jac = (a.T.take(inside, axis=-1).T for a in (pts, jac))
-            tangents = _orthonormal_frames(jac)[:, :, k:]
+            gram_inv = _inverse_gram(jac)
             w_dense = _dense_wedge_of_rows(jac, m)
-            fv = _dense_from_cliffpoly(f_cp, pts, m)
-            gv = _dense_from_cliffpoly(g_cp, pts, m)
-            f_right = _dense_dirac(tangents, [_dense_from_cliffpoly(d, pts, m) for d in df],
-                                   m, left=False)
-            g_left = _dense_dirac(tangents, [_dense_from_cliffpoly(d, pts, m) for d in dg],
-                                  m, left=True)
-            values = _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
-            values += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
+            values = np.zeros((len(pts), 1 << m))
+            # a field whose derivatives all vanish drops its whole term
+            f_right = _projected_dirac(jac, gram_inv, _dense_fields(df, pts, m), m, left=False)
+            if f_right is not None:
+                gv = _dense_from_cliffpoly(g_cp, pts, m)
+                values += _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
+            g_left = _projected_dirac(jac, gram_inv, _dense_fields(dg, pts, m), m, left=True)
+            if g_left is not None:
+                fv = _dense_from_cliffpoly(f_cp, pts, m)
+                values += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
             out[inside] = hfrac.take(inside)[:, None] * values
         return out
 

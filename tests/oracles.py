@@ -257,13 +257,14 @@ def blade_minors(jac: np.ndarray) -> dict:
             for a in range(m) for b in range(a + 1, m)}
 
 
-def _field_mul(x: dict, y: dict) -> dict:
-    """Clifford product (e_j^2 = -1) of {blade: array} fields."""
+def _field_mul(x: dict, y: dict, square: int = -1) -> dict:
+    """Clifford product (e_j^2 = -1) of {blade: array} fields; the wedge with square 0."""
     out = {}
     for ba, ca in x.items():
         for bb, cb in y.items():
-            sign, blade = blade_product(ba, bb, -1)
-            out[blade] = out.get(blade, 0.0) + sign * ca * cb
+            sign, blade = blade_product(ba, bb, square)
+            if sign:
+                out[blade] = out.get(blade, 0.0) + sign * ca * cb
     return out
 
 
@@ -271,25 +272,81 @@ def _field_values(field: dict, pts: np.ndarray) -> dict:
     return {blade: poly_values(p, pts) for blade, p in field.items()}
 
 
-def tangential_dirac_frame_free(field: dict, phases: list, x) -> dict:
-    """The tangential Dirac operator at x as sum_i (P e_i) d_i F, {blade: float}.
+def tangential_dirac_frame_free(field: dict, phases: list, x, left: bool = True) -> dict:
+    """The tangential Dirac operator as sum_i (P e_i) d_i F, with no frame.
 
     P = I - N^T (N N^T)^-1 N projects onto the tangent space, with the phase
-    gradients at x as the rows of N; no tangent frame is chosen.  ``field``
-    is {blade: term dict}, ``phases`` a list of term dicts.
+    gradients as the rows of N.  ``field`` is {blade: term dict}, ``phases``
+    a list of term dicts.  At one point x, an (m,) array, the result is
+    {blade: float}; at the rows of an (N, m) array it is {blade: array}.
+    With ``left`` false it is the right-acting sum_i d_i F (P e_i).
     """
-    x = np.asarray(x, dtype=float)[None, :]
-    m = x.shape[1]
-    grads = np.array([[poly_values(diff_terms(p, i), x)[0] for i in range(m)]
-                      for p in phases])
-    proj = np.eye(m) - grads.T @ np.linalg.solve(grads @ grads.T, grads)
+    x = np.asarray(x, dtype=float)
+    pts = x[None, :] if x.ndim == 1 else x
+    m = pts.shape[1]
+    grads = np.stack([np.stack([poly_values(diff_terms(p, i), pts) for i in range(m)], axis=1)
+                      for p in phases], axis=1)
+    proj = np.eye(m) - grads.transpose(0, 2, 1) @ np.linalg.solve(
+        grads @ grads.transpose(0, 2, 1), grads)
     out = {}
     for i in range(m):
-        tangent = {(j + 1,): proj[j, i:i + 1] for j in range(m)}
-        partial = _field_values({b: diff_terms(p, i) for b, p in field.items()}, x)
-        for blade, c in _field_mul(tangent, partial).items():
-            out[blade] = out.get(blade, 0.0) + float(c[0])
+        tangent = {(j + 1,): proj[:, j, i] for j in range(m)}
+        partial = _field_values({b: diff_terms(p, i) for b, p in field.items()}, pts)
+        pair = (tangent, partial) if left else (partial, tangent)
+        for blade, c in _field_mul(*pair).items():
+            out[blade] = out.get(blade, 0.0) + c
+    return {b: float(c[0]) for b, c in out.items()} if x.ndim == 1 else out
+
+
+def _blade_of_rows(jac: np.ndarray) -> dict:
+    """v_1 ^ .. ^ v_k of the rows of (N, k, m) arrays as {blade: array}, any k."""
+    out = {(): np.ones(jac.shape[0])}
+    for r in range(jac.shape[1]):
+        row = {(j + 1,): jac[:, r, j] for j in range(jac.shape[2])}
+        out = _field_mul(out, row, square=0)
     return out
+
+
+def _cell_sums(weight: np.ndarray, field: dict, cellvol: float) -> dict:
+    return {blade: cellvol * float((weight * c).sum()) for blade, c in field.items()}
+
+
+def dense_cauchy(f_field: dict, g_field: dict, phi: dict, phases: list, box, n: int,
+                 eps: float) -> tuple[dict, dict]:
+    """Both sides of the boundary formula on the surface of k >= 1 phases, over every grid cell.
+
+    Left: the band cells of the phases (``dense_band``), weighted by their
+    bump product and the linearized share clip(1/2 - phi / span, 0, 1) of
+    the cell in {phi < 0}, times (F d_T) W G + (-1)^k F W (d_T G), with
+    W = grad phi_1 ^ .. ^ grad phi_k and d_T the frame-free tangential Dirac
+    operator.  Right: the band cells of (phi, phi_1, .., phi_k), those of
+    the left band with |phi| < eps + span / 2, weighted by one more bump
+    average, times F (grad phi ^ W) G.  Both sums are times the cell
+    volume; {blade: float}.
+    """
+    m = len(box)
+    h = [(hi - lo) / n for lo, hi in box]
+    cellvol = float(np.prod(h))
+    sign = (-1) ** len(phases)
+    pts, weight, jac = dense_band(phases, box, n, eps)
+    phi_vals = poly_values(phi, pts)
+    phi_grad = np.stack([poly_values(diff_terms(phi, i), pts) for i in range(m)], axis=1)
+    span = np.abs(phi_grad) @ np.array(h)
+    share = np.clip(0.5 - phi_vals / np.maximum(span, 1e-300), 0.0, 1.0)
+    fv, gv = _field_values(f_field, pts), _field_values(g_field, pts)
+    blade = _blade_of_rows(jac)
+    f_dt = tangential_dirac_frame_free(f_field, phases, pts, left=False)
+    dt_g = tangential_dirac_frame_free(g_field, phases, pts, left=True)
+    integrand = _field_mul(_field_mul(f_dt, blade), gv)
+    for b, c in _field_mul(_field_mul(fv, blade), dt_g).items():
+        integrand[b] = integrand.get(b, 0.0) + sign * c
+    lhs = _cell_sums(weight * share, integrand, cellvol)
+    near = np.abs(phi_vals) < eps + span / 2
+    cut = _blade_of_rows(np.concatenate([phi_grad[:, None, :], jac], axis=1)[near])
+    integrand = _field_mul(_field_mul({b: c[near] for b, c in fv.items()}, cut),
+                           {b: c[near] for b, c in gv.items()})
+    rhs = _cell_sums((weight * bump_average(phi_vals, span, eps))[near], integrand, cellvol)
+    return lhs, rhs
 
 
 def dense_cauchy_classical(f_field: dict, g_field: dict, phi: dict, box, n: int,

@@ -21,7 +21,7 @@ from cliffint.geomint import (_band_stream, _delta_values, _dense_wedge_of_rows,
                               _minors, _orthonormal_frames, _wedge_norms)
 
 from oracles import (blade_minors, blade_norms, bump_average, bump_point, dense_band,
-                     dense_cauchy_classical, haar_frames_qr, poly_values,
+                     dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
                      tangential_dirac_frame_free)
 
 BOX3 = ((-1.6, 1.6),) * 3
@@ -358,6 +358,30 @@ def test_classical_cauchy_matches_dense_sweep(n):
     _assert_blades_close(res.rhs.terms, rhs, math.sqrt(res.rhs.norm_squared()))
 
 
+@pytest.mark.parametrize("n", [101, 201])
+@pytest.mark.parametrize("case", ["both terms", "constant F"])
+def test_circle_cauchy_matches_dense_sweep(n, case):
+    # k = 2: the shifted circle cut by x1 = 1/10.  With both fields varying
+    # both terms of the left side run; with F = 1 the (F d_T) W G term drops
+    spec = _dense_case("circle")
+    phi = xvar(1) - Fraction(1, 10)
+    x1, x2, x3 = xvar(1), xvar(2), xvar(3)
+    if case == "both terms":
+        f = (CliffordPoly.from_scalar(3, 1) + CliffordPoly.basis(3, (1,)) * x2
+             + CliffordPoly.basis(3, (2, 3)) * (x1 * x3))
+        g = CliffordPoly.from_poly(x1 * x3) + CliffordPoly.basis(3, (1, 2)) * (x2 - x3 ** 2)
+    else:
+        f, g = CliffordPoly.from_scalar(3, 1), CliffordPoly.from_poly(x2)
+    cfg = QuadratureConfig(n=n)
+    res = cauchy_check(f, g, phi, spec, cfg)
+    fields = [{b: dict(p.terms) for b, p in c.terms.items()} for c in (f, g)]
+    lhs, rhs = dense_cauchy(*fields, dict(phi.terms), [dict(p.terms) for p in spec.phases],
+                            spec.box, n, cfg.resolve_eps(spec.box))
+    assert res.lhs.norm_squared() > 0.01 and res.rhs.norm_squared() > 0.01
+    _assert_blades_close(res.lhs.terms, lhs, math.sqrt(res.lhs.norm_squared()))
+    _assert_blades_close(res.rhs.terms, rhs, math.sqrt(res.rhs.norm_squared()))
+
+
 @st.composite
 def _bound_cases(draw):
     m = draw(st.integers(1, 3))
@@ -379,17 +403,35 @@ def _bound_cases(draw):
 @given(_bound_cases())
 def test_block_bound_contains_phase(case):
     p, ranges, seed = case
-    lo, hi = _interval_bounds(p, ranges)
+    m = len(ranges)
     rng = np.random.default_rng(seed)
-    for box in np.ndindex(lo.shape):
-        a = np.array([ranges[i][0][b] for i, b in enumerate(box)])
-        b = np.array([ranges[i][1][b] for i, b in enumerate(box)])
+
+    def assert_encloses(a, b, lo, hi):
         # the corners, the point nearest the origin and random points
-        corners = np.array([np.where(bits, b, a) for bits in np.ndindex((2,) * len(a))])
+        corners = np.array([np.where(bits, b, a) for bits in np.ndindex((2,) * m)])
         pts = np.concatenate([corners, np.clip(0.0, a, b)[None, :],
-                              a + (b - a) * rng.random((32, len(a)))])
+                              a + (b - a) * rng.random((32, m))])
         vals = poly_values(dict(p.terms), pts)
-        assert np.all(lo[box] <= vals) and np.all(vals <= hi[box])
+        assert np.all(lo <= vals) and np.all(vals <= hi)
+
+    # the product grid: axis i's ends lie along dimension i
+    grid = [tuple(e.reshape([-1 if j == i else 1 for j in range(m)]) for e in ends)
+            for i, ends in enumerate(ranges)]
+    lo, hi = _interval_bounds(p, grid)
+    boxes = list(np.ndindex(lo.shape))
+    box_ends = [(np.array([ranges[i][0][box[i]] for i in range(m)]),
+                 np.array([ranges[i][1][box[i]] for i in range(m)])) for box in boxes]
+    for box, (a, b) in zip(boxes, box_ends):
+        assert_encloses(a, b, lo[box], hi[box])
+    # the list of boxes, as the refinement pass passes them: the same boxes
+    # in a random order, with repeats, one 1-d entry per box
+    picks = rng.integers(0, len(boxes), 2 * len(boxes) + 1)
+    listed = [(np.array([box_ends[j][0][i] for j in picks]),
+               np.array([box_ends[j][1][i] for j in picks])) for i in range(m)]
+    llo, lhi = _interval_bounds(p, listed)
+    assert llo.shape == lhi.shape == picks.shape
+    for j, box_lo, box_hi in zip(picks, llo, lhi):
+        assert_encloses(*box_ends[j], box_lo, box_hi)
 
 
 def test_s3_quadrature_in_bounded_memory():

@@ -7,7 +7,10 @@ x_{j,i} (vector j, coordinate i, both 1-based) sits at flat index
 ``(j-1)*m + (i-1)``.
 
 ``VectorPoly`` shares its addition, negation, equality and hashing with
-the blade algebras of ``clifford`` through the base ``_SparseTerms``.
+the blade algebras of ``clifford`` through the base ``_SparseTerms``.  Its
+coefficients are always ``Fraction``s; a product of two polynomials with
+several terms each runs on integer numerators over a common denominator
+and divides once per output term.
 
 Constant-coefficient differential operators arise from polynomials by the
 substitution x_{j,i} -> d/dx_{j,i} (``apply_diffop``).  The module also
@@ -19,6 +22,7 @@ q * pi^(h/2) used by the sphere and Stiefel integrators.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -138,6 +142,7 @@ class VectorPoly(_SparseTerms):
                     raise ValueError(f"exponent key of length {len(key)}, expected {width}")
                 if any(e < 0 for e in key):
                     raise ValueError("negative exponent")
+                coeff = Fraction(coeff)
                 if coeff:
                     clean[tuple(key)] = coeff
         self.terms = clean
@@ -183,6 +188,14 @@ class VectorPoly(_SparseTerms):
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
+        """Product with a number or a polynomial of the same shape.
+
+        A one-term factor shifts the other's keys and scales its
+        coefficients.  Otherwise the double loop runs on integer numerators
+        over each factor's common denominator and divides once per output
+        term; Fractions are canonical, so every coefficient equals the
+        term-by-term Fraction sum.
+        """
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self._like({})
@@ -190,16 +203,22 @@ class VectorPoly(_SparseTerms):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[ExpKey, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return self._like(out)
+        add = operator.add
+        short, long = self.terms, other.terms
+        if len(long) == 1:
+            short, long = long, short
+        if len(short) == 1:
+            (ks, cs), = short.items()
+            return self._like({tuple(map(add, ks, k)): cs * c for k, c in long.items()})
+        a, da = _numerators(self.terms)
+        b, db = _numerators(other.terms)
+        out: dict[ExpKey, int] = {}
+        get = out.get
+        for ka, na in a:
+            for kb, nb in b:
+                key = tuple(map(add, ka, kb))
+                out[key] = get(key, 0) + na * nb
+        return self._like(_over(out, da * db))
 
     __rmul__ = __mul__
 
@@ -354,6 +373,17 @@ class VectorPoly(_SparseTerms):
             mono = "*".join(factors)
             parts.append(f"{coeff}*{mono}" if mono else f"{coeff}")
         return " + ".join(parts)
+
+
+def _numerators(terms: dict) -> tuple[list, int]:
+    """Terms as (key, integer numerator) pairs over their least common denominator."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
+
+
+def _over(nums: dict, den: int) -> dict:
+    """Terms ``n / den`` as Fractions, dropping the zero sums."""
+    return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
 def _check_shapes(symbol: VectorPoly, p: VectorPoly):

@@ -112,6 +112,16 @@ def diffop_terms(symbol: dict, terms: dict) -> dict:
     return out
 
 
+def product_terms(a: dict, b: dict) -> dict:
+    """Product of two term dicts, one Fraction product per pair of terms."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(ea + eb for ea, eb in zip(ka, kb))
+            _accumulate(out, key, Fraction(ca) * Fraction(cb))
+    return out
+
+
 def reflect_terms(terms: dict) -> dict:
     """x -> -x: negate the odd-degree terms."""
     return {k: (-c if sum(k) % 2 else c) for k, c in terms.items()}
@@ -400,3 +410,24 @@ def haar_frames_qr(gauss: np.ndarray) -> np.ndarray:
     """
     q, r = np.linalg.qr(gauss)
     return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+
+
+# -- Rational rotations ----------------------------------------------------------
+
+
+def cayley_rotation(skew: list) -> list:
+    """Rational orthogonal Q = (I + A)^-1 (I - A) of a skew-symmetric Fraction matrix A.
+
+    Gauss-Jordan on [I + A | I - A] without pivoting: every leading block of
+    I + A is the identity plus a skew block, so its pivots are positive.
+    """
+    m = len(skew)
+    aug = [[int(i == j) + skew[i][j] for j in range(m)] + [int(i == j) - skew[i][j] for j in range(m)]
+           for i in range(m)]
+    for c in range(m):
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(m):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return [row[m:] for row in aug]

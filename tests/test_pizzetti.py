@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from cliffint import (ExactScalar, VectorPoly, directional_power_closed_form,
                       surface_area)
 
 from cliffint.pizzetti import _tangential_operator
-from oracles import gamma_half_pair, sphere_monomial, stiefel_volume_pair, tangential_terms
+from oracles import (cayley_rotation, gamma_half_pair, sphere_monomial, stiefel_volume_pair,
+                     tangential_terms)
 
 
 def mono1(m, *expo):
@@ -209,3 +211,37 @@ def test_two_frame_routes_match_weingarten_moments(m, factors, moment):
     p = _two_frame(m, *factors)
     assert stiefel_pizzetti_composed(p, m, 2) == expected
     assert stiefel2_explicit(p, m) == expected
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_exact_rotation_invariance(m):
+    """Sphere and Stiefel integrals of seeded monomials do not change under x_j -> Q x_j."""
+    rng = random.Random(f"rotation:{m}")
+    skew = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            v = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+            skew[i][j], skew[j][i] = v, -v
+    q = cayley_rotation(skew)
+    eye = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    assert q != eye
+    assert [[sum(q[t][i] * q[t][j] for t in range(m)) for j in range(m)]
+            for i in range(m)] == eye
+    for k in (1, 2, 3):
+        if k >= m:
+            continue
+        for _ in range(2):
+            # even exponents: a nonnegative integrand with a nonzero integral
+            half = [0] * (m * k)
+            for _ in range(3 if k == 1 else 2):
+                half[rng.randrange(m * k)] += 1
+            p = VectorPoly.monomial(m, [2 * e for e in half], nvars=k)
+            rotated = p.compose_linear(q)
+            assert rotated != p
+            if k == 1:
+                value = sphere_pizzetti(p)
+                assert sphere_pizzetti(rotated) == value
+            else:
+                value = stiefel_pizzetti_composed(p, m, k)
+                assert stiefel_pizzetti_composed(rotated, m, k) == value
+            assert value.q > 0

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from cliffint import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
                       fischer_commute, fischer_pair, gamma_half,
-                      pochhammer_half)
+                      pochhammer_half, sphere_pizzetti)
 
-from oracles import diffop_terms, reflect_terms
+from oracles import diffop_terms, product_terms, reflect_terms
 
 
 def x(j, i, m=3, nvars=2):
@@ -56,6 +56,51 @@ def test_derivation_rule(p, q):
 @settings(max_examples=40, deadline=None)
 def test_partials_commute(p):
     assert p.diff(1, 1).diff(2, 2) == p.diff(2, 2).diff(1, 1)
+
+
+# denominators up to the Mersenne prime 2^61 - 1, so that the common
+# denominators of the product kernel are both small and multi-word
+DENOMINATORS = (1, 2, 3, 7, 2**61 - 1)
+rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def product_pairs(draw):
+    m, nvars = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    keys = st.tuples(*[st.integers(0, 3)] * (m * nvars))
+
+    def poly():
+        return VectorPoly(m, nvars, draw(st.dictionaries(keys, rationals, max_size=5)))
+
+    a, b = poly(), poly()
+    shape = draw(st.sampled_from(("free", "cancel", "zero")))
+    if shape == "cancel":  # (a + b)(a - b): the cross terms cancel
+        return a + b, a - b
+    if shape == "zero":
+        return a, VectorPoly.zero(m, nvars)
+    return a, b
+
+
+@given(product_pairs(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_fraction_oracle(pair, n):
+    p, q = pair
+    for a, b in ((p, q), (q, p)):
+        prod = a * b
+        assert prod.terms == product_terms(a.terms, b.terms)
+        assert all(type(c) is Fraction and c for c in prod.terms.values())
+    power = VectorPoly.constant(p.m, 1, p.nvars)
+    for _ in range(n):
+        power = power * p
+    assert p ** n == power
+
+
+def test_init_stores_exact_fractions():
+    # a float coefficient is its exact binary value, as in monomial()
+    p = VectorPoly(3, 1, {(2, 0, 0): 0.1})
+    assert type(p.terms[(2, 0, 0)]) is Fraction
+    assert p.terms == VectorPoly.monomial(3, (2, 0, 0), 0.1).terms
+    assert sphere_pizzetti(p) == ExactScalar(Fraction(0.1) * Fraction(4, 3), 2)
 
 
 def test_monomial_calculus():

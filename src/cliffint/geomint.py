@@ -23,20 +23,25 @@ pass is not: ``_band_blocks`` holds about 89 B for every block of the full
 block grid before it drops any, which comes to hundreds of MB at m = 5
 (285 MB at n = 80).
 
-Every grid sum runs through one band-sum driver.  The Cauchy-type check is
-two: the band cut by the Heaviside of phi, and the band of (phi, phi_1, ...,
-phi_k), so it needs k < m.  Its Clifford-valued fields take a batched dense
-form (2^m coefficients per point), so all per-point geometric products are
-vectorized.  Its tangential Dirac operator needs no tangent frame: it is
-sum_i e_i (P_T d F)_i with the projector P_T = I - J^T (J J^T)^-1 J of the
-phase jacobian J, and the product with each e_i is a signed permutation of
-the dense coefficients.  The pointwise ``tangential_dirac`` is the same
-operator on one point.
+Every grid sum runs through one band-sum driver, which sums each column of
+values against the cell weights with one dot product.  The Cauchy-type
+check is two: the band cut by the Heaviside of phi, whose sweep also drops
+the blocks and cells where H(-phi) = 0, and the band of (phi, phi_1, ...,
+phi_k), so it needs k < m.  Its Clifford-valued fields, blades and products
+take a column-sparse batched form: a dict from blade position to one column
+of coefficients over the points, holding only the blades the value can
+carry.  A geometric product is vectorized over the points and loops over
+the pairs of carried columns.  Its tangential Dirac operator needs no
+tangent frame: it is sum_i e_i (P_T d F)_i with the projector
+P_T = I - J^T (J J^T)^-1 J of the phase jacobian J, and the product with
+each e_i relabels the columns through the multiplication table.  The
+pointwise ``tangential_dirac`` is the same operator on one point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -103,7 +108,8 @@ class ImplicitSurfaceSpec:
 class QuadratureConfig:
     """Grid quadrature settings.
 
-    ``n`` is the number of cells per axis; ``eps`` the half-width of the
+    ``n`` is the number of cells per axis, an integer (any type with
+    ``__index__``; it is stored as an int); ``eps`` the half-width of the
     cosine-bump mollifier (``None`` selects 6 times the largest cell
     spacing).  ``eps`` must exceed the spacing and stay below the smallest
     box extent.  The tolerances are module constants.
@@ -113,7 +119,13 @@ class QuadratureConfig:
     eps: float | None = None
 
     def __post_init__(self):
-        if self.n < 16:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise TypeError(f"n must be an integer number of cells per axis, "
+                            f"got {self.n!r}") from None
+        object.__setattr__(self, "n", n)
+        if n < 16:
             raise ValueError("need at least 16 cells per axis")
         if self.eps is not None and self.eps <= 0:
             raise ValueError("eps must be positive")
@@ -265,9 +277,6 @@ def _spans(gvals: np.ndarray, spacings: list[float]) -> np.ndarray:
 # 10 % fewer ops per second than 8192, and 16384 raised peak RSS by 3 %.
 _BLOCK = 8
 _BATCH_CELLS = 8192
-# cauchy_check's dense Clifford products hold a few dozen arrays of 2^m
-# floats per cell; they run on parts of at most this many floats per array
-_DENSE_COEFFS = 8192
 # Fixed tolerances (the independence one is relative to gradient lengths)
 # and the frames drawn per Monte Carlo stream.
 _INDEPENDENCE_TOL = 1e-6
@@ -329,8 +338,20 @@ def _interval_bounds(p: VectorPoly, ranges) -> tuple[np.ndarray, np.ndarray]:
     return lo - slack, hi + slack
 
 
+def _half_spans(row, spacings: list[float], ranges, start) -> np.ndarray:
+    """start + sum_i h_i max|d_i phi| / 2 over each box of ``ranges``: a bound
+    on half the per-cell span of one phase, from the gradient row ``row``."""
+    shape = np.broadcast_shapes(*(a.shape for a, _ in ranges))
+    reach = np.full(shape, start)
+    for h, dphi in zip(spacings, row):
+        if dphi:
+            glo, ghi = _interval_bounds(dphi, ranges)
+            reach += 0.5 * h * np.maximum(np.abs(glo), np.abs(ghi))
+    return reach
+
+
 def _may_reach_band(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                    axes: list[np.ndarray], index, size: int) -> np.ndarray:
+                    axes: list[np.ndarray], index, size: int, cut) -> np.ndarray:
     """Which blocks of ``size`` cells per axis may hold band cells.
 
     ``index`` holds, per axis, the block indices along it as arrays that
@@ -338,7 +359,11 @@ def _may_reach_band(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list
     ``_interval_bounds``); a block is clipped to the grid.  It is ruled out
     when, for some phase, the enclosure of |phi| over its cell midpoints
     stays at or above eps + sum_i h_i max|d_i phi| / 2, the widest threshold
-    of the per-cell test; no cell that test keeps is ruled out.
+    of the per-cell test; no cell that test keeps is ruled out.  ``cut``,
+    None or a (phi, gradient row) pair, also rules out a block where the enclosure
+    of phi stays above sum_i h_i max|d_i phi| / 2: there every cell's
+    Heaviside fraction is 0.  That test is strict, since a cell with
+    phi = span = 0 keeps the fraction 1/2.
     """
     ranges = []
     for ax, b in zip(axes, index):
@@ -347,29 +372,29 @@ def _may_reach_band(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list
     alive = np.ones(np.broadcast_shapes(*(np.shape(b) for b in index)), dtype=bool)
     for phi, row in zip(spec.phases, grads):
         lo, hi = _interval_bounds(phi, ranges)
-        reach = np.full(alive.shape, eps)
-        for h, dphi in zip(spacings, row):
-            if dphi:
-                glo, ghi = _interval_bounds(dphi, ranges)
-                reach += 0.5 * h * np.maximum(np.abs(glo), np.abs(ghi))
+        reach = _half_spans(row, spacings, ranges, eps)
         # min |phi| over the block, <= 0 when the enclosure straddles zero;
         # the relative slack covers the rounding of the per-cell threshold
         alive &= np.maximum(lo, -hi) < reach * (1.0 + 1e-12)
+    if cut is not None:
+        lo = _interval_bounds(cut[0], ranges)[0]
+        # the per-cell fraction divides by max(span, 1e-300): start there
+        alive &= lo <= _half_spans(cut[1], spacings, ranges, 0.5e-300) * (1.0 + 1e-12)
     return alive
 
 
 def _band_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                 axes: list[np.ndarray], block: int) -> np.ndarray:
+                 axes: list[np.ndarray], block: int, cut) -> np.ndarray:
     """Multi-indices (B, m) of the blocks of ``block`` cells per axis that
     may hold band cells: one ``_may_reach_band`` test over the block grid."""
     m = len(axes)
     index = [np.arange(-(-len(ax) // block)).reshape([-1 if j == i else 1 for j in range(m)])
              for i, ax in enumerate(axes)]
-    return np.argwhere(_may_reach_band(spec, grads, eps, spacings, axes, index, block))
+    return np.argwhere(_may_reach_band(spec, grads, eps, spacings, axes, index, block, cut))
 
 
 def _refine_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                   axes: list[np.ndarray], blocks: np.ndarray, block: int):
+                   axes: list[np.ndarray], blocks: np.ndarray, block: int, cut):
     """Yield the half-size sub-blocks of ``blocks`` that may hold band cells.
 
     Each block of (even) ``block`` cells per axis splits into its 2^m
@@ -387,7 +412,7 @@ def _refine_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[
         children = (2 * blocks[first:first + step, None, :] + bits).reshape(-1, m)
         # a block clipped at the grid edge may have sub-blocks wholly outside it
         children = children.take(np.flatnonzero((children * half < sizes).all(axis=1)), axis=0)
-        alive = _may_reach_band(spec, grads, eps, spacings, axes, children.T, half)
+        alive = _may_reach_band(spec, grads, eps, spacings, axes, children.T, half, cut)
         yield children.take(np.flatnonzero(alive), axis=0)
 
 
@@ -401,8 +426,8 @@ def _boundary_cell_mask(pts: np.ndarray, spec: ImplicitSurfaceSpec,
 
 
 def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
-                 spacings: list[float], axes: list[np.ndarray]):
-    """Yield (points, delta_product, jacobian, boundary_mask) inside the band.
+                 spacings: list[float], axes: list[np.ndarray], cut: VectorPoly | None = None):
+    """Yield (points, weight, jacobian, boundary_mask) inside the band.
 
     The grid is split into blocks of _BLOCK cells per axis (fewer when
     _BLOCK^m exceeds _BATCH_CELLS), and a block is kept only if an
@@ -416,9 +441,18 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     made.  Per batch, each phase and its gradient are evaluated on the
     cells the earlier phases kept, and the dense test |phi| < eps + span/2
     decides, so the culling changes only the order of the cells.  The
-    gradient values that give the span are the rows of the jacobian, shape
-    (N, k, m).  With no phases (k = 0) every cell is in the band with delta
-    product 1, and nothing is refined.
+    weight is the product of the phases' delta values.  The gradient values
+    that give the span are the rows of the jacobian, shape (N, k, m).
+
+    ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
+    A cell's weight then also carries the linearized fraction of the cell
+    with phi < 0, clip(1/2 - phi / span, 0, 1) with span the cell's
+    variation of phi (midpoint-sampling the jump itself leaves an O(h)
+    alignment error), and the cells where it is 0 are dropped, as are the
+    blocks where the interval bound shows it is 0 on every cell.  The cut's
+    gradient stays out of the jacobian.  With no phases (k = 0) every cell
+    is in the band with weight 1, or its Heaviside fraction under a cut,
+    and only a cut gives culling and the refinement.
 
     The sweep is column-major: a batch holds its cell coordinates as one
     (m, N) array, one contiguous row per axis, and the phase gradients as
@@ -428,13 +462,16 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     is contiguous.
     """
     m, k = spec.m, spec.k
-    grads = [[phi.diff(1, i) for i in range(1, m + 1)] for phi in spec.phases]
+    phis = spec.phases if cut is None else (*spec.phases, cut)
+    tests = [(phi, [phi.diff(1, i) for i in range(1, m + 1)]) for phi in phis]
+    grads = [row for _, row in tests[:k]]
+    cut_test = None if cut is None else tests[k]
     block = _BLOCK
     while block > 1 and block ** m > _BATCH_CELLS:
         block //= 2
-    groups = [_band_blocks(spec, grads, eps, spacings, axes, block)]
-    if k and block % 2 == 0:
-        groups = _refine_blocks(spec, grads, eps, spacings, axes, groups[0], block)
+    groups = [_band_blocks(spec, grads, eps, spacings, axes, block, cut_test)]
+    if tests and block % 2 == 0:
+        groups = _refine_blocks(spec, grads, eps, spacings, axes, groups[0], block, cut_test)
         block //= 2
     sizes = np.array([len(ax) for ax in axes])[:, None]
     ragged = bool(np.any(sizes % block))
@@ -452,36 +489,29 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
             # out, where the default mode buffers it
             ax.take(idx[i], out=cols[i], mode="clip")
         jcols = np.empty((k, m, cols.shape[1]))
-        delta = None
-        for j, (phi, grow) in enumerate(zip(spec.phases, grads)):
+        # 1 times a factor is the factor, so the product starts exact
+        weight = np.ones(cols.shape[1])
+        for j, (phi, row) in enumerate(tests):
+            grad = jcols[j] if j < k else np.empty((m, cols.shape[1]))
             vals = poly_on_points(phi, cols.T)
-            for i, dphi in enumerate(grow):
-                jcols[j, i] = poly_on_points(dphi, cols.T)
-            span = _spans(jcols[j].T, spacings)
-            keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
+            for i, dphi in enumerate(row):
+                grad[i] = poly_on_points(dphi, cols.T)
+            span = _spans(grad.T, spacings)
+            if j < k:
+                keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
+            else:
+                frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
+                keep = np.flatnonzero(frac)
             if not len(keep):
                 break
             cols = cols.take(keep, axis=1)
             jcols = jcols.take(keep, axis=2)
-            d = _delta_values(vals.take(keep), eps, span.take(keep))
-            delta = d if delta is None else delta.take(keep) * d
+            factor = (_delta_values(vals.take(keep), eps, span.take(keep)) if j < k
+                      else frac.take(keep))
+            weight = weight.take(keep) * factor
         else:
             pts = cols.T
-            if delta is None:
-                delta = np.ones(pts.shape[0])
-            yield pts, delta, jcols.transpose(2, 0, 1), _boundary_cell_mask(pts, spec, spacings)
-
-
-def _phase_jacobian(phase_grads, pts: np.ndarray, m: int) -> np.ndarray:
-    """(N, len(phase_grads), m) values of the gradient polynomials at pts.
-
-    Laid out as in the band sweep: each column over the points is contiguous.
-    """
-    jcols = np.empty((len(phase_grads), m, pts.shape[0]))
-    for j, row in enumerate(phase_grads):
-        for i, dphi in enumerate(row):
-            jcols[j, i] = poly_on_points(dphi, pts)
-    return jcols.transpose(2, 0, 1)
+            yield pts, weight, jcols.transpose(2, 0, 1), _boundary_cell_mask(pts, spec, spacings)
 
 
 def _orthonormal_frames(jac: np.ndarray) -> np.ndarray:
@@ -572,35 +602,38 @@ def _inverse_gram(jac: np.ndarray) -> np.ndarray:
 
 
 def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
-              integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              part: int = _BATCH_CELLS) -> np.ndarray:
-    """Grid sum over the surface band of delta-products * integrand.
+              integrand: Callable[[np.ndarray, np.ndarray], dict],
+              cut: VectorPoly | None = None) -> dict:
+    """Grid sum over the surface band of weights * integrand.
 
     Every grid sum of the module runs through here.  ``integrand(pts, jac)``
-    maps the (N, m) points and the (N, k, m) jacobian of a run of band cells
-    to (N, c) values per cell; this driver applies the delta product and the
-    cell volume.  The cells go to the integrand in runs of at most ``part``.
-    The result has c entries (a single zero when no cell is in the band).
-    Raises BoundaryContactError when the boundary cells carry more than
+    maps the (N, m) points and the (N, k, m) jacobian of a batch of band
+    cells to a dict of (N,) value columns, one per blade position it can
+    carry; this driver applies the weights of ``_band_stream`` (the delta
+    product, times the Heaviside fraction of ``cut`` when one is given) and
+    the cell volume, with one dot product per column.  The result maps each
+    position to its sum (empty when no cell is in the band).  Raises
+    BoundaryContactError when the boundary cells carry more than
     _BOUNDARY_TOL of the total magnitude.
     """
     cfg = cfg or QuadratureConfig()
     eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
-    total = np.zeros(1)
+    totals: dict[int, float] = {}
     total_abs = boundary_abs = 0.0
-    for pts, delta, jac, bmask in _band_stream(spec, eps, spacings, axes):
-        for i in range(0, len(pts), part):
-            run = slice(i, i + part)
-            contrib = (delta[run] * cellvol)[:, None] * integrand(pts[run], jac[run])
-            total = total + contrib.sum(axis=0)
-            mags = np.abs(contrib).sum(axis=1)
-            total_abs += float(mags.sum())
-            boundary_abs += float(mags.take(np.flatnonzero(bmask[run])).sum())
+    for pts, weight, jac, bmask in _band_stream(spec, eps, spacings, axes, cut):
+        weight = weight * cellvol
+        edge = np.flatnonzero(bmask)
+        edge_weight = weight.take(edge)
+        for pos, col in integrand(pts, jac).items():
+            totals[pos] = totals.get(pos, 0.0) + float(col @ weight)
+            mags = np.abs(col)
+            total_abs += float(mags @ weight)
+            boundary_abs += float(mags.take(edge) @ edge_weight)
     if boundary_abs > _BOUNDARY_TOL * max(total_abs, 1.0):
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "
             f"(total magnitude {total_abs:g}); enlarge the box")
-    return total
+    return totals
 
 
 def integrate_implicit(f, spec: ImplicitSurfaceSpec,
@@ -614,9 +647,9 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
         raise ValueError("need at least one phase")
 
     def density(pts, jac):
-        return (_field_values(f, pts) * _wedge_norms(jac))[:, None]
+        return {0: _field_values(f, pts) * _wedge_norms(jac)}
 
-    return float(_band_sum(spec, cfg, density)[0])
+    return _band_sum(spec, cfg, density).get(0, 0.0)
 
 
 def integrate_oriented(f, spec: ImplicitSurfaceSpec,
@@ -632,9 +665,9 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     def density(pts, jac):
         values = _field_values(f, pts)
         _wedge_norms(jac)
-        return values[:, None] * _dense_wedge_of_rows(jac, spec.m)
+        return {pos: values * minor for pos, minor in _wedge_columns(jac, spec.m).items()}
 
-    return _multivector_from_dense(_band_sum(spec, cfg, density), spec.m)
+    return _multivector_from_sums(_band_sum(spec, cfg, density), spec.m)
 
 
 def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence],
@@ -712,8 +745,9 @@ def _surface_jacobian(spec: ImplicitSurfaceSpec, point: Sequence[float]
         val = float(poly_on_points(phi, pt)[0])
         if abs(val) > _ON_SURFACE_TOL:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
-    grads = [[phi.diff(1, i) for i in range(1, spec.m + 1)] for phi in spec.phases]
-    return pt, _phase_jacobian(grads, pt, spec.m)
+    jac = [[poly_on_points(phi.diff(1, i), pt) for i in range(1, spec.m + 1)]
+           for phi in spec.phases]
+    return pt, np.array(jac).transpose(2, 0, 1)
 
 
 def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
@@ -747,22 +781,22 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
     The sum runs over an orthonormal tangent basis, but the operator depends
     only on the tangent space: it is sum_i e_i (P_T d F)_i with the
     projector P_T = I - J^T (J J^T)^-1 J, J the phase gradients, so no
-    basis is built.  It is the operator of ``cauchy_check`` on a batch of
-    one point, with the same independence test.
+    basis is built.  It is the column-form operator of ``cauchy_check`` on
+    a batch of one point, with the same independence test.
     """
     f = _as_cliffpoly(field, spec.m)
     pt, jac = _surface_jacobian(spec, point)
-    partials = _dense_fields([f.diff(i) for i in range(1, spec.m + 1)], pt, spec.m)
+    partials = [_field_columns(f.diff(i), pt, spec.m) for i in range(1, spec.m + 1)]
     out = _projected_dirac(jac, _inverse_gram(jac), partials, spec.m, left=True)
-    return Multivector(spec.m, {}) if out is None else _multivector_from_dense(out[0], spec.m)
+    return _multivector_from_sums({pos: float(col[0]) for pos, col in out.items()}, spec.m)
 
 
-# -- dense Clifford batch algebra --------------------------------------------
+# -- column-sparse Clifford batch algebra -------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _blades(m: int) -> tuple[list, dict]:
-    """Blades by dense position and positions by blade.
+    """Blades by position and positions by blade.
 
     Position bit j - 1 is set exactly when e_j is in the blade, so the
     scalar sits at 0 and e_j at 1 << (j - 1).
@@ -772,117 +806,109 @@ def _blades(m: int) -> tuple[list, dict]:
 
 
 @lru_cache(maxsize=None)
-def _cayley(m: int):
-    """Multiplication table over dense blade positions: (index, sign) arrays."""
+def _cayley(m: int) -> list[list[tuple[int, int]]]:
+    """Multiplication table over blade positions: entry [a][b] is the
+    (position, sign) of the product of blades a and b."""
     blades, position = _blades(m)
-    size = len(blades)
-    idx = np.zeros((size, size), dtype=np.int64)
-    sign = np.zeros((size, size), dtype=np.int8)
-    for a in range(size):
-        for b in range(size):
-            s, blade = _mul_blades(blades[a], blades[b], -1)
-            idx[a, b] = position[blade]
-            sign[a, b] = s
-    return idx, sign
+    return [[(position[blade], sign) for sign, blade in (_mul_blades(a, b, -1) for b in blades)]
+            for a in blades]
 
 
-@lru_cache(maxsize=None)
-def _vector_products(m: int, left: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Products with the basis vectors as signed permutations of dense columns.
+def _accumulate(out: dict, pos: int, col: np.ndarray, negate: bool = False) -> None:
+    """out[pos] += col, or -= col when ``negate``.
 
-    Returns (source, sign), both (m, 2^m): column c of e_i X (``left``) or
-    of X e_i is sign[i - 1, c] times column source[i - 1, c] of X.
+    ``col`` must be an array made for this call: it may be negated in place
+    and kept as the column itself.
     """
-    idx, sign = _cayley(m)
-    _, position = _blades(m)
-    source = np.empty((m, 1 << m), dtype=np.int64)
-    signs = np.empty((m, 1 << m))
-    for i in range(m):
-        e = position[(i + 1,)]
-        target, s = (idx[e], sign[e]) if left else (idx[:, e], sign[:, e])
-        source[i, target] = np.arange(1 << m)
-        signs[i, target] = s
-    return source, signs
+    acc = out.get(pos)
+    if acc is None:
+        out[pos] = np.negative(col, out=col) if negate else col
+    elif negate:
+        acc -= col
+    else:
+        acc += col
 
 
-def _batch_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Geometric product of batched dense multivectors, shape (N, 2^m)."""
-    idx, sign = _cayley(m)
-    out = np.zeros((a.shape[0], 1 << m))
-    # each operand's nonzero columns, found once by a matrix-vector product:
-    # a reduction along the cell axis of so narrow an array (a.any(axis=0))
-    # runs row by row and costs several times more
-    ones = np.ones(a.shape[0])
-    b_cols = np.flatnonzero(ones @ np.abs(b))
-    for i in np.flatnonzero(ones @ np.abs(a)):
-        ca = a[:, i]
-        for j in b_cols:
-            out[:, idx[i, j]] += (sign[i, j] * 1.0) * ca * b[:, j]
-    return out
+def _columns_mul(a: dict, b: dict, m: int) -> dict:
+    """Geometric product of column-sparse batches.
 
-
-def _dense_from_cliffpoly(f: CliffordPoly, pts: np.ndarray, m: int) -> np.ndarray:
-    _, position = _blades(m)
-    out = np.zeros((pts.shape[0], 1 << m))
-    for blade, poly in f.terms.items():
-        out[:, position[blade]] = poly_on_points(poly, pts)
-    return out
-
-
-def _dense_fields(fields: list, pts: np.ndarray, m: int) -> list:
-    """Dense values of each Clifford field at pts, None for a zero field."""
-    return [None if f.is_zero() else _dense_from_cliffpoly(f, pts, m) for f in fields]
-
-
-def _dense_wedge_of_rows(jac: np.ndarray, m: int) -> np.ndarray:
-    """Dense grade-k blade v_1 ^ ... ^ v_k from rows of (N, k, m) arrays.
-
-    The coefficient of e_A is the minor of the columns in A.
+    A batch is a dict from blade position to an (N,) column of
+    coefficients, one per point, holding only the blades it can carry; the
+    product loops over the pairs of carried columns.
     """
-    n, k, _ = jac.shape
-    out = np.zeros((n, 1 << m))
-    for pos, blade in enumerate(_blades(m)[0]):
-        if len(blade) == k:
-            out[:, pos] = _minors(jac, [j - 1 for j in blade])
+    table = _cayley(m)
+    out: dict = {}
+    for i, ca in a.items():
+        row = table[i]
+        for j, cb in b.items():
+            pos, sign = row[j]
+            _accumulate(out, pos, ca * cb, negate=sign < 0)
     return out
 
 
-def _multivector_from_dense(vec: np.ndarray, m: int) -> Multivector:
+def _field_columns(f: CliffordPoly, pts: np.ndarray, m: int) -> dict:
+    """Column-sparse values of a Clifford field at pts: one column per blade
+    of the field, none for a zero field."""
+    _, position = _blades(m)
+    return {position[blade]: poly_on_points(poly, pts) for blade, poly in f.terms.items()}
+
+
+def _wedge_columns(jac: np.ndarray, m: int) -> dict:
+    """Grade-k blade v_1 ^ ... ^ v_k from the rows of (N, k, m) arrays.
+
+    The column of e_A is the minor of the columns in A; with k = 0 the
+    blade is the scalar 1.
+    """
+    k = jac.shape[1]
+    return {pos: _minors(jac, [j - 1 for j in blade])
+            for pos, blade in enumerate(_blades(m)[0]) if len(blade) == k}
+
+
+def _multivector_from_sums(sums: dict, m: int) -> Multivector:
+    """The multivector with coefficient sums[pos] on the blade at each position."""
     blades, _ = _blades(m)
-    terms = {}
-    for pos, coeff in enumerate(vec):
-        if coeff:
-            terms[blades[pos]] = float(coeff)
-    return Multivector(m, terms)
+    return Multivector(m, {blades[pos]: c for pos, c in sorted(sums.items()) if c})
+
+
+def _combination(pairs) -> dict:
+    """sum of coeff * batch over the (coeff, batch) pairs, coeff an (N,) array."""
+    out: dict = {}
+    for coeff, batch in pairs:
+        for pos, col in batch.items():
+            _accumulate(out, pos, coeff * col)
+    return out
 
 
 def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: int,
-                     left: bool) -> np.ndarray | None:
-    """Tangential Dirac operator on a batch of dense fields, with no frame.
+                     left: bool) -> dict:
+    """Tangential Dirac operator on a column-sparse batch, with no frame.
 
     ``jac`` (N, k, m) holds the phase gradients J, ``gram_inv`` (k, k, N)
-    the inverses of G = J J^T, and ``partials`` the m dense partial
-    derivatives d_i F, each (N, 2^m), or None where one vanishes.  With
+    the inverses of G = J J^T, and ``partials`` the m partial derivatives
+    d_i F as column-sparse batches (empty where one vanishes).  With
         A_i = d_i F - sum_a J_ai sum_b (G^-1)_ab sum_j J_bj d_j F,
     the derivative along the tangential projection of e_i, returns
     sum_i e_i A_i when ``left``, else sum_i A_i e_i; with k = 0 the
-    projection is the identity.  Returns None when every d_i F vanishes.
+    projection is the identity.  The product with e_i relabels the columns
+    of A_i through the multiplication table.  Empty when every d_i F
+    vanishes.
     """
-    present = [(j, d) for j, d in enumerate(partials) if d is not None]
-    if not present:
-        return None
+    if not any(partials):
+        return {}
     k = jac.shape[1]
-    along = [sum(jac[:, b, j, None] * d for j, d in present) for b in range(k)]
-    normal = [sum(gram_inv[a, b, :, None] * along[b] for b in range(k)) for a in range(k)]
-    source, signs = _vector_products(m, left)
-    out = np.zeros_like(present[0][1])
+    along = [_combination((jac[:, b, j], d) for j, d in enumerate(partials)) for b in range(k)]
+    normal = [_combination((gram_inv[a, b], along[b]) for b in range(k)) for a in range(k)]
+    table = _cayley(m)
+    out: dict = {}
     for i in range(m):
-        if not k and partials[i] is None:
-            continue
-        a_i = 0.0 if partials[i] is None else partials[i]
+        a_i = {pos: col.copy() for pos, col in partials[i].items()}
         for a in range(k):
-            a_i = a_i - jac[:, a, i, None] * normal[a]
-        out += a_i.take(source[i], axis=1) * signs[i]
+            for pos, col in normal[a].items():
+                _accumulate(a_i, pos, jac[:, a, i] * col, negate=True)
+        e = 1 << i  # the position of e_{i+1}
+        for pos, col in a_i.items():
+            target, sign = table[e][pos] if left else table[pos][e]
+            _accumulate(out, target, col, negate=sign < 0)
     return out
 
 
@@ -903,12 +929,15 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     d_par the full Dirac operator and W = 1, which is the classical case.
     The surface must have dimension m - k >= 1, so k < m.
 
-    The tangential Dirac operator is the frame-free projector form of
+    The left side is the band sum cut by the Heaviside of phi, which visits
+    only the cells with H(-phi) > 0.  The Clifford fields, the blades and
+    their products are column-sparse batches that carry only the blades
+    they can hold, and each side runs on whole band batches.  The
+    tangential Dirac operator is the frame-free projector form of
     ``tangential_dirac``, with the inverse Gram matrices of the phase
     gradients in closed form for k <= 2; it raises IndependenceError on the
     band's test, and a field whose derivatives all vanish (F = 1, say)
-    drops its whole term.  Each side is one band sum over runs of at most
-    _DENSE_COEFFS >> m cells.
+    drops its whole term.
     Returns both sides as multivectors and the relative residual
     |lhs - rhs| / max(|lhs|, |rhs|, 1).  Each side is checked for boundary
     contact like the quadratures.
@@ -918,60 +947,46 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
         raise ValueError("phi must be a polynomial in one m-vector")
     if k >= m:
         raise ValueError(f"cauchy_check needs k < m phases, got k = {k} and m = {m}")
-    spacings = _grid_geometry(spec, cfg or QuadratureConfig())[2]
     f_cp = _as_cliffpoly(f_field, m)
     g_cp = _as_cliffpoly(g_field, m)
     df = [f_cp.diff(i) for i in range(1, m + 1)]
     dg = [g_cp.diff(i) for i in range(1, m + 1)]
-    phi_grad = [phi.diff(1, i) for i in range(1, m + 1)]
-    sign_k = -1.0 if k % 2 else 1.0
-    part = max(1, _DENSE_COEFFS >> m)
 
     def left_density(pts, jac):
-        # the band cut by the sharp Heaviside H(-phi).  Cells the cut
-        # straddles get the linearized fraction of the cell with phi < 0;
-        # midpoint-sampling the jump itself leaves an O(h) alignment error.
-        phi_span = _spans(_phase_jacobian([phi_grad], pts, m)[:, 0], spacings)
-        hfrac = np.clip(0.5 - poly_on_points(phi, pts) / np.maximum(phi_span, 1e-300),
-                        0.0, 1.0)
-        out = np.zeros((len(pts), 1 << m))
-        inside = np.flatnonzero(hfrac > 0.0)
-        if len(inside):
-            # taken along the cell axis of the transposed arrays, each
-            # per-cell column stays contiguous as the band sweep made it
-            pts, jac = (a.T.take(inside, axis=-1).T for a in (pts, jac))
-            gram_inv = _inverse_gram(jac)
-            w_dense = _dense_wedge_of_rows(jac, m)
-            values = np.zeros((len(pts), 1 << m))
-            # a field whose derivatives all vanish drops its whole term
-            f_right = _projected_dirac(jac, gram_inv, _dense_fields(df, pts, m), m, left=False)
-            if f_right is not None:
-                gv = _dense_from_cliffpoly(g_cp, pts, m)
-                values += _batch_mul(_batch_mul(f_right, w_dense, m), gv, m)
-            g_left = _projected_dirac(jac, gram_inv, _dense_fields(dg, pts, m), m, left=True)
-            if g_left is not None:
-                fv = _dense_from_cliffpoly(f_cp, pts, m)
-                values += sign_k * _batch_mul(_batch_mul(fv, w_dense, m), g_left, m)
-            out[inside] = hfrac.take(inside)[:, None] * values
+        gram_inv = _inverse_gram(jac)
+        wedge = _wedge_columns(jac, m)
+        out: dict = {}
+        # a field whose derivatives all vanish drops its whole term
+        f_right = _projected_dirac(jac, gram_inv, [_field_columns(d, pts, m) for d in df],
+                                   m, left=False)
+        if f_right:
+            g_vals = _field_columns(g_cp, pts, m)
+            out = _columns_mul(_columns_mul(f_right, wedge, m), g_vals, m)
+        g_left = _projected_dirac(jac, gram_inv, [_field_columns(d, pts, m) for d in dg],
+                                  m, left=True)
+        if g_left:
+            f_vals = _field_columns(f_cp, pts, m)
+            for pos, col in _columns_mul(_columns_mul(f_vals, wedge, m), g_left, m).items():
+                _accumulate(out, pos, col, negate=k % 2 == 1)
         return out
 
     def right_density(pts, jac):
         # the jacobian rows are grad phi, grad phi_1, ..., grad phi_k
-        blade = _dense_wedge_of_rows(jac, m)
-        if np.any(np.sqrt((blade * blade).sum(axis=1)) <= _INDEPENDENCE_TOL):
+        blade = _wedge_columns(jac, m)
+        if np.any(np.sqrt(sum(c * c for c in blade.values())) <= _INDEPENDENCE_TOL):
             raise TransversalityError("grad phi is not transversal to the surface on its band")
-        fv = _dense_from_cliffpoly(f_cp, pts, m)
-        gv = _dense_from_cliffpoly(g_cp, pts, m)
-        return _batch_mul(_batch_mul(fv, blade, m), gv, m)
+        f_vals = _field_columns(f_cp, pts, m)
+        g_vals = _field_columns(g_cp, pts, m)
+        return _columns_mul(_columns_mul(f_vals, blade, m), g_vals, m)
 
-    lhs_vec = _band_sum(spec, cfg, left_density, part)
+    lhs = _band_sum(spec, cfg, left_density, phi)
     cut = ImplicitSurfaceSpec(m, (phi, *spec.phases), spec.box)
-    rhs_vec = _band_sum(cut, cfg, right_density, part)
-    lhs_norm = float(np.linalg.norm(lhs_vec))
-    rhs_norm = float(np.linalg.norm(rhs_vec))
-    residual = float(np.linalg.norm(lhs_vec - rhs_vec)) / max(lhs_norm, rhs_norm, 1.0)
-    return CauchyResult(_multivector_from_dense(lhs_vec, m),
-                        _multivector_from_dense(rhs_vec, m), residual)
+    rhs = _band_sum(cut, cfg, right_density)
+    lhs_norm = math.hypot(*lhs.values())
+    rhs_norm = math.hypot(*rhs.values())
+    diff = math.hypot(*(lhs.get(pos, 0.0) - rhs.get(pos, 0.0) for pos in lhs.keys() | rhs.keys()))
+    residual = diff / max(lhs_norm, rhs_norm, 1.0)
+    return CauchyResult(_multivector_from_sums(lhs, m), _multivector_from_sums(rhs, m), residual)
 
 
 # -- Haar sampling and Monte Carlo -------------------------------------------

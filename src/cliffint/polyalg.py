@@ -348,15 +348,27 @@ class VectorPoly(_SparseTerms):
                     if c:
                         form = form + VectorPoly.variable(self.m, j, l, self.nvars) * c
                 lin[(j, i)] = form
-        out = VectorPoly.zero(self.m, self.nvars)
+        # each power of a form is built once, and every term adds into one
+        # dict: summing term polynomials would copy the whole output per term
+        powers: dict[tuple[int, int], VectorPoly] = {}
+        out: dict[ExpKey, Fraction] = {}
+        get = out.get
         for key, coeff in self.terms.items():
-            term = VectorPoly.constant(self.m, coeff, self.nvars)
+            # a coefficient 1 (every monomial) skips one scaling product
+            term = None if coeff == 1 else VectorPoly.constant(self.m, coeff, self.nvars)
             for idx, e in enumerate(key):
                 if e:
-                    j, i = divmod(idx, self.m)
-                    term = term * lin[(j + 1, i + 1)] ** e
-            out = out + term
-        return out
+                    power = powers.get((idx, e))
+                    if power is None:
+                        j, i = divmod(idx, self.m)
+                        power = powers[(idx, e)] = lin[(j + 1, i + 1)] ** e
+                    term = power if term is None else term * power
+            if term is None:
+                term = VectorPoly.constant(self.m, 1, self.nvars)
+            for k, c in term.terms.items():
+                acc = get(k)
+                out[k] = c if acc is None else acc + c
+        return self._like({k: c for k, c in out.items() if c})
 
     def __repr__(self):
         if not self.terms:

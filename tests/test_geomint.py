@@ -16,9 +16,9 @@ from cliffint import (BoundaryContactError, CliffordPoly, Frame,
                       phase_rescale_invariance, stiefel_volume,
                       tangent_normal_frames, tangential_dirac)
 from cliffint import geomint
-from cliffint.geomint import (_band_stream, _delta_values, _dense_wedge_of_rows,
-                              _grid_geometry, _haar_frames, _interval_bounds,
-                              _minors, _orthonormal_frames, _wedge_norms)
+from cliffint.geomint import (_band_stream, _delta_values, _grid_geometry, _haar_frames,
+                              _interval_bounds, _minors, _orthonormal_frames, _wedge_columns,
+                              _wedge_norms)
 
 from oracles import (blade_minors, blade_norms, bump_average, bump_point, dense_band,
                      dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
@@ -74,6 +74,16 @@ def test_config_validation():
     assert cfg.resolve_eps(BOX2) == pytest.approx(6 * 3.2 / 100)
     with pytest.raises(ValueError):
         QuadratureConfig(eps=5.0).resolve_eps(BOX2)   # wider than the box
+
+
+def test_config_rejects_a_non_integral_grid_size():
+    # n = 100.5 used to build 101 midpoints with spacing 3.2 / 100.5, the
+    # last one on the box edge, and integrate without an error
+    for bad in (100.5, 101.0, Fraction(201, 2), "101"):
+        with pytest.raises(TypeError, match="integer number of cells"):
+            QuadratureConfig(n=bad)
+    cfg = QuadratureConfig(n=np.int64(101))
+    assert type(cfg.n) is int and cfg == QuadratureConfig(n=101)
 
 
 def test_frame_validation():
@@ -194,9 +204,10 @@ def test_small_minors_match_lapack():
             assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
     # three rows still go through LAPACK, column by column of the blade
     jac = rng.standard_normal((50, 3, 4))
-    dense = _dense_wedge_of_rows(jac, 4)
-    assert np.allclose(dense[:, 0b0111], np.linalg.det(jac[:, :, [0, 1, 2]]), rtol=1e-12)
-    assert np.allclose(dense[:, 0b1101], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
+    blade = _wedge_columns(jac, 4)
+    assert sorted(blade) == [0b0111, 0b1011, 0b1101, 0b1110]
+    assert np.allclose(blade[0b0111], np.linalg.det(jac[:, :, [0, 1, 2]]), rtol=1e-12)
+    assert np.allclose(blade[0b1101], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -211,7 +222,8 @@ def test_minors_and_wedges_do_not_depend_on_layout(k, m):
     for cols in ([0, 1, 2][:k], [m - 1, 0, 2][:k], list(range(m - k, m))):
         assert np.array_equal(_minors(view, cols), _minors(jac, cols))
     assert np.array_equal(_wedge_norms(view), _wedge_norms(jac))
-    assert np.array_equal(_dense_wedge_of_rows(view, m), _dense_wedge_of_rows(jac, m))
+    got, want = _wedge_columns(view, m), _wedge_columns(jac, m)
+    assert got.keys() == want.keys() and all(np.array_equal(got[b], want[b]) for b in want)
     if k == 3:
         # the closed-form Gram entries against LAPACK on the matmul Gram,
         # to the rounding scale of the determinant: the product of |row|^2
@@ -340,6 +352,59 @@ def test_band_does_not_depend_on_batch_or_block_size(shape, n, monkeypatch):
         assert np.array_equal(got_bmask, bmask)
         assert np.abs(got_weight - weight).max() <= 1e-14 * weight.max()
         assert np.allclose(got_jac, jac, rtol=1e-14, atol=0.0)
+
+
+def _heaviside_fraction(phi, pts, spacings):
+    # the linearized share of each cell with phi < 0, from the oracle's evaluator
+    span = sum(h * np.abs(poly_values(dict(phi.diff(1, i + 1).terms), pts))
+               for i, h in enumerate(spacings))
+    vals = poly_values(dict(phi.terms), pts)
+    return np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("case,n", [("circle", 101), ("circle", 160), ("disk", 201),
+                                    ("disk", 402)])
+def test_cut_band_keeps_every_cell_of_the_cut(case, n):
+    # the band cut by H(-phi) is the uncut band's cells with a positive
+    # Heaviside fraction, at the same coordinates, their weight times that
+    # fraction; 201 and 402 leave ragged blocks at the grid edge
+    if case == "circle":
+        spec, phi = _dense_case("circle"), xvar(1) - Fraction(1, 10)
+    else:
+        spec = ImplicitSurfaceSpec(2, [], BOX2)
+        phi = _shifted_sphere(2, (Fraction(1, 20), Fraction(-3, 100)), 1)
+    cfg = QuadratureConfig(n=n)
+    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
+    pts, weight, jac, bmask = _stream_rows(spec, n)
+    frac = _heaviside_fraction(phi, pts, spacings)
+    inside = frac > 0.0
+    assert 0 < inside.sum() < len(pts)
+    got = list(_band_stream(spec, eps, spacings, axes, phi))
+    assert all(len(item[0]) <= geomint._BATCH_CELLS for item in got)
+    cut_pts, cut_weight, cut_jac, cut_bmask = _sorted_rows(
+        *(np.concatenate([item[i] for item in got]) for i in range(4)))
+    assert np.array_equal(cut_pts, pts[inside])
+    assert np.array_equal(cut_bmask, bmask[inside])
+    want = weight[inside] * frac[inside]
+    assert np.abs(cut_weight - want).max() <= 1e-14 * want.max()
+    assert np.allclose(cut_jac, jac[inside], rtol=1e-14, atol=0.0)
+    if case == "disk":
+        # the disk holds about 31 % of the grid; the block test with the cut
+        # rules out most of the rest before any cell is evaluated
+        grads = [phi.diff(1, i) for i in (1, 2)]
+        blocks = geomint._band_blocks(spec, [], eps, spacings, axes, geomint._BLOCK,
+                                      (phi, grads))
+        assert len(blocks) * geomint._BLOCK ** 2 < 0.45 * n * n
+
+
+def test_cut_band_keeps_cells_where_phi_and_its_span_vanish():
+    # phi = 0 gives every cell the Heaviside fraction 1/2: a block test
+    # that dropped blocks with phi >= span/2 instead of > would drop them all
+    spec = ImplicitSurfaceSpec(2, [], BOX2)
+    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=64))
+    got = list(_band_stream(spec, eps, spacings, axes, VectorPoly.zero(2)))
+    weight = np.concatenate([item[1] for item in got])
+    assert len(weight) == 64 * 64 and np.all(weight == 0.5)
 
 
 @pytest.mark.parametrize("n", [101, 201])
@@ -578,6 +643,43 @@ def test_cauchy_right_side_is_the_oriented_integral_of_the_cut(cuts):
     diff = math.sqrt((rhs - want).norm_squared())
     assert diff <= 1e-12 * math.sqrt(want.norm_squared())
     assert want.norm_squared() > 0.1
+
+
+def test_cauchy_sides_vanish_off_the_cut():
+    # F = x1, G = x2 on the unit circle.  x1 + 3/2 misses the curve: both
+    # sides are empty sums.  x1 - 3/2 holds the whole closed curve: the
+    # right side is empty and the left side cancels to rounding
+    f, g = xvar(1), xvar(2)
+    cfg = QuadratureConfig(n=101)
+    missed = cauchy_check(f, g, xvar(1) + Fraction(3, 2), circle_spec(), cfg)
+    assert missed.lhs.is_zero() and missed.rhs.is_zero() and missed.residual == 0.0
+    whole = cauchy_check(f, g, xvar(1) - Fraction(3, 2), circle_spec(), cfg)
+    assert whole.rhs.is_zero()
+    assert math.sqrt(whole.lhs.norm_squared()) <= 1e-12
+    # the classical case with a cut that is positive everywhere
+    spec = ImplicitSurfaceSpec(2, [], BOX2)
+    empty = cauchy_check(1, xvar(1, 2), VectorPoly.norm_squared_var(2, 1) + 1, spec,
+                         QuadratureConfig(n=101))
+    assert empty.lhs.is_zero() and empty.rhs.is_zero() and empty.residual == 0.0
+
+
+def test_circle_cauchy_in_bounded_memory():
+    # each side runs on whole band batches of up to 8192 cells: column-sparse
+    # fields stay near 2.4 MB here, where dense arrays of all 2^3 blade
+    # coefficients per cell at that batch size peak near 6 MB
+    spec = circle_spec()
+    f = CliffordPoly.from_poly(xvar(1)) + CliffordPoly.basis(3, (2, 3)) * xvar(3)
+    g = CliffordPoly.from_poly(xvar(2)) + CliffordPoly.basis(3, (1,)) * xvar(1)
+    phi = xvar(1) - Fraction(1, 10)
+    cauchy_check(f, g, phi, spec, QuadratureConfig(n=64))  # caches warm
+    tracemalloc.start()
+    try:
+        res = cauchy_check(f, g, phi, spec, QuadratureConfig(n=160))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.residual < 0.02
+    assert peak < 3.5e6
 
 
 def test_cauchy_transversality_failure():

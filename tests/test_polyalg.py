@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from cliffint import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
                       fischer_commute, fischer_pair, gamma_half,
                       pochhammer_half, sphere_pizzetti)
 
-from oracles import diffop_terms, product_terms, reflect_terms
+from oracles import cayley_rotation, diffop_terms, product_terms, reflect_terms
 
 
 def x(j, i, m=3, nvars=2):
@@ -152,6 +153,37 @@ def test_compose_linear_rotation():
     p = VectorPoly.norm_squared_var(2, 1)
     q = p.compose_linear([[1, 1], [1, -1]])
     assert q == 2 * VectorPoly.norm_squared_var(2, 1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_compose_linear_is_evaluation_at_rotated_points(m, nvars):
+    # p(Q x_1, ..., Q x_nvars) read off exactly at rational points, with a
+    # rational rotation Q
+    rng = random.Random(100 * m + nvars)
+    skew = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            skew[i][j] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+            skew[j][i] = -skew[i][j]
+    q = cayley_rotation(skew)
+    width = m * nvars
+    # the first and last coordinates at every split of degree 3, so that
+    # terms share a coordinate at different powers
+    terms = {tuple(e if t == 0 else 3 - e if t == width - 1 else 0 for t in range(width)):
+             Fraction(e + 1, 2) for e in range(4)}
+    for _ in range(6):
+        key = [0] * width
+        for _ in range(rng.randint(0, 4)):
+            key[rng.randrange(width)] += 1
+        terms[tuple(key)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    p = VectorPoly(m, nvars, terms)
+    rotated = p.compose_linear(q)
+    for _ in range(3):
+        pt = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(width)]
+        moved = [sum(q[i][l] * pt[j * m + l] for l in range(m))
+                 for j in range(nvars) for i in range(m)]
+        assert rotated.eval(pt) == p.eval(moved)
 
 
 def test_reflect_flips_odd_part():

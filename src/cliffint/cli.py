@@ -394,6 +394,8 @@ def _directional_power_brute(j: int, k: int, m: int) -> VectorPoly:
 
 
 def _handle_pizzetti_sphere(args) -> tuple[dict, bool]:
+    if args.m < 2:
+        raise ParseError("need dimension m >= 2")
     poly = parse_poly(args.poly, args.m, 1)
     detail = sphere_pizzetti_detailed(poly)
     log.info("sphere integral in dimension %d, %d series terms", args.m, detail.terms_used)
@@ -404,9 +406,11 @@ def _handle_pizzetti_sphere(args) -> tuple[dict, bool]:
 
 
 def _handle_pizzetti_stiefel(args) -> tuple[dict, bool]:
-    poly = parse_poly(args.poly, args.m, args.k)
+    if not 1 <= args.k <= args.m - 1:
+        raise ParseError(f"need 1 <= k <= m - 1 = {args.m - 1}")
     if args.method == "explicit2" and args.k != 2:
         raise ParseError("--method explicit2 requires k = 2")
+    poly = parse_poly(args.poly, args.m, args.k)
     if args.method == "explicit2":
         value = stiefel2_explicit(poly, args.m)
     else:
@@ -419,6 +423,10 @@ def _handle_pizzetti_stiefel(args) -> tuple[dict, bool]:
 
 
 def _handle_oracle_mc(args) -> tuple[dict, bool]:
+    if not 1 <= args.k <= args.m:
+        raise ParseError(f"need 1 <= k <= m = {args.m}")
+    if args.n_samples < 2:
+        raise ParseError("need at least two samples")
     poly = parse_poly(args.poly, args.m, args.k)
     est = mc_stiefel_integral(poly, args.m, args.k, args.n_samples, args.seed)
     log.info("Monte Carlo with %d samples, seed %d", est.n_samples, est.seed)

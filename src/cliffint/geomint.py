@@ -514,26 +514,6 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
             yield pts, weight, jcols.transpose(2, 0, 1), _boundary_cell_mask(pts, spec, spacings)
 
 
-def _orthonormal_frames(jac: np.ndarray) -> np.ndarray:
-    """Orthonormal bases per point: (N, m, m) column stacks.
-
-    Complete QR factorization of the transposed jacobian: columns 0..k-1
-    span the gradients (the normal space), columns k..m-1 their orthogonal
-    complement (the tangent space).  With k = 0 the basis is the identity.
-    Gradient j counts as dependent when |R_jj| <= _INDEPENDENCE_TOL *
-    |grad phi_j|, so the verdict does not change when a phase is rescaled;
-    a zero gradient is dependent.
-    """
-    n, k, m = jac.shape
-    if k == 0:
-        return np.broadcast_to(np.eye(m), (n, m, m))
-    q, r = np.linalg.qr(jac.transpose(0, 2, 1), mode="complete")
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    if np.any(diag <= _INDEPENDENCE_TOL * np.linalg.norm(jac, axis=2)):
-        raise IndependenceError("phase gradients are numerically dependent at surface points")
-    return q
-
-
 def _minors(rows: np.ndarray, cols) -> np.ndarray:
     """Determinants of the columns ``cols`` of each (k, m) matrix of a stack.
 
@@ -664,7 +644,7 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
 
     def density(pts, jac):
         values = _field_values(f, pts)
-        _wedge_norms(jac)
+        _checked_gram(jac)
         return {pos: values * minor for pos, minor in _wedge_columns(jac, spec.m).items()}
 
     return _multivector_from_sums(_band_sum(spec, cfg, density), spec.m)
@@ -754,14 +734,16 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal normal and tangent bases at a point of the surface.
 
-    Both come from the complete QR factorization of the transposed phase
-    jacobian: the normals span the phase gradients, the tangents their
-    orthogonal complement.  Returns (normals, tangents) as row-vector arrays
-    of shapes (k, m) and (m - k, m), orthonormal to 1e-10.  For k <= 2 the
-    independence test is the band's (|R_22| = |blade| / |grad phi_1|);
-    |phi| at the point must not exceed _ON_SURFACE_TOL.
+    The gradients pass the band's independence test (``_checked_gram``);
+    the complete QR factorization of the transposed phase jacobian then
+    gives the bases: the normals span the phase gradients, the tangents
+    their orthogonal complement.  Returns (normals, tangents) as row-vector
+    arrays of shapes (k, m) and (m - k, m), orthonormal to 1e-10.  |phi| at
+    the point must not exceed _ON_SURFACE_TOL.
     """
-    q = _orthonormal_frames(_surface_jacobian(spec, point)[1])[0]
+    jac = _surface_jacobian(spec, point)[1]
+    _checked_gram(jac)
+    q = np.linalg.qr(jac[0].T, mode="complete")[0]
     return q[:, :spec.k].T, q[:, spec.k:].T
 
 

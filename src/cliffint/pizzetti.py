@@ -14,7 +14,9 @@ composition, for j = k down to 1, of the sphere series in dimension
 m - j + 1 with the Laplacian replaced by
     Delta_{x_j} - sum_{l < j} <x_l, d/dx_j>^2,
 each factor followed by setting x_j = 0.  The factors do not commute; the
-innermost factor treats the last vector variable.
+innermost factor treats the last vector variable.  The sphere S^(m-1) is
+the manifold of 1-frames, and its series is the last (j = 1) stage, where
+the operator is the plain Laplacian: both integrals run through one loop.
 
 For two-column frames an explicit double sum in the operators
 A = Delta_x + Delta_y and B = Delta_x Delta_y - <d/dx, d/dy>^2 is provided
@@ -82,27 +84,17 @@ def _series_rational(s: int, nu: int) -> tuple[Fraction, int]:
 def sphere_pizzetti_detailed(p: VectorPoly) -> PizzettiResult:
     """Exact sphere integral with series bookkeeping.
 
-    ``terms_used`` counts the nonzero Laplacian powers summed and
-    ``truncation_degree`` is 2 * (deg P // 2), the last degree the series
-    reaches; later terms vanish identically.
+    The k = 1 case of the composed Stiefel series.  ``terms_used`` counts
+    the nonzero Laplacian powers summed and ``truncation_degree`` is
+    2 * (deg P // 2), the last degree the series reaches; later terms
+    vanish identically.
     """
     if p.nvars != 1:
         raise ValueError("sphere integrand must use a single vector variable")
     if p.m < 2:
         raise ValueError("need dimension m >= 2")
-    smax = p.degree() // 2
-    total_q = Fraction(0)
-    h = p.m - (p.m % 2)
-    work = p
-    terms_used = 0
-    for s in range(smax + 1):
-        if work.is_zero():
-            break  # all later Laplacian powers vanish too
-        q, _ = _series_rational(s, p.m)
-        total_q += q * work.eval_zero()
-        terms_used += 1
-        work = work.laplacian(1)
-    return PizzettiResult(ExactScalar(total_q, h), terms_used, 2 * smax)
+    value, terms_used = _pizzetti_series(p, p.m, 1)
+    return PizzettiResult(value, terms_used, 2 * (p.degree() // 2))
 
 
 def sphere_pizzetti(p: VectorPoly) -> ExactScalar:
@@ -142,8 +134,6 @@ def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:
                     raised = list(lowered)
                     raised[lb + i] += 2
                     _accumulate(out, tuple(raised), -weight)
-            if not lower:
-                continue  # j = 1: the Laplacian alone has no cross terms
             for i2, e2 in active[t + 1:]:
                 weight = coeff * (2 * e * e2)
                 lowered = list(key)
@@ -155,6 +145,39 @@ def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:
                     raised[lb + i2] += 1
                     _accumulate(out, tuple(raised), -weight)
     return work._like(out)
+
+
+def _pizzetti_series(p: VectorPoly, m: int, k: int) -> tuple[ExactScalar, int]:
+    """The composed series for j = k down to 1, and the last stage's term count.
+
+    In the last stage only x_1 is left: its factor is the sphere series in
+    dimension m, each Laplacian power read off at the origin.
+    """
+    work = p
+    total_h = 0
+    for j in range(k, 1, -1):
+        nu = m - j + 1
+        acc = VectorPoly.zero(m, k)
+        term = work
+        for s in range(work.degree_in(j) // 2 + 1):
+            if term.is_zero():
+                break  # the operator lowers degree in x_j, later terms vanish
+            q, _ = _series_rational(s, nu)
+            # setting x_j = 0 commutes with the sum: keep each term's x_j-free part
+            acc = acc + term.subs_vector_zero(j) * q
+            term = _tangential_operator(term, j)
+        total_h += nu - (nu % 2)
+        work = acc
+    total_q = Fraction(0)
+    terms_used = 0
+    for s in range(work.degree_in(1) // 2 + 1):
+        if work.is_zero():
+            break  # all later Laplacian powers vanish too
+        q, _ = _series_rational(s, m)
+        total_q += q * work.eval_zero()
+        terms_used += 1
+        work = work.laplacian(1)
+    return ExactScalar(total_q, total_h + m - (m % 2)), terms_used
 
 
 def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int) -> ExactScalar:
@@ -171,22 +194,7 @@ def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int) -> ExactScalar:
         raise ValueError("dimension mismatch")
     if not 1 <= k <= m - 1:
         raise ValueError(f"need 1 <= k <= m - 1 = {m - 1}")
-    work = p
-    total_h = 0
-    for j in range(k, 0, -1):
-        nu = m - j + 1
-        acc = VectorPoly.zero(p.m, p.nvars)
-        term = work
-        for s in range(work.degree_in(j) // 2 + 1):
-            if term.is_zero():
-                break  # the operator lowers degree in x_j, later terms vanish
-            q, _ = _series_rational(s, nu)
-            # setting x_j = 0 commutes with the sum: keep each term's x_j-free part
-            acc = acc + term.subs_vector_zero(j) * q
-            term = _tangential_operator(term, j)
-        total_h += nu - (nu % 2)
-        work = acc
-    return ExactScalar(work.eval_zero(), total_h)
+    return _pizzetti_series(p, m, k)[0]
 
 
 @lru_cache(maxsize=256)

@@ -152,6 +152,42 @@ def tangential_terms(terms: dict, m: int, j: int) -> dict:
     return out
 
 
+def stiefel_stage_terms(terms: dict, m: int, j: int) -> dict:
+    """Stage j of the composed frame series, x_j set to zero afterwards.
+
+    sum_s T^s P / (4^s s! Gamma(s + nu/2)) with nu = m - j + 1 and T the
+    operator of ``tangential_terms``, each term's x_j-free part kept; the
+    factor 2 pi^(nu/2) common to the stage is left to the caller.
+    """
+    base = (j - 1) * m
+    out, term, s = {}, dict(terms), 0
+    while term:  # T lowers the degree in x_j by two
+        gq, _ = gamma_half_pair(2 * s + m - j + 1)
+        c = Fraction(1, 4**s * factorial(s)) / gq
+        for key, v in term.items():
+            if not any(key[base:base + m]):
+                _accumulate(out, key, c * v)
+        term = tangential_terms(term, m, j)
+        s += 1
+    return out
+
+
+def stiefel_series_pair(terms: dict, m: int, k: int) -> tuple[Fraction, int]:
+    """Integral of a polynomial over orthonormal k-frames in R^m as (q, h).
+
+    The stages j = k down to 1 of ``stiefel_stage_terms``, then the constant
+    term; stage j contributes 2 pi^(nu/2) / pi^(1/2 if nu is odd).  Zero is
+    (0, 0), as in ``sphere_monomial``.
+    """
+    q, h = Fraction(1), 0
+    for j in range(k, 0, -1):
+        terms = stiefel_stage_terms(terms, m, j)
+        nu = m - j + 1
+        q, h = 2 * q, h + nu - nu % 2
+    q *= terms.get((0,) * (m * k), Fraction(0))
+    return (q, h) if q else (Fraction(0), 0)
+
+
 # -- blade products ------------------------------------------------------------
 
 

@@ -3,8 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from cliffint import geomint
 from cliffint.cli import parse_exact, run
 
 from oracles import pair_to_float, sphere_monomial
@@ -128,6 +130,33 @@ def test_boundary_contact_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert run(["pizzetti", "sphere", "--m", "3"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["pizzetti", "sphere", "--m", "1", "--poly", "x1_1^2"],
+    ["pizzetti", "stiefel", "--m", "3", "--k", "3", "--poly", "1"],
+    ["pizzetti", "stiefel", "--m", "3", "--k", "0", "--poly", "1"],
+    ["pizzetti", "stiefel", "--m", "2", "--k", "2", "--poly", "1", "--method", "explicit2"],
+    ["oracle", "mc", "--m", "3", "--k", "4", "--poly", "1"],
+    ["oracle", "mc", "--m", "3", "--k", "2", "--poly", "1", "--n-samples", "1"],
+])
+def test_out_of_domain_arguments_are_usage_errors(args, capsys):
+    assert run(args + ["-q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+def test_dependent_haar_draw_is_a_computation_failure(monkeypatch, capsys):
+    # a Gaussian draw whose columns are dependent has no frame; the arguments
+    # were valid, so this is exit 1, not a usage error
+    class ZeroNormal:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    monkeypatch.setattr(geomint, "_partition_rng", lambda seed, partition: ZeroNormal())
+    assert run(["oracle", "mc", "--m", "3", "--k", "2", "--poly", "1",
+                "--n-samples", "10", "-q"]) == 1
+    assert "dependent column" in capsys.readouterr().err
 
 
 def test_bad_polynomial_reports_cleanly(capsys):

@@ -17,8 +17,7 @@ from cliffint import (BoundaryContactError, CliffordPoly, Frame,
                       tangent_normal_frames, tangential_dirac)
 from cliffint import geomint
 from cliffint.geomint import (_band_stream, _delta_values, _grid_geometry, _haar_frames,
-                              _interval_bounds, _minors, _orthonormal_frames, _wedge_columns,
-                              _wedge_norms)
+                              _interval_bounds, _minors, _wedge_columns, _wedge_norms)
 
 from oracles import (blade_minors, blade_norms, bump_average, bump_point, dense_band,
                      dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
@@ -172,19 +171,35 @@ def test_point_frames_share_the_band_independence_threshold():
         tangent_normal_frames(spec, [0.0, 0.0, 0.0])
 
 
+def test_point_frames_share_the_band_independence_threshold_for_three_phases():
+    # gradients e1, e1 + e2/10^4 and e1 + e3/10^4 in R^4: each lies 1e-4 off
+    # the span of the earlier ones, but their blade norm is 1e-8 against
+    # lengths of about 1, below the 1e-6 threshold; the point operators and
+    # the band quadrature must give one verdict
+    x = [xvar(i, 4) for i in (1, 2, 3)]
+    small = Fraction(1, 10**4)
+    spec = ImplicitSurfaceSpec(4, [x[0], x[0] + small * x[1], x[0] + small * x[2]],
+                               ((-1.6, 1.6),) * 4)
+    origin = [0.0] * 4
+    jac = geomint._surface_jacobian(spec, origin)[1]
+    with pytest.raises(IndependenceError):
+        _wedge_norms(jac)
+    with pytest.raises(IndependenceError):
+        tangential_dirac(xvar(4, 4), spec, origin)
+    with pytest.raises(IndependenceError):
+        tangent_normal_frames(spec, origin)
+
+
 @pytest.mark.parametrize("scale", [1e-11, 1e11])
 def test_independence_checks_are_scale_invariant(scale):
     jac = scale * np.array([[[2.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                             [[0.0, 1.5, 0.5], [0.0, 0.0, 3.0]]])
     assert np.allclose(_wedge_norms(jac),
                        scale ** 2 * np.array([2.0, 4.5]), rtol=1e-12)
-    _orthonormal_frames(jac)
     # a zero gradient row is dependent at any scale
     jac[1, 0] = 0.0
     with pytest.raises(IndependenceError):
         _wedge_norms(jac)
-    with pytest.raises(IndependenceError):
-        _orthonormal_frames(jac)
 
 
 def test_small_minors_match_lapack():

@@ -13,8 +13,8 @@ from cliffint import (ExactScalar, VectorPoly, directional_power_closed_form,
                       surface_area)
 
 from cliffint.pizzetti import _tangential_operator
-from oracles import (cayley_rotation, gamma_half_pair, sphere_monomial, stiefel_volume_pair,
-                     tangential_terms)
+from oracles import (cayley_rotation, gamma_half_pair, sphere_monomial, stiefel_series_pair,
+                     stiefel_stage_terms, stiefel_volume_pair, tangential_terms)
 
 
 def mono1(m, *expo):
@@ -74,6 +74,17 @@ def test_truncation_bookkeeping():
     assert res.terms_used == 3
 
 
+def test_truncation_bookkeeping_when_powers_vanish_early():
+    # a harmonic input: the first Laplacian is already zero
+    harmonic = sphere_pizzetti_detailed(mono1(3, 2, 0, 0) - mono1(3, 0, 2, 0))
+    assert harmonic.value == ExactScalar(Fraction(0), 0)
+    assert (harmonic.terms_used, harmonic.truncation_degree) == (1, 2)
+    # an odd input, harmonic too: one term, and the series stops at degree 2
+    odd = sphere_pizzetti_detailed(mono1(3, 1, 1, 1))
+    assert odd.value == ExactScalar(Fraction(0), 0)
+    assert (odd.terms_used, odd.truncation_degree) == (1, 2)
+
+
 def test_sphere_input_validation():
     with pytest.raises(ValueError):
         sphere_pizzetti(VectorPoly.constant(1, 1))
@@ -116,6 +127,26 @@ def test_composed_vs_explicit_on_sample():
             expo[0], expo[m] = key          # x1_1 and x2_1 powers
             p = VectorPoly(m, 2, {tuple(expo): Fraction(1)})
             assert stiefel_pizzetti_composed(p, m, 2) == stiefel2_explicit(p, m)
+
+
+@pytest.mark.parametrize("m,k", [(4, 2), (4, 3), (5, 3)])
+def test_composed_matches_dict_series_oracle(m, k):
+    # every vector variable is mixed into both factors, so the stage j = 2
+    # hands the last stage a polynomial with several x_1 terms
+    x = lambda j, i: VectorPoly.variable(m, j, i, nvars=k)
+    a = x(1, 1) * Fraction(1, 2) - x(2, 3) * Fraction(2, 3) + x(1, 2) + x(k, 2)
+    b = x(2, 1) + x(1, 3) * Fraction(1, 5) - x(k, m)
+    p = a ** 2 * b ** 2
+    stage = dict(p.terms)
+    for j in range(k, 1, -1):
+        stage = stiefel_stage_terms(stage, m, j)
+    assert len(stage) >= 3
+    assert stiefel_pizzetti_composed(p, m, k) == ExactScalar(*stiefel_series_pair(p.terms, m, k))
+
+
+def test_dict_series_oracle_reduces_to_sphere_monomials():
+    for m, expo in [(3, (2, 2, 2)), (4, (4, 0, 2, 0)), (5, (1, 2, 0, 0, 0))]:
+        assert stiefel_series_pair({expo: Fraction(1)}, m, 1) == sphere_monomial(expo, m)
 
 
 def test_stiefel_domain_validation():

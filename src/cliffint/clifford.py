@@ -100,18 +100,15 @@ class Terms(_SparseTerms):
 
     def _product(self, other, square: int):
         """Blade-by-blade product; coefficients multiply in order."""
-        out: dict = {}
-        for ba, ca in self.terms.items():
-            for bb, cb in other.terms.items():
-                sign, blade = _mul_blades(ba, bb, square)
-                if not sign:
-                    continue
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
-                acc = out.get(blade)
-                out[blade] = coeff if acc is None else acc + coeff
-        return self._like({b: c for b, c in out.items() if c})
+        def pairs():
+            for ba, ca in self.terms.items():
+                for bb, cb in other.terms.items():
+                    sign, blade = _mul_blades(ba, bb, square)
+                    if sign:
+                        coeff = ca * cb
+                        yield blade, coeff if sign > 0 else -coeff
+
+        return self._sum(pairs())
 
     def grades(self) -> set[int]:
         return {len(blade) for blade in self.terms}
@@ -253,12 +250,12 @@ def dot(a, b) -> Terms:
     """
     a = _as_multivector(a)
     b = _as_multivector(b, a.m)
-    out = a._like({})
+    pairs = []
     for k in a.grades():
         ak = a.grade_project(k)
         for l in b.grades():
-            out = out + (ak * b.grade_project(l)).grade_project(abs(l - k))
-    return out
+            pairs += (ak * b.grade_project(l)).grade_project(abs(l - k)).terms.items()
+    return a._sum(pairs)
 
 
 def wedge(a, b) -> Terms:

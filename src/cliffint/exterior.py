@@ -147,16 +147,15 @@ def form_mul(a: CliffordForm, b: CliffordForm) -> CliffordForm:
 
 def exterior_derivative(a: CliffordForm, j: int = 1) -> CliffordForm:
     """d(a) with each dx_i entering from the left of the dx blade."""
-    out = CliffordForm.zero(a.m, a.nvars)
-    for dxb, coeff in a.terms.items():
-        for i in range(1, a.m + 1):
-            sign, new = _mul_blades((i,), dxb, 0)
-            if not sign:
-                continue
-            d = coeff.diff(i, j)
-            if d:
-                out = out + CliffordForm.from_coefficient(d if sign > 0 else -d, new)
-    return out
+    def pairs():
+        for dxb, coeff in a.terms.items():
+            for i in range(1, a.m + 1):
+                sign, new = _mul_blades((i,), dxb, 0)
+                if sign:
+                    d = coeff.diff(i, j)
+                    yield new, d if sign > 0 else -d
+
+    return a._sum(pairs())
 
 
 def d_of_scalar(phi: VectorPoly) -> CliffordForm:
@@ -236,17 +235,15 @@ def dirac_wedge_form(f: VectorPoly, a: CliffordForm) -> CliffordForm:
 
     Coefficient of dx_B becomes sum_i (d f / dx_i) (e_i ^ c_B).
     """
-    out = CliffordForm.zero(a.m, a.nvars)
-    for i in range(1, a.m + 1):
-        df = f.diff(1, i)
-        if df.is_zero():
-            continue
-        ei = CliffordPoly.basis(a.m, (i,), a.nvars)
-        for dxb, coeff in a.terms.items():
-            w = wedge(ei, coeff) * df
-            if not w.is_zero():
-                out = out + CliffordForm.from_coefficient(w, dxb)
-    return out
+    def pairs():
+        for i in range(1, a.m + 1):
+            df = f.diff(1, i)
+            if df:
+                ei = CliffordPoly.basis(a.m, (i,), a.nvars)
+                for dxb, coeff in a.terms.items():
+                    yield dxb, wedge(ei, coeff) * df
+
+    return a._sum(pairs())
 
 
 # -- identity checks -------------------------------------------------------

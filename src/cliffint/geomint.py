@@ -609,10 +609,11 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
             mags = np.abs(col)
             total_abs += float(mags @ weight)
             boundary_abs += float(mags.take(edge) @ edge_weight)
-    if boundary_abs > _BOUNDARY_TOL * max(total_abs, 1.0):
+    if boundary_abs > _BOUNDARY_TOL * total_abs:
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "
-            f"(total magnitude {total_abs:g}); enlarge the box")
+            f"(total magnitude {total_abs:g}); enlarge the box or rescale the "
+            f"phases (eps is in phase units)")
     return totals
 
 
@@ -665,12 +666,10 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
     if len(alpha) != k or any(len(row) != k for row in alpha):
         raise ValueError("alpha must be k x k")
     entries = [[_as_poly(a, spec.m) for a in row] for row in alpha]
-    psis = []
-    for row in entries:
-        acc = VectorPoly.zero(spec.m, 1)
-        for coeff, phi in zip(row, spec.phases):
-            acc = acc + coeff * phi
-        psis.append(acc)
+    zero = VectorPoly.zero(spec.m, 1)
+    psis = [zero._sum(pair for coeff, phi in zip(row, spec.phases)
+                      for pair in (coeff * phi).terms.items())
+            for row in entries]
     det_poly = _poly_det(entries)
 
     def checked_f(pts):
@@ -696,14 +695,14 @@ def _poly_det(entries: list[list[VectorPoly]]) -> VectorPoly:
     m = entries[0][0].m
     if k == 1:
         return entries[0][0]
-    out = VectorPoly.zero(m, 1)
+    pairs = []
     # Laplace expansion along the first row; k stays tiny
     for col in range(k):
         minor = [[entries[r][c] for c in range(k) if c != col]
                  for r in range(1, k)]
         term = entries[0][col] * _poly_det(minor)
-        out = out + term if col % 2 == 0 else out - term
-    return out
+        pairs += (term if col % 2 == 0 else -term).terms.items()
+    return VectorPoly.zero(m, 1)._sum(pairs)
 
 
 # -- frames and tangential operators -----------------------------------------
@@ -922,7 +921,9 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     drops its whole term.
     Returns both sides as multivectors and the relative residual
     |lhs - rhs| / max(|lhs|, |rhs|, 1).  Each side is checked for boundary
-    contact like the quadratures.
+    contact like the quadratures, and the right side raises
+    TransversalityError where (grad phi, grad phi_1, ..., grad phi_k) fail
+    the band's scale-invariant independence test.
     """
     m, k = spec.m, spec.k
     if phi.nvars != 1 or phi.m != m:
@@ -954,9 +955,12 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
 
     def right_density(pts, jac):
         # the jacobian rows are grad phi, grad phi_1, ..., grad phi_k
+        try:
+            _checked_gram(jac)
+        except IndependenceError as exc:
+            raise TransversalityError(
+                "grad phi is not transversal to the surface on its band") from exc
         blade = _wedge_columns(jac, m)
-        if np.any(np.sqrt(sum(c * c for c in blade.values())) <= _INDEPENDENCE_TOL):
-            raise TransversalityError("grad phi is not transversal to the surface on its band")
         f_vals = _field_columns(f_cp, pts, m)
         g_vals = _field_columns(g_cp, pts, m)
         return _columns_mul(_columns_mul(f_vals, blade, m), g_vals, m)

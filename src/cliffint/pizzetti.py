@@ -102,15 +102,6 @@ def sphere_pizzetti(p: VectorPoly) -> ExactScalar:
     return sphere_pizzetti_detailed(p).value
 
 
-def _accumulate(out: dict[tuple[int, ...], Fraction], key: tuple[int, ...], value: Fraction):
-    """out[key] += value, dropping the key when the sum cancels."""
-    acc = out.get(key, 0) + value
-    if acc:
-        out[key] = acc
-    elif key in out:
-        del out[key]
-
-
 def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:
     """Apply Delta_{x_j} - sum_{l<j} <x_l, d/dx_j>^2 once.
 
@@ -121,30 +112,32 @@ def _tangential_operator(work: VectorPoly, j: int) -> VectorPoly:
     m = work.m
     base = (j - 1) * m
     lower = [l * m for l in range(j - 1)]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, coeff in work.terms.items():
-        active = [(i, key[base + i]) for i in range(m) if key[base + i]]
-        for t, (i, e) in enumerate(active):
-            if e >= 2:
-                weight = coeff * (e * (e - 1))
-                lowered = list(key)
-                lowered[base + i] = e - 2
-                _accumulate(out, tuple(lowered), weight)
-                for lb in lower:
-                    raised = list(lowered)
-                    raised[lb + i] += 2
-                    _accumulate(out, tuple(raised), -weight)
-            for i2, e2 in active[t + 1:]:
-                weight = coeff * (2 * e * e2)
-                lowered = list(key)
-                lowered[base + i] = e - 1
-                lowered[base + i2] = e2 - 1
-                for lb in lower:
-                    raised = list(lowered)
-                    raised[lb + i] += 1
-                    raised[lb + i2] += 1
-                    _accumulate(out, tuple(raised), -weight)
-    return work._like(out)
+
+    def pairs():
+        for key, coeff in work.terms.items():
+            active = [(i, key[base + i]) for i in range(m) if key[base + i]]
+            for t, (i, e) in enumerate(active):
+                if e >= 2:
+                    weight = coeff * (e * (e - 1))
+                    lowered = list(key)
+                    lowered[base + i] = e - 2
+                    yield tuple(lowered), weight
+                    for lb in lower:
+                        raised = list(lowered)
+                        raised[lb + i] += 2
+                        yield tuple(raised), -weight
+                for i2, e2 in active[t + 1:]:
+                    weight = coeff * (2 * e * e2)
+                    lowered = list(key)
+                    lowered[base + i] = e - 1
+                    lowered[base + i2] = e2 - 1
+                    for lb in lower:
+                        raised = list(lowered)
+                        raised[lb + i] += 1
+                        raised[lb + i2] += 1
+                        yield tuple(raised), -weight
+
+    return work._sum(pairs())
 
 
 def _pizzetti_series(p: VectorPoly, m: int, k: int) -> tuple[ExactScalar, int]:
@@ -157,17 +150,17 @@ def _pizzetti_series(p: VectorPoly, m: int, k: int) -> tuple[ExactScalar, int]:
     total_h = 0
     for j in range(k, 1, -1):
         nu = m - j + 1
-        acc = VectorPoly.zero(m, k)
+        pairs = []
         term = work
         for s in range(work.degree_in(j) // 2 + 1):
             if term.is_zero():
                 break  # the operator lowers degree in x_j, later terms vanish
             q, _ = _series_rational(s, nu)
             # setting x_j = 0 commutes with the sum: keep each term's x_j-free part
-            acc = acc + term.subs_vector_zero(j) * q
+            pairs += [(key, c * q) for key, c in term.subs_vector_zero(j).terms.items()]
             term = _tangential_operator(term, j)
         total_h += nu - (nu % 2)
-        work = acc
+        work = VectorPoly.zero(m, k)._sum(pairs)
     total_q = Fraction(0)
     terms_used = 0
     for s in range(work.degree_in(1) // 2 + 1):
@@ -245,14 +238,14 @@ def directional_power_closed_form(j: int, k: int, m: int) -> VectorPoly:
     xy = VectorPoly.dot_vars(m, 2, 1, 2)
     b = nx * ny - xy * xy
     lead = Fraction(4**j * factorial(k + j))
-    out = VectorPoly.zero(m, 2)
+    pairs = []
     for r in range(min(j, k) + 1):
         # Gamma(k+j-r+1/2) / Gamma(k+1/2) is the rising factorial (k+1/2)_{j-r}
         coeff = lead * comb(j, r) * pochhammer_half(2 * k + 1, j - r) / factorial(k - r)
         if r % 2:
             coeff = -coeff
-        out = out + ny ** (j - r) * b**r * nx ** (k - r) * coeff
-    return out
+        pairs += (ny ** (j - r) * b**r * nx ** (k - r) * coeff).terms.items()
+    return VectorPoly.zero(m, 2)._sum(pairs)
 
 
 def gauss_sum_check(r: int, l: int, k: int, m: int) -> bool:

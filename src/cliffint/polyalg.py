@@ -10,7 +10,10 @@ x_{j,i} (vector j, coordinate i, both 1-based) sits at flat index
 the blade algebras of ``clifford`` through the base ``_SparseTerms``.  Its
 coefficients are always ``Fraction``s; a product of two polynomials with
 several terms each runs on integer numerators over a common denominator
-and divides once per output term.
+and divides once per output term.  Every other sum of terms in the exact
+algebras, here and in ``pizzetti``, ``clifford``, ``exterior`` and
+``geomint``, yields (key, coefficient) pairs into one accumulator,
+``_SparseTerms._sum``, so it is linear in the terms summed.
 
 Constant-coefficient differential operators arise from polynomials by the
 substitution x_{j,i} -> d/dx_{j,i} (``apply_diffop``).  The module also
@@ -77,20 +80,34 @@ class _SparseTerms:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
+    def _sum(self, pairs, start=None):
+        """Same class and shape with the (key, coeff) pairs summed in order.
+
+        Every sum of terms in the exact algebras runs through here.  The sum
+        starts from a copy of ``start``'s terms (none when it is None), so
+        it takes time linear in the pairs.  A key whose sum cancels is
+        deleted where it stands, and a zero coefficient for a new key is not
+        stored: Clifford coefficients have zero divisors, so a product of
+        two nonzero coefficients may vanish.
+        """
+        out = dict(start.terms) if start is not None else {}
+        get = out.get
+        for key, coeff in pairs:
+            acc = get(key)
             if acc is None:
-                out[key] = coeff
+                if coeff:
+                    out[key] = coeff
             elif acc := acc + coeff:
                 out[key] = acc
             else:
                 del out[key]
         return self._like(out)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._sum(other.terms.items(), self)
 
     __radd__ = __add__
 
@@ -176,10 +193,10 @@ class VectorPoly(_SparseTerms):
     @classmethod
     def dot_vars(cls, m: int, nvars: int, ja: int, jb: int) -> "VectorPoly":
         """Euclidean inner product <x_ja, x_jb> as a polynomial."""
-        out = cls.zero(m, nvars)
-        for i in range(1, m + 1):
-            out = out + cls.variable(m, ja, i, nvars) * cls.variable(m, jb, i, nvars)
-        return out
+        # the m products have distinct monomials: one dict holds them all
+        products = (cls.variable(m, ja, i, nvars) * cls.variable(m, jb, i, nvars)
+                    for i in range(1, m + 1))
+        return cls(m, nvars, {k: c for p in products for k, c in p.terms.items()})
 
     @classmethod
     def norm_squared_var(cls, m: int, j: int, nvars: int = 1) -> "VectorPoly":
@@ -263,21 +280,10 @@ class VectorPoly(_SparseTerms):
 
     def laplacian(self, j: int = 1) -> "VectorPoly":
         """Laplacian in the j-th vector variable."""
-        out: dict[ExpKey, Fraction] = {}
         base = (j - 1) * self.m
-        for key, coeff in self.terms.items():
-            for i in range(self.m):
-                e = key[base + i]
-                if e >= 2:
-                    new = list(key)
-                    new[base + i] = e - 2
-                    new = tuple(new)
-                    acc = out.get(new, 0) + coeff * (e * (e - 1))
-                    if acc:
-                        out[new] = acc
-                    elif new in out:
-                        del out[new]
-        return self._like(out)
+        return self._sum((key[:i] + (e - 2,) + key[i + 1:], coeff * (e * (e - 1)))
+                         for key, coeff in self.terms.items()
+                         for i in range(base, base + self.m) if (e := key[i]) >= 2)
 
     def directional(self, j: int, weights: Sequence["VectorPoly | Fraction | int"]) -> "VectorPoly":
         """Apply the first-order operator sum_i w_i d/dx_{j,i}.
@@ -287,13 +293,8 @@ class VectorPoly(_SparseTerms):
         """
         if len(weights) != self.m:
             raise ValueError(f"need {self.m} weights")
-        out = VectorPoly.zero(self.m, self.nvars)
-        for i, w in enumerate(weights, start=1):
-            d = self.diff(j, i)
-            if d.is_zero():
-                continue
-            out = out + d * w
-        return out
+        return self._sum(pair for i, w in enumerate(weights, start=1)
+                         if (d := self.diff(j, i)) for pair in (d * w).terms.items())
 
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -339,36 +340,28 @@ class VectorPoly(_SparseTerms):
         """
         if len(rows) != self.m or any(len(r) != self.m for r in rows):
             raise ValueError("need an m x m matrix")
-        lin: dict[tuple[int, int], VectorPoly] = {}
-        for j in range(1, self.nvars + 1):
-            for i in range(1, self.m + 1):
-                form = VectorPoly.zero(self.m, self.nvars)
-                for l in range(1, self.m + 1):
-                    c = Fraction(rows[i - 1][l - 1])
-                    if c:
-                        form = form + VectorPoly.variable(self.m, j, l, self.nvars) * c
-                lin[(j, i)] = form
-        # each power of a form is built once, and every term adds into one
-        # dict: summing term polynomials would copy the whole output per term
+        m, width = self.m, self.m * self.nvars
+        rows = [[Fraction(c) for c in row] for row in rows]
+        # the linear form substituted for the flat index j*m + i
+        lin = [self._like({tuple(int(t == j * m + l) for t in range(width)): c
+                           for l, c in enumerate(rows[i]) if c})
+               for j in range(self.nvars) for i in range(m)]
+        # each power of a form is built once
         powers: dict[tuple[int, int], VectorPoly] = {}
-        out: dict[ExpKey, Fraction] = {}
-        get = out.get
-        for key, coeff in self.terms.items():
+
+        def term(key, coeff):
             # a coefficient 1 (every monomial) skips one scaling product
-            term = None if coeff == 1 else VectorPoly.constant(self.m, coeff, self.nvars)
+            out = None if coeff == 1 else VectorPoly.constant(m, coeff, self.nvars)
             for idx, e in enumerate(key):
                 if e:
                     power = powers.get((idx, e))
                     if power is None:
-                        j, i = divmod(idx, self.m)
-                        power = powers[(idx, e)] = lin[(j + 1, i + 1)] ** e
-                    term = power if term is None else term * power
-            if term is None:
-                term = VectorPoly.constant(self.m, 1, self.nvars)
-            for k, c in term.terms.items():
-                acc = get(k)
-                out[k] = c if acc is None else acc + c
-        return self._like({k: c for k, c in out.items() if c})
+                        power = powers[(idx, e)] = lin[idx] ** e
+                    out = power if out is None else out * power
+            return VectorPoly.constant(m, 1, self.nvars) if out is None else out
+
+        return self._sum(pair for key, coeff in self.terms.items()
+                         for pair in term(key, coeff).terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -406,19 +399,18 @@ def _check_shapes(symbol: VectorPoly, p: VectorPoly):
 def apply_diffop(symbol: VectorPoly, p: VectorPoly) -> VectorPoly:
     """Apply symbol(d/dx) to p, term by term."""
     _check_shapes(symbol, p)
-    out = VectorPoly.zero(p.m, p.nvars)
-    for key, coeff in symbol.terms.items():
+
+    def derivative(key):
         q = p
         for idx, e in enumerate(key):
             for _ in range(e):
                 q = q.diff_index(idx)
                 if q.is_zero():
-                    break
-            if q.is_zero():
-                break
-        if not q.is_zero():
-            out = out + q * coeff
-    return out
+                    return q
+        return q
+
+    return p._sum((k, c * coeff) for key, coeff in symbol.terms.items()
+                  for k, c in derivative(key).terms.items())
 
 
 def fischer_pair(a: VectorPoly, b: VectorPoly) -> Fraction:

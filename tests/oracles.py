@@ -138,13 +138,19 @@ def directional_terms(terms: dict, m: int, j: int, l: int) -> dict:
     return out
 
 
-def tangential_terms(terms: dict, m: int, j: int) -> dict:
-    """Delta_{x_j} - sum_{l<j} <x_l, d/dx_j>^2, the square applied as two passes."""
+def laplacian_terms(terms: dict, m: int, j: int) -> dict:
+    """Delta_{x_j}: d/dx_{j,i} applied twice, summed over i."""
     out = {}
     for i in range(m):
         idx = (j - 1) * m + i
         for key, c in diff_terms(diff_terms(terms, idx), idx).items():
             _accumulate(out, key, c)
+    return out
+
+
+def tangential_terms(terms: dict, m: int, j: int) -> dict:
+    """Delta_{x_j} - sum_{l<j} <x_l, d/dx_j>^2, the square applied as two passes."""
+    out = laplacian_terms(terms, m, j)
     for l in range(1, j):
         twice = directional_terms(directional_terms(terms, m, j, l), m, j, l)
         for key, c in twice.items():

@@ -36,6 +36,19 @@ def test_clifford_poly_product_mixes_blades():
     assert (a * CliffordPoly.basis(m, (2,))).grades() == {2}
 
 
+def test_zero_divisor_products_store_no_term():
+    # e123^2 = 1 when m = 3, so (1 + e123)(1 - e123) = 1 - e123^2 = 0
+    e123 = CliffordPoly.basis(3, (1, 2, 3))
+    a, b = 1 + e123, 1 - e123
+    assert a and b
+    assert (a * b).terms == {}
+    # as form coefficients the product of two nonzero coefficients vanishes
+    # for a new dx blade, which must not be stored
+    fa = CliffordForm.from_coefficient(a, (1,))
+    fb = CliffordForm.from_coefficient(b, (2,))
+    assert form_mul(fa, fb).terms == {}
+
+
 def test_vectorpoly_and_cliffordpoly_multiply_either_way():
     m = 3
     p = xv(1, m) ** 2 - Fraction(1, 2) * xv(3, m)

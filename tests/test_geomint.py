@@ -148,6 +148,17 @@ def test_boundary_contact_detected():
         integrate_implicit(1, line, QuadratureConfig(n=64))
 
 
+def test_boundary_contact_is_relative_to_the_total():
+    # the unit sphere with phases scaled by 1e-7: eps is in phase units, so
+    # the band fills the box, and its small values must not hide that
+    small = ImplicitSurfaceSpec(3, [sphere_phase(3) * Fraction(1, 10**7)], BOX3)
+    with pytest.raises(BoundaryContactError, match="rescale the phases"):
+        integrate_implicit(1, small, QuadratureConfig(n=64))
+    # a small integrand on a band clear of the box still integrates
+    area = integrate_implicit(Fraction(1, 10**7), sphere_spec(3), QuadratureConfig(n=64))
+    assert area == pytest.approx(4 * math.pi * 1e-7, rel=0.05)
+
+
 def test_dependent_gradients_detected():
     p = xvar(1, 2)
     spec = ImplicitSurfaceSpec(2, [p, 2 * p], BOX2)
@@ -636,6 +647,15 @@ def test_cauchy_boundary_contact_detected():
     phi = VectorPoly.norm_squared_var(2, 1) - 1
     with pytest.raises(BoundaryContactError):
         cauchy_check(1, xvar(1, 2), phi, spec, QuadratureConfig(n=101))
+
+
+def test_cauchy_transversality_does_not_depend_on_phi_scale():
+    # the classical disk with phi scaled by 1e-7: grad phi is plainly
+    # transversal, so the verdict is the boundary contact of phi's wide band
+    spec = ImplicitSurfaceSpec(2, [], BOX2)
+    phi = (VectorPoly.norm_squared_var(2, 1) - 1) * Fraction(1, 10**7)
+    with pytest.raises(BoundaryContactError):
+        cauchy_check(1, xvar(1, 2), phi, spec, QuadratureConfig(n=96))
 
 
 def test_cauchy_rejects_k_equal_to_m():

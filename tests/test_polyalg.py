@@ -10,7 +10,8 @@ from cliffint import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
                       fischer_commute, fischer_pair, gamma_half,
                       pochhammer_half, sphere_pizzetti)
 
-from oracles import cayley_rotation, diffop_terms, product_terms, reflect_terms
+from oracles import (cayley_rotation, diffop_terms, directional_terms, laplacian_terms,
+                     product_terms, reflect_terms)
 
 
 def x(j, i, m=3, nvars=2):
@@ -120,6 +121,49 @@ def test_laplacian_of_norm_squared():
     assert r2.laplacian(1) == VectorPoly.constant(m, 2 * m)
     # Delta ||x||^4 = (4m + 8) ||x||^2
     assert (r2 * r2).laplacian(1) == (4 * m + 8) * r2
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(m, j, l, p): p in two m-vectors; half the time built so the kernel's terms cancel."""
+    m = draw(st.integers(2, 3))
+    j = draw(st.integers(1, 2))
+    l = draw(st.integers(1, 2))
+    p = draw(polys(m=m, nvars=2, max_deg=3, max_terms=5))
+    if draw(st.booleans()):
+        # x_{j,1}^2 - x_{j,2}^2 is harmonic and <x_l, d/dx_j> annihilates
+        # x_{j,1} x_{l,2} - x_{j,2} x_{l,1}: times p, their contributions cancel
+        l = 3 - j
+        p = p * (x(j, 1, m) ** 2 - x(j, 2, m) ** 2
+                 + x(j, 1, m) * x(l, 2, m) - x(j, 2, m) * x(l, 1, m))
+    return m, j, l, p
+
+
+@given(kernel_inputs())
+@settings(max_examples=80, deadline=None)
+def test_laplacian_matches_repeated_single_derivatives(inputs):
+    m, j, _, p = inputs
+    lap = p.laplacian(j)
+    assert lap.terms == laplacian_terms(p.terms, m, j)
+    assert all(lap.terms.values())
+
+
+@given(kernel_inputs())
+@settings(max_examples=80, deadline=None)
+def test_directional_matches_oracle(inputs):
+    m, j, l, p = inputs
+    d = p.directional(j, [x(l, i, m) for i in range(1, m + 1)])
+    assert d.terms == directional_terms(p.terms, m, j, l)
+    assert all(d.terms.values())
+
+
+def test_sum_cancels_in_place_and_keeps_key_order():
+    # poly_on_points sums terms in dict order: + keeps the left operand's
+    # order, drops a cancelled key where it stood and appends new keys
+    a = x(1, 1) + x(1, 2) + x(1, 3)
+    b = x(2, 1) - x(1, 2) + x(1, 1)
+    assert list((a + b).terms) == [*x(1, 1).terms, *x(1, 3).terms, *x(2, 1).terms]
+    assert (a - a).terms == {}
 
 
 def test_directional_with_constant_weights():

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import random
 import re
 import sys
@@ -437,25 +438,26 @@ def _handle_oracle_mc(args) -> tuple[dict, bool]:
     return payload, True
 
 
-def _checked_surface(m: int, phases: list, box, args) -> tuple[ImplicitSurfaceSpec, QuadratureConfig]:
-    """Surface and grid settings, with every invalid value a ParseError."""
+def _checked_surface(m: int, phases: list, box,
+                     args) -> tuple[ImplicitSurfaceSpec, QuadratureConfig, float]:
+    """Surface, grid settings and resolved eps, with every invalid value a ParseError."""
     try:
         spec = ImplicitSurfaceSpec(m, phases, box)
         cfg = QuadratureConfig(n=args.n, eps=args.eps)
-        cfg.resolve_eps(spec.box)
+        eps = cfg.resolve_eps(spec.box)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return spec, cfg
+    return spec, cfg, eps
 
 
-def _build_surface(args) -> tuple[ImplicitSurfaceSpec, QuadratureConfig]:
+def _build_surface(args) -> tuple[ImplicitSurfaceSpec, QuadratureConfig, float]:
     phase_texts = [p for p in args.phases.split(";") if p.strip()] if args.phases else []
     phases = [parse_poly(t, args.m, 1) for t in phase_texts]
     return _checked_surface(args.m, phases, _parse_box(args.box, args.m), args)
 
 
 def _handle_integrate(args) -> tuple[dict, bool]:
-    spec, cfg = _build_surface(args)
+    spec, cfg, eps = _build_surface(args)
     if spec.k < 1:
         raise ParseError("need at least one phase")
     f = parse_poly(args.f, args.m, 1)
@@ -463,7 +465,6 @@ def _handle_integrate(args) -> tuple[dict, bool]:
         value = integrate_implicit(f, spec, cfg)
     else:
         value = _multivector_json(integrate_oriented(f, spec, cfg))
-    eps = cfg.resolve_eps(spec.box)
     log.info("grid %d^%d, eps %.6g", cfg.n, args.m, eps)
     payload = {"command": f"integrate {args.subcommand}", "m": args.m, "k": spec.k,
                "n": cfg.n, "eps": eps, "value": value}
@@ -471,6 +472,8 @@ def _handle_integrate(args) -> tuple[dict, bool]:
 
 
 def _handle_verify_identities(args) -> tuple[dict, bool]:
+    if args.trials < 1:
+        raise ParseError("need at least one trial")
     results = run_suite(args.suite, args.trials, args.seed)
     passed = sum(v[0] for v in results.values())
     failed = sum(v[1] for v in results.values())
@@ -487,6 +490,8 @@ _CAUCHY_CASES = {"circle", "classical"}
 
 
 def _handle_verify_cauchy(args) -> tuple[dict, bool]:
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ParseError(f"need a finite positive threshold, got {args.threshold}")
     if args.case == "circle":
         m = 3
         phases = [VectorPoly.norm_squared_var(3, 1) - 1, VectorPoly.variable(3, 1, 3)]
@@ -501,7 +506,7 @@ def _handle_verify_cauchy(args) -> tuple[dict, bool]:
         f_field = VectorPoly.constant(2, 1)
         g_field = VectorPoly.variable(2, 1, 1)
         box = [(-1.6, 1.6)] * 2
-    spec, cfg = _checked_surface(m, phases, box, args)
+    spec, cfg, _ = _checked_surface(m, phases, box, args)
     result = cauchy_check(f_field, g_field, phi, spec, cfg)
     ok = result.residual < args.threshold
     log.info("case %s: residual %.4g (threshold %g)", args.case,

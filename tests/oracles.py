@@ -1,75 +1,25 @@
 """Reference values computed independently of the library internals.
 
-The exact values are built directly from factorials over Fraction, so
-agreement with the library is a meaningful cross-check rather than the
-same code evaluated twice; they are returned as (q, h) pairs meaning
-q * pi^(h/2).  The grid quadratures are recomputed by a dense sweep over
-every cell in plain numpy.
+The closed forms (the Gamma-half values, sphere monomials and Stiefel
+volumes, as (q, h) pairs meaning q * pi^(h/2)), the Fraction polynomial
+product ``poly_mul`` and ``FrameOracle``, the exact frame-moment recursion,
+live in ``bench/oracles.py``, which shares no code with the library.  This
+module loads that file as ``bench_oracles``, under its own name since both
+modules are called ``oracles``.  What stays here is test-only: the
+single-index kernel oracles, the blade products, the dense grid sweeps
+recomputed over every cell in plain numpy, the QR Haar sampler and the
+Cayley rotations.
 """
 
-from fractions import Fraction
-from math import factorial
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
-
-def gamma_half_pair(two_a: int) -> tuple[Fraction, int]:
-    """Gamma(two_a / 2) as (q, h).
-
-    Even argument: Gamma(n) = (n-1)!.
-    Odd argument:  Gamma(t + 1/2) = (2t)! / (4^t t!) * sqrt(pi).
-    """
-    if two_a <= 0:
-        raise ValueError("argument must be positive")
-    if two_a % 2 == 0:
-        return Fraction(factorial(two_a // 2 - 1)), 0
-    t = (two_a - 1) // 2
-    return Fraction(factorial(2 * t), 4**t * factorial(t)), 1
-
-
-def sphere_monomial(alpha: tuple[int, ...], m: int) -> tuple[Fraction, int]:
-    """Integral of x^alpha over the unit sphere in R^m.
-
-    Zero unless every exponent is even; otherwise
-        2 * prod_i Gamma((alpha_i + 1) / 2) / Gamma((|alpha| + m) / 2).
-    """
-    if len(alpha) != m:
-        raise ValueError("exponent tuple must have length m")
-    if any(a < 0 for a in alpha):
-        raise ValueError("negative exponent")
-    if any(a % 2 for a in alpha):
-        return Fraction(0), 0
-    num_q, num_h = Fraction(2), 0
-    for a in alpha:
-        q, h = gamma_half_pair(a + 1)
-        num_q *= q
-        num_h += h
-    den_q, den_h = gamma_half_pair(sum(alpha) + m)
-    # denominator pi power never exceeds the numerator's here
-    return num_q / den_q, num_h - den_h
-
-
-def sphere_area_pair(m: int) -> tuple[Fraction, int]:
-    """Surface area of the unit sphere in R^m as (q, h)."""
-    return sphere_monomial((0,) * m, m)
-
-
-def stiefel_volume_pair(m: int, k: int) -> tuple[Fraction, int]:
-    """prod_{j=1..k} A_{m-j+1} as (q, h)."""
-    if not 1 <= k <= m:
-        raise ValueError("need 1 <= k <= m")
-    q, h = Fraction(1), 0
-    for j in range(1, k + 1):
-        aq, ah = sphere_area_pair(m - j + 1)
-        q *= aq
-        h += ah
-    return q, h
-
-
-def pair_to_float(pair: tuple[Fraction, int]) -> float:
-    from math import pi
-    q, h = pair
-    return float(q) * pi ** (h / 2)
+_spec = importlib.util.spec_from_file_location(
+    "bench_oracles", Path(__file__).parents[1] / "bench" / "oracles.py")
+bench_oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_oracles)
 
 
 # -- dict-only reference kernels ---------------------------------------------
@@ -112,16 +62,6 @@ def diffop_terms(symbol: dict, terms: dict) -> dict:
     return out
 
 
-def product_terms(a: dict, b: dict) -> dict:
-    """Product of two term dicts, one Fraction product per pair of terms."""
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(ea + eb for ea, eb in zip(ka, kb))
-            _accumulate(out, key, Fraction(ca) * Fraction(cb))
-    return out
-
-
 def reflect_terms(terms: dict) -> dict:
     """x -> -x: negate the odd-degree terms."""
     return {k: (-c if sum(k) % 2 else c) for k, c in terms.items()}
@@ -156,42 +96,6 @@ def tangential_terms(terms: dict, m: int, j: int) -> dict:
         for key, c in twice.items():
             _accumulate(out, key, -c)
     return out
-
-
-def stiefel_stage_terms(terms: dict, m: int, j: int) -> dict:
-    """Stage j of the composed frame series, x_j set to zero afterwards.
-
-    sum_s T^s P / (4^s s! Gamma(s + nu/2)) with nu = m - j + 1 and T the
-    operator of ``tangential_terms``, each term's x_j-free part kept; the
-    factor 2 pi^(nu/2) common to the stage is left to the caller.
-    """
-    base = (j - 1) * m
-    out, term, s = {}, dict(terms), 0
-    while term:  # T lowers the degree in x_j by two
-        gq, _ = gamma_half_pair(2 * s + m - j + 1)
-        c = Fraction(1, 4**s * factorial(s)) / gq
-        for key, v in term.items():
-            if not any(key[base:base + m]):
-                _accumulate(out, key, c * v)
-        term = tangential_terms(term, m, j)
-        s += 1
-    return out
-
-
-def stiefel_series_pair(terms: dict, m: int, k: int) -> tuple[Fraction, int]:
-    """Integral of a polynomial over orthonormal k-frames in R^m as (q, h).
-
-    The stages j = k down to 1 of ``stiefel_stage_terms``, then the constant
-    term; stage j contributes 2 pi^(nu/2) / pi^(1/2 if nu is odd).  Zero is
-    (0, 0), as in ``sphere_monomial``.
-    """
-    q, h = Fraction(1), 0
-    for j in range(k, 0, -1):
-        terms = stiefel_stage_terms(terms, m, j)
-        nu = m - j + 1
-        q, h = 2 * q, h + nu - nu % 2
-    q *= terms.get((0,) * (m * k), Fraction(0))
-    return (q, h) if q else (Fraction(0), 0)
 
 
 # -- blade products ------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from cliffint import geomint
 from cliffint.cli import parse_exact, run
 
-from oracles import pair_to_float, sphere_monomial
+from oracles import bench_oracles
 
 
 def run_json(args, capsys):
@@ -26,7 +26,7 @@ def test_pizzetti_sphere_round_trip(capsys):
     exact = parse_exact(doc["value"])
     assert exact.to_float() == pytest.approx(doc["float"], rel=1e-14)
     assert doc["float"] == pytest.approx(
-        pair_to_float(sphere_monomial((2, 0, 0), 3)), rel=1e-12)
+        bench_oracles.exact_to_float(bench_oracles.sphere_monomial((2, 0, 0))), rel=1e-12)
 
 
 def test_pizzetti_stiefel_methods_agree(capsys):
@@ -77,6 +77,22 @@ def test_verify_identities_all_green(capsys):
     assert code == 0
     assert doc["failed"] == 0 and doc["passed"] > 0
     assert all(c["failed"] == 0 for c in doc["checks"].values())
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_identities_needs_a_trial(trials, capsys):
+    # no trial runs no check, so 0 failed out of 0 would be a vacuous pass
+    assert run(["verify", "identities", "--suite", "series", f"--trials={trials}", "-q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trial" in captured.err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-0.5"])
+def test_verify_cauchy_needs_a_finite_positive_threshold(threshold, capsys):
+    # NaN is not JSON, and no residual is below a threshold <= 0
+    assert run(["verify", "cauchy", "--case", "classical", f"--threshold={threshold}", "-q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "threshold" in captured.err
 
 
 def test_verify_cauchy_circle(capsys):

@@ -19,8 +19,8 @@ from cliffint import geomint
 from cliffint.geomint import (_band_stream, _delta_values, _grid_geometry, _haar_frames,
                               _interval_bounds, _minors, _wedge_columns, _wedge_norms)
 
-from oracles import (blade_minors, blade_norms, bump_average, bump_point, dense_band,
-                     dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
+from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bump_point,
+                     dense_band, dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
                      tangential_dirac_frame_free)
 
 BOX3 = ((-1.6, 1.6),) * 3
@@ -125,6 +125,18 @@ def test_richardson_ladder_is_monotone():
         val = integrate_implicit(1, sphere_spec(), QuadratureConfig(n=n))
         errors.append(abs(val - 4 * math.pi))
     assert errors[0] > errors[1] > errors[2]
+
+
+def test_sphere_quadrature_converges_at_second_order():
+    # f = x1^2 x2^2 on S^2 at the default eps = 6 h, against the Gamma closed
+    # form; halving h quarters the relative error
+    exact = bench_oracles.exact_to_float(bench_oracles.sphere_monomial((2, 2, 0)))
+    f = xvar(1) ** 2 * xvar(2) ** 2
+    errors = [abs(integrate_implicit(f, sphere_spec(), QuadratureConfig(n=n)) - exact) / exact
+              for n in (64, 128, 256)]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(1.8 <= order <= 2.2 for order in orders), (errors, orders)
+    assert errors[1] <= 1.3e-2
 
 
 def test_oriented_circle_recovers_plane_blade():

@@ -13,8 +13,7 @@ from cliffint import (ExactScalar, VectorPoly, directional_power_closed_form,
                       surface_area)
 
 from cliffint.pizzetti import _tangential_operator
-from oracles import (cayley_rotation, gamma_half_pair, sphere_monomial, stiefel_series_pair,
-                     stiefel_stage_terms, stiefel_volume_pair, tangential_terms)
+from oracles import bench_oracles, cayley_rotation, tangential_terms
 
 
 def mono1(m, *expo):
@@ -40,7 +39,7 @@ def test_phi_coefficient_matches_gamma_formula():
     # c_{s,nu} = 2 pi^(nu/2) / (4^s s! Gamma(s + nu/2)), from the oracle's Gamma values
     for s in range(21):
         for nu in range(1, 13):
-            gq, gh = gamma_half_pair(2 * s + nu)
+            gq, gh = bench_oracles._gamma_half(2 * s + nu)
             expected = ExactScalar(Fraction(2) / (4**s * math.factorial(s) * gq), nu - gh)
             assert phi_coefficient(s, nu) == expected, (s, nu)
 
@@ -55,7 +54,7 @@ def test_sphere_constant_and_squares():
 def test_sphere_matches_oracle_sample():
     for m, expo in [(2, (4, 2)), (3, (2, 2, 2)), (4, (6, 0, 0, 0)),
                     (5, (2, 0, 2, 0, 0)), (6, (0, 2, 0, 2, 0, 2))]:
-        q, h = sphere_monomial(expo, m)
+        q, h = bench_oracles.sphere_monomial(expo)
         assert sphere_pizzetti(mono1(m, *expo)) == ExactScalar(q, h)
 
 
@@ -129,24 +128,46 @@ def test_composed_vs_explicit_on_sample():
             assert stiefel_pizzetti_composed(p, m, 2) == stiefel2_explicit(p, m)
 
 
-@pytest.mark.parametrize("m,k", [(4, 2), (4, 3), (5, 3)])
-def test_composed_matches_dict_series_oracle(m, k):
+@pytest.mark.parametrize("m,k", [(4, 2), (4, 3), (5, 3), (6, 3)])
+def test_composed_matches_frame_oracle(m, k):
     # every vector variable is mixed into both factors, so the stage j = 2
-    # hands the last stage a polynomial with several x_1 terms
+    # hands the last stage a polynomial with several x_1 terms; the oracle
+    # averages over frames built one vector at a time, a different algorithm
     x = lambda j, i: VectorPoly.variable(m, j, i, nvars=k)
     a = x(1, 1) * Fraction(1, 2) - x(2, 3) * Fraction(2, 3) + x(1, 2) + x(k, 2)
     b = x(2, 1) + x(1, 3) * Fraction(1, 5) - x(k, m)
     p = a ** 2 * b ** 2
-    stage = dict(p.terms)
-    for j in range(k, 1, -1):
-        stage = stiefel_stage_terms(stage, m, j)
-    assert len(stage) >= 3
-    assert stiefel_pizzetti_composed(p, m, k) == ExactScalar(*stiefel_series_pair(p.terms, m, k))
+    expected = ExactScalar(*bench_oracles.FrameOracle(m).integral(p.terms, k))
+    assert expected != ExactScalar(0)
+    assert stiefel_pizzetti_composed(p, m, k) == expected
 
 
-def test_dict_series_oracle_reduces_to_sphere_monomials():
-    for m, expo in [(3, (2, 2, 2)), (4, (4, 0, 2, 0)), (5, (1, 2, 0, 0, 0))]:
-        assert stiefel_series_pair({expo: Fraction(1)}, m, 1) == sphere_monomial(expo, m)
+@st.composite
+def even_frame_integrands(draw):
+    """q^2 + c x^e on k-frames in R^m, q of degree <= 2 and e of even degree."""
+    m = draw(st.integers(3, 6))
+    k = draw(st.integers(2, min(3, m - 1)))
+    width = m * k
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def monomial(degree):
+        key = [0] * width
+        for _ in range(degree):
+            key[draw(st.integers(0, width - 1))] += 1
+        return VectorPoly(m, k, {tuple(key): draw(coeff)})
+
+    q = VectorPoly.zero(m, k)
+    for _ in range(draw(st.integers(1, 3))):
+        q = q + monomial(draw(st.integers(1, 2)))
+    return m, k, q * q + monomial(draw(st.sampled_from([0, 2, 4])))
+
+
+@given(even_frame_integrands())
+@settings(max_examples=60, deadline=None)
+def test_composed_matches_frame_oracle_on_random_even_integrands(case):
+    m, k, p = case
+    expected = ExactScalar(*bench_oracles.FrameOracle(m).integral(p.terms, k))
+    assert stiefel_pizzetti_composed(p, m, k) == expected
 
 
 def test_stiefel_domain_validation():
@@ -237,7 +258,7 @@ WEINGARTEN = [
 @pytest.mark.parametrize("m", [3, 4, 5])
 @pytest.mark.parametrize("factors,moment", WEINGARTEN)
 def test_two_frame_routes_match_weingarten_moments(m, factors, moment):
-    vol_q, vol_h = stiefel_volume_pair(m, 2)
+    vol_q, vol_h = bench_oracles.stiefel_volume(m, 2)
     expected = ExactScalar(vol_q * moment(m), vol_h)
     p = _two_frame(m, *factors)
     assert stiefel_pizzetti_composed(p, m, 2) == expected

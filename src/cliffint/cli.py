@@ -147,7 +147,11 @@ class _Parser:
     def atom(self) -> VectorPoly:
         kind, text = self.advance()
         if kind == "rat":
-            return VectorPoly.constant(self.m, Fraction(text), self.nvars)
+            try:
+                value = Fraction(text)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {text!r}") from None
+            return VectorPoly.constant(self.m, value, self.nvars)
         if text == "(":
             inner = self.expression()
             self.expect(")")
@@ -188,8 +192,16 @@ class _Parser:
 
 
 def parse_poly(text: str, m: int, nvars: int = 1) -> VectorPoly:
-    """Parse a polynomial expression into a VectorPoly."""
-    return _Parser(_tokenize(text), m, nvars).parse()
+    """Parse a polynomial expression into a VectorPoly.
+
+    The parser recurses once per parenthesis and unary minus, so an
+    expression nested past the interpreter's recursion limit is a
+    ParseError like any other malformed text.
+    """
+    try:
+        return _Parser(_tokenize(text), m, nvars).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 def parse_exact(text: str) -> ExactScalar:
@@ -451,6 +463,9 @@ def _checked_surface(m: int, phases: list, box,
 
 
 def _build_surface(args) -> tuple[ImplicitSurfaceSpec, QuadratureConfig, float]:
+    # the phases are polynomials in R^m, which must exist before they parse
+    if args.m < 1:
+        raise ParseError("need dimension m >= 1")
     phase_texts = [p for p in args.phases.split(";") if p.strip()] if args.phases else []
     phases = [parse_poly(t, args.m, 1) for t in phase_texts]
     return _checked_surface(args.m, phases, _parse_box(args.box, args.m), args)
@@ -606,10 +621,15 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    # written before stdout, so a failed run prints no result, as on any error
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
+    print(text)
     return 0 if ok else 1
 
 

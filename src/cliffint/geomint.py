@@ -13,15 +13,14 @@ and the oriented variant keeps the blade of gradients unnormalized.
 Heaviside factors stay sharp.
 
 Only a thin band of cells, |phi| < eps + span/2, carries weight.  The band
-sweep splits the grid into blocks of 8 cells per axis and drops every
-block where an interval bound of some phase (from monomial ranges over the
-block) shows |phi| stays above that threshold; each kept block then splits
-once into 2^m half-size sub-blocks, and the same bound drops more of them.
-The cells of the remaining sub-blocks are evaluated in batches of at most
-_BATCH_CELLS cells, so the per-cell arrays stay bounded.  The first culling
-pass is not: ``_band_blocks`` holds about 89 B for every block of the full
-block grid before it drops any, which comes to hundreds of MB at m = 5
-(285 MB at n = 80).
+sweep finds it by interval culling (Snyder, SIGGRAPH 1992) with one rule: a
+block of cells is dropped when an interval bound of some phase (from
+monomial ranges over the block) shows |phi| stays above that threshold.
+The rule runs top down: a flat top grid of at most _BATCH_CELLS blocks,
+then the 2^m halves of each kept block, a bounded group of blocks at a
+time, down to small leaf blocks.  The cells of the kept leaves are
+evaluated in batches of at most _BATCH_CELLS cells, so no array of the
+sweep grows with the grid.
 
 Every grid sum runs through one band-sum driver, which sums each column of
 values against the cell weights with one dot product.  The Cauchy-type
@@ -271,11 +270,13 @@ def _spans(gvals: np.ndarray, spacings: list[float]) -> np.ndarray:
 
 # -- grid streaming ----------------------------------------------------------
 
-# Cells per axis of a culling block, and the most cells one batch of
+# Cells per axis of a culling leaf, the smallest block the band sweep tests
+# (halved while a leaf's cells times 2^m exceed the batch budget: 4 up to
+# m = 4, 2 at m = 5 and 6, 1 from m = 7), and the most cells one batch of
 # candidate points holds.  The budget is sized by measurement on the
 # benchmark's surface_quadrature workload (2-core x86 host): 4096 cells ran
 # 10 % fewer ops per second than 8192, and 16384 raised peak RSS by 3 %.
-_BLOCK = 8
+_BLOCK = 4
 _BATCH_CELLS = 8192
 # Fixed tolerances (the independence one is relative to gradient lengths)
 # and the frames drawn per Monte Carlo stream.
@@ -383,37 +384,45 @@ def _may_reach_band(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list
     return alive
 
 
-def _band_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                 axes: list[np.ndarray], block: int, cut) -> np.ndarray:
-    """Multi-indices (B, m) of the blocks of ``block`` cells per axis that
-    may hold band cells: one ``_may_reach_band`` test over the block grid."""
-    m = len(axes)
-    index = [np.arange(-(-len(ax) // block)).reshape([-1 if j == i else 1 for j in range(m)])
-             for i, ax in enumerate(axes)]
-    return np.argwhere(_may_reach_band(spec, grads, eps, spacings, axes, index, block, cut))
+def _band_leaves(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
+                 axes: list[np.ndarray], leaf: int, cut):
+    """Yield (B, m) multi-indices of the blocks of ``leaf`` cells per axis
+    that may hold band cells.
 
-
-def _refine_blocks(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                   axes: list[np.ndarray], blocks: np.ndarray, block: int, cut):
-    """Yield the half-size sub-blocks of ``blocks`` that may hold band cells.
-
-    Each block of (even) ``block`` cells per axis splits into its 2^m
-    sub-blocks of ``block // 2``; those in the grid that pass
-    ``_may_reach_band`` on their own go out as (B', m) multi-indices, in
-    groups from _BATCH_CELLS >> m blocks at a time, so the arrays of the
-    test stay the size of a batch of cells.
+    The culling runs top down.  The top grid has the smallest power-of-two
+    multiple of ``leaf`` cells per axis that needs at most _BATCH_CELLS
+    blocks, and takes one ``_may_reach_band`` test.  Each surviving block
+    splits into its 2^m half-size children, and the children of
+    _BATCH_CELLS >> m parents at a time take the same test, depth first,
+    down to ``leaf``.  An enclosure over a block holds the enclosures over
+    its sub-blocks, so this keeps the leaves that pass the test on their
+    own, and no array of the test holds more than max(_BATCH_CELLS, 2^m)
+    blocks.
     """
     m = len(axes)
-    half = block // 2
     sizes = np.array([len(ax) for ax in axes])
     bits = np.indices((2,) * m).reshape(m, -1).T
     step = max(1, _BATCH_CELLS >> m)
-    for first in range(0, len(blocks), step):
-        children = (2 * blocks[first:first + step, None, :] + bits).reshape(-1, m)
-        # a block clipped at the grid edge may have sub-blocks wholly outside it
-        children = children.take(np.flatnonzero((children * half < sizes).all(axis=1)), axis=0)
-        alive = _may_reach_band(spec, grads, eps, spacings, axes, children.T, half, cut)
-        yield children.take(np.flatnonzero(alive), axis=0)
+
+    def descend(blocks: np.ndarray, size: int):
+        if size == leaf:
+            yield blocks
+            return
+        half = size // 2
+        for first in range(0, len(blocks), step):
+            children = (2 * blocks[first:first + step, None, :] + bits).reshape(-1, m)
+            # a block clipped at the grid edge may have children wholly outside it
+            children = children.take(np.flatnonzero((children * half < sizes).all(axis=1)), axis=0)
+            alive = _may_reach_band(spec, grads, eps, spacings, axes, children.T, half, cut)
+            yield from descend(children.take(np.flatnonzero(alive), axis=0), half)
+
+    size = leaf
+    while math.prod(-(-len(ax) // size) for ax in axes) > _BATCH_CELLS:
+        size *= 2
+    index = [np.arange(-(-len(ax) // size)).reshape([-1 if j == i else 1 for j in range(m)])
+             for i, ax in enumerate(axes)]
+    yield from descend(np.argwhere(_may_reach_band(spec, grads, eps, spacings, axes,
+                                                   index, size, cut)), size)
 
 
 def _boundary_cell_mask(pts: np.ndarray, spec: ImplicitSurfaceSpec,
@@ -429,20 +438,18 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
                  spacings: list[float], axes: list[np.ndarray], cut: VectorPoly | None = None):
     """Yield (points, weight, jacobian, boundary_mask) inside the band.
 
-    The grid is split into blocks of _BLOCK cells per axis (fewer when
-    _BLOCK^m exceeds _BATCH_CELLS), and a block is kept only if an
-    interval bound of every phase over it can reach the band
-    (``_band_blocks``).  One refinement pass follows: each kept block of
-    even size splits into its 2^m half-size sub-blocks, and the same test
-    rules out more of them (``_refine_blocks``, on _BATCH_CELLS >> m blocks
-    at a time, so its arrays stay the size of a batch).  The cells of the
-    surviving sub-blocks go out in batches of at most _BATCH_CELLS
-    candidates, built from block indices, so no slab-sized array is ever
-    made.  Per batch, each phase and its gradient are evaluated on the
-    cells the earlier phases kept, and the dense test |phi| < eps + span/2
-    decides, so the culling changes only the order of the cells.  The
-    weight is the product of the phases' delta values.  The gradient values
-    that give the span are the rows of the jacobian, shape (N, k, m).
+    The culling has one rule: a block of cells is kept only if an interval
+    bound of every phase over it can reach the band.  ``_band_leaves``
+    applies it top down, from a bounded top grid through the halvings of
+    each kept block to leaves of _BLOCK cells per axis, halved while a
+    leaf's cells times 2^m exceed _BATCH_CELLS.  The cells of the kept
+    leaves go out in batches of at most _BATCH_CELLS candidates, built from
+    leaf indices, so no array of the sweep grows with the grid.  Per batch,
+    each phase and its gradient are evaluated on the cells the earlier
+    phases kept, and the dense test |phi| < eps + span/2 decides, so the
+    culling changes only the order of the cells.  The weight is the product
+    of the phases' delta values.  The gradient values that give the span
+    are the rows of the jacobian, shape (N, k, m).
 
     ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
     A cell's weight then also carries the linearized fraction of the cell
@@ -452,7 +459,7 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     blocks where the interval bound shows it is 0 on every cell.  The cut's
     gradient stays out of the jacobian.  With no phases (k = 0) every cell
     is in the band with weight 1, or its Heaviside fraction under a cut,
-    and only a cut gives culling and the refinement.
+    and only a cut rules out blocks.
 
     The sweep is column-major: a batch holds its cell coordinates as one
     (m, N) array, one contiguous row per axis, and the phase gradients as
@@ -466,20 +473,17 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     tests = [(phi, [phi.diff(1, i) for i in range(1, m + 1)]) for phi in phis]
     grads = [row for _, row in tests[:k]]
     cut_test = None if cut is None else tests[k]
-    block = _BLOCK
-    while block > 1 and block ** m > _BATCH_CELLS:
-        block //= 2
-    groups = [_band_blocks(spec, grads, eps, spacings, axes, block, cut_test)]
-    if tests and block % 2 == 0:
-        groups = _refine_blocks(spec, grads, eps, spacings, axes, groups[0], block, cut_test)
-        block //= 2
+    leaf = _BLOCK
+    while leaf > 1 and leaf ** m > _BATCH_CELLS >> m:
+        leaf //= 2
+    groups = _band_leaves(spec, grads, eps, spacings, axes, leaf, cut_test)
     sizes = np.array([len(ax) for ax in axes])[:, None]
-    ragged = bool(np.any(sizes % block))
-    offsets = np.indices((block,) * m).reshape(m, 1, -1)
+    ragged = bool(np.any(sizes % leaf))
+    offsets = np.indices((leaf,) * m).reshape(m, 1, -1)
     per_batch = _BATCH_CELLS // offsets.shape[2]
     for subs in (g[s:s + per_batch] for g in groups for s in range(0, len(g), per_batch)):
         # C order, so the reshape is a view rather than a copy
-        idx = np.add(subs.T[:, :, None] * block, offsets, order="C").reshape(m, -1)
+        idx = np.add(subs.T[:, :, None] * leaf, offsets, order="C").reshape(m, -1)
         if ragged:
             # the last block along an axis may stick out of the grid
             idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)

@@ -155,6 +155,9 @@ def test_usage_error_exit_code(capsys):
     ["pizzetti", "stiefel", "--m", "2", "--k", "2", "--poly", "1", "--method", "explicit2"],
     ["oracle", "mc", "--m", "3", "--k", "4", "--poly", "1"],
     ["oracle", "mc", "--m", "3", "--k", "2", "--poly", "1", "--n-samples", "1"],
+    # the dimension is checked before the phases are parsed in it
+    ["integrate", "implicit", "--m", "0", "--phases", "1", "--box=-1,1"],
+    ["integrate", "implicit", "--m", "-1", "--phases", "1", "--box=-1,1"],
 ])
 def test_out_of_domain_arguments_are_usage_errors(args, capsys):
     assert run(args + ["-q"]) == 2
@@ -179,6 +182,27 @@ def test_bad_polynomial_reports_cleanly(capsys):
     code = run(["pizzetti", "sphere", "--m", "3", "--poly", "x9_9^", "-q"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("poly", ["(" * 300 + "x1_1^2" + ")" * 300, "-" * 2000, "1/0"],
+                         ids=["300-parentheses", "2000-minus-signs", "zero-denominator"])
+def test_poly_parse_failures_are_one_line_usage_errors(poly, capsys):
+    # deep nesting exhausts the recursive-descent parser's stack, and 1/0 is
+    # a literal with no value; neither may escape as a traceback
+    assert run(["pizzetti", "sphere", "--m", "3", f"--poly={poly}", "-q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unwritable_out_file_is_a_one_line_failure(tmp_path, capsys):
+    target = tmp_path / "missing" / "res.json"
+    assert run(["pizzetti", "sphere", "--m", "2", "--poly", "1", "--out", str(target), "-q"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert not target.exists()
 
 
 def test_module_entry_point():

@@ -382,7 +382,9 @@ def test_band_does_not_depend_on_batch_or_block_size(shape, n, monkeypatch):
     # n = 101 leaves ragged blocks at the grid edge for every block size
     spec = ImplicitSurfaceSpec(2, [], BOX2) if shape == "no phases" else _dense_case(shape)
     pts, weight, jac, bmask = _stream_rows(spec, n)
-    for batch, block in ((1000, 8), (64, 8), (8192, 4)):
+    # _BLOCK is the leaf size (4 by default); a batch of 64 cells caps the
+    # top grid at 64 blocks, so the culling descends two to four levels
+    for batch, block in ((1000, 8), (64, 8), (1000, 2)):
         monkeypatch.setattr(geomint, "_BATCH_CELLS", batch)
         monkeypatch.setattr(geomint, "_BLOCK", block)
         got_pts, got_weight, got_jac, got_bmask = _stream_rows(spec, n)
@@ -430,9 +432,9 @@ def test_cut_band_keeps_every_cell_of_the_cut(case, n):
         # the disk holds about 31 % of the grid; the block test with the cut
         # rules out most of the rest before any cell is evaluated
         grads = [phi.diff(1, i) for i in (1, 2)]
-        blocks = geomint._band_blocks(spec, [], eps, spacings, axes, geomint._BLOCK,
-                                      (phi, grads))
-        assert len(blocks) * geomint._BLOCK ** 2 < 0.45 * n * n
+        leaf = geomint._BLOCK
+        leaves = geomint._band_leaves(spec, [], eps, spacings, axes, leaf, (phi, grads))
+        assert sum(map(len, leaves)) * leaf ** 2 < 0.45 * n * n
 
 
 def test_cut_band_keeps_cells_where_phi_and_its_span_vanish():
@@ -526,7 +528,7 @@ def test_block_bound_contains_phase(case):
                  np.array([ranges[i][1][box[i]] for i in range(m)])) for box in boxes]
     for box, (a, b) in zip(boxes, box_ends):
         assert_encloses(a, b, lo[box], hi[box])
-    # the list of boxes, as the refinement pass passes them: the same boxes
+    # the list of boxes, as the culling descent passes them: the same boxes
     # in a random order, with repeats, one 1-d entry per box
     picks = rng.integers(0, len(boxes), 2 * len(boxes) + 1)
     listed = [(np.array([box_ends[j][0][i] for j in picks]),
@@ -548,6 +550,25 @@ def test_s3_quadrature_in_bounded_memory():
         tracemalloc.stop()
     assert val == pytest.approx(2 * math.pi ** 2, rel=1e-2)
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("m,n,leaf,count", [(4, 160, 4, 127104), (5, 80, 2, 3357856)])
+def test_band_culling_in_bounded_memory(m, n, leaf, count):
+    # the leaf sizes the band sweep uses at m = 4 and 5; the grid at m = 5,
+    # n = 80 has 40^5 leaves, and one flat test of even their 20^5 parents
+    # holds about 285 MB
+    spec = sphere_spec(m)
+    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
+    grads = [[phi.diff(1, i) for i in range(1, m + 1)] for phi in spec.phases]
+    tracemalloc.start()
+    try:
+        kept = sum(len(g) for g in geomint._band_leaves(spec, grads, eps, spacings, axes,
+                                                        leaf, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == count
+    assert peak < 16e6
 
 
 # -- frames and the tangential Dirac operator ---------------------------------

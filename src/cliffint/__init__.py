@@ -13,8 +13,7 @@ Modules:
 - ``cli``: command-line interface.
 """
 
-from .clifford import (Multivector, Vector1, blades_of_grade, dot,
-                       geometric_product, grade_project, gram_det, wedge,
+from .clifford import (Multivector, blades_of_grade, dot, gram_det, wedge,
                        wedge_vectors)
 from .exterior import (CheckResult, CliffordForm, CliffordPoly, check_psi_blade_pairing,
                        check_gradient_contraction, check_dirac_psi_derivative, check_gradient_blade_volume, check_oriented_measure_product,
@@ -37,8 +36,8 @@ from .polyalg import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
                       pochhammer_half)
 
 __all__ = [
-    "Multivector", "Vector1", "blades_of_grade", "dot", "geometric_product",
-    "grade_project", "gram_det", "wedge", "wedge_vectors",
+    "Multivector", "blades_of_grade", "dot", "gram_det", "wedge",
+    "wedge_vectors",
     "CheckResult", "CliffordForm", "CliffordPoly", "check_psi_blade_pairing", "check_gradient_contraction",
     "check_dirac_psi_derivative", "check_gradient_blade_volume", "check_oriented_measure_product", "exterior_derivative",
     "form_mul", "psi",

@@ -25,8 +25,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .clifford import (Multivector, Vector1, dot, grade_project, gram_det,
-                       wedge, wedge_vectors)
+from .clifford import Multivector, dot, gram_det, wedge, wedge_vectors
 from .exterior import (check_psi_blade_pairing, check_gradient_contraction, check_dirac_psi_derivative, check_gradient_blade_volume,
                        check_oriented_measure_product)
 from .geomint import (BoundaryContactError, ImplicitSurfaceSpec,
@@ -210,12 +209,12 @@ def parse_exact(text: str) -> ExactScalar:
     if "*" not in text:
         try:
             return ExactScalar(Fraction(text), 0)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad exact scalar {text!r}") from exc
     qpart, _, pipart = text.partition("*")
     try:
         q = Fraction(qpart.strip())
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational part {qpart.strip()!r}") from exc
     pipart = pipart.strip()
     if pipart == "pi":
@@ -278,8 +277,8 @@ def _rand_homogeneous(rng: random.Random, m: int, k: int) -> Multivector:
     return mv if mv.terms else Multivector.basis(m, tuple(range(1, k + 1)))
 
 
-def _rand_vector(rng: random.Random, m: int) -> Vector1:
-    return Vector1([Fraction(rng.randint(-3, 3)) for _ in range(m)])
+def _rand_vector(rng: random.Random, m: int) -> Multivector:
+    return Multivector.from_vector([Fraction(rng.randint(-3, 3)) for _ in range(m)])
 
 
 def _rand_poly(rng: random.Random, m: int, nvars: int = 1, deg: int = 2,
@@ -328,7 +327,7 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
             _tally(results, "anticommutation", ei * ej + ej * ei == expected)
             k = rng.randint(0, m)
             hom = _rand_homogeneous(rng, m, k)
-            v = _rand_vector(rng, m).to_multivector()
+            v = _rand_vector(rng, m)
             sign = -1 if k % 2 else 1
             half = Fraction(1, 2)
             vd = dot(v, hom) if k >= 1 else Multivector(m, {})
@@ -336,15 +335,15 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
             _tally(results, "vector_dot_halved",
                    (vd == lhs) if k >= 1 else lhs.is_zero())
             _tally(results, "vector_dot_grade",
-                   dot(v, hom) == grade_project(v * hom, abs(k - 1)))
+                   dot(v, hom) == (v * hom).grade_project(abs(k - 1)))
             lhs_w = Multivector(m, {bl: co * half for bl, co in (v * hom + sign * (hom * v)).terms.items()})
             _tally(results, "vector_wedge_halved", wedge(v, hom) == lhs_w)
             _tally(results, "vector_wedge_grade",
-                   wedge(v, hom) == grade_project(v * hom, k + 1))
+                   wedge(v, hom) == (v * hom).grade_project(k + 1))
             kk = rng.randint(1, m)
-            vecs = [_rand_vector(rng, m).to_multivector() for _ in range(kk)]
+            vecs = [_rand_vector(rng, m) for _ in range(kk)]
             w = wedge_vectors(vecs)
-            _tally(results, "wedge_grade_of_product", w == grade_project(_product(vecs, m), kk))
+            _tally(results, "wedge_grade_of_product", w == _product(vecs, m).grade_project(kk))
             if kk >= 2:
                 swapped = list(vecs)
                 swapped[0], swapped[1] = swapped[1], swapped[0]
@@ -353,7 +352,7 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
                        wedge_vectors([vecs[0]] + vecs[:-1]).is_zero())
             vs = [_rand_vector(rng, m) for _ in range(kk)]
             _tally(results, "gram_equals_wedge_norm",
-                   gram_det(vs) == wedge_vectors([v.to_multivector() for v in vs]).norm_squared())
+                   gram_det(vs) == wedge_vectors(vs).norm_squared())
     elif name == "exterior":
         for _ in range(trials):
             m = rng.randint(2, 4)
@@ -440,6 +439,8 @@ def _handle_oracle_mc(args) -> tuple[dict, bool]:
         raise ParseError(f"need 1 <= k <= m = {args.m}")
     if args.n_samples < 2:
         raise ParseError("need at least two samples")
+    if args.seed < 0:
+        raise ParseError("need a non-negative seed")
     poly = parse_poly(args.poly, args.m, args.k)
     est = mc_stiefel_integral(poly, args.m, args.k, args.n_samples, args.seed)
     log.info("Monte Carlo with %d samples, seed %d", est.n_samples, est.seed)

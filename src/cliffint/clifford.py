@@ -3,7 +3,8 @@
 Generators e_1, ..., e_m satisfy e_j e_l + e_l e_j = -2 delta_{jl}, so each
 e_j squares to -1 and distinct generators anticommute.  A multivector is a
 finite sum over basis blades e_A = e_{j_1} ... e_{j_k} indexed by strictly
-increasing tuples A = (j_1 < ... < j_k) of indices from {1, .., m}.
+increasing tuples A = (j_1 < ... < j_k) of indices from {1, .., m}.  A
+vector x = sum_j x_j e_j is the grade-1 multivector ``Multivector.from_vector``.
 
 ``Terms`` is the sparse blade algebra shared by ``Multivector`` here and by
 ``CliffordPoly`` and ``CliffordForm`` in ``exterior``: a dict from blades
@@ -190,55 +191,12 @@ class Multivector(Terms):
         return other * self
 
 
-class Vector1:
-    """Grade-1 vector of dimension ``m`` with explicit components."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence):
-        self.components = tuple(components)
-
-    @property
-    def m(self) -> int:
-        return len(self.components)
-
-    def to_multivector(self) -> Multivector:
-        return Multivector.from_vector(self.components)
-
-    def inner(self, other: "Vector1"):
-        """Euclidean inner product of component tuples."""
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-        return sum(a * b for a, b in zip(self.components, other.components))
-
-    def __eq__(self, other):
-        return isinstance(other, Vector1) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        return f"Vector1({list(self.components)})"
-
-
 def _as_multivector(a, m: int | None = None) -> Terms:
-    if isinstance(a, Vector1):
-        return a.to_multivector()
     if isinstance(a, Terms):
         return a
     if m is not None and isinstance(a, (int, Fraction, float)):
         return Multivector.scalar(m, a)
-    raise TypeError(f"expected Multivector or Vector1, got {type(a)!r}")
-
-
-def geometric_product(a, b) -> Multivector:
-    a = _as_multivector(a)
-    b = _as_multivector(b, a.m)
-    return a * b
-
-
-def grade_project(a, k: int) -> Multivector:
-    return _as_multivector(a).grade_project(k)
+    raise TypeError(f"expected Multivector, got {type(a)!r}")
 
 
 def dot(a, b) -> Terms:
@@ -310,14 +268,18 @@ def _det_fraction(rows: list[list]) -> object:
 
 
 def gram_det(vectors: Sequence):
-    """Determinant of the Gram matrix G_{ij} = <v_i, v_j>.
+    """Determinant of the Gram matrix G_{ij} = <v_i, v_j> of grade-1 elements.
 
-    Equals the squared blade norm of v_1 ^ ... ^ v_k.
+    The inner products are plain component sums, independent of the wedge
+    and of the Clifford product; the determinant equals the squared blade
+    norm of v_1 ^ ... ^ v_k.
     """
-    vecs = [v if isinstance(v, Vector1) else Vector1(_grade1_components(v)) for v in vectors]
-    if not vecs:
+    comps = [_grade1_components(v) for v in vectors]
+    if not comps:
         raise ValueError("need at least one vector")
-    gram = [[vi.inner(vj) for vj in vecs] for vi in vecs]
+    if len({len(c) for c in comps}) > 1:
+        raise ValueError("dimension mismatch")
+    gram = [[sum(a * b for a, b in zip(u, w)) for w in comps] for u in comps]
     return _det_fraction(gram)
 
 

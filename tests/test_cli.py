@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cliffint import geomint
-from cliffint.cli import parse_exact, run
+from cliffint.cli import ParseError, parse_exact, run
 
 from oracles import bench_oracles
 
@@ -27,6 +27,13 @@ def test_pizzetti_sphere_round_trip(capsys):
     assert exact.to_float() == pytest.approx(doc["float"], rel=1e-14)
     assert doc["float"] == pytest.approx(
         bench_oracles.exact_to_float(bench_oracles.sphere_monomial((2, 0, 0))), rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/0 * pi", "x", "2 * tau"])
+def test_parse_exact_rejects_malformed_scalars(text):
+    # a zero denominator has no value, like any other malformed literal
+    with pytest.raises(ParseError):
+        parse_exact(text)
 
 
 def test_pizzetti_stiefel_methods_agree(capsys):
@@ -158,6 +165,9 @@ def test_usage_error_exit_code(capsys):
     # the dimension is checked before the phases are parsed in it
     ["integrate", "implicit", "--m", "0", "--phases", "1", "--box=-1,1"],
     ["integrate", "implicit", "--m", "-1", "--phases", "1", "--box=-1,1"],
+    # SeedSequence takes no negative entropy
+    ["oracle", "mc", "--m", "3", "--k", "2", "--poly", "x1_1^2", "--n-samples", "100",
+     "--seed", "-1"],
 ])
 def test_out_of_domain_arguments_are_usage_errors(args, capsys):
     assert run(args + ["-q"]) == 2

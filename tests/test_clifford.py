@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cliffint import (CliffordForm, CliffordPoly, Multivector, Vector1,
-                      VectorPoly, blades_of_grade, dot, geometric_product,
-                      grade_project, gram_det, wedge, wedge_vectors)
+from cliffint import (CliffordForm, CliffordPoly, Multivector, VectorPoly,
+                      blades_of_grade, dot, gram_det, wedge, wedge_vectors)
 from cliffint.clifford import _mul_blades
 
 from oracles import blade_product
@@ -61,15 +60,15 @@ def test_distributivity_random():
 
 def test_grade_projection_splits_product():
     m = 3
-    a = wedge_vectors([Vector1([1, 2, 0]), Vector1([0, 1, 1])])
+    a = wedge_vectors([Multivector.from_vector([1, 2, 0]), Multivector.from_vector([0, 1, 1])])
     b = Multivector.from_vector([3, 0, -1])
-    prod = geometric_product(a, b)
+    prod = a * b
     recomposed = Multivector.scalar(m, 0)
     for k in range(m + 1):
-        recomposed = recomposed + grade_project(prod, k)
+        recomposed = recomposed + prod.grade_project(k)
     assert recomposed == prod
-    assert grade_project(prod, 1) == dot(a, b)
-    assert grade_project(prod, 3) == wedge(a, b)
+    assert prod.grade_project(1) == dot(a, b)
+    assert prod.grade_project(3) == wedge(a, b)
 
 
 def test_vector_dot_is_symmetric_bilinear():
@@ -105,7 +104,7 @@ def test_wedge_matches_graded_product_definition():
         want = Multivector.scalar(m, 0)
         for k in a.grades():
             for l in b.grades():
-                want = want + grade_project(grade_project(a, k) * grade_project(b, l), k + l)
+                want = want + (a.grade_project(k) * b.grade_project(l)).grade_project(k + l)
         assert wedge(a, b) == want
 
 
@@ -113,17 +112,18 @@ def test_wedge_vectors_agrees_with_iterated_wedge():
     rng = random.Random(10)
     # every k <= m up to m = 5, three draws each, with rational entries
     for m, k in [(m, k) for m in range(2, 6) for k in range(1, m + 1)] * 3:
-        vs = [Vector1([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)])
+        vs = [Multivector.from_vector([Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                       for _ in range(m)])
               for _ in range(k)]
-        step = vs[0].to_multivector()
+        step = vs[0]
         for v in vs[1:]:
-            step = wedge(step, v.to_multivector())
+            step = wedge(step, v)
         assert wedge_vectors(vs) == step
 
 
 def test_wedge_vectors_vanishes_on_repeats():
-    v = Vector1([1, 2, 3])
-    w = Vector1([0, 1, 0])
+    v = Multivector.from_vector([1, 2, 3])
+    w = Multivector.from_vector([0, 1, 0])
     assert wedge_vectors([v, w, v]).is_zero()
 
 
@@ -132,15 +132,30 @@ def test_gram_det_equals_wedge_norm_squared():
     for _ in range(50):
         m = rng.randint(2, 5)
         k = rng.randint(1, min(3, m))
-        vs = [Vector1([Fraction(rng.randint(-3, 3)) for _ in range(m)])
+        vs = [Multivector.from_vector([Fraction(rng.randint(-3, 3)) for _ in range(m)])
               for _ in range(k)]
         assert gram_det(vs) == wedge_vectors(vs).norm_squared()
 
 
 def test_gram_det_known_value():
-    vs = [Vector1([1, 0, 0]), Vector1([0, 2, 0])]
+    vs = [Multivector.from_vector([1, 0, 0]), Multivector.from_vector([0, 2, 0])]
     assert gram_det(vs) == 4
-    assert gram_det([Vector1([1, 1]), Vector1([2, 2])]) == 0
+    assert gram_det([Multivector.from_vector([1, 1]), Multivector.from_vector([2, 2])]) == 0
+
+
+def test_gram_det_rejects_mixed_dimensions():
+    # a truncating zip would return a determinant here instead of an error
+    with pytest.raises(ValueError):
+        gram_det([Multivector.from_vector([1, 0]), Multivector.from_vector([0, 1, 1])])
+
+
+def test_gram_det_and_wedge_vectors_reject_other_grades():
+    v = Multivector.from_vector([1, 2, 0])
+    for other in (e(3, 1, 2), Multivector.scalar(3, 1), v + e(3, 1, 2)):
+        with pytest.raises(ValueError):
+            gram_det([v, other])
+        with pytest.raises(ValueError):
+            wedge_vectors([v, other])
 
 
 def test_blades_of_grade_counts():
@@ -167,10 +182,6 @@ def test_blade_index_validation():
 def test_mixed_dimension_rejected():
     with pytest.raises(ValueError):
         e(2, 1) * e(3, 1)
-
-
-def test_vector1_inner():
-    assert Vector1([1, 2]).inner(Vector1([3, -1])) == 1
 
 
 # -- the shared blade algebra ---------------------------------------------------

@@ -27,14 +27,15 @@ values against the cell weights with one dot product.  The Cauchy-type
 check is two: the band cut by the Heaviside of phi, whose sweep also drops
 the blocks and cells where H(-phi) = 0, and the band of (phi, phi_1, ...,
 phi_k), so it needs k < m.  Its Clifford-valued fields, blades and products
-take a column-sparse batched form: a dict from blade position to one column
-of coefficients over the points, holding only the blades the value can
-carry.  A geometric product is vectorized over the points and loops over
-the pairs of carried columns.  Its tangential Dirac operator needs no
-tangent frame: it is sum_i e_i (P_T d F)_i with the projector
-P_T = I - J^T (J J^T)^-1 J of the phase jacobian J, and the product with
-each e_i relabels the columns through the multiplication table.  The
-pointwise ``tangential_dirac`` is the same operator on one point.
+take a column-sparse batched form: a dict from blade, the index tuple that
+keys ``Multivector``, to one column of coefficients over the points, holding
+only the blades the value can carry.  A geometric product is vectorized
+over the points and loops over the pairs of carried columns.  Its
+tangential Dirac operator needs no tangent frame: it is
+sum_i e_i (P_T d F)_i with the projector P_T = I - J^T (J J^T)^-1 J of the
+phase jacobian J, and the product with each e_i relabels the columns
+through the multiplication table.  The pointwise ``tangential_dirac`` is
+the same operator on one point.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clifford import Multivector, _mul_blades
+from .clifford import Multivector, _mul_blades, blades_of_grade
 from .exterior import CliffordPoly
 from .pizzetti import stiefel_volume
 from .polyalg import VectorPoly
@@ -592,24 +593,24 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
 
     Every grid sum of the module runs through here.  ``integrand(pts, jac)``
     maps the (N, m) points and the (N, k, m) jacobian of a batch of band
-    cells to a dict of (N,) value columns, one per blade position it can
-    carry; this driver applies the weights of ``_band_stream`` (the delta
-    product, times the Heaviside fraction of ``cut`` when one is given) and
-    the cell volume, with one dot product per column.  The result maps each
-    position to its sum (empty when no cell is in the band).  Raises
+    cells to a dict of (N,) value columns, one per blade it can carry; this
+    driver applies the weights of ``_band_stream`` (the delta product, times
+    the Heaviside fraction of ``cut`` when one is given) and the cell
+    volume, with one dot product per column.  The result maps each blade to
+    its sum (empty when no cell is in the band).  Raises
     BoundaryContactError when the boundary cells carry more than
     _BOUNDARY_TOL of the total magnitude.
     """
     cfg = cfg or QuadratureConfig()
     eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
-    totals: dict[int, float] = {}
+    totals: dict[tuple, float] = {}
     total_abs = boundary_abs = 0.0
     for pts, weight, jac, bmask in _band_stream(spec, eps, spacings, axes, cut):
         weight = weight * cellvol
         edge = np.flatnonzero(bmask)
         edge_weight = weight.take(edge)
-        for pos, col in integrand(pts, jac).items():
-            totals[pos] = totals.get(pos, 0.0) + float(col @ weight)
+        for blade, col in integrand(pts, jac).items():
+            totals[blade] = totals.get(blade, 0.0) + float(col @ weight)
             mags = np.abs(col)
             total_abs += float(mags @ weight)
             boundary_abs += float(mags.take(edge) @ edge_weight)
@@ -632,9 +633,9 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
         raise ValueError("need at least one phase")
 
     def density(pts, jac):
-        return {0: _field_values(f, pts) * _wedge_norms(jac)}
+        return {(): _field_values(f, pts) * _wedge_norms(jac)}
 
-    return _band_sum(spec, cfg, density).get(0, 0.0)
+    return _band_sum(spec, cfg, density).get((), 0.0)
 
 
 def integrate_oriented(f, spec: ImplicitSurfaceSpec,
@@ -650,9 +651,9 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     def density(pts, jac):
         values = _field_values(f, pts)
         _checked_gram(jac)
-        return {pos: values * minor for pos, minor in _wedge_columns(jac, spec.m).items()}
+        return {blade: values * minor for blade, minor in _wedge_columns(jac, spec.m).items()}
 
-    return _multivector_from_sums(_band_sum(spec, cfg, density), spec.m)
+    return Multivector(spec.m, _band_sum(spec, cfg, density))
 
 
 def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence],
@@ -726,7 +727,8 @@ def _surface_jacobian(spec: ImplicitSurfaceSpec, point: Sequence[float]
     pt = x[None, :]
     for phi in spec.phases:
         val = float(poly_on_points(phi, pt)[0])
-        if abs(val) > _ON_SURFACE_TOL:
+        # not <=, so that a NaN value fails too
+        if not abs(val) <= _ON_SURFACE_TOL:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
     jac = [[poly_on_points(phi.diff(1, i), pt) for i in range(1, spec.m + 1)]
            for phi in spec.phases]
@@ -771,43 +773,31 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
     """
     f = _as_cliffpoly(field, spec.m)
     pt, jac = _surface_jacobian(spec, point)
-    partials = [_field_columns(f.diff(i), pt, spec.m) for i in range(1, spec.m + 1)]
+    partials = [_field_columns(f.diff(i), pt) for i in range(1, spec.m + 1)]
     out = _projected_dirac(jac, _inverse_gram(jac), partials, spec.m, left=True)
-    return _multivector_from_sums({pos: float(col[0]) for pos, col in out.items()}, spec.m)
+    return Multivector(spec.m, {blade: float(col[0]) for blade, col in out.items()})
 
 
 # -- column-sparse Clifford batch algebra -------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _blades(m: int) -> tuple[list, dict]:
-    """Blades by position and positions by blade.
-
-    Position bit j - 1 is set exactly when e_j is in the blade, so the
-    scalar sits at 0 and e_j at 1 << (j - 1).
-    """
-    blades = [tuple(j + 1 for j in range(m) if b >> j & 1) for b in range(1 << m)]
-    return blades, {blade: pos for pos, blade in enumerate(blades)}
+def _cayley(m: int) -> dict:
+    """Multiplication table over the blades of every grade: entry [a][b] is
+    the (sign, blade) of the product of blades a and b."""
+    blades = [blade for k in range(m + 1) for blade in blades_of_grade(m, k)]
+    return {a: {b: _mul_blades(a, b, -1) for b in blades} for a in blades}
 
 
-@lru_cache(maxsize=None)
-def _cayley(m: int) -> list[list[tuple[int, int]]]:
-    """Multiplication table over blade positions: entry [a][b] is the
-    (position, sign) of the product of blades a and b."""
-    blades, position = _blades(m)
-    return [[(position[blade], sign) for sign, blade in (_mul_blades(a, b, -1) for b in blades)]
-            for a in blades]
-
-
-def _accumulate(out: dict, pos: int, col: np.ndarray, negate: bool = False) -> None:
-    """out[pos] += col, or -= col when ``negate``.
+def _accumulate(out: dict, blade: tuple, col: np.ndarray, negate: bool = False) -> None:
+    """out[blade] += col, or -= col when ``negate``.
 
     ``col`` must be an array made for this call: it may be negated in place
     and kept as the column itself.
     """
-    acc = out.get(pos)
+    acc = out.get(blade)
     if acc is None:
-        out[pos] = np.negative(col, out=col) if negate else col
+        out[blade] = np.negative(col, out=col) if negate else col
     elif negate:
         acc -= col
     else:
@@ -817,25 +807,24 @@ def _accumulate(out: dict, pos: int, col: np.ndarray, negate: bool = False) -> N
 def _columns_mul(a: dict, b: dict, m: int) -> dict:
     """Geometric product of column-sparse batches.
 
-    A batch is a dict from blade position to an (N,) column of
-    coefficients, one per point, holding only the blades it can carry; the
-    product loops over the pairs of carried columns.
+    A batch is a dict from blade to an (N,) column of coefficients, one per
+    point, holding only the blades it can carry; the product loops over the
+    pairs of carried columns.
     """
     table = _cayley(m)
     out: dict = {}
     for i, ca in a.items():
         row = table[i]
         for j, cb in b.items():
-            pos, sign = row[j]
-            _accumulate(out, pos, ca * cb, negate=sign < 0)
+            sign, blade = row[j]
+            _accumulate(out, blade, ca * cb, negate=sign < 0)
     return out
 
 
-def _field_columns(f: CliffordPoly, pts: np.ndarray, m: int) -> dict:
+def _field_columns(f: CliffordPoly, pts: np.ndarray) -> dict:
     """Column-sparse values of a Clifford field at pts: one column per blade
     of the field, none for a zero field."""
-    _, position = _blades(m)
-    return {position[blade]: poly_on_points(poly, pts) for blade, poly in f.terms.items()}
+    return {blade: poly_on_points(poly, pts) for blade, poly in f.terms.items()}
 
 
 def _wedge_columns(jac: np.ndarray, m: int) -> dict:
@@ -844,23 +833,16 @@ def _wedge_columns(jac: np.ndarray, m: int) -> dict:
     The column of e_A is the minor of the columns in A; with k = 0 the
     blade is the scalar 1.
     """
-    k = jac.shape[1]
-    return {pos: _minors(jac, [j - 1 for j in blade])
-            for pos, blade in enumerate(_blades(m)[0]) if len(blade) == k}
-
-
-def _multivector_from_sums(sums: dict, m: int) -> Multivector:
-    """The multivector with coefficient sums[pos] on the blade at each position."""
-    blades, _ = _blades(m)
-    return Multivector(m, {blades[pos]: c for pos, c in sorted(sums.items()) if c})
+    return {blade: _minors(jac, [j - 1 for j in blade])
+            for blade in blades_of_grade(m, jac.shape[1])}
 
 
 def _combination(pairs) -> dict:
     """sum of coeff * batch over the (coeff, batch) pairs, coeff an (N,) array."""
     out: dict = {}
     for coeff, batch in pairs:
-        for pos, col in batch.items():
-            _accumulate(out, pos, coeff * col)
+        for blade, col in batch.items():
+            _accumulate(out, blade, coeff * col)
     return out
 
 
@@ -886,13 +868,13 @@ def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: i
     table = _cayley(m)
     out: dict = {}
     for i in range(m):
-        a_i = {pos: col.copy() for pos, col in partials[i].items()}
+        a_i = {blade: col.copy() for blade, col in partials[i].items()}
         for a in range(k):
-            for pos, col in normal[a].items():
-                _accumulate(a_i, pos, jac[:, a, i] * col, negate=True)
-        e = 1 << i  # the position of e_{i+1}
-        for pos, col in a_i.items():
-            target, sign = table[e][pos] if left else table[pos][e]
+            for blade, col in normal[a].items():
+                _accumulate(a_i, blade, jac[:, a, i] * col, negate=True)
+        e = (i + 1,)
+        for blade, col in a_i.items():
+            sign, target = table[e][blade] if left else table[blade][e]
             _accumulate(out, target, col, negate=sign < 0)
     return out
 
@@ -944,17 +926,17 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
         wedge = _wedge_columns(jac, m)
         out: dict = {}
         # a field whose derivatives all vanish drops its whole term
-        f_right = _projected_dirac(jac, gram_inv, [_field_columns(d, pts, m) for d in df],
+        f_right = _projected_dirac(jac, gram_inv, [_field_columns(d, pts) for d in df],
                                    m, left=False)
         if f_right:
-            g_vals = _field_columns(g_cp, pts, m)
+            g_vals = _field_columns(g_cp, pts)
             out = _columns_mul(_columns_mul(f_right, wedge, m), g_vals, m)
-        g_left = _projected_dirac(jac, gram_inv, [_field_columns(d, pts, m) for d in dg],
+        g_left = _projected_dirac(jac, gram_inv, [_field_columns(d, pts) for d in dg],
                                   m, left=True)
         if g_left:
-            f_vals = _field_columns(f_cp, pts, m)
-            for pos, col in _columns_mul(_columns_mul(f_vals, wedge, m), g_left, m).items():
-                _accumulate(out, pos, col, negate=k % 2 == 1)
+            f_vals = _field_columns(f_cp, pts)
+            for blade, col in _columns_mul(_columns_mul(f_vals, wedge, m), g_left, m).items():
+                _accumulate(out, blade, col, negate=k % 2 == 1)
         return out
 
     def right_density(pts, jac):
@@ -965,8 +947,8 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
             raise TransversalityError(
                 "grad phi is not transversal to the surface on its band") from exc
         blade = _wedge_columns(jac, m)
-        f_vals = _field_columns(f_cp, pts, m)
-        g_vals = _field_columns(g_cp, pts, m)
+        f_vals = _field_columns(f_cp, pts)
+        g_vals = _field_columns(g_cp, pts)
         return _columns_mul(_columns_mul(f_vals, blade, m), g_vals, m)
 
     lhs = _band_sum(spec, cfg, left_density, phi)
@@ -974,9 +956,9 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     rhs = _band_sum(cut, cfg, right_density)
     lhs_norm = math.hypot(*lhs.values())
     rhs_norm = math.hypot(*rhs.values())
-    diff = math.hypot(*(lhs.get(pos, 0.0) - rhs.get(pos, 0.0) for pos in lhs.keys() | rhs.keys()))
+    diff = math.hypot(*(lhs.get(b, 0.0) - rhs.get(b, 0.0) for b in lhs.keys() | rhs.keys()))
     residual = diff / max(lhs_norm, rhs_norm, 1.0)
-    return CauchyResult(_multivector_from_sums(lhs, m), _multivector_from_sums(rhs, m), residual)
+    return CauchyResult(Multivector(m, lhs), Multivector(m, rhs), residual)
 
 
 # -- Haar sampling and Monte Carlo -------------------------------------------

@@ -16,8 +16,10 @@ from cliffint import (BoundaryContactError, CliffordPoly, Frame,
                       phase_rescale_invariance, stiefel_volume,
                       tangent_normal_frames, tangential_dirac)
 from cliffint import geomint
-from cliffint.geomint import (_band_stream, _delta_values, _grid_geometry, _haar_frames,
-                              _interval_bounds, _minors, _wedge_columns, _wedge_norms)
+from cliffint.clifford import blades_of_grade
+from cliffint.geomint import (_band_stream, _columns_mul, _delta_values, _grid_geometry,
+                              _haar_frames, _interval_bounds, _minors, _wedge_columns,
+                              _wedge_norms)
 
 from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bump_point,
                      dense_band, dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
@@ -243,9 +245,9 @@ def test_small_minors_match_lapack():
     # three rows still go through LAPACK, column by column of the blade
     jac = rng.standard_normal((50, 3, 4))
     blade = _wedge_columns(jac, 4)
-    assert sorted(blade) == [0b0111, 0b1011, 0b1101, 0b1110]
-    assert np.allclose(blade[0b0111], np.linalg.det(jac[:, :, [0, 1, 2]]), rtol=1e-12)
-    assert np.allclose(blade[0b1101], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
+    assert sorted(blade) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert np.allclose(blade[(1, 2, 3)], np.linalg.det(jac[:, :, [0, 1, 2]]), rtol=1e-12)
+    assert np.allclose(blade[(1, 3, 4)], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -618,6 +620,16 @@ def test_frames_require_surface_point():
         tangent_normal_frames(sphere_spec(), [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("point", [[math.nan, 0.0, 0.0], [1.0, math.nan, 0.0]])
+def test_nan_point_is_not_on_the_surface(point):
+    # |phi| > tol is False for NaN, so the on-surface test must be not <=
+    spec = sphere_spec()
+    with pytest.raises(ValueError, match="not on the surface"):
+        tangential_dirac(xvar(1), spec, point)
+    with pytest.raises(ValueError, match="not on the surface"):
+        tangent_normal_frames(spec, point)
+
+
 def test_tangential_dirac_values():
     spec = sphere_spec()
     assert tangential_dirac(VectorPoly.constant(3, 5), spec,
@@ -648,6 +660,34 @@ def test_tangential_dirac_matches_frame_free_oracle(m, k):
         want = tangential_dirac_frame_free(field_terms, phase_terms, point)
         scale = max(1.0, math.sqrt(sum(c * c for c in want.values())))
         _assert_blades_close(tangential_dirac(field, spec, point).terms, want, scale)
+
+
+# -- column-sparse Clifford batches --------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_columns_mul_matches_multivector_product(m):
+    rng = np.random.default_rng(40 + m)
+    blades = [b for k in range(m + 1) for b in blades_of_grade(m, k)]
+    scalar, pseudo = (), tuple(range(1, m + 1))
+    n = 7
+    for _ in range(6):
+        batches = []
+        for _ in range(2):
+            keys = {scalar, pseudo} | {blades[i] for i in
+                                       rng.choice(len(blades), rng.integers(0, len(blades) + 1))}
+            batches.append({b: rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+                            for b in keys})
+        a, b = batches
+        got = _columns_mul(a, b, m)
+        for p in range(n):
+            want = (Multivector(m, {blade: float(col[p]) for blade, col in a.items()})
+                    * Multivector(m, {blade: float(col[p]) for blade, col in b.items()})).terms
+            # the coefficient products sum in magnitude to |a|_1 |b|_1 at the point
+            scale = (sum(abs(col[p]) for col in a.values())
+                     * sum(abs(col[p]) for col in b.values()))
+            assert set(want) <= set(got)
+            for blade, col in got.items():
+                assert abs(col[p] - want.get(blade, 0.0)) <= 1e-12 * scale
 
 
 # -- boundary-value check ------------------------------------------------------

@@ -19,7 +19,7 @@ from .exterior import (CheckResult, CliffordForm, CliffordPoly, check_psi_blade_
                        check_gradient_contraction, check_dirac_psi_derivative, check_gradient_blade_volume, check_oriented_measure_product,
                        exterior_derivative, form_mul, psi)
 from .geomint import (BlockOrthogonalResult, BoundaryContactError,
-                      CauchyResult, Frame, ImplicitSurfaceSpec,
+                      CauchyResult, FloatRangeError, Frame, ImplicitSurfaceSpec,
                       IndependenceError, MCEstimate, QuadratureConfig,
                       TransversalityError, block_orthogonal_check,
                       cauchy_check, haar_sample_stiefel, integrate_implicit,
@@ -41,7 +41,8 @@ __all__ = [
     "CheckResult", "CliffordForm", "CliffordPoly", "check_psi_blade_pairing", "check_gradient_contraction",
     "check_dirac_psi_derivative", "check_gradient_blade_volume", "check_oriented_measure_product", "exterior_derivative",
     "form_mul", "psi",
-    "BlockOrthogonalResult", "BoundaryContactError", "CauchyResult", "Frame",
+    "BlockOrthogonalResult", "BoundaryContactError", "CauchyResult",
+    "FloatRangeError", "Frame",
     "ImplicitSurfaceSpec", "IndependenceError", "MCEstimate",
     "QuadratureConfig", "TransversalityError", "block_orthogonal_check",
     "cauchy_check", "haar_sample_stiefel", "integrate_implicit",

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .clifford import Multivector, dot, gram_det, wedge, wedge_vectors
 from .exterior import (check_psi_blade_pairing, check_gradient_contraction, check_dirac_psi_derivative, check_gradient_blade_volume,
                        check_oriented_measure_product)
-from .geomint import (BoundaryContactError, ImplicitSurfaceSpec,
+from .geomint import (BoundaryContactError, FloatRangeError, ImplicitSurfaceSpec,
                       IndependenceError, QuadratureConfig, TransversalityError,
                       cauchy_check, integrate_implicit, integrate_oriented,
                       mc_stiefel_integral)
@@ -614,7 +614,8 @@ def run(argv: list[str]) -> int:
                             format="%(levelname)s %(message)s")
     try:
         payload, ok = args.handler(args)
-    except ParseError as exc:
+    except (ParseError, FloatRangeError) as exc:
+        # a polynomial beyond the float range is refused before any work
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IndependenceError, BoundaryContactError, TransversalityError,

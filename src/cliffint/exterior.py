@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Sequence
@@ -174,8 +175,9 @@ def vector_differential(m: int, nvars: int = 1) -> CliffordForm:
                         {(i,): CliffordPoly.basis(m, (i,), nvars) for i in range(1, m + 1)})
 
 
+@lru_cache(maxsize=256)
 def dx_power_normalized(m: int, p: int, nvars: int = 1) -> CliffordForm:
-    """(dx)^p / p!, computed by repeated form multiplication."""
+    """(dx)^p / p!, computed by repeated form multiplication (cached; immutable)."""
     if p < 0 or p > m:
         raise ValueError(f"power must lie in 0..{m}")
     out = CliffordForm.unit(m, nvars)
@@ -202,8 +204,9 @@ def ell_sign(a: Blade) -> int:
     return -1 if ell(a) % 2 else 1
 
 
+@lru_cache(maxsize=256)
 def psi(m: int, k: int, nvars: int = 1) -> CliffordForm:
-    """Oriented surface-measure form of codimension k.
+    """Oriented surface-measure form of codimension k (cached; immutable).
 
     Psi_{m-k} = sum over |A| = k of (-1)^ell(A) e_A dx_{M minus A}.  In
     particular Psi_m is the volume form and Psi_{m-1} is the outward

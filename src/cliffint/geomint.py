@@ -34,8 +34,8 @@ over the points and loops over the pairs of carried columns.  Its
 tangential Dirac operator needs no tangent frame: it is
 sum_i e_i (P_T d F)_i with the projector P_T = I - J^T (J J^T)^-1 J of the
 phase jacobian J, and the product with each e_i relabels the columns
-through the multiplication table.  The pointwise ``tangential_dirac`` is
-the same operator on one point.
+through the multiplication table, whose rows are built on first use.  The
+pointwise ``tangential_dirac`` is the same operator on one point.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ class TransversalityError(RuntimeError):
     """The boundary phase is not transversal to the surface."""
 
 
+class FloatRangeError(ValueError):
+    """A polynomial or an estimate lies beyond the range of floats."""
+
+
 @dataclass(frozen=True)
 class ImplicitSurfaceSpec:
     """Implicit surface: common zero set of polynomial phases inside a box.
@@ -89,6 +93,7 @@ class ImplicitSurfaceSpec:
         for phi in phases:
             if phi.nvars != 1 or phi.m != m:
                 raise ValueError("each phase must be a polynomial in one m-vector")
+            _check_float_range(phi)
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         if len(box) != m:
             raise ValueError(f"box must have {m} extents")
@@ -188,6 +193,23 @@ class CauchyResult:
 
 
 # -- polynomial and field evaluation ----------------------------------------
+
+
+def _check_float_range(p: VectorPoly) -> None:
+    """Refuse a polynomial with a coefficient that has no float value.
+
+    The float paths call this where a polynomial enters, before any grid or
+    sampling work; raises FloatRangeError naming the first such term.
+    """
+    for key, coeff in p.terms.items():
+        try:
+            float(coeff)
+        except OverflowError:
+            mono = p.monomial_text(key)
+            name = f"the coefficient of {mono}" if mono else "the constant term"
+            size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
+            raise FloatRangeError(
+                f"{name}, about 10^{size:.0f}, lies beyond the float range") from None
 
 
 def poly_on_points(p: VectorPoly, pts: np.ndarray) -> np.ndarray:
@@ -631,6 +653,8 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
+    if isinstance(f, VectorPoly):
+        _check_float_range(f)
 
     def density(pts, jac):
         return {(): _field_values(f, pts) * _wedge_norms(jac)}
@@ -647,6 +671,8 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
+    if isinstance(f, VectorPoly):
+        _check_float_range(f)
 
     def density(pts, jac):
         values = _field_values(f, pts)
@@ -683,8 +709,8 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
                              "on the surface band")
         return _field_values(f, pts)
 
-    mixed = integrate_implicit(checked_f, ImplicitSurfaceSpec(spec.m, psis, spec.box), cfg)
-    return integrate_implicit(f, spec, cfg), mixed
+    plain = integrate_implicit(f, spec, cfg)  # first: it refuses f before any grid work
+    return plain, integrate_implicit(checked_f, ImplicitSurfaceSpec(spec.m, psis, spec.box), cfg)
 
 
 def _as_poly(value, m: int) -> VectorPoly:
@@ -758,6 +784,8 @@ def _as_cliffpoly(value, m: int) -> CliffordPoly:
     field = CliffordPoly.zero(m)._coerce(value)  # ValueError unless in one m-vector
     if field is NotImplemented:
         raise TypeError(f"cannot interpret {type(value)!r} as a Clifford field")
+    for poly in field.terms.values():
+        _check_float_range(poly)
     return field
 
 
@@ -782,11 +810,11 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
 
 
 @lru_cache(maxsize=None)
-def _cayley(m: int) -> dict:
-    """Multiplication table over the blades of every grade: entry [a][b] is
-    the (sign, blade) of the product of blades a and b."""
-    blades = [blade for k in range(m + 1) for blade in blades_of_grade(m, k)]
-    return {a: {b: _mul_blades(a, b, -1) for b in blades} for a in blades}
+def _cayley(m: int, a: tuple) -> dict:
+    """Row ``a`` of the multiplication table of the blades in R^m, built on
+    first use: entry [b] is the (sign, blade) of the product of blades a
+    and b, over the blades b of every grade."""
+    return {b: _mul_blades(a, b, -1) for k in range(m + 1) for b in blades_of_grade(m, k)}
 
 
 def _accumulate(out: dict, blade: tuple, col: np.ndarray, negate: bool = False) -> None:
@@ -811,10 +839,9 @@ def _columns_mul(a: dict, b: dict, m: int) -> dict:
     point, holding only the blades it can carry; the product loops over the
     pairs of carried columns.
     """
-    table = _cayley(m)
     out: dict = {}
     for i, ca in a.items():
-        row = table[i]
+        row = _cayley(m, i)
         for j, cb in b.items():
             sign, blade = row[j]
             _accumulate(out, blade, ca * cb, negate=sign < 0)
@@ -865,7 +892,6 @@ def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: i
     k = jac.shape[1]
     along = [_combination((jac[:, b, j], d) for j, d in enumerate(partials)) for b in range(k)]
     normal = [_combination((gram_inv[a, b], along[b]) for b in range(k)) for a in range(k)]
-    table = _cayley(m)
     out: dict = {}
     for i in range(m):
         a_i = {blade: col.copy() for blade, col in partials[i].items()}
@@ -874,7 +900,7 @@ def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: i
                 _accumulate(a_i, blade, jac[:, a, i] * col, negate=True)
         e = (i + 1,)
         for blade, col in a_i.items():
-            sign, target = table[e][blade] if left else table[blade][e]
+            sign, target = _cayley(m, e)[blade] if left else _cayley(m, blade)[e]
             _accumulate(out, target, col, negate=sign < 0)
     return out
 
@@ -951,8 +977,8 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
         g_vals = _field_columns(g_cp, pts)
         return _columns_mul(_columns_mul(f_vals, blade, m), g_vals, m)
 
+    cut = ImplicitSurfaceSpec(m, (phi, *spec.phases), spec.box)  # checks phi
     lhs = _band_sum(spec, cfg, left_density, phi)
-    cut = ImplicitSurfaceSpec(m, (phi, *spec.phases), spec.box)
     rhs = _band_sum(cut, cfg, right_density)
     lhs_norm = math.hypot(*lhs.values())
     rhs_norm = math.hypot(*rhs.values())
@@ -975,25 +1001,26 @@ def _haar_frames(rng: np.random.Generator, m: int, k: int, count: int) -> np.nda
     makes the distribution exactly Haar (Mezzadri, Notices AMS 2007).
     Raises ValueError when a drawn column lies in the span of the earlier
     ones, where the frame is undefined.
+
+    The draw is copied once into contiguous rows, rows[j, i] holding
+    coordinate i of column j over the batch, so every inner product is a
+    sum of row products; the result is a view of those rows.
     """
-    gauss = rng.standard_normal((count, m, k))
-    rows = np.empty((count, k, m))
-    for j in range(k):
-        col = gauss[:, :, j]
-        v = col.copy()
-        if j:
-            done = rows[:, :j]
-            for _ in range(2):
-                v -= np.einsum("nim,ni->nm", done, np.einsum("nim,nm->ni", done, v))
-        norm = np.sqrt(np.einsum("nm,nm->n", v, v))
+    rows = rng.standard_normal((count, m, k)).transpose(2, 1, 0).copy()
+    for j, v in enumerate(rows):
+        length = np.sqrt((v * v).sum(axis=0))
+        for _ in range(2 if j else 0):
+            coeffs = [(u * v).sum(axis=0) for u in rows[:j]]
+            v -= sum(u * c for u, c in zip(rows[:j], coeffs))
+        norm = np.sqrt((v * v).sum(axis=0))
         # an exactly dependent column keeps a residual of a few machine
         # epsilons of its length (2e-16 for a repeated one); a Gaussian
         # column comes this close to the span with probability about 1e-13
         # per draw at k = m, and far less below
-        if np.any(norm <= 1e-13 * np.sqrt(np.einsum("nm,nm->n", col, col))):
+        if np.any(norm <= 1e-13 * length):
             raise ValueError("Gaussian draw has a dependent column; its frame is undefined")
-        rows[:, j] = v / norm[:, None]
-    return rows.transpose(0, 2, 1)
+        v /= norm
+    return rows.transpose(2, 1, 0)
 
 
 def haar_sample_stiefel(m: int, k: int,
@@ -1018,11 +1045,21 @@ def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
     reproducible for a given seed.  Partition sums are combined by
     count-weighted summation.  The estimate and its standard error are
     scaled by the manifold volume, matching the exact integrators.
+
+    Frame entries lie in [-1, 1], so |P| <= sum |c_alpha| < 2^e.  The sums
+    run over the values divided by 2^e, so the sum of squares cannot
+    overflow, and the result is scaled back at the end; a power of two
+    scales exactly, so the estimate is the plain one wherever that is
+    finite.  Raises FloatRangeError for a coefficient or an estimate
+    beyond the float range.
     """
     if p.nvars != k or p.m != m:
         raise ValueError("integrand must use exactly k vector variables of dimension m")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    _check_float_range(p)
+    bound = sum(abs(c) for c in p.terms.values())
+    e = bound.numerator.bit_length() - bound.denominator.bit_length() + 1
     vol = stiefel_volume(m, k).to_float()
     total = 0.0
     total_sq = 0.0
@@ -1031,8 +1068,8 @@ def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
     while done < n_samples:
         cnt = min(_MC_CHUNK, n_samples - done)
         q = _haar_frames(_partition_rng(seed, partition), m, k, cnt)
-        pts = q.transpose(0, 2, 1).reshape(cnt, k * m)
-        vals = poly_on_points(p, pts)
+        pts = q.transpose(0, 2, 1).reshape(cnt, k * m)  # a view with contiguous columns
+        vals = np.ldexp(poly_on_points(p, pts), -e)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += cnt
@@ -1040,7 +1077,11 @@ def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     stderr = math.sqrt(var / n_samples)
-    return MCEstimate(vol * mean, vol * stderr, n_samples, seed)
+    try:
+        return MCEstimate(math.ldexp(vol * mean, e), math.ldexp(vol * stderr, e),
+                          n_samples, seed)
+    except OverflowError:
+        raise FloatRangeError("the Monte Carlo estimate lies beyond the float range") from None
 
 
 # -- block-orthogonal basis identities ----------------------------------------

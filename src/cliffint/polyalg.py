@@ -363,19 +363,23 @@ class VectorPoly(_SparseTerms):
         return self._sum(pair for key, coeff in self.terms.items()
                          for pair in term(key, coeff).terms.items())
 
+    def monomial_text(self, key: ExpKey) -> str:
+        """The monomial of exponent key ``key`` as text, e.g. 'x1_2^3*x2_1'; '' for 1."""
+        factors = []
+        for idx, e in enumerate(key):
+            if e:
+                j, i = divmod(idx, self.m)
+                name = f"x{j + 1}_{i + 1}"
+                factors.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(factors)
+
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
         for key in sorted(self.terms, key=lambda k: (-sum(k), k)):
             coeff = self.terms[key]
-            factors = []
-            for idx, e in enumerate(key):
-                if e:
-                    j, i = divmod(idx, self.m)
-                    name = f"x{j + 1}_{i + 1}"
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors)
+            mono = self.monomial_text(key)
             parts.append(f"{coeff}*{mono}" if mono else f"{coeff}")
         return " + ".join(parts)
 

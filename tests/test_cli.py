@@ -175,6 +175,23 @@ def test_out_of_domain_arguments_are_usage_errors(args, capsys):
     assert captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["integrate", "implicit", "--m", "3", "--phases", "x1_1^2+x1_2^2+x1_3^2-1",
+     "--f", "10^400", "--box=-1.6,1.6", "--n", "32"],
+    ["integrate", "implicit", "--m", "3", "--phases", "10^400*x1_1^2+x1_2^2+x1_3^2-1",
+     "--box=-1.6,1.6", "--n", "32"],
+    ["oracle", "mc", "--m", "3", "--k", "2", "--poly", "10^400*x1_1^2",
+     "--n-samples", "100", "--seed", "1"],
+], ids=["integrand", "phase", "mc"])
+def test_coefficients_beyond_float_range_are_usage_errors(args, capsys):
+    # exact paths take any rational; the float paths refuse it on entry
+    assert run(args + ["-q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "about 10^400, lies beyond the float range" in captured.err
+
+
 def test_dependent_haar_draw_is_a_computation_failure(monkeypatch, capsys):
     # a Gaussian draw whose columns are dependent has no frame; the arguments
     # were valid, so this is exit 1, not a usage error

@@ -247,3 +247,16 @@ def test_form_eval_to_multivector():
     m = 2
     coeff = CliffordPoly.basis(m, (1,)) * xv(1, m)
     assert coeff.eval([2, 0]) == 2 * Multivector.basis(m, (1,))
+
+
+def test_cached_forms_are_never_mutated():
+    # psi and dx_power_normalized hand one shared form to every caller;
+    # after whole exterior suites each cached form still equals a fresh build
+    from cliffint.cli import run_suite
+    for seed in (0, 1, 2):
+        assert not any(f for _, f in run_suite("exterior", 30, seed).values())
+    for m in range(2, 5):
+        for args in [(m, k, *nvars) for k in range(m + 1) for nvars in ((), (1,))]:
+            assert psi(*args) == psi.__wrapped__(*args)
+            assert dx_power_normalized(*args) == dx_power_normalized.__wrapped__(*args)
+    assert psi.cache_info().hits > 0 and dx_power_normalized.cache_info().hits > 0

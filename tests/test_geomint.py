@@ -640,6 +640,21 @@ def test_tangential_dirac_values():
     assert out == Multivector.basis(3, (2,))
 
 
+def test_tangential_dirac_in_r10_builds_only_the_rows_it_uses():
+    # the operator multiplies by the m vectors e_i: m rows of the blade
+    # multiplication table, not all 4^m products (about 213 MB at m = 10)
+    geomint._cayley.cache_clear()
+    point = [0.0, 1.0] + [0.0] * 8
+    tracemalloc.start()
+    try:
+        out = tangential_dirac(xvar(1, 10), sphere_spec(10), point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == Multivector.basis(10, (1,))  # P_T e1 = e1 at e2
+    assert peak < 16e6
+
+
 @pytest.mark.parametrize("m,k", [(3, 1), (4, 1), (3, 2)])
 def test_tangential_dirac_matches_frame_free_oracle(m, k):
     # S^2, S^3 and the unit circle in the x1 x2 plane of R^3
@@ -876,6 +891,59 @@ def test_mc_reproducible_and_partitioned():
     # estimate is sane: within 6 standard errors of the exact value
     exact = stiefel_volume(3, 2).to_float() / 3
     assert abs(a.mean - exact) < 6 * a.standard_error
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (4, 2), (5, 3), (4, 4)])
+def test_mc_matches_qr_oracle_on_the_same_draws(m, k):
+    # 30 000 samples are two partitions; each partition's Gaussian draw is
+    # rebuilt from its stream and turned into frames by sign-fixed QR
+    rng = np.random.default_rng(m * 10 + k)
+    terms = {}
+    for _ in range(3):
+        key = [0] * (m * k)
+        for _ in range(2):
+            key[int(rng.integers(m * k))] += 2
+        terms[tuple(key)] = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+    n, seed = 30_000, 11
+    vals = []
+    for part, cnt in enumerate((20_000, 10_000)):
+        q = haar_frames_qr(geomint._partition_rng(seed, part).standard_normal((cnt, m, k)))
+        vals.append(poly_values(terms, q.transpose(0, 2, 1).reshape(cnt, k * m)))
+    vals = np.concatenate(vals)
+    vol = bench_oracles.exact_to_float(bench_oracles.stiefel_volume(m, k))
+    mean = float(vals.sum()) / n
+    var = (float((vals * vals).sum()) / n - mean * mean) * n / (n - 1)
+    est = mc_stiefel_integral(VectorPoly(m, k, terms), m, k, n, seed)
+    assert est.mean == pytest.approx(vol * mean, rel=1e-12)
+    assert est.standard_error == pytest.approx(vol * math.sqrt(var / n), rel=1e-12)
+
+
+def test_mc_scales_huge_coefficients_exactly():
+    # 10^300 P squared overflows a float; the sums run over the values
+    # divided by a power of two above sum |c|, so the estimate scales
+    p = VectorPoly.monomial(3, (2, 0, 0, 2, 0, 0), nvars=2)
+    small = mc_stiefel_integral(p, 3, 2, 100, seed=1)
+    huge = mc_stiefel_integral(p * 10**300, 3, 2, 100, seed=1)
+    assert math.isfinite(huge.standard_error) and small.standard_error > 0
+    assert huge.mean == pytest.approx(small.mean * 1e300, rel=1e-12)
+    assert huge.standard_error == pytest.approx(small.standard_error * 1e300, rel=1e-12)
+
+
+def test_coefficients_beyond_float_range_are_refused_on_entry():
+    big = 10**400 * xvar(1) ** 2
+    for call in (lambda: ImplicitSurfaceSpec(3, [big + sphere_phase()], BOX3),
+                 lambda: integrate_implicit(big, sphere_spec()),
+                 lambda: integrate_oriented(big, sphere_spec()),
+                 lambda: mc_stiefel_integral(VectorPoly.monomial(3, (2, 0, 0, 0, 0, 0), 10**400,
+                                                                 nvars=2), 3, 2, 100, seed=1),
+                 lambda: cauchy_check(big, 1, xvar(1), circle_spec()),
+                 lambda: cauchy_check(1, 1, big, circle_spec()),
+                 lambda: tangential_dirac(big, sphere_spec(), [1.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match=r"x1_1\^2, about 10\^400, lies beyond the float range"):
+            call()
+    # 10^308 itself is a float, but its integral over V_{2,3} (volume 8 pi^2) is not
+    with pytest.raises(ValueError, match="estimate lies beyond the float range"):
+        mc_stiefel_integral(VectorPoly.constant(3, 10**308, nvars=2), 3, 2, 100, seed=1)
 
 
 # -- block-orthogonal basis identities -------------------------------------------

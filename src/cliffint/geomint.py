@@ -20,7 +20,15 @@ The rule runs top down: a flat top grid of at most _BATCH_CELLS blocks,
 then the 2^m halves of each kept block, a bounded group of blocks at a
 time, down to small leaf blocks.  The cells of the kept leaves are
 evaluated in batches of at most _BATCH_CELLS cells, so no array of the
-sweep grows with the grid.
+sweep grows with the grid.  The evaluation is separable: each phase,
+each gradient component and each span is split once per sweep into
+per-axis tables over the n cell midpoints and a remainder of mixed terms.
+A candidate cell pays m table lookups per value, and the remainder on its
+coordinates only when a phase has one; only the band cells get
+coordinates, jacobian rows and boundary flags.  The Heaviside cut of the
+Cauchy check keeps a term-by-term value, because its cell fraction
+divides the value by the span, which would magnify the rounding of a
+table sum.
 
 Every grid sum runs through one band-sum driver, which sums each column of
 values against the cell weights with one dot product.  The Cauchy-type
@@ -198,18 +206,21 @@ class CauchyResult:
 def _check_float_range(p: VectorPoly) -> None:
     """Refuse a polynomial with a coefficient that has no float value.
 
-    The float paths call this where a polynomial enters, before any grid or
+    A coefficient has none when it overflows a float, or when it is nonzero
+    and rounds to 0.0, which would turn a nonzero term into a zero one.  The
+    float paths call this where a polynomial enters, before any grid or
     sampling work; raises FloatRangeError naming the first such term.
     """
     for key, coeff in p.terms.items():
         try:
-            float(coeff)
+            where = "below" if coeff and not float(coeff) else None
         except OverflowError:
+            where = "beyond"
+        if where:
             mono = p.monomial_text(key)
             name = f"the coefficient of {mono}" if mono else "the constant term"
             size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
-            raise FloatRangeError(
-                f"{name}, about 10^{size:.0f}, lies beyond the float range") from None
+            raise FloatRangeError(f"{name}, about 10^{size:.0f}, lies {where} the float range")
 
 
 def poly_on_points(p: VectorPoly, pts: np.ndarray) -> np.ndarray:
@@ -267,28 +278,23 @@ def _delta_values(vals: np.ndarray, eps: float, span: np.ndarray) -> np.ndarray:
     # the narrow cells' average is overwritten; the floor keeps it finite
     s = np.maximum(span, 1e-9 * eps)
     scale = math.pi / (2.0 * eps)
-    mid = scale * vals
-    half = (0.5 * scale) * s
-    lo = np.clip(mid - half, -0.5 * math.pi, 0.5 * math.pi)
-    hi = np.clip(mid + half, -0.5 * math.pi, 0.5 * math.pi)
-    out = hi - lo
-    out += np.cos(lo + hi) * np.sin(out)
-    out /= math.pi * s
+    edge = 0.5 * math.pi
+    # each step writes over an array the rest no longer reads: four arrays
+    # for the whole formula, with the same operations on the same operands
+    mid = np.multiply(vals, scale)
+    half = np.multiply(s, 0.5 * scale)
+    lo = np.clip(np.subtract(mid, half), -edge, edge)
+    hi = np.clip(np.add(mid, half, out=mid), -edge, edge, out=mid)
+    out = np.subtract(hi, lo, out=half)
+    cos = np.cos(np.add(lo, hi, out=lo), out=lo)
+    cos *= np.sin(out, out=hi)
+    out += cos
+    s *= math.pi
+    out /= s
     if narrow.any():
         t = np.clip(vals[narrow], -eps, eps)
         out[narrow] = (1.0 + np.cos(np.pi * t / eps)) / (2.0 * eps)
     return out
-
-
-def _spans(gvals: np.ndarray, spacings: list[float]) -> np.ndarray:
-    """Linearized per-cell variation of one phase: sum_i h_i |d_i phi|.
-
-    ``gvals`` holds the gradient values, shape (N, m).
-    """
-    span = np.zeros(gvals.shape[0])
-    for i, h in enumerate(spacings):
-        span += h * np.abs(gvals[:, i])
-    return span
 
 
 # -- grid streaming ----------------------------------------------------------
@@ -448,13 +454,97 @@ def _band_leaves(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[fl
                                                    index, size, cut)), size)
 
 
-def _boundary_cell_mask(pts: np.ndarray, spec: ImplicitSurfaceSpec,
-                        spacings: list[float]) -> np.ndarray:
-    mask = np.zeros(pts.shape[0], dtype=bool)
-    for i, (lo, hi) in enumerate(spec.box):
-        h = spacings[i]
-        mask |= (pts[:, i] < lo + h) | (pts[:, i] > hi - h)
-    return mask
+def _edge_flags(spec: ImplicitSurfaceSpec, spacings: list[float],
+                axes: list[np.ndarray]) -> list[np.ndarray]:
+    """Per axis, which cell midpoints lie within one cell of a face of the
+    box: a cell is a boundary cell where any of its axes flags it."""
+    return [(ax < lo + h) | (ax > hi - h) for ax, (lo, hi), h in zip(axes, spec.box, spacings)]
+
+
+def _gather(tables, idx: np.ndarray) -> np.ndarray | None:
+    """sum_a T_a[idx[a]] over the (axis a, table T_a) pairs, in their order;
+    None when there are none.  Over boolean tables the sum is the or."""
+    out = None
+    for a, table in tables:
+        if out is None:
+            out = table.take(idx[a])
+        else:
+            out += table.take(idx[a])
+    return out
+
+
+class _AxisTables:
+    """A polynomial in one m-vector, valued on grid cells from per-axis tables.
+
+    Each term in one coordinate x_a joins the group of axis a; the constant
+    term joins the group of the lowest such axis, or of axis ``home`` when
+    there is none; the terms in two or more coordinates form the remainder.
+    Each group is evaluated once, by ``poly_on_points``, on its axis's n
+    cell midpoints.  On the cells of per-axis indices ``idx``, an (m, N)
+    array, the value is sum_a T_a[idx[a]], summed in axis order, plus the
+    remainder on the cells' coordinates.  A polynomial in at most one
+    coordinate has one group in the order of its terms, so its values are
+    the bits ``poly_on_points`` gives on the coordinates.
+    """
+
+    def __init__(self, p: VectorPoly, axes: list[np.ndarray], home: int = 0):
+        used = {key: [i for i, e in enumerate(key) if e] for key in p.terms}
+        home = min((u[0] for u in used.values() if len(u) == 1), default=home)
+        groups: dict[int, dict] = {}
+        rest = {}
+        for key, coeff in p.terms.items():
+            if len(used[key]) > 1:
+                rest[key] = coeff
+            else:
+                a = used[key][0] if used[key] else home
+                groups.setdefault(a, {})[(key[a],)] = coeff
+        self.tables = [(a, poly_on_points(VectorPoly(1, 1, g), axes[a][:, None]))
+                       for a, g in sorted(groups.items())]
+        self.rest = VectorPoly(p.m, 1, rest) if rest else None
+
+    def values(self, idx: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+        """Values on the cells ``idx``; ``cols``, their (m, N) coordinates, is
+        read only when there is a remainder."""
+        out = _gather(self.tables, idx)
+        if self.rest is not None:
+            rest = poly_on_points(self.rest, cols.T)
+            out = rest if out is None else np.add(out, rest, out=out)
+        return np.zeros(idx.shape[1]) if out is None else out
+
+
+class _PhaseTables:
+    """A phase phi and its gradient ``row`` as ``_AxisTables``, with its span
+    sum_i h_i |d_i phi| split the same way: the components in one table
+    (d_i phi in x_i alone, or constant, as for shifted spheres and planes)
+    add h_i |T| into a per-axis span table, and the others (two tables or a
+    remainder) are evaluated per cell.  With every component in its own
+    axis's table, the span has the bits of the sum over i in axis order."""
+
+    def __init__(self, phi: VectorPoly, axes: list[np.ndarray], spacings: list[float]):
+        m = len(axes)
+        self.value = _AxisTables(phi, axes)
+        self.row = [phi.diff(1, i + 1) for i in range(m)]
+        self.grad = [_AxisTables(dphi, axes, i) for i, dphi in enumerate(self.row)]
+        span: dict[int, np.ndarray] = {}
+        self.span_cells = []
+        for h, g in zip(spacings, self.grad):
+            if g.rest is None and len(g.tables) == 1:
+                a, table = g.tables[0]
+                part = h * np.abs(table)
+                span[a] = part if a not in span else span[a] + part
+            elif g.tables or g.rest is not None:
+                self.span_cells.append((h, g))
+        self.span_tables = sorted(span.items())
+        self.needs_cols = self.value.rest is not None or any(
+            g.rest is not None for _, g in self.span_cells)
+
+    def span(self, idx: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+        out = _gather(self.span_tables, idx)
+        if out is None:
+            out = np.zeros(idx.shape[1])
+        for h, g in self.span_cells:
+            out += h * np.abs(g.values(idx, cols))
+        return out
 
 
 def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
@@ -468,11 +558,21 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     leaf's cells times 2^m exceed _BATCH_CELLS.  The cells of the kept
     leaves go out in batches of at most _BATCH_CELLS candidates, built from
     leaf indices, so no array of the sweep grows with the grid.  Per batch,
-    each phase and its gradient are evaluated on the cells the earlier
-    phases kept, and the dense test |phi| < eps + span/2 decides, so the
-    culling changes only the order of the cells.  The weight is the product
-    of the phases' delta values.  The gradient values that give the span
-    are the rows of the jacobian, shape (N, k, m).
+    each phase is tested on the cells the earlier phases kept, and the
+    dense test |phi| < eps + span/2 decides, so the culling changes only
+    the order of the cells.  The weight is the product of the phases'
+    delta values.  The gradient values that give the span are the rows of
+    the jacobian, shape (N, k, m).
+
+    Every phase and gradient component is split once per sweep into
+    per-axis tables and a remainder of mixed terms (``_AxisTables``), so a
+    candidate cell is carried as its (m,) grid indices only: its phase
+    value and span are sums of m table lookups, plus the remainder on its
+    coordinates when a phase has one.  Only the cells that pass every test
+    get coordinates, jacobian rows (from the gradient tables) and boundary
+    flags (from per-axis flag tables).  The coordinates are the axis
+    midpoints themselves, so the points of a band cell do not depend on
+    the tables.
 
     ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
     A cell's weight then also carries the linearized fraction of the cell
@@ -480,73 +580,94 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     variation of phi (midpoint-sampling the jump itself leaves an O(h)
     alignment error), and the cells where it is 0 are dropped, as are the
     blocks where the interval bound shows it is 0 on every cell.  The cut's
-    gradient stays out of the jacobian.  With no phases (k = 0) every cell
-    is in the band with weight 1, or its Heaviside fraction under a cut,
-    and only a cut rules out blocks.
+    value is evaluated term by term on the coordinates: the fraction
+    divides it by the span, which turns the table sum's rounding into an
+    error of the weight far above the rounding of the weight itself.  Its
+    span comes from the tables.  The cut's gradient stays out of the
+    jacobian.  With no phases (k = 0) every cell is in the band with weight
+    1, or its Heaviside fraction under a cut, and only a cut rules out
+    blocks.
 
-    The sweep is column-major: a batch holds its cell coordinates as one
-    (m, N) array, one contiguous row per axis, and the phase gradients as
-    one (k, m, N) array, and drops cells by index with ``take`` along the
-    cell axis.  The points and jacobian go out as their transposed views,
-    of shapes (N, m) and (N, k, m), so every per-axis column a caller reads
-    is contiguous.
+    The sweep is column-major: a batch holds its cell indices and
+    coordinates as (m, N) arrays, one contiguous row per axis, and the
+    phase gradients as one (k, m, N) array, and drops cells by index with
+    ``take`` along the cell axis.  The points and jacobian go out as their
+    transposed views, of shapes (N, m) and (N, k, m), so every per-axis
+    column a caller reads is contiguous.
     """
     m, k = spec.m, spec.k
     phis = spec.phases if cut is None else (*spec.phases, cut)
-    tests = [(phi, [phi.diff(1, i) for i in range(1, m + 1)]) for phi in phis]
-    grads = [row for _, row in tests[:k]]
-    cut_test = None if cut is None else tests[k]
+    tests = [_PhaseTables(phi, axes, spacings) for phi in phis]
+    grads = [test.row for test in tests[:k]]
+    cut_test = None if cut is None else (cut, tests[k].row)
+    edges = _edge_flags(spec, spacings, axes)
     leaf = _BLOCK
     while leaf > 1 and leaf ** m > _BATCH_CELLS >> m:
         leaf //= 2
     groups = _band_leaves(spec, grads, eps, spacings, axes, leaf, cut_test)
     sizes = np.array([len(ax) for ax in axes])[:, None]
     ragged = bool(np.any(sizes % leaf))
-    offsets = np.indices((leaf,) * m).reshape(m, 1, -1)
-    per_batch = _BATCH_CELLS // offsets.shape[2]
-    for subs in (g[s:s + per_batch] for g in groups for s in range(0, len(g), per_batch)):
-        # C order, so the reshape is a view rather than a copy
-        idx = np.add(subs.T[:, :, None] * leaf, offsets, order="C").reshape(m, -1)
-        if ragged:
-            # the last block along an axis may stick out of the grid
-            idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)
+    # the cell offsets within a leaf, repeated for the most leaves in a batch
+    per_leaf = leaf ** m
+    per_batch = _BATCH_CELLS // per_leaf
+    offsets = np.tile(np.indices((leaf,) * m).reshape(m, -1), per_batch)
+
+    def coordinates(idx):
         cols = np.empty(idx.shape)
         for i, ax in enumerate(axes):
             # every index is in range; "clip" lets take write straight into
             # out, where the default mode buffers it
             ax.take(idx[i], out=cols[i], mode="clip")
-        jcols = np.empty((k, m, cols.shape[1]))
+        return cols
+
+    for subs in (g[s:s + per_batch] for g in groups for s in range(0, len(g), per_batch)):
+        # leaf by leaf, the leaf's corner plus each offset: a repeat and one
+        # flat add cost less than a broadcast add over rows of per_leaf cells
+        idx = (subs.T * leaf).repeat(per_leaf, axis=1)
+        idx += offsets[:, :idx.shape[1]]
+        if ragged:
+            # the last block along an axis may stick out of the grid
+            idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)
+        cols = None
         # 1 times a factor is the factor, so the product starts exact
-        weight = np.ones(cols.shape[1])
-        for j, (phi, row) in enumerate(tests):
-            grad = jcols[j] if j < k else np.empty((m, cols.shape[1]))
-            vals = poly_on_points(phi, cols.T)
-            for i, dphi in enumerate(row):
-                grad[i] = poly_on_points(dphi, cols.T)
-            span = _spans(grad.T, spacings)
+        weight = np.ones(idx.shape[1])
+        for j, test in enumerate(tests):
+            if cols is None and (test.needs_cols or j == k):
+                cols = coordinates(idx)
+            span = test.span(idx, cols)
             if j < k:
+                vals = test.value.values(idx, cols)
                 keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
             else:
+                vals = poly_on_points(cut, cols.T)
                 frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
                 keep = np.flatnonzero(frac)
             if not len(keep):
                 break
-            cols = cols.take(keep, axis=1)
-            jcols = jcols.take(keep, axis=2)
+            idx = idx.take(keep, axis=1)
+            if cols is not None:
+                cols = cols.take(keep, axis=1)
             factor = (_delta_values(vals.take(keep), eps, span.take(keep)) if j < k
                       else frac.take(keep))
             weight = weight.take(keep) * factor
         else:
-            pts = cols.T
-            yield pts, weight, jcols.transpose(2, 0, 1), _boundary_cell_mask(pts, spec, spacings)
+            if cols is None:
+                cols = coordinates(idx)
+            jcols = np.empty((k, m, idx.shape[1]))
+            for j, test in enumerate(tests[:k]):
+                for i, g in enumerate(test.grad):
+                    jcols[j, i] = g.values(idx, cols)
+            bmask = _gather(enumerate(edges), idx)
+            yield cols.T, weight, jcols.transpose(2, 0, 1), bmask
 
 
 def _minors(rows: np.ndarray, cols) -> np.ndarray:
     """Determinants of the columns ``cols`` of each (k, m) matrix of a stack.
 
-    k = 0 is the empty determinant 1, k = 1 the entry itself and k = 2 the
-    closed form a d - b c; a LAPACK call per stack of matrices that small
-    costs more than the products.
+    k = 0 is the empty determinant 1, k = 1 the entry itself, k = 2 the
+    closed form a d - b c and k = 3 the cofactor expansion along the first
+    row; a LAPACK call per stack of matrices that small costs more than the
+    products.  Four or more rows go to LAPACK.
     """
     if len(cols) == 0:
         return np.ones(rows.shape[0])
@@ -555,6 +676,12 @@ def _minors(rows: np.ndarray, cols) -> np.ndarray:
     if len(cols) == 2:
         a, b = cols
         return rows[:, 0, a] * rows[:, 1, b] - rows[:, 0, b] * rows[:, 1, a]
+    if len(cols) == 3:
+        a, b, c = cols
+        first = rows[:, 0]
+        return (first[:, a] * _minors(rows[:, 1:], (b, c))
+                - first[:, b] * _minors(rows[:, 1:], (a, c))
+                + first[:, c] * _minors(rows[:, 1:], (a, b)))
     return np.linalg.det(rows[:, :, list(cols)])
 
 
@@ -563,7 +690,10 @@ def _checked_gram(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The gradients count as dependent where the blade norm, the square root
     of the Gram determinant, is at most _INDEPENDENCE_TOL times the product
-    of their lengths (scale-invariant; a zero gradient is dependent).  Each
+    of their lengths (scale-invariant; a zero gradient is dependent).  The
+    test runs on the squares, det <= _INDEPENDENCE_TOL^2 prod_a G_aa, with
+    no square root; at k = 1 it reads |grad phi|^2 <= 0.  A NaN determinant
+    passes it, as it passes the test on the roots.  Each
     Gram entry <grad phi_a, grad phi_b> is the sum over axes of products of
     jacobian columns: on the band sweep's column-major jacobian these are
     contiguous rows, where a batched matmul of k x m by m x k matrices
@@ -573,10 +703,13 @@ def _checked_gram(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram = np.empty((k, k, n))
     for a in range(k):
         for b in range(a + 1):
-            gram[a, b] = gram[b, a] = sum(jac[:, a, i] * jac[:, b, i] for i in range(m))
+            # summed in place in axis order: the bits of sum() over the axes
+            entry = np.multiply(jac[:, a, 0], jac[:, b, 0], out=gram[a, b])
+            for i in range(1, m):
+                entry += jac[:, a, i] * jac[:, b, i]
+            gram[b, a] = entry
     det = _minors(gram.transpose(2, 0, 1), range(k))
-    lengths = np.sqrt(np.prod(np.diagonal(gram), axis=1))
-    if np.any(np.sqrt(np.clip(det, 0.0, None)) <= _INDEPENDENCE_TOL * lengths):
+    if np.any(det <= _INDEPENDENCE_TOL ** 2 * np.prod(np.diagonal(gram), axis=1)):
         raise IndependenceError("phase gradients are numerically dependent at surface points")
     return gram, det
 

@@ -192,6 +192,18 @@ def test_coefficients_beyond_float_range_are_usage_errors(args, capsys):
     assert "about 10^400, lies beyond the float range" in captured.err
 
 
+def test_coefficients_below_float_range_are_usage_errors(capsys):
+    # (1/10)^400 rounds to 0.0, so the float phase would vanish identically
+    # and read as dependent gradients (exit 1); it is refused on entry
+    assert run(["integrate", "implicit", "--m", "3",
+                "--phases", "(1/10)^400*(x1_1^2+x1_2^2+x1_3^2-1)",
+                "--box=-1.6,1.6", "--n", "32", "-q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "about 10^-400, lies below the float range" in captured.err
+
+
 def test_dependent_haar_draw_is_a_computation_failure(monkeypatch, capsys):
     # a Gaussian draw whose columns are dependent has no frame; the arguments
     # were valid, so this is exit 1, not a usage error

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffint import (BoundaryContactError, CliffordPoly, Frame,
+from cliffint import (BoundaryContactError, CliffordPoly, FloatRangeError, Frame,
                       ImplicitSurfaceSpec, IndependenceError, Multivector,
                       QuadratureConfig, TransversalityError, VectorPoly,
                       block_orthogonal_check,
@@ -242,12 +243,31 @@ def test_small_minors_match_lapack():
             lengths_sq = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
             norms = _wedge_norms(jac)
             assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
-    # three rows still go through LAPACK, column by column of the blade
+    # three rows are the cofactor expansion, column by column of the blade
     jac = rng.standard_normal((50, 3, 4))
     blade = _wedge_columns(jac, 4)
     assert sorted(blade) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     assert np.allclose(blade[(1, 2, 3)], np.linalg.det(jac[:, :, [0, 1, 2]]), rtol=1e-12)
     assert np.allclose(blade[(1, 3, 4)], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
+    for m in (3, 5):
+        jac = rng.standard_normal((400, 3, m)) * rng.uniform(1e-3, 1e3, (400, 1, 1))
+        for cols in ([0, 1, 2], [m - 1, 0, 1], [1, m - 1, 0]):
+            got = _minors(jac, cols)
+            sub = jac[:, :, cols]
+            # rounding scale of the expansion: the sum over permutations s
+            # of |a_1s1 a_2s2 a_3s3|, which is |a d| + |b c| for two rows
+            scale = sum(np.abs(sub[:, 0, s0] * sub[:, 1, s1] * sub[:, 2, s2])
+                        for s0, s1, s2 in permutations(range(3)))
+            assert np.all(np.abs(got - np.linalg.det(sub)) <= 1e-12 * scale)
+        gram = jac @ jac.transpose(0, 2, 1)
+        lengths_sq = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+        norms = _wedge_norms(jac)
+        assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
+    # four rows still go through LAPACK
+    jac = rng.standard_normal((50, 4, 5))
+    blade = _wedge_columns(jac, 5)
+    assert len(blade) == 5
+    assert np.allclose(blade[(1, 2, 4, 5)], np.linalg.det(jac[:, :, [0, 1, 3, 4]]), rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -271,6 +291,13 @@ def test_minors_and_wedges_do_not_depend_on_layout(k, m):
         lengths_sq = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
         norms = _wedge_norms(view)
         assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
+        # and the cofactor minors of the view against LAPACK on C-order copies,
+        # to the rounding scale of the expansion, as in test_small_minors_match_lapack
+        for cols in ([0, 1, 2], [m - 1, 0, 1]):
+            sub = jac[:, :, cols]
+            scale = sum(np.abs(sub[:, 0, s0] * sub[:, 1, s1] * sub[:, 2, s2])
+                        for s0, s1, s2 in permutations(range(3)))
+            assert np.all(np.abs(_minors(view, cols) - np.linalg.det(sub)) <= 1e-12 * scale)
 
 
 def test_delta_values_take_the_midpoint_only_on_narrow_cells():
@@ -288,6 +315,56 @@ def test_delta_values_take_the_midpoint_only_on_narrow_cells():
     wide_err = np.abs(got[~narrow] - bump_average(vals[~narrow], span[~narrow], eps))
     assert np.all(wide_err <= 1e-12 / eps + 1e-15 / span[~narrow])
     assert np.all(got >= 0.0)
+
+
+def _delta_values_fresh_arrays(vals, eps, span):
+    # the kernel's formula with a fresh array for every step: the in-place
+    # kernel runs the same operations on the same operands
+    narrow = span <= 1e-9 * eps
+    s = np.maximum(span, 1e-9 * eps)
+    scale = math.pi / (2.0 * eps)
+    mid = scale * vals
+    half = (0.5 * scale) * s
+    lo = np.clip(mid - half, -0.5 * math.pi, 0.5 * math.pi)
+    hi = np.clip(mid + half, -0.5 * math.pi, 0.5 * math.pi)
+    out = hi - lo
+    out += np.cos(lo + hi) * np.sin(out)
+    out /= math.pi * s
+    if narrow.any():
+        t = np.clip(vals[narrow], -eps, eps)
+        out[narrow] = (1.0 + np.cos(np.pi * t / eps)) / (2.0 * eps)
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.6, 3e-7])
+def test_delta_values_in_place_are_bit_identical(eps):
+    rng = np.random.default_rng(25)
+    vals = rng.uniform(-1.5 * eps, 1.5 * eps, 3000)
+    # narrow cells (zero spans and spans below 1e-9 eps) among wide ones
+    span = np.concatenate([np.zeros(200), eps * 10.0 ** rng.uniform(-15, -9.01, 300),
+                           eps * 10.0 ** rng.uniform(-8.99, 1, 2500)])
+    rng.shuffle(span)
+    vals_in, span_in = vals.copy(), span.copy()
+    assert np.array_equal(_delta_values(vals, eps, span),
+                          _delta_values_fresh_arrays(vals, eps, span))
+    assert np.array_equal(vals, vals_in) and np.array_equal(span, span_in)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e11])
+@pytest.mark.parametrize("ratio", [10.0, 0.1])
+def test_independence_threshold_on_squares(ratio, scale):
+    # two gradients at angle t, lengths 1 and 2.5: the blade norm is sin t
+    # times the product of the lengths, so t = 10 and 0.1 times the
+    # threshold fall on either side of it
+    t = ratio * geomint._INDEPENDENCE_TOL
+    jac = scale * np.array([[[1.0, 0.0, 0.0], [2.5 * math.cos(t), 2.5 * math.sin(t), 0.0]]])
+    if ratio > 1:
+        # the Gram determinant 6.25 sin^2 t cancels down from 6.25: about
+        # 1e-16 / t^2 = 1e-6 relative rounding, half of it in the root
+        assert _wedge_norms(jac) == pytest.approx(scale ** 2 * 2.5 * math.sin(t), rel=1e-5)
+    else:
+        with pytest.raises(IndependenceError):
+            _wedge_norms(jac)
 
 
 def test_rescale_invariance_identity_is_exact():
@@ -539,6 +616,75 @@ def test_block_bound_contains_phase(case):
     assert llo.shape == lhi.shape == picks.shape
     for j, box_lo, box_hi in zip(picks, llo, lhi):
         assert_encloses(*box_ends[j], box_lo, box_hi)
+
+
+@st.composite
+def _table_cases(draw):
+    # single-axis, mixed and constant terms in R^1 to R^4, on a random box
+    m = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["single", "mixed", "constant"]))
+        key = [0] * m
+        if kind == "single":
+            key[draw(st.integers(0, m - 1))] = draw(st.integers(1, 5))
+        elif kind == "mixed":
+            key = [draw(st.integers(0, 3)) for _ in range(m)]
+        terms[tuple(key)] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=8))
+    box = []
+    for _ in range(m):
+        lo = draw(st.integers(-24, 8)) / 8
+        box.append((lo, lo + draw(st.integers(1, 32)) / 8))
+    n = draw(st.integers(1, 40))
+    return (VectorPoly(m, 1, terms), box, n, draw(st.integers(0, m - 1)),
+            draw(st.integers(1, 60)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_cases())
+def test_axis_tables_match_poly_on_points(case):
+    p, box, n, home, count, seed = case
+    m = p.m
+    spacings = [(hi - lo) / n for lo, hi in box]
+    axes = [lo + h * (np.arange(n) + 0.5) for (lo, _), h in zip(box, spacings)]
+    idx = np.random.default_rng(seed).integers(0, n, (m, count))
+    # column-major coordinates, as the sweep holds them
+    cols = np.array([ax.take(row) for ax, row in zip(axes, idx)])
+
+    def magnitude(q):
+        # sum |c x^alpha|, the rounding scale of a sum of terms
+        return geomint.poly_on_points(VectorPoly(m, 1, {key: abs(c) for key, c in q.terms.items()}),
+                                      np.abs(cols.T))
+
+    got = geomint._AxisTables(p, axes, home).values(idx, cols)
+    want = geomint.poly_on_points(p, cols.T)
+    if sum(1 for i in range(m) if any(key[i] for key in p.terms)) <= 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-13 * magnitude(p))
+    # the span sum_i h_i |d_i p| from the per-axis span tables and the rest
+    span = geomint._PhaseTables(p, axes, spacings).span(idx, cols)
+    grads = [p.diff(1, i + 1) for i in range(m)]
+    want = sum(h * np.abs(geomint.poly_on_points(g, cols.T)) for h, g in zip(spacings, grads))
+    scale = sum(h * magnitude(g) for h, g in zip(spacings, grads))
+    assert np.all(np.abs(span - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n", [101, 64])
+def test_boundary_flags_match_the_predicate_on_the_points(n):
+    # the plane x1 = 1/10 has a band that spans the box along x2 and x3, so it
+    # reaches four faces; the box is not symmetric, and 101 leaves ragged blocks
+    box = ((-1.6, 1.6), (-1.2, 2.0), (-2.0, 1.3))
+    spec = ImplicitSurfaceSpec(3, [xvar(1) - Fraction(1, 10)], box)
+    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
+    got = list(_band_stream(spec, eps, spacings, axes))
+    pts, bmask = (np.concatenate([item[i] for item in got]) for i in (0, 3))
+    # the boundary test of the sweep before its per-axis tables
+    want = np.zeros(len(pts), dtype=bool)
+    for i, ((lo, hi), h) in enumerate(zip(box, spacings)):
+        want |= (pts[:, i] < lo + h) | (pts[:, i] > hi - h)
+    assert np.array_equal(bmask, want)
+    assert 0 < bmask.sum() < len(pts)
 
 
 def test_s3_quadrature_in_bounded_memory():
@@ -944,6 +1090,21 @@ def test_coefficients_beyond_float_range_are_refused_on_entry():
     # 10^308 itself is a float, but its integral over V_{2,3} (volume 8 pi^2) is not
     with pytest.raises(ValueError, match="estimate lies beyond the float range"):
         mc_stiefel_integral(VectorPoly.constant(3, 10**308, nvars=2), 3, 2, 100, seed=1)
+
+
+def test_coefficients_below_float_range_are_refused_on_entry():
+    # 10^-400 rounds to 0.0: the float phase would vanish identically
+    tiny = Fraction(1, 10**400)
+    for call in (lambda: ImplicitSurfaceSpec(3, [tiny * sphere_phase()], BOX3),
+                 lambda: integrate_implicit(tiny * xvar(1) ** 2, sphere_spec()),
+                 lambda: mc_stiefel_integral(VectorPoly.monomial(3, (2, 0, 0, 0, 0, 0), tiny,
+                                                                 nvars=2), 3, 2, 100, seed=1)):
+        with pytest.raises(FloatRangeError, match=r"x1_1\^2, about 10\^-400, lies below the float range"):
+            call()
+    with pytest.raises(FloatRangeError, match="the constant term, about 10\\^-400"):
+        integrate_implicit(VectorPoly.constant(3, tiny), sphere_spec())
+    # a subnormal coefficient keeps a nonzero float value
+    ImplicitSurfaceSpec(3, [Fraction(1, 10**310) * sphere_phase()], BOX3)
 
 
 # -- block-orthogonal basis identities -------------------------------------------

@@ -6,7 +6,11 @@ Subcommands:
 - ``oracle mc``: Monte Carlo reference values over frames.
 - ``integrate implicit`` / ``integrate oriented``: grid surface quadrature.
 - ``verify identities`` / ``verify cauchy``: randomized identity suites and
-  the boundary-value residual check.
+  the boundary-value residual check.  Each is one table: ``_SUITES`` maps a
+  suite name to its trial function, which makes one trial's random draws
+  and returns {check: verdict}, and ``_CAUCHY_CASES`` maps a case name to
+  the builder of its surface, cut and fields.  A new suite or case is a
+  new row, and the row's name is a ``--suite`` or ``--case`` choice.
 
 Results are emitted as a single JSON object on stdout (optionally mirrored
 to ``--out``); logs go to stderr.  Exit status: 0 on success, 1 when a
@@ -20,10 +24,12 @@ import argparse
 import json
 import logging
 import math
+import operator
 import random
 import re
 import sys
 from fractions import Fraction
+from functools import reduce
 
 from .clifford import Multivector, dot, gram_det, wedge, wedge_vectors
 from .exterior import (check_psi_blade_pairing, check_gradient_contraction, check_dirac_psi_derivative, check_gradient_blade_volume,
@@ -307,92 +313,6 @@ def _rand_quadratic_phase(rng: random.Random, m: int) -> VectorPoly:
     return out
 
 
-def _tally(results: dict, name: str, ok: bool):
-    slot = results.setdefault(name, [0, 0])
-    slot[0 if ok else 1] += 1
-
-
-def run_suite(name: str, trials: int, seed: int) -> dict:
-    """Run one named identity suite; returns {check: [passed, failed]}."""
-    rng = random.Random(seed)
-    results: dict[str, list[int]] = {}
-    if name == "clifford":
-        for _ in range(trials):
-            m = rng.randint(2, 4)
-            a, b, c = (_rand_multivector(rng, m) for _ in range(3))
-            _tally(results, "associativity", (a * b) * c == a * (b * c))
-            i, j = rng.randint(1, m), rng.randint(1, m)
-            ei, ej = Multivector.basis(m, (i,)), Multivector.basis(m, (j,))
-            expected = Multivector.scalar(m, -2 if i == j else 0)
-            _tally(results, "anticommutation", ei * ej + ej * ei == expected)
-            k = rng.randint(0, m)
-            hom = _rand_homogeneous(rng, m, k)
-            v = _rand_vector(rng, m)
-            sign = -1 if k % 2 else 1
-            half = Fraction(1, 2)
-            vd = dot(v, hom) if k >= 1 else Multivector(m, {})
-            lhs = Multivector(m, {bl: co * half for bl, co in (v * hom - sign * (hom * v)).terms.items()})
-            _tally(results, "vector_dot_halved",
-                   (vd == lhs) if k >= 1 else lhs.is_zero())
-            _tally(results, "vector_dot_grade",
-                   dot(v, hom) == (v * hom).grade_project(abs(k - 1)))
-            lhs_w = Multivector(m, {bl: co * half for bl, co in (v * hom + sign * (hom * v)).terms.items()})
-            _tally(results, "vector_wedge_halved", wedge(v, hom) == lhs_w)
-            _tally(results, "vector_wedge_grade",
-                   wedge(v, hom) == (v * hom).grade_project(k + 1))
-            kk = rng.randint(1, m)
-            vecs = [_rand_vector(rng, m) for _ in range(kk)]
-            w = wedge_vectors(vecs)
-            _tally(results, "wedge_grade_of_product", w == _product(vecs, m).grade_project(kk))
-            if kk >= 2:
-                swapped = list(vecs)
-                swapped[0], swapped[1] = swapped[1], swapped[0]
-                _tally(results, "wedge_antisymmetry", wedge_vectors(swapped) == -w)
-                _tally(results, "wedge_repeat_zero",
-                       wedge_vectors([vecs[0]] + vecs[:-1]).is_zero())
-            vs = [_rand_vector(rng, m) for _ in range(kk)]
-            _tally(results, "gram_equals_wedge_norm",
-                   gram_det(vs) == wedge_vectors(vs).norm_squared())
-    elif name == "exterior":
-        for _ in range(trials):
-            m = rng.randint(2, 4)
-            k = rng.randint(1, min(3, m))
-            phases = [_rand_quadratic_phase(rng, m) for _ in range(k)]
-            _tally(results, "oriented_measure_product", bool(check_oriented_measure_product(phases)))
-            _tally(results, "gradient_blade_volume", bool(check_gradient_blade_volume(phases)))
-            _tally(results, "dot_contraction", bool(check_gradient_contraction(phases[0], rng.randint(1, m))))
-            _tally(results, "psi_blade_pairing", bool(check_psi_blade_pairing(m, rng.randint(0, min(3, m)))))
-            f = _rand_poly(rng, m, 1, 3, 4)
-            _tally(results, "dirac_wedge_derivative",
-                   bool(check_dirac_psi_derivative(m, rng.randint(0, m - 1), f)))
-    elif name == "series":
-        for _ in range(trials):
-            m = rng.randint(2, 3)
-            j, k = rng.randint(0, 2), rng.randint(0, 2)
-            _tally(results, "inner_power_closed_form",
-                   _directional_power_brute(j, k, m) == directional_power_closed_form(j, k, m))
-            r = rng.randint(0, 3)
-            l = rng.randint(r, 4)
-            _tally(results, "gamma_summation",
-                   gauss_sum_check(r, l, rng.randint(0, 3), rng.randint(2, 5)))
-            mm = rng.randint(1, 3)
-            rr = _rand_poly(rng, mm, 1, 3, 3)
-            qq = _rand_poly(rng, mm, 1, 2, 2)
-            pp = _rand_poly(rng, mm, 1, 3, 3)
-            _tally(results, "delta_factor_commutation",
-                   delta_pair(rr, qq * pp) == delta_pair(fischer_commute(rr, qq), pp))
-    else:
-        raise ParseError(f"unknown suite {name!r}")
-    return results
-
-
-def _product(mvs, m: int) -> Multivector:
-    out = Multivector.scalar(m, 1)
-    for mv in mvs:
-        out = out * mv
-    return out
-
-
 def _directional_power_brute(j: int, k: int, m: int) -> VectorPoly:
     """<d/dx, y>^(2j) |x|^(2k+2j) by repeated differentiation."""
     p = VectorPoly.norm_squared_var(m, 1, 2) ** (k + j)
@@ -400,6 +320,96 @@ def _directional_power_brute(j: int, k: int, m: int) -> VectorPoly:
     for _ in range(2 * j):
         p = p.directional(1, weights)
     return p
+
+
+def _clifford_trial(rng: random.Random) -> dict[str, bool]:
+    m = rng.randint(2, 4)
+    a, b, c = (_rand_multivector(rng, m) for _ in range(3))
+    checks = {"associativity": (a * b) * c == a * (b * c)}
+    i, j = rng.randint(1, m), rng.randint(1, m)
+    ei, ej = Multivector.basis(m, (i,)), Multivector.basis(m, (j,))
+    checks["anticommutation"] = ei * ej + ej * ei == Multivector.scalar(m, -2 if i == j else 0)
+    k = rng.randint(0, m)
+    hom = _rand_homogeneous(rng, m, k)
+    v = _rand_vector(rng, m)
+    sign = -1 if k % 2 else 1
+    half = Fraction(1, 2)
+    lhs = Multivector(m, {bl: co * half for bl, co in (v * hom - sign * (hom * v)).terms.items()})
+    # the dot of a vector with a scalar is not the halved commutator, which vanishes
+    checks["vector_dot_halved"] = dot(v, hom) == lhs if k >= 1 else lhs.is_zero()
+    checks["vector_dot_grade"] = dot(v, hom) == (v * hom).grade_project(abs(k - 1))
+    lhs_w = Multivector(m, {bl: co * half for bl, co in (v * hom + sign * (hom * v)).terms.items()})
+    checks["vector_wedge_halved"] = wedge(v, hom) == lhs_w
+    checks["vector_wedge_grade"] = wedge(v, hom) == (v * hom).grade_project(k + 1)
+    kk = rng.randint(1, m)
+    vecs = [_rand_vector(rng, m) for _ in range(kk)]
+    w = wedge_vectors(vecs)
+    checks["wedge_grade_of_product"] = w == reduce(operator.mul, vecs).grade_project(kk)
+    if kk >= 2:
+        swapped = [vecs[1], vecs[0], *vecs[2:]]
+        checks["wedge_antisymmetry"] = wedge_vectors(swapped) == -w
+        checks["wedge_repeat_zero"] = wedge_vectors([vecs[0]] + vecs[:-1]).is_zero()
+    vs = [_rand_vector(rng, m) for _ in range(kk)]
+    checks["gram_equals_wedge_norm"] = gram_det(vs) == wedge_vectors(vs).norm_squared()
+    return checks
+
+
+def _exterior_trial(rng: random.Random) -> dict[str, bool]:
+    m = rng.randint(2, 4)
+    k = rng.randint(1, min(3, m))
+    phases = [_rand_quadratic_phase(rng, m) for _ in range(k)]
+    checks = {"oriented_measure_product": bool(check_oriented_measure_product(phases)),
+              "gradient_blade_volume": bool(check_gradient_blade_volume(phases))}
+    checks["dot_contraction"] = bool(check_gradient_contraction(phases[0], rng.randint(1, m)))
+    checks["psi_blade_pairing"] = bool(check_psi_blade_pairing(m, rng.randint(0, min(3, m))))
+    f = _rand_poly(rng, m, 1, 3, 4)
+    checks["dirac_wedge_derivative"] = bool(
+        check_dirac_psi_derivative(m, rng.randint(0, m - 1), f))
+    return checks
+
+
+def _series_trial(rng: random.Random) -> dict[str, bool]:
+    m = rng.randint(2, 3)
+    j, k = rng.randint(0, 2), rng.randint(0, 2)
+    checks = {"inner_power_closed_form":
+              _directional_power_brute(j, k, m) == directional_power_closed_form(j, k, m)}
+    r = rng.randint(0, 3)
+    l = rng.randint(r, 4)
+    checks["gamma_summation"] = gauss_sum_check(r, l, rng.randint(0, 3), rng.randint(2, 5))
+    mm = rng.randint(1, 3)
+    rr = _rand_poly(rng, mm, 1, 3, 3)
+    qq = _rand_poly(rng, mm, 1, 2, 2)
+    pp = _rand_poly(rng, mm, 1, 3, 3)
+    checks["delta_factor_commutation"] = (delta_pair(rr, qq * pp)
+                                          == delta_pair(fischer_commute(rr, qq), pp))
+    return checks
+
+
+# suite name -> one trial: its draws from the suite's stream, then {check: verdict};
+# the trials call the library through this module's names, which bench/tracing.py patches
+_SUITES = {"clifford": _clifford_trial, "exterior": _exterior_trial, "series": _series_trial}
+
+
+def run_suite(name: str, trials: int, seed: int) -> dict:
+    """Run ``trials`` trials of the named identity suite; returns {check: [passed, failed]}.
+
+    ``_SUITES`` maps the suite name to its trial function.  All trials draw
+    from one ``random.Random(seed)`` stream in a fixed order, so a new
+    check appends its draws at the end of its trial: then the checks
+    before it draw what they drew before, in the first trial and so in
+    every one-trial run.  A check that a trial's draws rule out (the wedge
+    swaps for a single vector) is absent from that trial, not passed.
+    """
+    try:
+        trial = _SUITES[name]
+    except KeyError:
+        raise ParseError(f"unknown suite {name!r}") from None
+    rng = random.Random(seed)
+    results: dict[str, list[int]] = {}
+    for _ in range(trials):
+        for check, ok in trial(rng).items():
+            results.setdefault(check, [0, 0])[0 if ok else 1] += 1
+    return results
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -502,27 +512,23 @@ def _handle_verify_identities(args) -> tuple[dict, bool]:
     return payload, failed == 0
 
 
-_CAUCHY_CASES = {"circle", "classical"}
+# case name -> builder of (m, phases, phi, F, G), integrated over [-1.6, 1.6]^m
+_CAUCHY_CASES = {
+    # the half x1 <= 0 of the unit circle in the x1 x2 plane of R^3; F = 1, G = x2
+    "circle": lambda: (3, [VectorPoly.norm_squared_var(3, 1) - 1, VectorPoly.variable(3, 1, 3)],
+                       VectorPoly.variable(3, 1, 1), VectorPoly.constant(3, 1),
+                       VectorPoly.variable(3, 1, 2)),
+    # the unit disk |x|^2 - 1 <= 0 in R^2, with no phases; F = 1, G = x1
+    "classical": lambda: (2, [], VectorPoly.norm_squared_var(2, 1) - 1,
+                          VectorPoly.constant(2, 1), VectorPoly.variable(2, 1, 1)),
+}
 
 
 def _handle_verify_cauchy(args) -> tuple[dict, bool]:
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise ParseError(f"need a finite positive threshold, got {args.threshold}")
-    if args.case == "circle":
-        m = 3
-        phases = [VectorPoly.norm_squared_var(3, 1) - 1, VectorPoly.variable(3, 1, 3)]
-        phi = VectorPoly.variable(3, 1, 1)
-        f_field = VectorPoly.constant(3, 1)
-        g_field = VectorPoly.variable(3, 1, 2)
-        box = [(-1.6, 1.6)] * 3
-    else:
-        m = 2
-        phases = []
-        phi = VectorPoly.norm_squared_var(2, 1) - 1
-        f_field = VectorPoly.constant(2, 1)
-        g_field = VectorPoly.variable(2, 1, 1)
-        box = [(-1.6, 1.6)] * 2
-    spec, cfg, _ = _checked_surface(m, phases, box, args)
+    m, phases, phi, f_field, g_field = _CAUCHY_CASES[args.case]()
+    spec, cfg, _ = _checked_surface(m, phases, [(-1.6, 1.6)] * m, args)
     result = cauchy_check(f_field, g_field, phi, spec, cfg)
     ok = result.residual < args.threshold
     log.info("case %s: residual %.4g (threshold %g)", args.case,
@@ -588,8 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="identity suites and residual checks")
     vsub = verify.add_subparsers(dest="subcommand", required=True)
     ident = vsub.add_parser("identities", parents=[common])
-    ident.add_argument("--suite", choices=["clifford", "exterior", "series"],
-                       required=True)
+    ident.add_argument("--suite", choices=sorted(_SUITES), required=True)
     ident.add_argument("--trials", type=int, default=20)
     ident.add_argument("--seed", type=int, default=0)
     ident.set_defaults(handler=_handle_verify_identities)

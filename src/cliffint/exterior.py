@@ -22,10 +22,9 @@ Psi_{m-k} to the blade of gradients times the volume form.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Sequence
@@ -176,37 +175,7 @@ def vector_differential(m: int, nvars: int = 1) -> CliffordForm:
                         {(i,): CliffordPoly.basis(m, (i,), nvars) for i in range(1, m + 1)})
 
 
-def _constant_table(build):
-    """``build`` cached as a table of immutable constants, by argument value.
-
-    Every call is completed to ``build``'s full positional argument list,
-    defaults filled in, before the cache is looked up, so psi(3, 1),
-    psi(3, 1, 1) and psi(3, k=1) share one entry.  Positional calls take
-    the defaults directly; a call with keywords is bound by the signature,
-    which costs microseconds.  ``__wrapped__`` is the uncached ``build``
-    and ``cache_info`` and ``cache_clear`` are the cache's.
-    """
-    cached = lru_cache(maxsize=256)(build)
-    signature = inspect.signature(build)
-    defaults = build.__defaults__ or ()
-    required = build.__code__.co_argcount - len(defaults)
-
-    @wraps(build)
-    def table(*args, **kwargs):
-        if kwargs or not required <= len(args) <= required + len(defaults):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        else:
-            args += defaults[len(args) - required:]
-        return cached(*args)
-
-    table.cache_info = cached.cache_info
-    table.cache_clear = cached.cache_clear
-    return table
-
-
-@_constant_table
+@lru_cache(maxsize=256)
 def dx_power_normalized(m: int, p: int, nvars: int = 1) -> CliffordForm:
     """(dx)^p / p!, computed by repeated form multiplication (cached; immutable)."""
     if p < 0 or p > m:
@@ -235,7 +204,7 @@ def ell_sign(a: Blade) -> int:
     return -1 if ell(a) % 2 else 1
 
 
-@_constant_table
+@lru_cache(maxsize=256)
 def psi(m: int, k: int, nvars: int = 1) -> CliffordForm:
     """Oriented surface-measure form of codimension k (cached; immutable).
 
@@ -334,9 +303,10 @@ def check_oriented_measure_product(phases: Sequence[VectorPoly]) -> CheckResult:
 
 def check_psi_blade_pairing(m: int, k: int) -> CheckResult:
     """(dx)^{m-k}/(m-k)! equals (-1)^{k(k+1)/2} Psi_{m-k} e_M."""
-    lhs = dx_power_normalized(m, m - k)
+    # nvars spelled out, as the other callers do, so each form is one cache entry
+    lhs = dx_power_normalized(m, m - k, 1)
     e_full = CliffordPoly.basis(m, tuple(range(1, m + 1)))
-    rhs = psi(m, k).scale_right(e_full)
+    rhs = psi(m, k, 1).scale_right(e_full)
     if (k * (k + 1) // 2) % 2:
         rhs = -rhs
     return _compare_forms(lhs, rhs)

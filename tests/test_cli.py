@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from cliffint import geomint
-from cliffint.cli import ParseError, parse_exact, run
+from cliffint.cli import ParseError, parse_exact, run, run_suite
 
 from oracles import bench_oracles
 
@@ -84,6 +85,44 @@ def test_verify_identities_all_green(capsys):
     assert code == 0
     assert doc["failed"] == 0 and doc["passed"] > 0
     assert all(c["failed"] == 0 for c in doc["checks"].values())
+
+
+# per-check [passed, failed] summed over seeds 0-149 at 3 trials each, and a
+# digest of the per-seed tallies: both fix every suite's draws and their order
+SUITE_TALLIES = {
+    "clifford": ("9fa80d54e9a0127a", {
+        "anticommutation": [450, 0], "associativity": [450, 0],
+        "gram_equals_wedge_norm": [450, 0], "vector_dot_grade": [450, 0],
+        "vector_dot_halved": [450, 0], "vector_wedge_grade": [450, 0],
+        "vector_wedge_halved": [450, 0], "wedge_antisymmetry": [288, 0],
+        "wedge_grade_of_product": [450, 0], "wedge_repeat_zero": [288, 0]}),
+    "exterior": ("20acde484670cce8", {
+        "dirac_wedge_derivative": [450, 0], "dot_contraction": [450, 0],
+        "gradient_blade_volume": [450, 0], "oriented_measure_product": [450, 0],
+        "psi_blade_pairing": [450, 0]}),
+    "series": ("8655b8f823f913bd", {
+        "delta_factor_commutation": [450, 0], "gamma_summation": [450, 0],
+        "inner_power_closed_form": [450, 0]}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_TALLIES))
+def test_suite_tallies_are_pinned(suite):
+    digest, totals = SUITE_TALLIES[suite]
+    per_seed = [sorted(run_suite(suite, 3, seed).items()) for seed in range(150)]
+    summed = {}
+    for tally in per_seed:
+        for check, (passed, failed) in tally:
+            slot = summed.setdefault(check, [0, 0])
+            slot[0] += passed
+            slot[1] += failed
+    assert summed == totals
+    assert hashlib.sha256(json.dumps(per_seed).encode()).hexdigest()[:16] == digest
+
+
+def test_unknown_suite_is_a_parse_error():
+    with pytest.raises(ParseError, match="bogus"):
+        run_suite("bogus", 1, 0)
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -168,6 +207,9 @@ def test_usage_error_exit_code(capsys):
     # SeedSequence takes no negative entropy
     ["oracle", "mc", "--m", "3", "--k", "2", "--poly", "x1_1^2", "--n-samples", "100",
      "--seed", "-1"],
+    # the choices are the rows of the suite and case tables
+    ["verify", "identities", "--suite", "bogus"],
+    ["verify", "cauchy", "--case", "bogus"],
 ])
 def test_out_of_domain_arguments_are_usage_errors(args, capsys):
     assert run(args + ["-q"]) == 2

@@ -260,14 +260,3 @@ def test_cached_forms_are_never_mutated():
             assert psi(*args) == psi.__wrapped__(*args)
             assert dx_power_normalized(*args) == dx_power_normalized.__wrapped__(*args)
     assert psi.cache_info().hits > 0 and dx_power_normalized.cache_info().hits > 0
-
-
-@pytest.mark.parametrize("table, args", [(psi, (3, 1)), (dx_power_normalized, (3, 2))])
-def test_constant_tables_are_keyed_by_argument_value(table, args):
-    # the default nvars spelled out, or passed by name, is the same entry
-    table.cache_clear()
-    table(*args)
-    table(*args, 1)
-    table(*args, nvars=1)
-    info = table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)

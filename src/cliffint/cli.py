@@ -334,9 +334,12 @@ def _clifford_trial(rng: random.Random) -> dict[str, bool]:
     v = _rand_vector(rng, m)
     sign = -1 if k % 2 else 1
     half = Fraction(1, 2)
-    lhs = Multivector(m, {bl: co * half for bl, co in (v * hom - sign * (hom * v)).terms.items()})
-    # the dot of a vector with a scalar is not the halved commutator, which vanishes
-    checks["vector_dot_halved"] = dot(v, hom) == lhs if k >= 1 else lhs.is_zero()
+    if k >= 1:
+        # the dot of a vector with a scalar s is v s, not the halved commutator,
+        # which vanishes; vector_dot_grade checks that case
+        commutator = v * hom - sign * (hom * v)
+        lhs = Multivector(m, {bl: co * half for bl, co in commutator.terms.items()})
+        checks["vector_dot_halved"] = dot(v, hom) == lhs
     checks["vector_dot_grade"] = dot(v, hom) == (v * hom).grade_project(abs(k - 1))
     lhs_w = Multivector(m, {bl: co * half for bl, co in (v * hom + sign * (hom * v)).terms.items()})
     checks["vector_wedge_halved"] = wedge(v, hom) == lhs_w
@@ -398,7 +401,8 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
     check appends its draws at the end of its trial: then the checks
     before it draw what they drew before, in the first trial and so in
     every one-trial run.  A check that a trial's draws rule out (the wedge
-    swaps for a single vector) is absent from that trial, not passed.
+    swaps for a single vector, the halved commutator for a scalar) is
+    absent from that trial, not passed.
     """
     try:
         trial = _SUITES[name]

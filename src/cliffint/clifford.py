@@ -16,6 +16,9 @@ rule of ``_mul_blades``): -1 for the Clifford generators e_j, 0 for the
 differentials dx_j, whose blades therefore multiply like the exterior
 algebra.  ``wedge`` and ``wedge_vectors`` use the same square-0 rule: the
 wedge of two elements is their blade product with e_j^2 = 0.
+``_mul_blades`` is the one blade product of the package, and it is
+memoized: the exact algebras, ``exterior_derivative`` and the grid's
+column-sparse batches in ``geomint`` share its cache.
 
 Coefficients are generic ring elements: ``fractions.Fraction`` for exact
 work, ``float`` for numerics, polynomials and Clifford polynomials in
@@ -27,7 +30,7 @@ ring works uniformly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -35,14 +38,20 @@ from .polyalg import _SparseTerms
 
 Blade = tuple[int, ...]
 
+# entries of the blade-product cache: the benchmark cycles use under 400
+# (a, b, square) keys
+_BLADE_PRODUCTS = 4096
 
+
+@lru_cache(maxsize=_BLADE_PRODUCTS)
 def _mul_blades(a: Blade, b: Blade, square: int) -> tuple[int, Blade]:
     """Product of two basis blades: sign and resulting sorted blade.
 
     Elements of ``b`` are merged into ``a`` one at a time, counting the
     transpositions needed to keep indices sorted; a repeated index pair
     contracts to ``square``: -1 for e_j e_j, 0 for dx_j dx_j.  A zero sign
-    means the product vanishes.
+    means the product vanishes.  Memoized in a cache of _BLADE_PRODUCTS
+    entries, so the blades must be tuples.
     """
     sign = 1
     out = list(a)

@@ -42,7 +42,7 @@ over the points and loops over the pairs of carried columns.  Its
 tangential Dirac operator needs no tangent frame: it is
 sum_i e_i (P_T d F)_i with the projector P_T = I - J^T (J J^T)^-1 J of the
 phase jacobian J, and the product with each e_i relabels the columns
-through the multiplication table, whose rows are built on first use.  The
+through the memoized blade product ``clifford._mul_blades``.  The
 pointwise ``tangential_dirac`` is the same operator on one point.
 """
 
@@ -52,7 +52,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -810,7 +809,7 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     def density(pts, jac):
         values = _field_values(f, pts)
         _checked_gram(jac)
-        return {blade: values * minor for blade, minor in _wedge_columns(jac, spec.m).items()}
+        return {blade: values * minor for blade, minor in _wedge_columns(jac).items()}
 
     return Multivector(spec.m, _band_sum(spec, cfg, density))
 
@@ -830,14 +829,12 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
     if len(alpha) != k or any(len(row) != k for row in alpha):
         raise ValueError("alpha must be k x k")
     entries = [[_as_poly(a, spec.m) for a in row] for row in alpha]
-    zero = VectorPoly.zero(spec.m, 1)
-    psis = [zero._sum(pair for coeff, phi in zip(row, spec.phases)
-                      for pair in (coeff * phi).terms.items())
+    psis = [sum((coeff * phi for coeff, phi in zip(row, spec.phases)), VectorPoly.zero(spec.m, 1))
             for row in entries]
-    det_poly = _poly_det(entries)
 
     def checked_f(pts):
-        if np.any(np.abs(poly_on_points(det_poly, pts)) <= _DET_TOL):
+        mixing = np.array([[poly_on_points(a, pts) for a in row] for row in entries])
+        if np.any(np.abs(_minors(mixing.transpose(2, 0, 1), range(k))) <= _DET_TOL):
             raise ValueError("phase-mixing determinant is numerically zero "
                              "on the surface band")
         return _field_values(f, pts)
@@ -852,21 +849,6 @@ def _as_poly(value, m: int) -> VectorPoly:
             raise ValueError("alpha entries must live in the surface variable")
         return value
     return VectorPoly.constant(m, Fraction(value))
-
-
-def _poly_det(entries: list[list[VectorPoly]]) -> VectorPoly:
-    k = len(entries)
-    m = entries[0][0].m
-    if k == 1:
-        return entries[0][0]
-    pairs = []
-    # Laplace expansion along the first row; k stays tiny
-    for col in range(k):
-        minor = [[entries[r][c] for c in range(k) if c != col]
-                 for r in range(1, k)]
-        term = entries[0][col] * _poly_det(minor)
-        pairs += (term if col % 2 == 0 else -term).terms.items()
-    return VectorPoly.zero(m, 1)._sum(pairs)
 
 
 # -- frames and tangential operators -----------------------------------------
@@ -935,19 +917,11 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
     f = _as_cliffpoly(field, spec.m)
     pt, jac = _surface_jacobian(spec, point)
     partials = [_field_columns(f.diff(i), pt) for i in range(1, spec.m + 1)]
-    out = _projected_dirac(jac, _inverse_gram(jac), partials, spec.m, left=True)
+    out = _projected_dirac(jac, _inverse_gram(jac), partials, left=True)
     return Multivector(spec.m, {blade: float(col[0]) for blade, col in out.items()})
 
 
 # -- column-sparse Clifford batch algebra -------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _cayley(m: int, a: tuple) -> dict:
-    """Row ``a`` of the multiplication table of the blades in R^m, built on
-    first use: entry [b] is the (sign, blade) of the product of blades a
-    and b, over the blades b of every grade."""
-    return {b: _mul_blades(a, b, -1) for k in range(m + 1) for b in blades_of_grade(m, k)}
 
 
 def _accumulate(out: dict, blade: tuple, col: np.ndarray, negate: bool = False) -> None:
@@ -965,7 +939,7 @@ def _accumulate(out: dict, blade: tuple, col: np.ndarray, negate: bool = False) 
         acc += col
 
 
-def _columns_mul(a: dict, b: dict, m: int) -> dict:
+def _columns_mul(a: dict, b: dict) -> dict:
     """Geometric product of column-sparse batches.
 
     A batch is a dict from blade to an (N,) column of coefficients, one per
@@ -974,9 +948,8 @@ def _columns_mul(a: dict, b: dict, m: int) -> dict:
     """
     out: dict = {}
     for i, ca in a.items():
-        row = _cayley(m, i)
         for j, cb in b.items():
-            sign, blade = row[j]
+            sign, blade = _mul_blades(i, j, -1)
             _accumulate(out, blade, ca * cb, negate=sign < 0)
     return out
 
@@ -987,14 +960,14 @@ def _field_columns(f: CliffordPoly, pts: np.ndarray) -> dict:
     return {blade: poly_on_points(poly, pts) for blade, poly in f.terms.items()}
 
 
-def _wedge_columns(jac: np.ndarray, m: int) -> dict:
+def _wedge_columns(jac: np.ndarray) -> dict:
     """Grade-k blade v_1 ^ ... ^ v_k from the rows of (N, k, m) arrays.
 
     The column of e_A is the minor of the columns in A; with k = 0 the
     blade is the scalar 1.
     """
     return {blade: _minors(jac, [j - 1 for j in blade])
-            for blade in blades_of_grade(m, jac.shape[1])}
+            for blade in blades_of_grade(jac.shape[2], jac.shape[1])}
 
 
 def _combination(pairs) -> dict:
@@ -1006,7 +979,7 @@ def _combination(pairs) -> dict:
     return out
 
 
-def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: int,
+def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list,
                      left: bool) -> dict:
     """Tangential Dirac operator on a column-sparse batch, with no frame.
 
@@ -1017,7 +990,7 @@ def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: i
     the derivative along the tangential projection of e_i, returns
     sum_i e_i A_i when ``left``, else sum_i A_i e_i; with k = 0 the
     projection is the identity.  The product with e_i relabels the columns
-    of A_i through the multiplication table.  Empty when every d_i F
+    of A_i through the memoized blade product.  Empty when every d_i F
     vanishes.
     """
     if not any(partials):
@@ -1026,14 +999,14 @@ def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list, m: i
     along = [_combination((jac[:, b, j], d) for j, d in enumerate(partials)) for b in range(k)]
     normal = [_combination((gram_inv[a, b], along[b]) for b in range(k)) for a in range(k)]
     out: dict = {}
-    for i in range(m):
-        a_i = {blade: col.copy() for blade, col in partials[i].items()}
+    for i, d in enumerate(partials):
+        a_i = {blade: col.copy() for blade, col in d.items()}
         for a in range(k):
             for blade, col in normal[a].items():
                 _accumulate(a_i, blade, jac[:, a, i] * col, negate=True)
         e = (i + 1,)
         for blade, col in a_i.items():
-            sign, target = _cayley(m, e)[blade] if left else _cayley(m, blade)[e]
+            sign, target = _mul_blades(e, blade, -1) if left else _mul_blades(blade, e, -1)
             _accumulate(out, target, col, negate=sign < 0)
     return out
 
@@ -1082,19 +1055,19 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
 
     def left_density(pts, jac):
         gram_inv = _inverse_gram(jac)
-        wedge = _wedge_columns(jac, m)
+        wedge = _wedge_columns(jac)
         out: dict = {}
         # a field whose derivatives all vanish drops its whole term
         f_right = _projected_dirac(jac, gram_inv, [_field_columns(d, pts) for d in df],
-                                   m, left=False)
+                                   left=False)
         if f_right:
             g_vals = _field_columns(g_cp, pts)
-            out = _columns_mul(_columns_mul(f_right, wedge, m), g_vals, m)
+            out = _columns_mul(_columns_mul(f_right, wedge), g_vals)
         g_left = _projected_dirac(jac, gram_inv, [_field_columns(d, pts) for d in dg],
-                                  m, left=True)
+                                  left=True)
         if g_left:
             f_vals = _field_columns(f_cp, pts)
-            for blade, col in _columns_mul(_columns_mul(f_vals, wedge, m), g_left, m).items():
+            for blade, col in _columns_mul(_columns_mul(f_vals, wedge), g_left).items():
                 _accumulate(out, blade, col, negate=k % 2 == 1)
         return out
 
@@ -1105,10 +1078,10 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
         except IndependenceError as exc:
             raise TransversalityError(
                 "grad phi is not transversal to the surface on its band") from exc
-        blade = _wedge_columns(jac, m)
+        blade = _wedge_columns(jac)
         f_vals = _field_columns(f_cp, pts)
         g_vals = _field_columns(g_cp, pts)
-        return _columns_mul(_columns_mul(f_vals, blade, m), g_vals, m)
+        return _columns_mul(_columns_mul(f_vals, blade), g_vals)
 
     cut = ImplicitSurfaceSpec(m, (phi, *spec.phases), spec.box)  # checks phi
     lhs = _band_sum(spec, cfg, left_density, phi)

@@ -16,7 +16,9 @@ m - j + 1 with the Laplacian replaced by
 each factor followed by setting x_j = 0.  The factors do not commute; the
 innermost factor treats the last vector variable.  The sphere S^(m-1) is
 the manifold of 1-frames, and its series is the last (j = 1) stage, where
-the operator is the plain Laplacian: both integrals run through one loop.
+the operator is the plain Laplacian: both integrals run through one series
+function, whose stages j = k down to 2 share one loop and whose last stage
+is a separate loop over the Laplacian powers.
 
 For two-column frames an explicit double sum in the operators
 A = Delta_x + Delta_y and B = Delta_x Delta_y - <d/dx, d/dy>^2 is provided

@@ -17,7 +17,7 @@ from cliffint import (BoundaryContactError, CliffordPoly, FloatRangeError, Frame
                       phase_rescale_invariance, stiefel_volume,
                       tangent_normal_frames, tangential_dirac)
 from cliffint import geomint
-from cliffint.clifford import blades_of_grade
+from cliffint.clifford import _mul_blades, blades_of_grade
 from cliffint.geomint import (_band_stream, _columns_mul, _delta_values, _grid_geometry,
                               _haar_frames, _interval_bounds, _minors, _wedge_columns,
                               _wedge_norms)
@@ -130,16 +130,27 @@ def test_richardson_ladder_is_monotone():
     assert errors[0] > errors[1] > errors[2]
 
 
-def test_sphere_quadrature_converges_at_second_order():
-    # f = x1^2 x2^2 on S^2 at the default eps = 6 h, against the Gamma closed
-    # form; halving h quarters the relative error
-    exact = bench_oracles.exact_to_float(bench_oracles.sphere_monomial((2, 2, 0)))
-    f = xvar(1) ** 2 * xvar(2) ** 2
-    errors = [abs(integrate_implicit(f, sphere_spec(), QuadratureConfig(n=n)) - exact) / exact
-              for n in (64, 128, 256)]
+# surface, integrand, the exponents of its monomials (the unit circle in R^3
+# lies in the x1 x2 plane, so its integrals are those of S^1), the three n
+# and a bound on the relative error at the middle n
+@pytest.mark.parametrize("spec,f,monomials,ns,bound", [
+    pytest.param(sphere_spec(), xvar(1) ** 2 * xvar(2) ** 2, [(2, 2, 0)], (64, 128, 256),
+                 1.3e-2, id="S2"),
+    pytest.param(sphere_spec(2), xvar(1, 2) ** 2 * xvar(2, 2) ** 4, [(2, 4)], (100, 200, 400),
+                 7e-3, id="S1"),
+    pytest.param(circle_spec(), xvar(1) ** 2 * xvar(2) ** 2 + 1, [(2, 2), (0, 0)],
+                 (64, 128, 256), 1.7e-3, id="circle-in-R3"),
+])
+def test_sphere_quadrature_converges_at_second_order(spec, f, monomials, ns, bound):
+    # at the default eps = 6 h, against the Gamma closed form; halving h
+    # quarters the relative error
+    exact = sum(bench_oracles.exact_to_float(bench_oracles.sphere_monomial(a))
+                for a in monomials)
+    errors = [abs(integrate_implicit(f, spec, QuadratureConfig(n=n)) - exact) / exact
+              for n in ns]
     orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
     assert all(1.8 <= order <= 2.2 for order in orders), (errors, orders)
-    assert errors[1] <= 1.3e-2
+    assert errors[1] <= bound
 
 
 def test_oriented_circle_recovers_plane_blade():
@@ -245,7 +256,7 @@ def test_small_minors_match_lapack():
             assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
     # three rows are the cofactor expansion, column by column of the blade
     jac = rng.standard_normal((50, 3, 4))
-    blade = _wedge_columns(jac, 4)
+    blade = _wedge_columns(jac)
     assert sorted(blade) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     assert np.allclose(blade[(1, 2, 3)], np.linalg.det(jac[:, :, [0, 1, 2]]), rtol=1e-12)
     assert np.allclose(blade[(1, 3, 4)], np.linalg.det(jac[:, :, [0, 2, 3]]), rtol=1e-12)
@@ -265,7 +276,7 @@ def test_small_minors_match_lapack():
         assert np.all(np.abs(norms ** 2 - np.linalg.det(gram)) <= 1e-12 * lengths_sq)
     # four rows still go through LAPACK
     jac = rng.standard_normal((50, 4, 5))
-    blade = _wedge_columns(jac, 5)
+    blade = _wedge_columns(jac)
     assert len(blade) == 5
     assert np.allclose(blade[(1, 2, 4, 5)], np.linalg.det(jac[:, :, [0, 1, 3, 4]]), rtol=1e-12)
 
@@ -282,7 +293,7 @@ def test_minors_and_wedges_do_not_depend_on_layout(k, m):
     for cols in ([0, 1, 2][:k], [m - 1, 0, 2][:k], list(range(m - k, m))):
         assert np.array_equal(_minors(view, cols), _minors(jac, cols))
     assert np.array_equal(_wedge_norms(view), _wedge_norms(jac))
-    got, want = _wedge_columns(view, m), _wedge_columns(jac, m)
+    got, want = _wedge_columns(view), _wedge_columns(jac)
     assert got.keys() == want.keys() and all(np.array_equal(got[b], want[b]) for b in want)
     if k == 3:
         # the closed-form Gram entries against LAPACK on the matmul Gram,
@@ -378,6 +389,18 @@ def test_rescale_rejects_singular_mixing():
     with pytest.raises(ValueError):
         phase_rescale_invariance(circle_spec(), [[1, 1], [1, 1]],
                                  cfg=QuadratureConfig(n=75))
+
+
+def test_rescale_with_polynomial_mixing_entries():
+    # the determinant (1 + x1^2) * 2 stays >= 2 on the band
+    x1, x2 = xvar(1), xvar(2)
+    plain, mixed = phase_rescale_invariance(circle_spec(), [[1 + x1 ** 2, 0], [x2, 2]],
+                                            cfg=QuadratureConfig(n=101))
+    assert (plain, mixed) == pytest.approx((6.265633, 6.285894), rel=1e-6)
+    assert abs(mixed - plain) <= 3 * abs(plain - 2 * math.pi)
+    # det = x1 vanishes where the circle crosses x1 = 0
+    with pytest.raises(ValueError, match="determinant"):
+        phase_rescale_invariance(circle_spec(), [[x1, 0], [0, 1]], cfg=QuadratureConfig(n=101))
 
 
 # -- block culling and the dense reference sweep --------------------------------
@@ -787,9 +810,9 @@ def test_tangential_dirac_values():
 
 
 def test_tangential_dirac_in_r10_builds_only_the_rows_it_uses():
-    # the operator multiplies by the m vectors e_i: m rows of the blade
-    # multiplication table, not all 4^m products (about 213 MB at m = 10)
-    geomint._cayley.cache_clear()
+    # the operator multiplies by the m vectors e_i: only those products
+    # enter the blade-product cache, not all 4^m (about 213 MB at m = 10)
+    _mul_blades.cache_clear()
     point = [0.0, 1.0] + [0.0] * 8
     tracemalloc.start()
     try:
@@ -839,7 +862,7 @@ def test_columns_mul_matches_multivector_product(m):
             batches.append({b: rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
                             for b in keys})
         a, b = batches
-        got = _columns_mul(a, b, m)
+        got = _columns_mul(a, b)
         for p in range(n):
             want = (Multivector(m, {blade: float(col[p]) for blade, col in a.items()})
                     * Multivector(m, {blade: float(col[p]) for blade, col in b.items()})).terms

@@ -13,9 +13,10 @@ and the oriented variant keeps the blade of gradients unnormalized.
 Heaviside factors stay sharp.
 
 Only a thin band of cells, |phi| < eps + span/2, carries weight.  The band
-sweep finds it by interval culling (Snyder, SIGGRAPH 1992) with one rule: a
-block of cells is dropped when an interval bound of some phase (from
-monomial ranges over the block) shows |phi| stays above that threshold.
+sweep finds it by block culling (Snyder, SIGGRAPH 1992) with one rule: a
+block of cells is dropped when a bound of some phase over the block (the
+block extremes of its per-axis tables, below) shows |phi| stays at or
+above that threshold.
 The rule runs top down: a flat top grid of at most _BATCH_CELLS blocks,
 then the 2^m halves of each kept block, a bounded group of blocks at a
 time, down to small leaf blocks.  The cells of the kept leaves are
@@ -25,7 +26,10 @@ each gradient component and each span is split once per sweep into
 per-axis tables over the n cell midpoints and a remainder of mixed terms.
 A candidate cell pays m table lookups per value, and the remainder on its
 coordinates only when a phase has one; only the band cells get
-coordinates, jacobian rows and boundary flags.  The Heaviside cut of the
+coordinates, jacobian rows and boundary flags, and only in a batch whose
+leaves touch a face of the box do they get flags.  The culling bounds come
+from the same tables; interval arithmetic on monomials remains for the
+remainders and for the cut's value.  The Heaviside cut of the
 Cauchy check keeps a term-by-term value, because its cell fraction
 divides the value by the span, which would magnify the rounding of a
 table sum.
@@ -367,62 +371,55 @@ def _interval_bounds(p: VectorPoly, ranges) -> tuple[np.ndarray, np.ndarray]:
     return lo - slack, hi + slack
 
 
-def _half_spans(row, spacings: list[float], ranges, start) -> np.ndarray:
-    """start + sum_i h_i max|d_i phi| / 2 over each box of ``ranges``: a bound
-    on half the per-cell span of one phase, from the gradient row ``row``."""
-    shape = np.broadcast_shapes(*(a.shape for a, _ in ranges))
-    reach = np.full(shape, start)
-    for h, dphi in zip(spacings, row):
-        if dphi:
-            glo, ghi = _interval_bounds(dphi, ranges)
-            reach += 0.5 * h * np.maximum(np.abs(glo), np.abs(ghi))
-    return reach
-
-
-def _may_reach_band(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                    axes: list[np.ndarray], index, size: int, cut) -> np.ndarray:
+def _may_reach_band(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray],
+                    index, size: int, cut: _PhaseTables | None) -> np.ndarray:
     """Which blocks of ``size`` cells per axis may hold band cells.
 
+    ``tests`` are the phases' tables and ``cut`` the cut's, or None.
     ``index`` holds, per axis, the block indices along it as arrays that
-    broadcast together (a product grid or a list of blocks, as in
-    ``_interval_bounds``); a block is clipped to the grid.  It is ruled out
-    when, for some phase, the enclosure of |phi| over its cell midpoints
-    stays at or above eps + sum_i h_i max|d_i phi| / 2, the widest threshold
-    of the per-cell test; no cell that test keeps is ruled out.  ``cut``,
-    None or a (phi, gradient row) pair, also rules out a block where the enclosure
-    of phi stays above sum_i h_i max|d_i phi| / 2: there every cell's
-    Heaviside fraction is 0.  That test is strict, since a cell with
-    phi = span = 0 keeps the fraction 1/2.
+    broadcast together (a product grid or a list of blocks); a block is
+    clipped to the grid.  It is ruled out when, for some phase, the least
+    |phi| its cells can take is at least eps + span/2 at the largest span
+    they can take: the per-cell test |phi| < eps + span/2 then drops every
+    cell of it.  The bounds come from the block extremes of the tables
+    (``_AxisTables.bounds``) and enclose the very values the cells compute,
+    so the test needs no slack, and no cell the per-cell test keeps is
+    ruled out.  The cut also rules out a block where its value stays at or
+    above half its largest span, floored at 1e-300 as in the cells: there
+    every cell's Heaviside fraction 1/2 - phi/span is 0.  The cut's value
+    is bounded by ``_interval_bounds``, since the cells evaluate it term by
+    term; a cell with phi = span = 0 keeps the fraction 1/2.
     """
-    ranges = []
-    for ax, b in zip(axes, index):
-        start = b * size
-        ranges.append((ax[start], ax[np.minimum(start + size, len(ax)) - 1]))
+    ranges = None
+    if cut is not None or any(test.needs_cols for test in tests):
+        # the ends of each block's midpoints, for the remainders and the cut
+        ranges = []
+        for ax, b in zip(axes, index):
+            start = b * size
+            ranges.append((ax[start], ax[np.minimum(start + size, len(ax)) - 1]))
     alive = np.ones(np.broadcast_shapes(*(np.shape(b) for b in index)), dtype=bool)
-    for phi, row in zip(spec.phases, grads):
-        lo, hi = _interval_bounds(phi, ranges)
-        reach = _half_spans(row, spacings, ranges, eps)
-        # min |phi| over the block, <= 0 when the enclosure straddles zero;
-        # the relative slack covers the rounding of the per-cell threshold
-        alive &= np.maximum(lo, -hi) < reach * (1.0 + 1e-12)
+    for test in tests:
+        lo, hi = test.value.bounds(index, size, ranges)
+        # the least |phi| over the block, <= 0 when the bounds straddle zero
+        alive &= np.maximum(lo, -hi) < eps + 0.5 * test.span_bound(index, size, ranges)
     if cut is not None:
-        lo = _interval_bounds(cut[0], ranges)[0]
-        # the per-cell fraction divides by max(span, 1e-300): start there
-        alive &= lo <= _half_spans(cut[1], spacings, ranges, 0.5e-300) * (1.0 + 1e-12)
+        lo = _interval_bounds(cut.phi, ranges)[0]
+        alive &= lo < 0.5 * np.maximum(cut.span_bound(index, size, ranges), 1e-300)
     return alive
 
 
-def _band_leaves(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[float],
-                 axes: list[np.ndarray], leaf: int, cut):
+def _band_leaves(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], leaf: int,
+                 cut: _PhaseTables | None):
     """Yield (B, m) multi-indices of the blocks of ``leaf`` cells per axis
-    that may hold band cells.
+    that may hold band cells, by ``_may_reach_band`` on the phases' tables
+    ``tests`` and the cut's tables ``cut`` (or None).
 
     The culling runs top down.  The top grid has the smallest power-of-two
     multiple of ``leaf`` cells per axis that needs at most _BATCH_CELLS
     blocks, and takes one ``_may_reach_band`` test.  Each surviving block
     splits into its 2^m half-size children, and the children of
     _BATCH_CELLS >> m parents at a time take the same test, depth first,
-    down to ``leaf``.  An enclosure over a block holds the enclosures over
+    down to ``leaf``.  The extremes of a table over a block bound those over
     its sub-blocks, so this keeps the leaves that pass the test on their
     own, and no array of the test holds more than max(_BATCH_CELLS, 2^m)
     blocks.
@@ -441,7 +438,7 @@ def _band_leaves(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[fl
             children = (2 * blocks[first:first + step, None, :] + bits).reshape(-1, m)
             # a block clipped at the grid edge may have children wholly outside it
             children = children.take(np.flatnonzero((children * half < sizes).all(axis=1)), axis=0)
-            alive = _may_reach_band(spec, grads, eps, spacings, axes, children.T, half, cut)
+            alive = _may_reach_band(tests, eps, axes, children.T, half, cut)
             yield from descend(children.take(np.flatnonzero(alive), axis=0), half)
 
     size = leaf
@@ -449,8 +446,7 @@ def _band_leaves(spec: ImplicitSurfaceSpec, grads, eps: float, spacings: list[fl
         size *= 2
     index = [np.arange(-(-len(ax) // size)).reshape([-1 if j == i else 1 for j in range(m)])
              for i, ax in enumerate(axes)]
-    yield from descend(np.argwhere(_may_reach_band(spec, grads, eps, spacings, axes,
-                                                   index, size, cut)), size)
+    yield from descend(np.argwhere(_may_reach_band(tests, eps, axes, index, size, cut)), size)
 
 
 def _edge_flags(spec: ImplicitSurfaceSpec, spacings: list[float],
@@ -470,6 +466,22 @@ def _gather(tables, idx: np.ndarray) -> np.ndarray | None:
         else:
             out += table.take(idx[a])
     return out
+
+
+def _block_extremes(table: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest entries of ``table`` over each block of ``size``
+    consecutive entries, the last block clipped to the table."""
+    starts = np.arange(0, len(table), size)
+    return np.minimum.reduceat(table, starts), np.maximum.reduceat(table, starts)
+
+
+def _finite_sums(tables) -> bool:
+    """Whether every sum of one entry per table, in table order, is finite:
+    the greatest magnitudes sum to a finite float (rounding is monotone)."""
+    total = 0.0
+    for _, table in tables:
+        total = total + np.abs(table).max()
+    return bool(np.isfinite(total))
 
 
 class _AxisTables:
@@ -500,6 +512,7 @@ class _AxisTables:
         self.tables = [(a, poly_on_points(VectorPoly(1, 1, g), axes[a][:, None]))
                        for a, g in sorted(groups.items())]
         self.rest = VectorPoly(p.m, 1, rest) if rest else None
+        self._extremes: dict[int, list] = {}
 
     def values(self, idx: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
         """Values on the cells ``idx``; ``cols``, their (m, N) coordinates, is
@@ -510,30 +523,62 @@ class _AxisTables:
             out = rest if out is None else np.add(out, rest, out=out)
         return np.zeros(idx.shape[1]) if out is None else out
 
+    def bounds(self, index, size: int, ranges) -> tuple:
+        """Enclosure (lo, hi) of ``values`` on the cells of each block of
+        ``size`` cells per axis, the blocks and ``ranges`` (their midpoint
+        ends) given as in ``_may_reach_band``.
+
+        The tabled part is the sum, in the lookup's axis order, of each
+        table's least (greatest) entry over the block, taken once per size;
+        rounding is monotone, so it encloses the looked-up sums exactly.
+        The remainder adds its ``_interval_bounds`` over ``ranges``.
+        """
+        extremes = self._extremes.get(size)
+        if extremes is None:
+            extremes = self._extremes[size] = [(a, *_block_extremes(table, size))
+                                               for a, table in self.tables]
+        # 0 + x is x, so the sums start exact
+        lo = hi = 0.0
+        for a, least, greatest in extremes:
+            lo = lo + least.take(index[a])
+            hi = hi + greatest.take(index[a])
+        if self.rest is not None:
+            rest_lo, rest_hi = _interval_bounds(self.rest, ranges)
+            lo, hi = lo + rest_lo, hi + rest_hi
+        return lo, hi
+
 
 class _PhaseTables:
-    """A phase phi and its gradient ``row`` as ``_AxisTables``, with its span
+    """A phase phi and its gradient components as ``_AxisTables``, with its span
     sum_i h_i |d_i phi| split the same way: the components in one table
     (d_i phi in x_i alone, or constant, as for shifted spheres and planes)
     add h_i |T| into a per-axis span table, and the others (two tables or a
     remainder) are evaluated per cell.  With every component in its own
-    axis's table, the span has the bits of the sum over i in axis order."""
+    axis's table, the span has the bits of the sum over i in axis order.
+
+    ``finite`` tells whether every table sum a cell can look up, of the
+    value, a gradient component or the span, is finite.  The tables are
+    built with float overflow silenced, so that a phase too large for
+    floats on the grid can be refused once, before any cell is visited."""
 
     def __init__(self, phi: VectorPoly, axes: list[np.ndarray], spacings: list[float]):
-        m = len(axes)
-        self.value = _AxisTables(phi, axes)
-        self.row = [phi.diff(1, i + 1) for i in range(m)]
-        self.grad = [_AxisTables(dphi, axes, i) for i, dphi in enumerate(self.row)]
-        span: dict[int, np.ndarray] = {}
-        self.span_cells = []
-        for h, g in zip(spacings, self.grad):
-            if g.rest is None and len(g.tables) == 1:
-                a, table = g.tables[0]
-                part = h * np.abs(table)
-                span[a] = part if a not in span else span[a] + part
-            elif g.tables or g.rest is not None:
-                self.span_cells.append((h, g))
-        self.span_tables = sorted(span.items())
+        self.phi = phi
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.value = _AxisTables(phi, axes)
+            self.grad = [_AxisTables(phi.diff(1, i + 1), axes, i) for i in range(len(axes))]
+            span: dict[int, np.ndarray] = {}
+            self.span_cells = []
+            for h, g in zip(spacings, self.grad):
+                if g.rest is None and len(g.tables) == 1:
+                    a, table = g.tables[0]
+                    part = h * np.abs(table)
+                    span[a] = part if a not in span else span[a] + part
+                elif g.tables or g.rest is not None:
+                    self.span_cells.append((h, g))
+            self.span_tables = sorted(span.items())
+            self.finite = all(_finite_sums(tables) for tables in (
+                self.value.tables, *(g.tables for g in self.grad), self.span_tables))
+        self._span_maxima: dict[int, list] = {}
         self.needs_cols = self.value.rest is not None or any(
             g.rest is not None for _, g in self.span_cells)
 
@@ -545,13 +590,29 @@ class _PhaseTables:
             out += h * np.abs(g.values(idx, cols))
         return out
 
+    def span_bound(self, index, size: int, ranges) -> np.ndarray | float:
+        """An upper bound of ``span`` on the cells of each block, from the
+        block maxima of the span tables and the bounds of the other
+        components (as ``_AxisTables.bounds``), summed in ``span``'s order."""
+        maxima = self._span_maxima.get(size)
+        if maxima is None:
+            maxima = self._span_maxima[size] = [(a, _block_extremes(table, size)[1])
+                                                for a, table in self.span_tables]
+        hi = 0.0
+        for a, greatest in maxima:
+            hi = hi + greatest.take(index[a])
+        for h, g in self.span_cells:
+            lo, up = g.bounds(index, size, ranges)
+            hi = hi + h * np.maximum(np.abs(lo), np.abs(up))
+        return hi
+
 
 def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
                  spacings: list[float], axes: list[np.ndarray], cut: VectorPoly | None = None):
     """Yield (points, weight, jacobian, boundary_mask) inside the band.
 
-    The culling has one rule: a block of cells is kept only if an interval
-    bound of every phase over it can reach the band.  ``_band_leaves``
+    The culling has one rule: a block of cells is kept only if a bound of
+    every phase over it can reach the band.  ``_band_leaves``
     applies it top down, from a bounded top grid through the halvings of
     each kept block to leaves of _BLOCK cells per axis, halved while a
     leaf's cells times 2^m exceed _BATCH_CELLS.  The cells of the kept
@@ -571,14 +632,21 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     get coordinates, jacobian rows (from the gradient tables) and boundary
     flags (from per-axis flag tables).  The coordinates are the axis
     midpoints themselves, so the points of a band cell do not depend on
-    the tables.
+    the tables.  The culling bounds come from the same tables: per block,
+    the sums of their least and greatest entries over the block bound the
+    value and the span, and ``_interval_bounds`` remains only for the
+    remainders and the cut's value.  The boundary flags are gathered only
+    for a batch with a leaf that holds a flagged cell; the other batches,
+    whose leaves touch no face of the box, yield None for the mask.  A
+    phase, gradient or span whose table sums may leave the float range on
+    the grid raises FloatRangeError before any cell is visited.
 
     ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
     A cell's weight then also carries the linearized fraction of the cell
     with phi < 0, clip(1/2 - phi / span, 0, 1) with span the cell's
     variation of phi (midpoint-sampling the jump itself leaves an O(h)
     alignment error), and the cells where it is 0 are dropped, as are the
-    blocks where the interval bound shows it is 0 on every cell.  The cut's
+    blocks where its bound shows it is 0 on every cell.  The cut's
     value is evaluated term by term on the coordinates: the fraction
     divides it by the span, which turns the table sum's rounding into an
     error of the weight far above the rounding of the weight itself.  Its
@@ -597,13 +665,17 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     m, k = spec.m, spec.k
     phis = spec.phases if cut is None else (*spec.phases, cut)
     tests = [_PhaseTables(phi, axes, spacings) for phi in phis]
-    grads = [test.row for test in tests[:k]]
-    cut_test = None if cut is None else (cut, tests[k].row)
+    for j, test in enumerate(tests):
+        if not test.finite:
+            name = f"phase {j + 1}" if j < k else "the cut phi"
+            raise FloatRangeError(f"{name} takes values beyond the float range on the grid")
     edges = _edge_flags(spec, spacings, axes)
     leaf = _BLOCK
     while leaf > 1 and leaf ** m > _BATCH_CELLS >> m:
         leaf //= 2
-    groups = _band_leaves(spec, grads, eps, spacings, axes, leaf, cut_test)
+    groups = _band_leaves(tests[:k], eps, axes, leaf, tests[k] if cut is not None else None)
+    # per axis, which leaves hold a boundary cell
+    leaf_edges = [np.logical_or.reduceat(e, np.arange(0, len(e), leaf)) for e in edges]
     sizes = np.array([len(ax) for ax in axes])[:, None]
     ragged = bool(np.any(sizes % leaf))
     # the cell offsets within a leaf, repeated for the most leaves in a batch
@@ -628,8 +700,8 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
             # the last block along an axis may stick out of the grid
             idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)
         cols = None
-        # 1 times a factor is the factor, so the product starts exact
-        weight = np.ones(idx.shape[1])
+        # the first factor starts the weight
+        weight = None
         for j, test in enumerate(tests):
             if cols is None and (test.needs_cols or j == k):
                 cols = coordinates(idx)
@@ -648,7 +720,7 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
                 cols = cols.take(keep, axis=1)
             factor = (_delta_values(vals.take(keep), eps, span.take(keep)) if j < k
                       else frac.take(keep))
-            weight = weight.take(keep) * factor
+            weight = factor if weight is None else weight.take(keep) * factor
         else:
             if cols is None:
                 cols = coordinates(idx)
@@ -656,7 +728,10 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
             for j, test in enumerate(tests[:k]):
                 for i, g in enumerate(test.grad):
                     jcols[j, i] = g.values(idx, cols)
-            bmask = _gather(enumerate(edges), idx)
+            if weight is None:
+                weight = np.ones(idx.shape[1])
+            bmask = (_gather(enumerate(edges), idx)
+                     if _gather(enumerate(leaf_edges), subs.T).any() else None)
             yield cols.T, weight, jcols.transpose(2, 0, 1), bmask
 
 
@@ -751,7 +826,8 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
     driver applies the weights of ``_band_stream`` (the delta product, times
     the Heaviside fraction of ``cut`` when one is given) and the cell
     volume, with one dot product per column.  The result maps each blade to
-    its sum (empty when no cell is in the band).  Raises
+    its sum (empty when no cell is in the band).  A batch with no boundary
+    mask, whose cells are all interior, skips the boundary sums.  Raises
     BoundaryContactError when the boundary cells carry more than
     _BOUNDARY_TOL of the total magnitude.
     """
@@ -761,13 +837,15 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
     total_abs = boundary_abs = 0.0
     for pts, weight, jac, bmask in _band_stream(spec, eps, spacings, axes, cut):
         weight = weight * cellvol
-        edge = np.flatnonzero(bmask)
-        edge_weight = weight.take(edge)
+        if bmask is not None:
+            edge = np.flatnonzero(bmask)
+            edge_weight = weight.take(edge)
         for blade, col in integrand(pts, jac).items():
             totals[blade] = totals.get(blade, 0.0) + float(col @ weight)
             mags = np.abs(col)
             total_abs += float(mags @ weight)
-            boundary_abs += float(mags.take(edge) @ edge_weight)
+            if bmask is not None:
+                boundary_abs += float(mags.take(edge) @ edge_weight)
     if boundary_abs > _BOUNDARY_TOL * total_abs:
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "

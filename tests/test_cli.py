@@ -190,6 +190,17 @@ def test_boundary_contact_exit_code(capsys):
     assert "boundary" in err.lower()
 
 
+def test_phase_beyond_float_range_on_the_grid_exit_code(capsys):
+    # 10^307 x1^8 overflows on the box: refused once, naming the phase, with
+    # no numpy warning on the way
+    code = run(["integrate", "implicit", "--m", "2", "--phases", "10^307*x1_1^8+x1_2^2-1",
+                "--box=-1.6,1.6", "--n", "64", "-q"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "phase 1 takes values beyond the float range" in err
+    assert "Warning" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["pizzetti", "sphere", "--m", "3"]) == 2
 

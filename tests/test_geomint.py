@@ -21,6 +21,7 @@ from cliffint.clifford import _mul_blades, blades_of_grade
 from cliffint.geomint import (_band_stream, _columns_mul, _delta_values, _grid_geometry,
                               _haar_frames, _interval_bounds, _minors, _wedge_columns,
                               _wedge_norms)
+from cliffint.pizzetti import sphere_pizzetti
 
 from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bump_point,
                      dense_band, dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
@@ -140,6 +141,8 @@ def test_richardson_ladder_is_monotone():
                  7e-3, id="S1"),
     pytest.param(circle_spec(), xvar(1) ** 2 * xvar(2) ** 2 + 1, [(2, 2), (0, 0)],
                  (64, 128, 256), 1.7e-3, id="circle-in-R3"),
+    pytest.param(sphere_spec(4), xvar(1, 4) ** 2 * xvar(4, 4) ** 2, [(2, 0, 0, 2)],
+                 (24, 48, 96), 0.13, id="S3"),
 ])
 def test_sphere_quadrature_converges_at_second_order(spec, f, monomials, ns, bound):
     # at the default eps = 6 h, against the Gamma closed form; halving h
@@ -151,6 +154,31 @@ def test_sphere_quadrature_converges_at_second_order(spec, f, monomials, ns, bou
     orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
     assert all(1.8 <= order <= 2.2 for order in orders), (errors, orders)
     assert errors[1] <= bound
+
+
+def test_ellipsoid_quadrature_converges_at_second_order():
+    # |D x|^2 = 1 with D = diag(1, 3/2, 2), where |grad phi| varies by a factor
+    # of 4.  With g = x1^2 x2^2 + x3^2 and f = g / |grad phi|, the grid sums
+    # approximate the integral of g delta(phi), which y = D x turns into
+    # 1/(2 det D) times the integral of g o D^-1 over the unit sphere
+    d = [Fraction(1), Fraction(3, 2), Fraction(2)]
+    phi = sum((c ** 2 * xvar(i) ** 2 for i, c in enumerate(d, start=1)),
+              VectorPoly.constant(3, -1))
+    spec = ImplicitSurfaceSpec(3, [phi], BOX3)
+    g = xvar(1) ** 2 * xvar(2) ** 2 + xvar(3) ** 2
+    inverse = [[1 / c if i == j else 0 for j in range(3)] for i, c in enumerate(d)]
+    exact = sphere_pizzetti(g.compose_linear(inverse)).to_float() / (2 * float(math.prod(d)))
+    scales = np.array([2 * float(c ** 2) for c in d])
+
+    def f(pts):
+        grad_norm = np.sqrt(((pts * scales) ** 2).sum(axis=1))
+        return (pts[:, 0] ** 2 * pts[:, 1] ** 2 + pts[:, 2] ** 2) / grad_norm
+
+    errors = [abs(integrate_implicit(f, spec, QuadratureConfig(n=n)) - exact) / exact
+              for n in (64, 128, 256)]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(1.8 <= order <= 2.2 for order in orders), (errors, orders)
+    assert errors[1] <= 5.2e-3
 
 
 def test_oriented_circle_recovers_plane_blade():
@@ -471,18 +499,35 @@ def test_band_sweep_matches_dense_sweep(shape, n):
         _assert_blades_close(oriented.terms, want, math.sqrt(oriented.norm_squared()))
 
 
-def _stream_rows(spec, n):
+def _stream_columns(got):
+    # the batches' rows, concatenated; a batch whose leaves touch no face of
+    # the box yields no boundary mask, and all its cells are interior
+    assert all(len(item[0]) <= geomint._BATCH_CELLS for item in got)
+    masks = [np.zeros(len(item[0]), dtype=bool) if item[3] is None else item[3] for item in got]
+    return (*(np.concatenate([item[i] for item in got]) for i in range(3)), np.concatenate(masks))
+
+
+def _stream_rows(spec, n, cut=None):
     cfg = QuadratureConfig(n=n)
     eps, axes, spacings, _ = _grid_geometry(spec, cfg)
-    got = list(_band_stream(spec, eps, spacings, axes))
-    assert all(len(item[0]) <= geomint._BATCH_CELLS for item in got)
-    return _sorted_rows(*(np.concatenate([item[i] for item in got]) for i in range(4)))
+    return _sorted_rows(*_stream_columns(list(_band_stream(spec, eps, spacings, axes, cut))))
 
 
-@pytest.mark.parametrize("shape,n", [("sphere", 101), ("circle", 101), ("no phases", 201)])
+def _face_spec():
+    # a circle of radius 1/4 about (6/5, 0), its phase scaled to a unit
+    # gradient on it: its band crosses x1 = 1.6 and no other face
+    return ImplicitSurfaceSpec(2, [2 * _shifted_sphere(2, (Fraction(6, 5), 0), Fraction(1, 16))],
+                               BOX2)
+
+
+@pytest.mark.parametrize("shape,n", [("sphere", 101), ("circle", 101), ("no phases", 201),
+                                     ("face", 101)])
 def test_band_does_not_depend_on_batch_or_block_size(shape, n, monkeypatch):
     # n = 101 leaves ragged blocks at the grid edge for every block size
-    spec = ImplicitSurfaceSpec(2, [], BOX2) if shape == "no phases" else _dense_case(shape)
+    if shape == "no phases":
+        spec = ImplicitSurfaceSpec(2, [], BOX2)
+    else:
+        spec = _face_spec() if shape == "face" else _dense_case(shape)
     pts, weight, jac, bmask = _stream_rows(spec, n)
     # _BLOCK is the leaf size (4 by default); a batch of 64 cells caps the
     # top grid at 64 blocks, so the culling descends two to four levels
@@ -494,6 +539,27 @@ def test_band_does_not_depend_on_batch_or_block_size(shape, n, monkeypatch):
         assert np.array_equal(got_bmask, bmask)
         assert np.abs(got_weight - weight).max() <= 1e-14 * weight.max()
         assert np.allclose(got_jac, jac, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [101, 100])
+@pytest.mark.parametrize("batch", [8192, 64])
+def test_boundary_contact_in_a_ragged_edge_leaf(batch, n, monkeypatch):
+    # at n = 101 the last leaf along each axis holds one cell, the boundary
+    # cell 100 (at n = 100, a whole leaf of four); the band of the face
+    # circle reaches it on axis 0 only, so only the batches holding such a
+    # leaf carry boundary flags, and with 64-cell batches the others skip them
+    monkeypatch.setattr(geomint, "_BATCH_CELLS", batch)
+    spec = _face_spec()
+    cfg = QuadratureConfig(n=n)
+    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
+    got = list(_band_stream(spec, eps, spacings, axes))
+    flagged = [item for item in got if item[3] is not None]
+    assert flagged and (batch == 8192 or len(flagged) < len(got))
+    pts, _, _, bmask = _stream_columns(got)
+    assert np.array_equal(bmask, pts[:, 0] > 1.6 - spacings[0])
+    assert bmask.any()
+    with pytest.raises(BoundaryContactError):
+        integrate_implicit(1, spec, cfg)
 
 
 def _heaviside_fraction(phi, pts, spacings):
@@ -521,10 +587,7 @@ def test_cut_band_keeps_every_cell_of_the_cut(case, n):
     frac = _heaviside_fraction(phi, pts, spacings)
     inside = frac > 0.0
     assert 0 < inside.sum() < len(pts)
-    got = list(_band_stream(spec, eps, spacings, axes, phi))
-    assert all(len(item[0]) <= geomint._BATCH_CELLS for item in got)
-    cut_pts, cut_weight, cut_jac, cut_bmask = _sorted_rows(
-        *(np.concatenate([item[i] for item in got]) for i in range(4)))
+    cut_pts, cut_weight, cut_jac, cut_bmask = _stream_rows(spec, n, phi)
     assert np.array_equal(cut_pts, pts[inside])
     assert np.array_equal(cut_bmask, bmask[inside])
     want = weight[inside] * frac[inside]
@@ -533,9 +596,9 @@ def test_cut_band_keeps_every_cell_of_the_cut(case, n):
     if case == "disk":
         # the disk holds about 31 % of the grid; the block test with the cut
         # rules out most of the rest before any cell is evaluated
-        grads = [phi.diff(1, i) for i in (1, 2)]
         leaf = geomint._BLOCK
-        leaves = geomint._band_leaves(spec, [], eps, spacings, axes, leaf, (phi, grads))
+        leaves = geomint._band_leaves([], eps, axes, leaf,
+                                      geomint._PhaseTables(phi, axes, spacings))
         assert sum(map(len, leaves)) * leaf ** 2 < 0.45 * n * n
 
 
@@ -693,6 +756,56 @@ def test_axis_tables_match_poly_on_points(case):
     assert np.all(np.abs(span - want) <= 1e-13 * scale)
 
 
+def _cells_kept(test, eps, idx, cols, is_cut):
+    # the sweep's per-cell test: a phase's band test, or the cut's fraction
+    span = test.span(idx, cols)
+    if is_cut:
+        vals = geomint.poly_on_points(test.phi, cols.T)
+        return np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0) > 0.0
+    return np.abs(test.value.values(idx, cols)) < eps + 0.5 * span
+
+
+@pytest.mark.parametrize("m,n", [(2, 37), (2, 40), (3, 27)])
+def test_block_bounds_hold_every_kept_cell(m, n):
+    # every block of every level size, each phase and the cut on their own:
+    # a dropped block holds no cell that the per-cell test keeps.  The skew
+    # quadric has a remainder x1 x2 and d1 phi = 2 x1 + x2 over two axis
+    # tables; the torus has remainders in its value and every gradient
+    # component; the cut x1 x3 + x2 - 1/5 (x1 - x2/3 - 1/10 at m = 2) has its
+    # value bounded term by term; n = 37 and 27 leave ragged blocks
+    x = [xvar(i, m) for i in range(1, m + 1)]
+    skew = x[0] ** 2 + x[0] * x[1] + x[1] ** 2 - 1
+    if m == 2:
+        phases = [skew, _shifted_sphere(2, (Fraction(1, 10), Fraction(-1, 5)), 1)]
+        cut = x[0] - Fraction(1, 3) * x[1] - Fraction(1, 10)
+    else:
+        phases = [skew + x[2] ** 2, _torus(), _shifted_sphere(3, (Fraction(1, 20),) * 3, 1)]
+        cut = x[0] * x[2] + x[1] - Fraction(1, 5)
+    box = ((-1.6, 1.6),) * m
+    cfg = QuadratureConfig(n=n)
+    eps, axes, spacings, _ = _grid_geometry(ImplicitSurfaceSpec(m, [], box), cfg)
+    idx = np.indices((n,) * m).reshape(m, -1)
+    cols = np.array([ax.take(row) for ax, row in zip(axes, idx)])
+    cases = [(geomint._PhaseTables(phi, axes, spacings), False) for phi in phases]
+    cases.append((geomint._PhaseTables(cut, axes, spacings), True))
+    for test, is_cut in cases:
+        keep = _cells_kept(test, eps, idx, cols, is_cut)
+        assert 0 < keep.sum() < keep.size
+        size = 1
+        while size < 2 * n:
+            index = [np.arange(-(-n // size)).reshape([-1 if j == i else 1 for j in range(m)])
+                     for i in range(m)]
+            alive = (geomint._may_reach_band([], eps, axes, index, size, test) if is_cut
+                     else geomint._may_reach_band([test], eps, axes, index, size, None))
+            assert alive[tuple(idx[:, keep] // size)].all(), (test.phi, size)
+            if size == 1 and not is_cut and not test.needs_cols:
+                # on single cells the table bounds are the cells' own values
+                assert np.array_equal(alive[tuple(idx)], keep)
+            if size <= 4:
+                assert not alive.all()
+            size *= 2
+
+
 @pytest.mark.parametrize("n", [101, 64])
 def test_boundary_flags_match_the_predicate_on_the_points(n):
     # the plane x1 = 1/10 has a band that spans the box along x2 and x3, so it
@@ -700,8 +813,7 @@ def test_boundary_flags_match_the_predicate_on_the_points(n):
     box = ((-1.6, 1.6), (-1.2, 2.0), (-2.0, 1.3))
     spec = ImplicitSurfaceSpec(3, [xvar(1) - Fraction(1, 10)], box)
     eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
-    got = list(_band_stream(spec, eps, spacings, axes))
-    pts, bmask = (np.concatenate([item[i] for item in got]) for i in (0, 3))
+    pts, _, _, bmask = _stream_columns(list(_band_stream(spec, eps, spacings, axes)))
     # the boundary test of the sweep before its per-axis tables
     want = np.zeros(len(pts), dtype=bool)
     for i, ((lo, hi), h) in enumerate(zip(box, spacings)):
@@ -730,11 +842,10 @@ def test_band_culling_in_bounded_memory(m, n, leaf, count):
     # holds about 285 MB
     spec = sphere_spec(m)
     eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
-    grads = [[phi.diff(1, i) for i in range(1, m + 1)] for phi in spec.phases]
+    tests = [geomint._PhaseTables(phi, axes, spacings) for phi in spec.phases]
     tracemalloc.start()
     try:
-        kept = sum(len(g) for g in geomint._band_leaves(spec, grads, eps, spacings, axes,
-                                                        leaf, None))
+        kept = sum(len(g) for g in geomint._band_leaves(tests, eps, axes, leaf, None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1113,6 +1224,24 @@ def test_coefficients_beyond_float_range_are_refused_on_entry():
     # 10^308 itself is a float, but its integral over V_{2,3} (volume 8 pi^2) is not
     with pytest.raises(ValueError, match="estimate lies beyond the float range"):
         mc_stiefel_integral(VectorPoly.constant(3, 10**308, nvars=2), 3, 2, 100, seed=1)
+
+
+@pytest.mark.parametrize("phase", [
+    # the value overflows at |x1| > 1.43, the gradient 8 10^307 x1^7 sooner
+    10**307 * xvar(1, 2) ** 8 + xvar(2, 2) ** 2 - 1,
+    # the value stays below 10^308, its gradient does not
+    2 * 10**306 * xvar(1, 2) ** 8 + xvar(2, 2) ** 2 - 1,
+    # each axis table stays below 1.3 10^308, their sum does not
+    5 * 10**307 * (xvar(1, 2) ** 2 + xvar(2, 2) ** 2) - 1,
+])
+def test_phase_values_beyond_float_range_are_refused(phase):
+    # every coefficient is a float; the values on the grid are not
+    spec = ImplicitSurfaceSpec(2, [phase], BOX2)
+    with pytest.raises(FloatRangeError, match="phase 1 takes values beyond the float range"):
+        integrate_implicit(1, spec, QuadratureConfig(n=64))
+    with pytest.raises(FloatRangeError, match="the cut phi takes values beyond the float range"):
+        cauchy_check(1, xvar(1, 2), phase, ImplicitSurfaceSpec(2, [], BOX2),
+                     QuadratureConfig(n=64))
 
 
 def test_coefficients_below_float_range_are_refused_on_entry():

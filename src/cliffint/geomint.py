@@ -271,28 +271,46 @@ def _delta_values(vals: np.ndarray, eps: float, span: np.ndarray) -> np.ndarray:
     vals -+ span/2 clipped to [-eps, eps], the average is the difference of
     the kernel's antiderivatives at b and a over the span, as one product:
         (b - a + (2 eps / pi) cos(pi (a + b) / (2 eps)) sin(pi (b - a) / (2 eps)))
-        / (2 eps span),
-    evaluated with the ends in units of 2 eps / pi, where it reads
-    (B - A + cos(A + B) sin(B - A)) / (pi span).  Cells whose span is at
-    most 1e-9 eps, where the average loses its digits, take the midpoint
-    value.
+        / (2 eps span).
+    In units of 4 eps / pi the ends are half angles u <= v in
+    [-pi/4, pi/4], and by cos 2x = (1 - tan^2 x) / (1 + tan^2 x) and
+    sin 2y = 2 tan y / (1 + tan^2 y), with t+ = tan(u + v) and
+    t- = tan(v - u), the average reads
+        2 (v - u + t- (1 - t+^2) / ((1 + t+^2) (1 + t-^2))) / (pi span).
+    numpy runs float64 tan through its SIMD dispatch (AVX512 on x86), but
+    float64 sin and cos through scalar libm, so two tangents cost less than
+    one cosine and one sine there.  An angle sum at the edge, pi/2, gives a
+    tangent of about 1.6e16, whose square, 2.7e32, stays far from overflow.
+    Cells whose span is at most 1e-9 eps, where the average loses its
+    digits, take the midpoint value (a cosine: they are rare, and it is
+    exactly 0 at t = -+eps).
     """
     narrow = span <= 1e-9 * eps
     # the narrow cells' average is overwritten; the floor keeps it finite
     s = np.maximum(span, 1e-9 * eps)
-    scale = math.pi / (2.0 * eps)
-    edge = 0.5 * math.pi
-    # each step writes over an array the rest no longer reads: four arrays
-    # for the whole formula, with the same operations on the same operands
+    scale = math.pi / (4.0 * eps)
+    edge = 0.25 * math.pi
+    # each step writes over an array the rest no longer reads, or into the
+    # numerator: five arrays for the whole formula, with the same operations
+    # on the same operands
     mid = np.multiply(vals, scale)
     half = np.multiply(s, 0.5 * scale)
-    lo = np.clip(np.subtract(mid, half), -edge, edge)
+    lo = np.subtract(mid, half)
+    np.clip(lo, -edge, edge, out=lo)
     hi = np.clip(np.add(mid, half, out=mid), -edge, edge, out=mid)
     out = np.subtract(hi, lo, out=half)
-    cos = np.cos(np.add(lo, hi, out=lo), out=lo)
-    cos *= np.sin(out, out=hi)
-    out += cos
-    s *= math.pi
+    tp = np.tan(np.add(lo, hi, out=lo), out=lo)
+    tm = np.tan(out, out=hi)
+    tp *= tp
+    num = np.subtract(1.0, tp)
+    num *= tm
+    tp += 1.0
+    tm *= tm
+    tm += 1.0
+    tp *= tm
+    num /= tp
+    out += num
+    s *= 0.5 * math.pi
     out /= s
     if narrow.any():
         t = np.clip(vals[narrow], -eps, eps)
@@ -475,13 +493,33 @@ def _block_extremes(table: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarra
     return np.minimum.reduceat(table, starts), np.maximum.reduceat(table, starts)
 
 
-def _finite_sums(tables) -> bool:
-    """Whether every sum of one entry per table, in table order, is finite:
-    the greatest magnitudes sum to a finite float (rounding is monotone)."""
+def _sum_of_maxima(tables) -> float:
+    """The greatest magnitudes of the tables summed in table order: a bound
+    of every sum of one entry per table in that order, since rounding is
+    monotone.  inf when such a sum may leave the float range; call it with
+    float overflow silenced."""
     total = 0.0
     for _, table in tables:
         total = total + np.abs(table).max()
-    return bool(np.isfinite(total))
+    return total
+
+
+def _term_bound(p: VectorPoly, axes: list[np.ndarray]) -> float:
+    """sum |c| prod_i r_i^e_i over the terms of p, with r_i the greatest
+    |x_i| over the axis midpoints, formed in ``poly_on_points``' order of
+    terms and factors: rounding is monotone, so it bounds every term and
+    partial sum that function forms on the grid's cells.  inf when one of
+    them may leave the float range."""
+    reach = [np.abs(ax).max() for ax in axes]
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, coeff in p.terms.items():
+            term = abs(float(coeff))
+            for i, e in enumerate(key):
+                if e:
+                    term = term * reach[i] ** e
+            total = total + term
+    return total
 
 
 class _AxisTables:
@@ -512,6 +550,11 @@ class _AxisTables:
         self.tables = [(a, poly_on_points(VectorPoly(1, 1, g), axes[a][:, None]))
                        for a, g in sorted(groups.items())]
         self.rest = VectorPoly(p.m, 1, rest) if rest else None
+        # a bound of |values| on the grid, inf when they may leave the float
+        # range: the lookup sums, plus the remainder on the coordinates
+        self.magnitude = _sum_of_maxima(self.tables)
+        if self.rest is not None:
+            self.magnitude = self.magnitude + _term_bound(self.rest, axes)
         self._extremes: dict[int, list] = {}
 
     def values(self, idx: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
@@ -556,10 +599,12 @@ class _PhaseTables:
     remainder) are evaluated per cell.  With every component in its own
     axis's table, the span has the bits of the sum over i in axis order.
 
-    ``finite`` tells whether every table sum a cell can look up, of the
-    value, a gradient component or the span, is finite.  The tables are
-    built with float overflow silenced, so that a phase too large for
-    floats on the grid can be refused once, before any cell is visited."""
+    ``finite`` tells whether every value a cell can take, of the phase, a
+    gradient component or the span, is finite: the bounds are the sums of
+    the tables' greatest magnitudes plus ``_term_bound`` of each remainder
+    (``_AxisTables.magnitude``).  The tables and bounds are built with float
+    overflow silenced, so that a phase too large for floats on the grid can
+    be refused once, before any cell is visited."""
 
     def __init__(self, phi: VectorPoly, axes: list[np.ndarray], spacings: list[float]):
         self.phi = phi
@@ -576,8 +621,12 @@ class _PhaseTables:
                 elif g.tables or g.rest is not None:
                     self.span_cells.append((h, g))
             self.span_tables = sorted(span.items())
-            self.finite = all(_finite_sums(tables) for tables in (
-                self.value.tables, *(g.tables for g in self.grad), self.span_tables))
+            # the span's bound adds the other components in ``span``'s order
+            span_bound = _sum_of_maxima(self.span_tables)
+            for h, g in self.span_cells:
+                span_bound = span_bound + h * g.magnitude
+            self.finite = bool(np.isfinite(
+                [self.value.magnitude, *(g.magnitude for g in self.grad), span_bound]).all())
         self._span_maxima: dict[int, list] = {}
         self.needs_cols = self.value.rest is not None or any(
             g.rest is not None for _, g in self.span_cells)
@@ -638,8 +687,11 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     remainders and the cut's value.  The boundary flags are gathered only
     for a batch with a leaf that holds a flagged cell; the other batches,
     whose leaves touch no face of the box, yield None for the mask.  A
-    phase, gradient or span whose table sums may leave the float range on
-    the grid raises FloatRangeError before any cell is visited.
+    phase, gradient or span whose values may leave the float range on the
+    grid (by the bounds of ``_PhaseTables.finite``; for the cut, also by
+    ``_term_bound`` of its term-by-term value), or whose gradient has a
+    coefficient with no float value, raises FloatRangeError before any cell
+    is visited.
 
     ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
     A cell's weight then also carries the linearized fraction of the cell
@@ -664,11 +716,19 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     """
     m, k = spec.m, spec.k
     phis = spec.phases if cut is None else (*spec.phases, cut)
-    tests = [_PhaseTables(phi, axes, spacings) for phi in phis]
-    for j, test in enumerate(tests):
-        if not test.finite:
+    tests = []
+    for j, phi in enumerate(phis):
+        try:
+            test = _PhaseTables(phi, axes, spacings)
+            # the cells evaluate the cut's value term by term
+            finite = test.finite and (j < k or bool(np.isfinite(_term_bound(cut, axes))))
+        except OverflowError:
+            # a coefficient of the gradient has no float value
+            finite = False
+        if not finite:
             name = f"phase {j + 1}" if j < k else "the cut phi"
             raise FloatRangeError(f"{name} takes values beyond the float range on the grid")
+        tests.append(test)
     edges = _edge_flags(spec, spacings, axes)
     leaf = _BLOCK
     while leaf > 1 and leaf ** m > _BATCH_CELLS >> m:

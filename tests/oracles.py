@@ -161,6 +161,25 @@ def bump_average(vals: np.ndarray, span: np.ndarray, eps: float) -> np.ndarray:
     return np.where(wide, (cdf(vals + s / 2) - cdf(vals - s / 2)) / s, point)
 
 
+def bump_average_cos_sin(vals: np.ndarray, span: np.ndarray, eps: float) -> np.ndarray:
+    """``bump_average`` as one cosine-sine product, the form the library's
+    kernel takes before its half-angle tangents.
+
+    With a and b the ends vals -+ span/2 clipped to [-eps, eps], in units
+    of 2 eps / pi as A and B, the average is
+    (B - A + cos(A + B) sin(B - A)) / (pi span).  A span under 1e-9 eps
+    takes the value at v instead.
+    """
+    wide = span > 1e-9 * eps
+    s = np.where(wide, span, 1.0)
+    scale = np.pi / (2 * eps)
+    lo = np.clip(scale * (vals - s / 2), -np.pi / 2, np.pi / 2)
+    hi = np.clip(scale * (vals + s / 2), -np.pi / 2, np.pi / 2)
+    average = (hi - lo + np.cos(lo + hi) * np.sin(hi - lo)) / (np.pi * s)
+    point = (1 + np.cos(np.pi * np.clip(vals, -eps, eps) / eps)) / (2 * eps)
+    return np.where(wide, average, point)
+
+
 def bump_point(vals: np.ndarray, eps: float) -> np.ndarray:
     """The cosine bump (1 + cos(pi t / eps)) / (2 eps) at t = vals, 0 outside (-eps, eps)."""
     return np.where(np.abs(vals) < eps, (1 + np.cos(np.pi * vals / eps)) / (2 * eps), 0.0)

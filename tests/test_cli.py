@@ -191,14 +191,15 @@ def test_boundary_contact_exit_code(capsys):
 
 
 def test_phase_beyond_float_range_on_the_grid_exit_code(capsys):
-    # 10^307 x1^8 overflows on the box: refused once, naming the phase, with
-    # no numpy warning on the way
-    code = run(["integrate", "implicit", "--m", "2", "--phases", "10^307*x1_1^8+x1_2^2-1",
-                "--box=-1.6,1.6", "--n", "64", "-q"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "phase 1 takes values beyond the float range" in err
-    assert "Warning" not in err
+    # 10^307 x1^8 overflows on the box, and so does the mixed term
+    # 10^307 x1^4 x2^4, which lies outside the per-axis tables: each is
+    # refused once, naming the phase, with no numpy warning on the way
+    for phase in ("10^307*x1_1^8+x1_2^2-1", "10^307*x1_1^4*x1_2^4+x1_1^2+x1_2^2-1"):
+        code = run(["integrate", "implicit", "--m", "2", "--phases", phase,
+                    "--box=-1.6,1.6", "--n", "64", "-q"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: phase 1 takes values beyond the float range on the grid"]
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,9 +24,9 @@ from cliffint.geomint import (_band_stream, _columns_mul, _delta_values, _grid_g
                               _wedge_norms)
 from cliffint.pizzetti import sphere_pizzetti
 
-from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bump_point,
-                     dense_band, dense_cauchy, dense_cauchy_classical, haar_frames_qr, poly_values,
-                     tangential_dirac_frame_free)
+from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bump_average_cos_sin,
+                     bump_point, dense_band, dense_cauchy, dense_cauchy_classical, haar_frames_qr,
+                     poly_values, tangential_dirac_frame_free)
 
 BOX3 = ((-1.6, 1.6),) * 3
 BOX2 = ((-1.6, 1.6),) * 2
@@ -361,14 +362,16 @@ def _delta_values_fresh_arrays(vals, eps, span):
     # kernel runs the same operations on the same operands
     narrow = span <= 1e-9 * eps
     s = np.maximum(span, 1e-9 * eps)
-    scale = math.pi / (2.0 * eps)
+    scale = math.pi / (4.0 * eps)
     mid = scale * vals
     half = (0.5 * scale) * s
-    lo = np.clip(mid - half, -0.5 * math.pi, 0.5 * math.pi)
-    hi = np.clip(mid + half, -0.5 * math.pi, 0.5 * math.pi)
+    lo = np.clip(mid - half, -0.25 * math.pi, 0.25 * math.pi)
+    hi = np.clip(mid + half, -0.25 * math.pi, 0.25 * math.pi)
     out = hi - lo
-    out += np.cos(lo + hi) * np.sin(out)
-    out /= math.pi * s
+    tp = np.tan(lo + hi) ** 2
+    tm = np.tan(out)
+    out += (1.0 - tp) * tm / ((tp + 1.0) * (tm ** 2 + 1.0))
+    out /= (0.5 * math.pi) * s
     if narrow.any():
         t = np.clip(vals[narrow], -eps, eps)
         out[narrow] = (1.0 + np.cos(np.pi * t / eps)) / (2.0 * eps)
@@ -387,6 +390,45 @@ def test_delta_values_in_place_are_bit_identical(eps):
     assert np.array_equal(_delta_values(vals, eps, span),
                           _delta_values_fresh_arrays(vals, eps, span))
     assert np.array_equal(vals, vals_in) and np.array_equal(span, span_in)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.6, 3e-7])
+def test_delta_values_match_the_cos_sin_product(eps):
+    # the half-angle tangents against the cosine-sine form they replace, on
+    # every kind of cell: wide inside the support, clipped at one end,
+    # clipped at both ends (span > 2 eps: a tangent of about 1.6e16, squared
+    # 2.7e32), outside the support and narrow; no RuntimeWarning may be
+    # raised on the way
+    rng = np.random.default_rng(26)
+    sign = rng.choice([-1.0, 1.0], 600)
+    # spans past 2 eps by twice the midpoint's offset reach over both ends
+    centred = np.r_[0.0, rng.uniform(-0.5, 0.5, 499)]
+    kinds = {  # (vals, span) in units of eps
+        "wide": (rng.uniform(-0.5, 0.5, 500), rng.uniform(1e-8, 0.5, 500)),
+        "one end": (sign[:500] * rng.uniform(0.8, 1.2, 500), rng.uniform(0.5, 1.0, 500)),
+        "both ends": (centred, np.r_[2.0, rng.uniform(2.0, 10.0, 499)] + 2 * np.abs(centred)),
+        "outside": (sign[500:] * rng.uniform(1.5, 2.0, 100), rng.uniform(0.1, 0.5, 100)),
+        "narrow": (rng.uniform(-1.5, 1.5, 400),
+                   np.r_[np.zeros(100), 10.0 ** rng.uniform(-15, -9, 300)]),
+    }
+    clipped_ends = {"wide": 0, "one end": 1, "both ends": 2}
+    for kind, (vals, span) in kinds.items():
+        vals, span = vals * eps, span * eps
+        if kind in clipped_ends:
+            clipped = (vals - span / 2 <= -eps).astype(int) + (vals + span / 2 >= eps)
+            assert np.all(clipped == clipped_ends[kind]), kind
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _delta_values(vals, eps, span)
+        assert np.all(np.isfinite(got)), kind
+        # both forms round the clipped ends at the scale of ulp(pi / 4), and
+        # the average divides their difference by the span: 1e-15 / eps from
+        # a span of eps up (4e-16 / eps measured), growing as 1 / span below;
+        # narrow cells take the same midpoint value in both
+        scale = eps if kind == "narrow" else np.minimum(span, eps)
+        assert np.all(np.abs(got - bump_average_cos_sin(vals, span, eps)) <= 1e-15 / scale), kind
+        if kind == "outside":
+            assert np.all(got == 0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e11])
@@ -1233,6 +1275,10 @@ def test_coefficients_beyond_float_range_are_refused_on_entry():
     2 * 10**306 * xvar(1, 2) ** 8 + xvar(2, 2) ** 2 - 1,
     # each axis table stays below 1.3 10^308, their sum does not
     5 * 10**307 * (xvar(1, 2) ** 2 + xvar(2, 2) ** 2) - 1,
+    # every axis table is finite, the remainder of mixed terms is not
+    10**307 * xvar(1, 2) ** 4 * xvar(2, 2) ** 4 + xvar(1, 2) ** 2 + xvar(2, 2) ** 2 - 1,
+    # a coefficient of the gradient, 4 10^308, has no float value
+    10**308 * xvar(1, 2) ** 4 + xvar(2, 2) ** 2 - 1,
 ])
 def test_phase_values_beyond_float_range_are_refused(phase):
     # every coefficient is a float; the values on the grid are not
@@ -1242,6 +1288,18 @@ def test_phase_values_beyond_float_range_are_refused(phase):
     with pytest.raises(FloatRangeError, match="the cut phi takes values beyond the float range"):
         cauchy_check(1, xvar(1, 2), phase, ImplicitSurfaceSpec(2, [], BOX2),
                      QuadratureConfig(n=64))
+
+
+def test_cut_values_beyond_float_range_term_by_term_are_refused():
+    # the cells evaluate the cut term by term, and on [0, 4]^2 the first two
+    # terms of a (x1^2 + x2^2) - 4 a x1, a = 10^308 / 16, sum to about
+    # 2 10^308 at the far corner, though its axis tables (a (x1^2 - 4 x1) in
+    # [-4 a, 0] and a x2^2 up to 16 a) and its values stay finite
+    a = Fraction(10**308, 16)
+    cut = a * xvar(1, 2) ** 2 + a * xvar(2, 2) ** 2 - 4 * a * xvar(1, 2)
+    box = ((0.0, 4.0),) * 2
+    with pytest.raises(FloatRangeError, match="the cut phi takes values beyond the float range"):
+        cauchy_check(1, xvar(1, 2), cut, ImplicitSurfaceSpec(2, [], box), QuadratureConfig(n=64))
 
 
 def test_coefficients_below_float_range_are_refused_on_entry():

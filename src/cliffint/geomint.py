@@ -25,9 +25,15 @@ sweep grows with the grid.  The evaluation is separable: each phase,
 each gradient component and each span is split once per sweep into
 per-axis tables over the n cell midpoints and a remainder of mixed terms.
 A candidate cell pays m table lookups per value, and the remainder on its
-coordinates only when a phase has one; only the band cells get
-coordinates, jacobian rows and boundary flags, and only in a batch whose
-leaves touch a face of the box do they get flags.  The culling bounds come
+coordinates only when a phase has one.  The band cells go out in lazy
+batches: their weights come with them, and boundary flags only in a batch
+whose leaves touch a face of the box, but their coordinates, jacobian rows
+and Gram matrices are built only when an integrand reads them.  Where every
+gradient component is one table on its own axis (shifted spheres, planes,
+axis-aligned quadrics), each Gram entry is m lookups in per-axis product
+tables, so integrating f = 1 reads neither coordinates nor jacobian.  The
+Gram entries are bounded by the gradient tables' magnitudes before any
+cell is visited, as the values are.  The culling bounds come
 from the same tables; interval arithmetic on monomials remains for the
 remainders and for the cut's value.  The Heaviside cut of the
 Cauchy check keeps a term-by-term value, because its cell fraction
@@ -38,10 +44,11 @@ Every grid sum runs through one band-sum driver, which sums each column of
 values against the cell weights with one dot product.  The Cauchy-type
 check is two: the band cut by the Heaviside of phi, whose sweep also drops
 the blocks and cells where H(-phi) = 0, and the band of (phi, phi_1, ...,
-phi_k), so it needs k < m.  Its Clifford-valued fields, blades and products
-take a column-sparse batched form: a dict from blade, the index tuple that
-keys ``Multivector``, to one column of coefficients over the points, holding
-only the blades the value can carry.  A geometric product is vectorized
+phi_k), so it needs k < m; both sweeps share one set of tables.  Its
+Clifford-valued fields, blades and products take a column-sparse batched
+form: a dict from blade, the index tuple that keys ``Multivector``, to one
+column of coefficients over the points, holding only the blades the value
+can carry.  A geometric product is vectorized
 over the points and loops over the pairs of carried columns.  Its
 tangential Dirac operator needs no tangent frame: it is
 sum_i e_i (P_T d F)_i with the projector P_T = I - J^T (J J^T)^-1 J of the
@@ -55,6 +62,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -247,7 +255,12 @@ def poly_on_points(p: VectorPoly, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field_values(f, pts: np.ndarray) -> np.ndarray:
+def _field_values(f, cells) -> np.ndarray:
+    """Values of the integrand f on a band batch (``_BandBatch``) or on an
+    (N, m) array of points; a number reads no coordinates."""
+    if isinstance(f, (int, float, Fraction)):
+        return np.full(len(cells), float(f))
+    pts = cells if isinstance(cells, np.ndarray) else cells.points
     if isinstance(f, VectorPoly):
         return poly_on_points(f, pts)
     if callable(f):
@@ -255,8 +268,6 @@ def _field_values(f, pts: np.ndarray) -> np.ndarray:
         if vals.shape != (pts.shape[0],):
             raise ValueError("callable integrand must return one value per point")
         return vals
-    if isinstance(f, (int, float, Fraction)):
-        return np.full(pts.shape[0], float(f))
     raise TypeError(f"cannot evaluate integrand of type {type(f)!r}")
 
 
@@ -656,9 +667,155 @@ class _PhaseTables:
         return hi
 
 
-def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
-                 spacings: list[float], axes: list[np.ndarray], cut: VectorPoly | None = None):
-    """Yield (points, weight, jacobian, boundary_mask) inside the band.
+def _band_tables(spec: ImplicitSurfaceSpec, axes: list[np.ndarray], spacings: list[float],
+                 cut: VectorPoly | None = None) -> list[_PhaseTables]:
+    """The ``_PhaseTables`` of the phases of ``spec``, then of ``cut`` when
+    one is given, for a band sweep on the grid of ``axes``.
+
+    Raises FloatRangeError, before any cell is visited, for a phase,
+    gradient or span whose values may leave the float range on the grid (by
+    the bounds of ``_PhaseTables.finite``), for a cut whose term-by-term
+    value may (by ``_term_bound``), for a gradient with a coefficient that
+    has no float value, and for phases whose Gram entries may
+    (``_check_gram_range``).
+    """
+    k = spec.k
+    tests = []
+    for j, phi in enumerate(spec.phases if cut is None else (*spec.phases, cut)):
+        try:
+            test = _PhaseTables(phi, axes, spacings)
+            # the cells evaluate the cut's value term by term
+            finite = test.finite and (j < k or bool(np.isfinite(_term_bound(cut, axes))))
+        except OverflowError:
+            # a coefficient of the gradient has no float value
+            finite = False
+        if not finite:
+            name = f"phase {j + 1}" if j < k else "the cut phi"
+            raise FloatRangeError(f"{name} takes values beyond the float range on the grid")
+        tests.append(test)
+    _check_gram_range(tests[:k], [f"phase {j + 1}" for j in range(k)])
+    return tests
+
+
+def _check_gram_range(phases: list[_PhaseTables], names: list[str]) -> None:
+    """Refuse phases whose Gram entries <grad phi_a, grad phi_b> may leave
+    the float range on the grid.
+
+    Each entry is bounded by sum_i mag(d_i phi_a) mag(d_i phi_b), with mag
+    the ``_AxisTables.magnitude`` of a gradient component, summed in axis
+    order as the entries are: rounding is monotone, so the bound holds on
+    every cell.  Raises FloatRangeError for the first pair whose bound is
+    not finite, with the phases called by ``names``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, first in enumerate(phases):
+            for b, second in enumerate(phases[:a + 1]):
+                bound = 0.0
+                for g, h in zip(second.grad, first.grad):
+                    bound = bound + g.magnitude * h.magnitude
+                if not math.isfinite(bound):
+                    what = (f"the gradient of {names[a]} has a squared length" if a == b else
+                            f"the gradients of {names[b]} and {names[a]} have an inner product")
+                    raise FloatRangeError(f"{what} beyond the float range on the grid")
+
+
+def _gram_tables(phases: list[_PhaseTables], axes: list[np.ndarray]) -> list | None:
+    """Per-axis tables of the phases' Gram entries, when every gradient
+    component d_i phi is one table on axis i or zero (shifted spheres,
+    planes, axis-aligned quadrics); None otherwise.
+
+    Returns (a, b, tables) for b <= a, with tables[i] = T_ai T_bi, the
+    product of the two components' tables (zeros for a zero component).
+    Such a component's value on a cell is its table's entry, so the sum of
+    tables[i][idx[i]] over i in axis order has the bits of the jacobian
+    column products that ``_jacobian_gram`` sums.
+    """
+    rows = []
+    for test in phases:
+        row = []
+        for i, g in enumerate(test.grad):
+            if g.rest is not None or any(a != i for a, _ in g.tables):
+                return None
+            row.append(g.tables[0][1] if g.tables else np.zeros_like(axes[i]))
+        rows.append(row)
+    return [(a, b, [np.multiply(x, y) for x, y in zip(rows[a], rows[b])])
+            for a in range(len(rows)) for b in range(a + 1)]
+
+
+def _coordinates(axes: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """The (m, N) midpoint coordinates of the cells of grid indices ``idx``."""
+    cols = np.empty(idx.shape)
+    for i, ax in enumerate(axes):
+        # every index is in range; "clip" lets take write straight into
+        # out, where the default mode buffers it
+        ax.take(idx[i], out=cols[i], mode="clip")
+    return cols
+
+
+class _BandBatch:
+    """One batch of band cells from ``_band_stream``.
+
+    ``idx`` holds the cells' grid indices, an (m, N) array with one
+    contiguous row per axis, ``weight`` their weights and ``bmask`` their
+    boundary flags, None when the batch's leaves touch no face of the box.
+    The rest is built on first read and then cached, so that an integrand
+    pays only for what it reads:
+    - ``points``, the (N, m) coordinates, the axis midpoints themselves;
+    - ``jac``, the (N, k, m) phase jacobian, from the gradient tables;
+    - ``gram``, the Gram matrices (k, k, N) of the gradients and their
+      determinants, after the independence test of ``_gram_det``: summed
+      from the sweep's product tables when it has them (``_gram_tables``),
+      which reads no jacobian, else from the jacobian columns.
+    ``points`` and ``jac`` are transposed views of column-major buffers, so
+    every per-axis column a caller reads is contiguous.
+    """
+
+    def __init__(self, idx: np.ndarray, weight: np.ndarray, bmask: np.ndarray | None,
+                 cols: np.ndarray | None, axes: list[np.ndarray],
+                 phases: list[_PhaseTables], products: list | None):
+        self.idx, self.weight, self.bmask = idx, weight, bmask
+        # the coordinates, when the sweep gathered them for a test
+        self._cols = cols
+        self._axes = axes
+        self._phases = phases
+        self._products = products
+
+    def __len__(self) -> int:
+        return self.idx.shape[1]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        cols = _coordinates(self._axes, self.idx) if self._cols is None else self._cols
+        return cols.T
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        jcols = np.empty((len(self._phases), len(self._axes), len(self)))
+        for j, test in enumerate(self._phases):
+            for i, g in enumerate(test.grad):
+                # only a remainder of mixed terms reads the coordinates
+                jcols[j, i] = g.values(self.idx, None if g.rest is None else self.points.T)
+        return jcols.transpose(2, 0, 1)
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._products is None:
+            gram = _jacobian_gram(self.jac)
+        else:
+            k = len(self._phases)
+            gram = np.empty((k, k, len(self)))
+            for a, b, tables in self._products:
+                entry = tables[0].take(self.idx[0], out=gram[a, b], mode="clip")
+                for i in range(1, len(tables)):
+                    entry += tables[i].take(self.idx[i])
+                gram[b, a] = entry
+        return gram, _gram_det(gram)
+
+
+def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
+                 axes: list[np.ndarray], cut: VectorPoly | None = None,
+                 tests: list[_PhaseTables] | None = None):
+    """Yield the cells inside the band as ``_BandBatch`` batches.
 
     The culling has one rule: a block of cells is kept only if a bound of
     every phase over it can reach the band.  ``_band_leaves``
@@ -670,28 +827,30 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     each phase is tested on the cells the earlier phases kept, and the
     dense test |phi| < eps + span/2 decides, so the culling changes only
     the order of the cells.  The weight is the product of the phases'
-    delta values.  The gradient values that give the span are the rows of
-    the jacobian, shape (N, k, m).
+    delta values.
 
-    Every phase and gradient component is split once per sweep into
-    per-axis tables and a remainder of mixed terms (``_AxisTables``), so a
-    candidate cell is carried as its (m,) grid indices only: its phase
+    ``tests`` are the tables of ``_band_tables`` for ``spec`` and ``cut``,
+    built here when not given; that is where a polynomial whose values or
+    Gram entries may leave the float range is refused, before any cell is
+    visited.  Every phase and gradient component is split once per sweep
+    into per-axis tables and a remainder of mixed terms (``_AxisTables``),
+    so a candidate cell is carried as its (m,) grid indices only: its phase
     value and span are sums of m table lookups, plus the remainder on its
-    coordinates when a phase has one.  Only the cells that pass every test
-    get coordinates, jacobian rows (from the gradient tables) and boundary
-    flags (from per-axis flag tables).  The coordinates are the axis
-    midpoints themselves, so the points of a band cell do not depend on
-    the tables.  The culling bounds come from the same tables: per block,
-    the sums of their least and greatest entries over the block bound the
-    value and the span, and ``_interval_bounds`` remains only for the
-    remainders and the cut's value.  The boundary flags are gathered only
-    for a batch with a leaf that holds a flagged cell; the other batches,
-    whose leaves touch no face of the box, yield None for the mask.  A
-    phase, gradient or span whose values may leave the float range on the
-    grid (by the bounds of ``_PhaseTables.finite``; for the cut, also by
-    ``_term_bound`` of its term-by-term value), or whose gradient has a
-    coefficient with no float value, raises FloatRangeError before any cell
-    is visited.
+    coordinates when a phase has one.  The cells that pass every test go
+    out with their indices, weights and boundary flags (from per-axis flag
+    tables); their coordinates, jacobian rows (from the gradient tables) and
+    checked Gram matrices are built when an integrand first reads them.
+    When every gradient component is one table on its own axis, the Gram
+    entries are sums of m lookups in per-axis product tables built once
+    per sweep (``_gram_tables``), so a scalar integrand of a number reads
+    neither coordinates nor jacobian.  The coordinates are the axis
+    midpoints themselves, so the points of a band cell do not depend on the
+    tables.  The culling bounds come from the same tables: per block, the
+    sums of their least and greatest entries over the block bound the value
+    and the span, and ``_interval_bounds`` remains only for the remainders
+    and the cut's value.  The boundary flags are gathered only for a batch
+    with a leaf that holds a flagged cell; the other batches, whose leaves
+    touch no face of the box, carry None for the mask.
 
     ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
     A cell's weight then also carries the linearized fraction of the cell
@@ -707,33 +866,20 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     1, or its Heaviside fraction under a cut, and only a cut rules out
     blocks.
 
-    The sweep is column-major: a batch holds its cell indices and
-    coordinates as (m, N) arrays, one contiguous row per axis, and the
-    phase gradients as one (k, m, N) array, and drops cells by index with
-    ``take`` along the cell axis.  The points and jacobian go out as their
-    transposed views, of shapes (N, m) and (N, k, m), so every per-axis
-    column a caller reads is contiguous.
+    The sweep is column-major: it holds cell indices and coordinates as
+    (m, N) arrays, one contiguous row per axis, and drops cells by index
+    with ``take`` along the cell axis.
     """
     m, k = spec.m, spec.k
-    phis = spec.phases if cut is None else (*spec.phases, cut)
-    tests = []
-    for j, phi in enumerate(phis):
-        try:
-            test = _PhaseTables(phi, axes, spacings)
-            # the cells evaluate the cut's value term by term
-            finite = test.finite and (j < k or bool(np.isfinite(_term_bound(cut, axes))))
-        except OverflowError:
-            # a coefficient of the gradient has no float value
-            finite = False
-        if not finite:
-            name = f"phase {j + 1}" if j < k else "the cut phi"
-            raise FloatRangeError(f"{name} takes values beyond the float range on the grid")
-        tests.append(test)
+    if tests is None:
+        tests = _band_tables(spec, axes, spacings, cut)
+    phases = tests[:k]
+    products = _gram_tables(phases, axes)
     edges = _edge_flags(spec, spacings, axes)
     leaf = _BLOCK
     while leaf > 1 and leaf ** m > _BATCH_CELLS >> m:
         leaf //= 2
-    groups = _band_leaves(tests[:k], eps, axes, leaf, tests[k] if cut is not None else None)
+    groups = _band_leaves(phases, eps, axes, leaf, tests[k] if cut is not None else None)
     # per axis, which leaves hold a boundary cell
     leaf_edges = [np.logical_or.reduceat(e, np.arange(0, len(e), leaf)) for e in edges]
     sizes = np.array([len(ax) for ax in axes])[:, None]
@@ -742,14 +888,6 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
     per_leaf = leaf ** m
     per_batch = _BATCH_CELLS // per_leaf
     offsets = np.tile(np.indices((leaf,) * m).reshape(m, -1), per_batch)
-
-    def coordinates(idx):
-        cols = np.empty(idx.shape)
-        for i, ax in enumerate(axes):
-            # every index is in range; "clip" lets take write straight into
-            # out, where the default mode buffers it
-            ax.take(idx[i], out=cols[i], mode="clip")
-        return cols
 
     for subs in (g[s:s + per_batch] for g in groups for s in range(0, len(g), per_batch)):
         # leaf by leaf, the leaf's corner plus each offset: a repeat and one
@@ -764,7 +902,7 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
         weight = None
         for j, test in enumerate(tests):
             if cols is None and (test.needs_cols or j == k):
-                cols = coordinates(idx)
+                cols = _coordinates(axes, idx)
             span = test.span(idx, cols)
             if j < k:
                 vals = test.value.values(idx, cols)
@@ -782,17 +920,11 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float,
                       else frac.take(keep))
             weight = factor if weight is None else weight.take(keep) * factor
         else:
-            if cols is None:
-                cols = coordinates(idx)
-            jcols = np.empty((k, m, idx.shape[1]))
-            for j, test in enumerate(tests[:k]):
-                for i, g in enumerate(test.grad):
-                    jcols[j, i] = g.values(idx, cols)
             if weight is None:
                 weight = np.ones(idx.shape[1])
             bmask = (_gather(enumerate(edges), idx)
                      if _gather(enumerate(leaf_edges), subs.T).any() else None)
-            yield cols.T, weight, jcols.transpose(2, 0, 1), bmask
+            yield _BandBatch(idx, weight, bmask, cols, axes, phases, products)
 
 
 def _minors(rows: np.ndarray, cols) -> np.ndarray:
@@ -819,19 +951,13 @@ def _minors(rows: np.ndarray, cols) -> np.ndarray:
     return np.linalg.det(rows[:, :, list(cols)])
 
 
-def _checked_gram(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices (k, k, N) of the gradient rows and their determinants.
+def _jacobian_gram(jac: np.ndarray) -> np.ndarray:
+    """Gram matrices (k, k, N) of the rows of an (N, k, m) jacobian.
 
-    The gradients count as dependent where the blade norm, the square root
-    of the Gram determinant, is at most _INDEPENDENCE_TOL times the product
-    of their lengths (scale-invariant; a zero gradient is dependent).  The
-    test runs on the squares, det <= _INDEPENDENCE_TOL^2 prod_a G_aa, with
-    no square root; at k = 1 it reads |grad phi|^2 <= 0.  A NaN determinant
-    passes it, as it passes the test on the roots.  Each
-    Gram entry <grad phi_a, grad phi_b> is the sum over axes of products of
-    jacobian columns: on the band sweep's column-major jacobian these are
-    contiguous rows, where a batched matmul of k x m by m x k matrices
-    costs far more.
+    Each entry <grad phi_a, grad phi_b> is the sum over axes of products of
+    jacobian columns, summed in place in axis order: on a band batch's
+    column-major jacobian these are contiguous rows, where a batched matmul
+    of k x m by m x k matrices costs far more.
     """
     n, k, m = jac.shape
     gram = np.empty((k, k, n))
@@ -842,28 +968,58 @@ def _checked_gram(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for i in range(1, m):
                 entry += jac[:, a, i] * jac[:, b, i]
             gram[b, a] = entry
+    return gram
+
+
+def _gram_det(gram: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (k, k, N) of Gram matrices of gradients,
+    after the independence test.
+
+    The gradients count as dependent where the blade norm, the square root
+    of the Gram determinant, is at most _INDEPENDENCE_TOL times the product
+    of their lengths (scale-invariant; a zero gradient is dependent).  The
+    test runs on the squares, det <= _INDEPENDENCE_TOL^2 prod_a G_aa, with
+    no square root and the diagonal read as contiguous rows; at k = 1 it
+    reads |grad phi|^2 <= 0.  A NaN determinant passes it, as it passes the
+    test on the roots.
+    """
+    k = len(gram)
     det = _minors(gram.transpose(2, 0, 1), range(k))
-    if np.any(det <= _INDEPENDENCE_TOL ** 2 * np.prod(np.diagonal(gram), axis=1)):
+    if np.any(det <= _INDEPENDENCE_TOL ** 2 * math.prod(gram[a, a] for a in range(k))):
         raise IndependenceError("phase gradients are numerically dependent at surface points")
-    return gram, det
+    return det
 
 
-def _wedge_norms(jac: np.ndarray) -> np.ndarray:
-    """Blade norms |grad phi_1 ^ .. ^ grad phi_k| per point.
+def _checked_gram(source) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices (k, k, N) of the phase gradients and their
+    determinants, after the independence test of ``_gram_det``.
+
+    ``source`` is an (N, k, m) jacobian (``_jacobian_gram``), or a
+    ``_BandBatch``, whose checked matrices are built once and cached.
+    """
+    if isinstance(source, _BandBatch):
+        return source.gram
+    gram = _jacobian_gram(source)
+    return gram, _gram_det(gram)
+
+
+def _wedge_norms(source) -> np.ndarray:
+    """Blade norms |grad phi_1 ^ .. ^ grad phi_k| per point of a jacobian
+    or a band batch.
 
     The square roots of the Gram determinants, positive once the
     independence test of ``_checked_gram`` passes.
     """
-    return np.sqrt(_checked_gram(jac)[1])
+    return np.sqrt(_checked_gram(source)[1])
 
 
-def _inverse_gram(jac: np.ndarray) -> np.ndarray:
+def _inverse_gram(source) -> np.ndarray:
     """Inverses (k, k, N) of the Gram matrices of ``_checked_gram``.
 
     Closed forms for k <= 2, LAPACK above; the independence test keeps
     every determinant positive.
     """
-    gram, det = _checked_gram(jac)
+    gram, det = _checked_gram(source)
     k = len(gram)
     if k <= 1:
         return 1.0 / gram
@@ -876,31 +1032,35 @@ def _inverse_gram(jac: np.ndarray) -> np.ndarray:
 
 
 def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
-              integrand: Callable[[np.ndarray, np.ndarray], dict],
-              cut: VectorPoly | None = None) -> dict:
+              integrand: Callable[[_BandBatch], dict],
+              cut: VectorPoly | None = None, tests: list[_PhaseTables] | None = None) -> dict:
     """Grid sum over the surface band of weights * integrand.
 
-    Every grid sum of the module runs through here.  ``integrand(pts, jac)``
-    maps the (N, m) points and the (N, k, m) jacobian of a batch of band
-    cells to a dict of (N,) value columns, one per blade it can carry; this
-    driver applies the weights of ``_band_stream`` (the delta product, times
-    the Heaviside fraction of ``cut`` when one is given) and the cell
-    volume, with one dot product per column.  The result maps each blade to
-    its sum (empty when no cell is in the band).  A batch with no boundary
-    mask, whose cells are all interior, skips the boundary sums.  Raises
-    BoundaryContactError when the boundary cells carry more than
-    _BOUNDARY_TOL of the total magnitude.
+    Every grid sum of the module runs through here.  ``integrand(cells)``
+    maps a ``_BandBatch`` of band cells to a dict of (N,) value columns, one
+    per blade it can carry, and reads only what it needs of the batch (its
+    points, jacobian or checked Gram matrices, each built on first read).
+    This driver applies the weights of ``_band_stream`` (the delta product,
+    times the Heaviside fraction of ``cut`` when one is given), scaled in
+    place by the cell volume, with one dot product per column.  ``tests``
+    are the sweep's tables from ``_band_tables``, built by the sweep when
+    not given.  The result maps each blade to its sum (empty when no cell
+    is in the band).  A batch with no boundary mask, whose cells are all
+    interior, skips the boundary sums.  Raises BoundaryContactError when the
+    boundary cells carry more than _BOUNDARY_TOL of the total magnitude.
     """
     cfg = cfg or QuadratureConfig()
     eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
     totals: dict[tuple, float] = {}
     total_abs = boundary_abs = 0.0
-    for pts, weight, jac, bmask in _band_stream(spec, eps, spacings, axes, cut):
-        weight = weight * cellvol
+    for cells in _band_stream(spec, eps, spacings, axes, cut, tests):
+        weight = cells.weight
+        weight *= cellvol
+        bmask = cells.bmask
         if bmask is not None:
             edge = np.flatnonzero(bmask)
             edge_weight = weight.take(edge)
-        for blade, col in integrand(pts, jac).items():
+        for blade, col in integrand(cells).items():
             totals[blade] = totals.get(blade, 0.0) + float(col @ weight)
             mags = np.abs(col)
             total_abs += float(mags @ weight)
@@ -926,8 +1086,8 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
     if isinstance(f, VectorPoly):
         _check_float_range(f)
 
-    def density(pts, jac):
-        return {(): _field_values(f, pts) * _wedge_norms(jac)}
+    def density(cells):
+        return {(): _field_values(f, cells) * _wedge_norms(cells)}
 
     return _band_sum(spec, cfg, density).get((), 0.0)
 
@@ -944,10 +1104,10 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     if isinstance(f, VectorPoly):
         _check_float_range(f)
 
-    def density(pts, jac):
-        values = _field_values(f, pts)
-        _checked_gram(jac)
-        return {blade: values * minor for blade, minor in _wedge_columns(jac).items()}
+    def density(cells):
+        values = _field_values(f, cells)
+        _checked_gram(cells)
+        return {blade: values * minor for blade, minor in _wedge_columns(cells.jac).items()}
 
     return Multivector(spec.m, _band_sum(spec, cfg, density))
 
@@ -1167,9 +1327,12 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     The surface must have dimension m - k >= 1, so k < m.
 
     The left side is the band sum cut by the Heaviside of phi, which visits
-    only the cells with H(-phi) > 0.  The Clifford fields, the blades and
-    their products are column-sparse batches that carry only the blades
-    they can hold, and each side runs on whole band batches.  The
+    only the cells with H(-phi) > 0.  The two sweeps share the tables of
+    phi and of the phases (``_band_tables``), and every float-range refusal
+    of either comes before the first visits a cell.  The Clifford fields,
+    the blades and their products are column-sparse batches that carry
+    only the blades they can hold, and each side runs on whole band
+    batches.  The
     tangential Dirac operator is the frame-free projector form of
     ``tangential_dirac``, with the inverse Gram matrices of the phase
     gradients in closed form for k <= 2; it raises IndependenceError on the
@@ -1191,39 +1354,47 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     df = [f_cp.diff(i) for i in range(1, m + 1)]
     dg = [g_cp.diff(i) for i in range(1, m + 1)]
 
-    def left_density(pts, jac):
-        gram_inv = _inverse_gram(jac)
+    def left_density(cells):
+        gram_inv = _inverse_gram(cells)
+        jac = cells.jac
         wedge = _wedge_columns(jac)
         out: dict = {}
         # a field whose derivatives all vanish drops its whole term
-        f_right = _projected_dirac(jac, gram_inv, [_field_columns(d, pts) for d in df],
+        f_right = _projected_dirac(jac, gram_inv, [_field_columns(d, cells.points) for d in df],
                                    left=False)
         if f_right:
-            g_vals = _field_columns(g_cp, pts)
+            g_vals = _field_columns(g_cp, cells.points)
             out = _columns_mul(_columns_mul(f_right, wedge), g_vals)
-        g_left = _projected_dirac(jac, gram_inv, [_field_columns(d, pts) for d in dg],
+        g_left = _projected_dirac(jac, gram_inv, [_field_columns(d, cells.points) for d in dg],
                                   left=True)
         if g_left:
-            f_vals = _field_columns(f_cp, pts)
+            f_vals = _field_columns(f_cp, cells.points)
             for blade, col in _columns_mul(_columns_mul(f_vals, wedge), g_left).items():
                 _accumulate(out, blade, col, negate=k % 2 == 1)
         return out
 
-    def right_density(pts, jac):
+    def right_density(cells):
         # the jacobian rows are grad phi, grad phi_1, ..., grad phi_k
         try:
-            _checked_gram(jac)
+            _checked_gram(cells)
         except IndependenceError as exc:
             raise TransversalityError(
                 "grad phi is not transversal to the surface on its band") from exc
-        blade = _wedge_columns(jac)
-        f_vals = _field_columns(f_cp, pts)
-        g_vals = _field_columns(g_cp, pts)
+        blade = _wedge_columns(cells.jac)
+        f_vals = _field_columns(f_cp, cells.points)
+        g_vals = _field_columns(g_cp, cells.points)
         return _columns_mul(_columns_mul(f_vals, blade), g_vals)
 
     cut = ImplicitSurfaceSpec(m, (phi, *spec.phases), spec.box)  # checks phi
-    lhs = _band_sum(spec, cfg, left_density, phi)
-    rhs = _band_sum(cut, cfg, right_density)
+    # one set of tables serves both sweeps, the left one cut by phi and the
+    # right one with phi as its first phase, and both sweeps' refusals come
+    # before either visits a cell
+    _, axes, spacings, _ = _grid_geometry(spec, cfg or QuadratureConfig())
+    left = _band_tables(spec, axes, spacings, phi)
+    right = [left[k], *left[:k]]
+    _check_gram_range(right, ["the cut phi", *(f"phase {j + 1}" for j in range(k))])
+    lhs = _band_sum(spec, cfg, left_density, phi, left)
+    rhs = _band_sum(cut, cfg, right_density, tests=right)
     lhs_norm = math.hypot(*lhs.values())
     rhs_norm = math.hypot(*rhs.values())
     diff = math.hypot(*(lhs.get(b, 0.0) - rhs.get(b, 0.0) for b in lhs.keys() | rhs.keys()))

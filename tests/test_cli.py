@@ -202,6 +202,16 @@ def test_phase_beyond_float_range_on_the_grid_exit_code(capsys):
         assert err.splitlines() == ["error: phase 1 takes values beyond the float range on the grid"]
 
 
+def test_gram_entry_beyond_float_range_exit_code(capsys):
+    # every value and gradient of this circle is finite on the grid, but its
+    # squared gradient length is not: one error line, no numpy warning
+    code = run(["integrate", "implicit", "--m", "2", "--phases",
+                "10^200*x1_1^2+10^200*x1_2^2-10^200", "--box=-1.6,1.6", "--n", "64", "-q"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the gradient of phase 1 has a squared length beyond the float range on the grid"]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["pizzetti", "sphere", "--m", "3"]) == 2
 

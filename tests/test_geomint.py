@@ -496,6 +496,10 @@ def _dense_case(shape):
         return ImplicitSurfaceSpec(3, [sphere], BOX3)
     if shape == "circle":
         return ImplicitSurfaceSpec(3, [sphere, xvar(3) - Fraction(1, 5)], BOX3)
+    if shape == "skew":
+        # d1 phi = 2 x1 + x2 spans two axis tables
+        x1, x2, x3 = xvar(1), xvar(2), xvar(3)
+        return ImplicitSurfaceSpec(3, [x1 ** 2 + x1 * x2 + x2 ** 2 + x3 ** 2 - 1], BOX3)
     return ImplicitSurfaceSpec(3, [_torus()], BOX3)
 
 
@@ -510,16 +514,19 @@ def _assert_blades_close(got: dict, want: dict, scale: float):
 
 
 @pytest.mark.parametrize("shape,n", [("sphere", 101), ("sphere", 201), ("circle", 101),
-                                     ("circle", 201), ("torus", 101)])
+                                     ("circle", 201), ("torus", 101), ("skew", 101)])
 def test_band_sweep_matches_dense_sweep(shape, n):
     spec = _dense_case(shape)
     cfg = QuadratureConfig(n=n)
     eps = cfg.resolve_eps(spec.box)
     _, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    # the torus's gradient has mixed terms and the skew quadric's d1 phi two
+    # axis tables: their Gram entries come from the jacobian, not products
+    products = geomint._gram_tables(geomint._band_tables(spec, axes, spacings), axes)
+    assert (products is None) == (shape in ("torus", "skew"))
     ref_pts, ref_weight, ref_jac = dense_band([dict(p.terms) for p in spec.phases],
                                               spec.box, n, eps)
-    got = list(_band_stream(spec, eps, spacings, axes))
-    pts, weight, jac = (np.concatenate([item[i] for item in got]) for i in range(3))
+    pts, weight, jac, _ = _stream_columns(list(_band_stream(spec, eps, spacings, axes)))
     # the same band cells, at the same coordinates, with the same weights
     assert pts.shape == ref_pts.shape
     pts, weight, jac = _sorted_rows(pts, weight, jac)
@@ -541,12 +548,81 @@ def test_band_sweep_matches_dense_sweep(shape, n):
         _assert_blades_close(oriented.terms, want, math.sqrt(oriented.norm_squared()))
 
 
+def _ellipsoid_spec():
+    # |D x|^2 = 1 with D = diag(1, 3/2, 2), as in the convergence test
+    d = [Fraction(1), Fraction(3, 2), Fraction(2)]
+    return ImplicitSurfaceSpec(3, [sum((c ** 2 * xvar(i) ** 2 for i, c in enumerate(d, start=1)),
+                                       VectorPoly.constant(3, -1))], BOX3)
+
+
+@pytest.mark.parametrize("shape", ["sphere", "shifted sphere", "circle", "ellipsoid"])
+def test_gram_from_product_tables_is_bit_identical(shape):
+    # every gradient component is one table on its own axis, so the Gram
+    # entries are sums of lookups in per-axis product tables; they must be
+    # the very bits of the products of the gathered jacobian's columns
+    spec = {"sphere": sphere_spec(), "shifted sphere": _dense_case("sphere"),
+            "circle": circle_spec(), "ellipsoid": _ellipsoid_spec()}[shape]
+    cfg = QuadratureConfig(n=101)
+    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
+    assert geomint._gram_tables(geomint._band_tables(spec, axes, spacings), axes) is not None
+    batches = list(_band_stream(spec, eps, spacings, axes))
+    assert batches
+    for cells in batches:
+        gram, det = cells.gram
+        want_gram, want_det = geomint._checked_gram(cells.jac)
+        assert gram.shape == (spec.k, spec.k, len(cells))
+        assert gram.tobytes() == want_gram.tobytes() and det.tobytes() == want_det.tobytes()
+
+
+def test_constant_integrand_reads_no_coordinates_or_jacobian(monkeypatch):
+    # f = 1 on a shifted sphere needs only the weights and the Gram entries,
+    # which come from the product tables
+    spec = _dense_case("sphere")
+    cfg = QuadratureConfig(n=96)
+    want = integrate_implicit(1, spec, cfg)
+    reads = []
+    coordinates = geomint._coordinates
+    jac = geomint._BandBatch.__dict__["jac"].func
+
+    def spy_coordinates(axes, idx):
+        reads.append("coordinates")
+        return coordinates(axes, idx)
+
+    def spy_jac(cells):
+        reads.append("jac")
+        return jac(cells)
+
+    monkeypatch.setattr(geomint, "_coordinates", spy_coordinates)
+    monkeypatch.setattr(geomint._BandBatch, "jac", property(spy_jac))
+    assert integrate_implicit(1, spec, cfg) == want
+    assert reads == []
+    # the spies see the reads of the integrands that need them
+    integrate_implicit(xvar(1), spec, cfg)
+    assert "coordinates" in reads and "jac" not in reads
+    integrate_oriented(1, spec, cfg)
+    assert "jac" in reads
+
+
+@pytest.mark.parametrize("shape", ["sphere", "circle", "torus"])
+def test_constant_integrands_agree_bit_for_bit(shape):
+    # a number, a constant polynomial and a callable of ones: one value
+    spec = _dense_case(shape)
+    cfg = QuadratureConfig(n=96)
+    values = [integrate_implicit(f, spec, cfg)
+              for f in (1, VectorPoly.constant(3, 1), lambda pts: np.ones(len(pts)))]
+    assert values[0] > 1.0
+    assert len({v.hex() for v in values}) == 1
+
+
 def _stream_columns(got):
-    # the batches' rows, concatenated; a batch whose leaves touch no face of
-    # the box yields no boundary mask, and all its cells are interior
-    assert all(len(item[0]) <= geomint._BATCH_CELLS for item in got)
-    masks = [np.zeros(len(item[0]), dtype=bool) if item[3] is None else item[3] for item in got]
-    return (*(np.concatenate([item[i] for item in got]) for i in range(3)), np.concatenate(masks))
+    # the batches' points, weights, jacobian rows and boundary masks,
+    # concatenated; a batch whose leaves touch no face of the box carries no
+    # boundary mask, and all its cells are interior
+    assert all(len(item.points) <= geomint._BATCH_CELLS for item in got)
+    masks = [np.zeros(len(item.points), dtype=bool) if item.bmask is None else item.bmask
+             for item in got]
+    return (*(np.concatenate([getattr(item, name) for item in got])
+              for name in ("points", "weight", "jac")), np.concatenate(masks))
 
 
 def _stream_rows(spec, n, cut=None):
@@ -595,7 +671,7 @@ def test_boundary_contact_in_a_ragged_edge_leaf(batch, n, monkeypatch):
     cfg = QuadratureConfig(n=n)
     eps, axes, spacings, _ = _grid_geometry(spec, cfg)
     got = list(_band_stream(spec, eps, spacings, axes))
-    flagged = [item for item in got if item[3] is not None]
+    flagged = [item for item in got if item.bmask is not None]
     assert flagged and (batch == 8192 or len(flagged) < len(got))
     pts, _, _, bmask = _stream_columns(got)
     assert np.array_equal(bmask, pts[:, 0] > 1.6 - spacings[0])
@@ -650,7 +726,7 @@ def test_cut_band_keeps_cells_where_phi_and_its_span_vanish():
     spec = ImplicitSurfaceSpec(2, [], BOX2)
     eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=64))
     got = list(_band_stream(spec, eps, spacings, axes, VectorPoly.zero(2)))
-    weight = np.concatenate([item[1] for item in got])
+    weight = np.concatenate([item.weight for item in got])
     assert len(weight) == 64 * 64 and np.all(weight == 0.5)
 
 
@@ -1288,6 +1364,57 @@ def test_phase_values_beyond_float_range_are_refused(phase):
     with pytest.raises(FloatRangeError, match="the cut phi takes values beyond the float range"):
         cauchy_check(1, xvar(1, 2), phase, ImplicitSurfaceSpec(2, [], BOX2),
                      QuadratureConfig(n=64))
+
+
+def _scaled_circle(scale):
+    return scale * (xvar(1, 2) ** 2 + xvar(2, 2) ** 2 - 1)
+
+
+def test_gram_entries_beyond_float_range_are_refused(monkeypatch):
+    # every value and gradient of 10^200 (x1^2 + x2^2 - 1) is finite on the
+    # grid, but the squared gradient length reaches 10^401; 10^150 gives
+    # about 10^301 and still integrates.  eps is in phase units, so there
+    # the band is far thinner than a cell, which costs accuracy: 6.49 against
+    # the unit circle's 2 pi, as at 10^100
+    cfg = QuadratureConfig(n=64)
+    length = integrate_implicit(1, ImplicitSurfaceSpec(2, [_scaled_circle(10**150)], BOX2), cfg)
+    assert length == pytest.approx(2 * math.pi, rel=0.05)
+
+    def no_cells(*args):
+        raise AssertionError("a cell was visited")
+
+    monkeypatch.setattr(geomint, "_band_leaves", no_cells)
+    with pytest.raises(FloatRangeError, match="the gradient of phase 1 has a squared length "
+                                              "beyond the float range on the grid"):
+        integrate_implicit(1, ImplicitSurfaceSpec(2, [_scaled_circle(10**200)], BOX2), cfg)
+    # two phases: the squared length of 10^100 times the sphere's gradient
+    # stays below 10^202, its inner product with the gradient 10^250 e3 of a
+    # plane does not, and it is checked before the plane's squared length
+    spec = ImplicitSurfaceSpec(3, [10**100 * sphere_phase(3), 10**250 * xvar(3)], BOX3)
+    with pytest.raises(FloatRangeError, match="the gradients of phase 1 and phase 2 have an "
+                                              "inner product beyond the float range"):
+        integrate_implicit(1, spec, cfg)
+    # the Cauchy check's right side takes the cut's gradient into its Gram
+    # entries, the left side does not; the refusal still comes first
+    with pytest.raises(FloatRangeError, match="the gradient of the cut phi has a squared length"):
+        cauchy_check(1, xvar(2), 10**200 * xvar(1), circle_spec(), cfg)
+
+
+def test_cauchy_sides_share_the_phase_tables(monkeypatch):
+    # the left side cuts the band by phi, the right side takes phi as a
+    # phase: each polynomial's tables are built once for both
+    built = []
+    init = geomint._PhaseTables.__init__
+
+    def spy(self, phi, axes, spacings):
+        built.append(phi)
+        init(self, phi, axes, spacings)
+
+    monkeypatch.setattr(geomint._PhaseTables, "__init__", spy)
+    spec, phi = circle_spec(), xvar(1) - Fraction(1, 10)
+    res = cauchy_check(1, xvar(2), phi, spec, QuadratureConfig(n=96))
+    assert built == [*spec.phases, phi]
+    assert res.residual < 0.05 and res.rhs.norm_squared() > 1.0
 
 
 def test_cut_values_beyond_float_range_term_by_term_are_refused():

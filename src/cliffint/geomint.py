@@ -25,20 +25,25 @@ sweep grows with the grid.  The evaluation is separable: each phase,
 each gradient component and each span is split once per sweep into
 per-axis tables over the n cell midpoints and a remainder of mixed terms.
 A candidate cell pays m table lookups per value, and the remainder on its
-coordinates only when a phase has one.  The band cells go out in lazy
-batches: their weights come with them, and boundary flags only in a batch
-whose leaves touch a face of the box, but their coordinates, jacobian rows
-and Gram matrices are built only when an integrand reads them.  Where every
-gradient component is one table on its own axis (shifted spheres, planes,
-axis-aligned quadrics), each Gram entry is m lookups in per-axis product
-tables, so integrating f = 1 reads neither coordinates nor jacobian.  The
-Gram entries are bounded by the gradient tables' magnitudes before any
+coordinates only when a phase has one.  A phase in one coordinate (a
+plane) is tested and weighted once per sweep on its axis's n entries, and
+a cell looks the outcome up.  The band cells go out in lazy batches: their
+weights come with them, and boundary flags only in a batch whose leaves
+touch a face of the box (none at all when no kept top block of the culling
+does), but their coordinates, jacobian rows and Gram matrices are built
+only when an integrand reads them.  Where every gradient component is one
+table on its own axis (shifted spheres, planes, axis-aligned quadrics),
+each Gram entry sums lookups in per-axis product tables over the axes
+where neither component vanishes identically, so integrating f = 1 reads
+neither coordinates nor jacobian.  The Gram entries, and at k >= 2 the Gram
+determinant, are bounded by the gradient tables' magnitudes before any
 cell is visited, as the values are.  The culling bounds come
 from the same tables; interval arithmetic on monomials remains for the
 remainders and for the cut's value.  The Heaviside cut of the
 Cauchy check keeps a term-by-term value, because its cell fraction
 divides the value by the span, which would magnify the rounding of a
-table sum.
+table sum, unless the cut is in one coordinate, whose table has the bits
+of the term-by-term value.
 
 Every grid sum runs through one band-sum driver, which sums each column of
 values against the cell weights with one dot product.  The Cauchy-type
@@ -437,21 +442,35 @@ def _may_reach_band(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray
     return alive
 
 
+def _top_blocks(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], leaf: int,
+                cut: _PhaseTables | None) -> tuple[np.ndarray, int]:
+    """The top grid of ``_band_leaves``: its blocks that pass one
+    ``_may_reach_band`` test, as (B, m) multi-indices, and their size, the
+    smallest power-of-two multiple of ``leaf`` cells per axis that needs at
+    most _BATCH_CELLS blocks."""
+    m = len(axes)
+    size = leaf
+    while math.prod(-(-len(ax) // size) for ax in axes) > _BATCH_CELLS:
+        size *= 2
+    index = [np.arange(-(-len(ax) // size)).reshape([-1 if j == i else 1 for j in range(m)])
+             for i, ax in enumerate(axes)]
+    return np.argwhere(_may_reach_band(tests, eps, axes, index, size, cut)), size
+
+
 def _band_leaves(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], leaf: int,
-                 cut: _PhaseTables | None):
+                 cut: _PhaseTables | None, top: tuple[np.ndarray, int] | None = None):
     """Yield (B, m) multi-indices of the blocks of ``leaf`` cells per axis
     that may hold band cells, by ``_may_reach_band`` on the phases' tables
     ``tests`` and the cut's tables ``cut`` (or None).
 
-    The culling runs top down.  The top grid has the smallest power-of-two
-    multiple of ``leaf`` cells per axis that needs at most _BATCH_CELLS
-    blocks, and takes one ``_may_reach_band`` test.  Each surviving block
-    splits into its 2^m half-size children, and the children of
+    The culling runs top down, from the kept blocks of the top grid and
+    their size, ``top`` (``_top_blocks``, taken here when not given).  Each
+    kept block splits into its 2^m half-size children, and the children of
     _BATCH_CELLS >> m parents at a time take the same test, depth first,
     down to ``leaf``.  The extremes of a table over a block bound those over
     its sub-blocks, so this keeps the leaves that pass the test on their
     own, and no array of the test holds more than max(_BATCH_CELLS, 2^m)
-    blocks.
+    blocks; every leaf lies in a kept top block.
     """
     m = len(axes)
     sizes = np.array([len(ax) for ax in axes])
@@ -470,12 +489,7 @@ def _band_leaves(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], 
             alive = _may_reach_band(tests, eps, axes, children.T, half, cut)
             yield from descend(children.take(np.flatnonzero(alive), axis=0), half)
 
-    size = leaf
-    while math.prod(-(-len(ax) // size) for ax in axes) > _BATCH_CELLS:
-        size *= 2
-    index = [np.arange(-(-len(ax) // size)).reshape([-1 if j == i else 1 for j in range(m)])
-             for i, ax in enumerate(axes)]
-    yield from descend(np.argwhere(_may_reach_band(tests, eps, axes, index, size, cut)), size)
+    yield from descend(*(top or _top_blocks(tests, eps, axes, leaf, cut)))
 
 
 def _edge_flags(spec: ImplicitSurfaceSpec, spacings: list[float],
@@ -615,7 +629,11 @@ class _PhaseTables:
     the tables' greatest magnitudes plus ``_term_bound`` of each remainder
     (``_AxisTables.magnitude``).  The tables and bounds are built with float
     overflow silenced, so that a phase too large for floats on the grid can
-    be refused once, before any cell is visited."""
+    be refused once, before any cell is visited.  ``axis`` is the one axis
+    of every value and span table of a phase in one coordinate (planes, and
+    phi(x_a) in general: no remainder, no span component evaluated per
+    cell), whose cells the sweep tests by lookup (``_axis_lookup``); else
+    None."""
 
     def __init__(self, phi: VectorPoly, axes: list[np.ndarray], spacings: list[float]):
         self.phi = phi
@@ -641,6 +659,9 @@ class _PhaseTables:
         self._span_maxima: dict[int, list] = {}
         self.needs_cols = self.value.rest is not None or any(
             g.rest is not None for _, g in self.span_cells)
+        used = {a for a, _ in (*self.value.tables, *self.span_tables)}
+        self.axis = (used.pop() if len(used) == 1 and self.value.rest is None
+                     and not self.span_cells else None)
 
     def span(self, idx: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
         out = _gather(self.span_tables, idx)
@@ -665,6 +686,33 @@ class _PhaseTables:
             lo, up = g.bounds(index, size, ranges)
             hi = hi + h * np.maximum(np.abs(lo), np.abs(up))
         return hi
+
+
+def _axis_lookup(test: _PhaseTables, eps: float, is_cut: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The per-cell test and weight factor of a phase in one coordinate, as
+    tables over the n entries of its ``axis``: a cell takes the entries at
+    its index on that axis.
+
+    The cells' value and span are those entries themselves, so the tables
+    hold the very bits the cells would compute.  For a phase, the test is
+    |phi| < eps + span/2 and the factor the delta values, computed on the
+    entries that pass it (0 elsewhere); for the cut, the factor is the
+    Heaviside fraction clip(1/2 - phi / max(span, 1e-300), 0, 1) and the
+    test that it is nonzero.  A quotient that overflows is an infinity,
+    which clips to the same 0 or 1 as a finite one; an entry no cell reads
+    may overflow, so the division runs with overflow silenced.
+    """
+    vals = test.value.tables[0][1]
+    span = test.span_tables[0][1] if test.span_tables else np.zeros(len(vals))
+    if is_cut:
+        with np.errstate(over="ignore"):
+            frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
+        return frac != 0.0, frac
+    inside = np.abs(vals) < eps + 0.5 * span
+    weight = np.zeros(len(vals))
+    sel = np.flatnonzero(inside)
+    weight[sel] = _delta_values(vals.take(sel), eps, span.take(sel))
+    return inside, weight
 
 
 def _band_tables(spec: ImplicitSurfaceSpec, axes: list[np.ndarray], spacings: list[float],
@@ -698,15 +746,22 @@ def _band_tables(spec: ImplicitSurfaceSpec, axes: list[np.ndarray], spacings: li
 
 
 def _check_gram_range(phases: list[_PhaseTables], names: list[str]) -> None:
-    """Refuse phases whose Gram entries <grad phi_a, grad phi_b> may leave
-    the float range on the grid.
+    """Refuse phases whose Gram entries <grad phi_a, grad phi_b>, or at
+    k >= 2 whose Gram determinant, may leave the float range on the grid.
 
     Each entry is bounded by sum_i mag(d_i phi_a) mag(d_i phi_b), with mag
     the ``_AxisTables.magnitude`` of a gradient component, summed in axis
     order as the entries are: rounding is monotone, so the bound holds on
-    every cell.  Raises FloatRangeError for the first pair whose bound is
-    not finite, with the phases called by ``names``.
+    every cell.  The determinant that ``_minors`` and ``_gram_det`` form is
+    a sum of k! products of one entry per row, each at most the product of
+    the diagonal entries (Cauchy-Schwarz), so it is bounded by k! times the
+    product of the diagonal bounds, doubled for rounding; that product also
+    bounds the product of the squared lengths in the independence test.
+    Raises FloatRangeError for the first pair whose bound is not finite, or
+    for a determinant bound that is not, with the phases called by
+    ``names``.
     """
+    det_bound = 2.0 * math.factorial(len(phases))
     with np.errstate(over="ignore", invalid="ignore"):
         for a, first in enumerate(phases):
             for b, second in enumerate(phases[:a + 1]):
@@ -717,28 +772,37 @@ def _check_gram_range(phases: list[_PhaseTables], names: list[str]) -> None:
                     what = (f"the gradient of {names[a]} has a squared length" if a == b else
                             f"the gradients of {names[b]} and {names[a]} have an inner product")
                     raise FloatRangeError(f"{what} beyond the float range on the grid")
+            # the last pair is the diagonal one, b = a
+            det_bound *= bound
+    if len(phases) >= 2 and not math.isfinite(det_bound):
+        listed = f"{', '.join(names[:-1])} and {names[-1]}"
+        raise FloatRangeError(f"the gradients of {listed} have a Gram determinant "
+                              f"beyond the float range on the grid")
 
 
-def _gram_tables(phases: list[_PhaseTables], axes: list[np.ndarray]) -> list | None:
+def _gram_tables(phases: list[_PhaseTables]) -> list | None:
     """Per-axis tables of the phases' Gram entries, when every gradient
     component d_i phi is one table on axis i or zero (shifted spheres,
     planes, axis-aligned quadrics); None otherwise.
 
-    Returns (a, b, tables) for b <= a, with tables[i] = T_ai T_bi, the
-    product of the two components' tables (zeros for a zero component).
-    Such a component's value on a cell is its table's entry, so the sum of
-    tables[i][idx[i]] over i in axis order has the bits of the jacobian
-    column products that ``_jacobian_gram`` sums.
+    Returns (a, b, tables) for b <= a, with tables the pairs (i, T_ai T_bi)
+    over the axes i, in order, where both components have a table: the
+    other products are zeros (a plane's gradient has one nonzero
+    component).  Such a component's value on a cell is its table's entry,
+    so the sum of the looked-up products over those axes has the bits of
+    the jacobian column products that ``_jacobian_gram`` sums over every
+    axis, up to the sign of an exact zero.
     """
     rows = []
     for test in phases:
-        row = []
+        row = {}
         for i, g in enumerate(test.grad):
             if g.rest is not None or any(a != i for a, _ in g.tables):
                 return None
-            row.append(g.tables[0][1] if g.tables else np.zeros_like(axes[i]))
+            if g.tables:
+                row[i] = g.tables[0][1]
         rows.append(row)
-    return [(a, b, [np.multiply(x, y) for x, y in zip(rows[a], rows[b])])
+    return [(a, b, [(i, np.multiply(x, rows[b][i])) for i, x in rows[a].items() if i in rows[b]])
             for a in range(len(rows)) for b in range(a + 1)]
 
 
@@ -758,8 +822,10 @@ class _BandBatch:
     ``idx`` holds the cells' grid indices, an (m, N) array with one
     contiguous row per axis, ``weight`` their weights and ``bmask`` their
     boundary flags, None when the batch's leaves touch no face of the box.
-    The rest is built on first read and then cached, so that an integrand
-    pays only for what it reads:
+    ``near_face``, the same on every batch of a sweep, is False when no
+    kept top block of the sweep holds a boundary cell: then no batch of it
+    carries a mask.  The rest is built on first read and then cached, so
+    that an integrand pays only for what it reads:
     - ``points``, the (N, m) coordinates, the axis midpoints themselves;
     - ``jac``, the (N, k, m) phase jacobian, from the gradient tables;
     - ``gram``, the Gram matrices (k, k, N) of the gradients and their
@@ -771,9 +837,9 @@ class _BandBatch:
     """
 
     def __init__(self, idx: np.ndarray, weight: np.ndarray, bmask: np.ndarray | None,
-                 cols: np.ndarray | None, axes: list[np.ndarray],
+                 near_face: bool, cols: np.ndarray | None, axes: list[np.ndarray],
                  phases: list[_PhaseTables], products: list | None):
-        self.idx, self.weight, self.bmask = idx, weight, bmask
+        self.idx, self.weight, self.bmask, self.near_face = idx, weight, bmask, near_face
         # the coordinates, when the sweep gathered them for a test
         self._cols = cols
         self._axes = axes
@@ -805,9 +871,14 @@ class _BandBatch:
             k = len(self._phases)
             gram = np.empty((k, k, len(self)))
             for a, b, tables in self._products:
-                entry = tables[0].take(self.idx[0], out=gram[a, b], mode="clip")
-                for i in range(1, len(tables)):
-                    entry += tables[i].take(self.idx[i])
+                entry = gram[a, b]
+                if tables:
+                    (i, first), *rest = tables
+                    first.take(self.idx[i], out=entry, mode="clip")
+                    for i, table in rest:
+                        entry += table.take(self.idx[i])
+                else:
+                    entry[...] = 0.0
                 gram[b, a] = entry
         return gram, _gram_det(gram)
 
@@ -836,21 +907,30 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
     into per-axis tables and a remainder of mixed terms (``_AxisTables``),
     so a candidate cell is carried as its (m,) grid indices only: its phase
     value and span are sums of m table lookups, plus the remainder on its
-    coordinates when a phase has one.  The cells that pass every test go
-    out with their indices, weights and boundary flags (from per-axis flag
-    tables); their coordinates, jacobian rows (from the gradient tables) and
-    checked Gram matrices are built when an integrand first reads them.
-    When every gradient component is one table on its own axis, the Gram
-    entries are sums of m lookups in per-axis product tables built once
-    per sweep (``_gram_tables``), so a scalar integrand of a number reads
+    coordinates when a phase has one.  A phase in one coordinate x_a
+    (planes, and phi(x_a) in general: one table on axis a for its value
+    and one for its span) is decided once per sweep instead: its band test
+    and delta values run on axis a's n entries (``_axis_lookup``), and a
+    cell takes one bool and one weight lookup, in the same order of tests
+    and weight products as the other phases.  The cells that pass every
+    test go out with their indices, weights and boundary flags (from
+    per-axis flag tables); their coordinates, jacobian rows (from the
+    gradient tables) and checked Gram matrices are built when an integrand
+    first reads them.  When every gradient component is one table on its
+    own axis, or zero, each Gram entry sums lookups in per-axis product
+    tables built once per sweep (``_gram_tables``), one per axis where both
+    components have a table, so a scalar integrand of a number reads
     neither coordinates nor jacobian.  The coordinates are the axis
     midpoints themselves, so the points of a band cell do not depend on the
     tables.  The culling bounds come from the same tables: per block, the
     sums of their least and greatest entries over the block bound the value
     and the span, and ``_interval_bounds`` remains only for the remainders
-    and the cut's value.  The boundary flags are gathered only for a batch
-    with a leaf that holds a flagged cell; the other batches, whose leaves
-    touch no face of the box, carry None for the mask.
+    and the cut's value.  Whether the band may touch a face of the box is
+    decided once, on the kept blocks of the top grid: every leaf lies in
+    one, so when none holds a cell within one cell of a face, no batch
+    gathers flags and every batch says so (``near_face`` False).  Otherwise
+    the flags are gathered only for a batch with a leaf that holds a
+    flagged cell; the other batches carry None for the mask.
 
     ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
     A cell's weight then also carries the linearized fraction of the cell
@@ -860,8 +940,10 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
     blocks where its bound shows it is 0 on every cell.  The cut's
     value is evaluated term by term on the coordinates: the fraction
     divides it by the span, which turns the table sum's rounding into an
-    error of the weight far above the rounding of the weight itself.  Its
-    span comes from the tables.  The cut's gradient stays out of the
+    error of the weight far above the rounding of the weight itself.  A
+    cut in one coordinate is the exception: its one table has those very
+    bits, so its fraction is a per-axis table too.  Its span comes from
+    the tables.  The cut's gradient stays out of the
     jacobian.  With no phases (k = 0) every cell is in the band with weight
     1, or its Heaviside fraction under a cut, and only a cut rules out
     blocks.
@@ -874,14 +956,27 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
     if tests is None:
         tests = _band_tables(spec, axes, spacings, cut)
     phases = tests[:k]
-    products = _gram_tables(phases, axes)
+    products = _gram_tables(phases)
+    # a phase in one coordinate is tested and weighted by lookup; the tables
+    # are the sweep's, since a cut of one sweep is a phase of another
+    lookups = [None if test.axis is None else _axis_lookup(test, eps, j == k)
+               for j, test in enumerate(tests)]
     edges = _edge_flags(spec, spacings, axes)
     leaf = _BLOCK
     while leaf > 1 and leaf ** m > _BATCH_CELLS >> m:
         leaf //= 2
-    groups = _band_leaves(phases, eps, axes, leaf, tests[k] if cut is not None else None)
-    # per axis, which leaves hold a boundary cell
-    leaf_edges = [np.logical_or.reduceat(e, np.arange(0, len(e), leaf)) for e in edges]
+    cut_tables = tests[k] if cut is not None else None
+    top = _top_blocks(phases, eps, axes, leaf, cut_tables)
+    groups = _band_leaves(phases, eps, axes, leaf, cut_tables, top)
+
+    def block_edges(size: int) -> list[np.ndarray]:
+        # per axis, which blocks of ``size`` cells hold a boundary cell
+        return [np.logical_or.reduceat(e, np.arange(0, len(e), size)) for e in edges]
+
+    # every leaf lies in a kept top block, so when none of those holds a
+    # boundary cell, no batch of the sweep does
+    near_face = bool(_gather(enumerate(block_edges(top[1])), top[0].T).any())
+    leaf_edges = block_edges(leaf) if near_face else None
     sizes = np.array([len(ax) for ax in axes])[:, None]
     ragged = bool(np.any(sizes % leaf))
     # the cell offsets within a leaf, repeated for the most leaves in a batch
@@ -900,31 +995,39 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
         cols = None
         # the first factor starts the weight
         weight = None
-        for j, test in enumerate(tests):
-            if cols is None and (test.needs_cols or j == k):
-                cols = _coordinates(axes, idx)
-            span = test.span(idx, cols)
-            if j < k:
-                vals = test.value.values(idx, cols)
-                keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
+        for j, (test, lookup) in enumerate(zip(tests, lookups)):
+            if lookup is not None:
+                keep = np.flatnonzero(lookup[0].take(idx[test.axis]))
             else:
-                vals = poly_on_points(cut, cols.T)
-                frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
-                keep = np.flatnonzero(frac)
+                if cols is None and (test.needs_cols or j == k):
+                    cols = _coordinates(axes, idx)
+                span = test.span(idx, cols)
+                if j < k:
+                    vals = test.value.values(idx, cols)
+                    keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
+                else:
+                    vals = poly_on_points(cut, cols.T)
+                    frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
+                    keep = np.flatnonzero(frac)
             if not len(keep):
                 break
             idx = idx.take(keep, axis=1)
             if cols is not None:
                 cols = cols.take(keep, axis=1)
-            factor = (_delta_values(vals.take(keep), eps, span.take(keep)) if j < k
-                      else frac.take(keep))
+            if lookup is not None:
+                factor = lookup[1].take(idx[test.axis])
+            elif j < k:
+                factor = _delta_values(vals.take(keep), eps, span.take(keep))
+            else:
+                factor = frac.take(keep)
             weight = factor if weight is None else weight.take(keep) * factor
         else:
             if weight is None:
                 weight = np.ones(idx.shape[1])
-            bmask = (_gather(enumerate(edges), idx)
-                     if _gather(enumerate(leaf_edges), subs.T).any() else None)
-            yield _BandBatch(idx, weight, bmask, cols, axes, phases, products)
+            bmask = None
+            if near_face and _gather(enumerate(leaf_edges), subs.T).any():
+                bmask = _gather(enumerate(edges), idx)
+            yield _BandBatch(idx, weight, bmask, near_face, cols, axes, phases, products)
 
 
 def _minors(rows: np.ndarray, cols) -> np.ndarray:
@@ -1048,6 +1151,9 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
     is in the band).  A batch with no boundary mask, whose cells are all
     interior, skips the boundary sums.  Raises BoundaryContactError when the
     boundary cells carry more than _BOUNDARY_TOL of the total magnitude.
+    A sweep whose batches say, from the first on, that it holds no boundary
+    cell (``_BandBatch.near_face``) can raise none, so it sums no
+    magnitudes at all.
     """
     cfg = cfg or QuadratureConfig()
     eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
@@ -1062,10 +1168,11 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
             edge_weight = weight.take(edge)
         for blade, col in integrand(cells).items():
             totals[blade] = totals.get(blade, 0.0) + float(col @ weight)
-            mags = np.abs(col)
-            total_abs += float(mags @ weight)
-            if bmask is not None:
-                boundary_abs += float(mags.take(edge) @ edge_weight)
+            if cells.near_face:
+                mags = np.abs(col)
+                total_abs += float(mags @ weight)
+                if bmask is not None:
+                    boundary_abs += float(mags.take(edge) @ edge_weight)
     if boundary_abs > _BOUNDARY_TOL * total_abs:
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "

@@ -212,6 +212,19 @@ def test_gram_entry_beyond_float_range_exit_code(capsys):
         "error: the gradient of phase 1 has a squared length beyond the float range on the grid"]
 
 
+def test_gram_determinant_beyond_float_range_exit_code(capsys):
+    # the circle in R^3 with both phases scaled by 10^100: every Gram entry
+    # is finite on the grid, their products in the determinant are not; one
+    # error line, no numpy warning, and no NaN value
+    code = run(["integrate", "implicit", "--m", "3", "--phases",
+                "10^100*(x1_1^2+x1_2^2+x1_3^2-1);10^100*x1_3", "--box=-1.6,1.6", "--n", "64",
+                "-q"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the gradients of phase 1 and phase 2 have a Gram determinant beyond the float "
+        "range on the grid"]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["pizzetti", "sphere", "--m", "3"]) == 2
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import warnings
@@ -188,6 +189,24 @@ def test_oriented_circle_recovers_plane_blade():
     out = integrate_oriented(xvar(1), circle_spec(), QuadratureConfig(n=101))
     assert out.coefficient((1, 3)) == pytest.approx(math.pi, rel=5e-3)
     assert abs(out.coefficient((2, 3))) < 1e-10
+
+
+def test_oriented_quadrature_converges_at_second_order():
+    # f = x1 - 1/20 over the sphere of radius 1 about c = (1/20, -3/100, 1/50)
+    # cut by x3 = 1/5: a circle of radius rho, rho^2 = 1 - (9/50)^2, about
+    # (c1, c2, 1/5).  Its unit blade is ((x1 - c1) e13 + (x2 - c2) e23) / rho,
+    # so the integral is pi rho^2 on e13 and 0 on e23
+    center = (Fraction(1, 20), Fraction(-3, 100), Fraction(1, 50))
+    spec = ImplicitSurfaceSpec(3, [_shifted_sphere(3, center, 1), xvar(3) - Fraction(1, 5)],
+                               BOX3)
+    exact = math.pi * 2419 / 2500
+    outs = [integrate_oriented(xvar(1) - Fraction(1, 20), spec, QuadratureConfig(n=n))
+            for n in (64, 128, 256)]
+    errors = [abs(out.coefficient((1, 3)) - exact) / exact for out in outs]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(1.8 <= order <= 2.2 for order in orders), (errors, orders)
+    assert errors[1] <= 2.8e-3
+    assert all(abs(out.coefficient((2, 3))) <= 1e-10 for out in outs)
 
 
 def test_quadrature_requires_a_phase():
@@ -522,7 +541,7 @@ def test_band_sweep_matches_dense_sweep(shape, n):
     _, axes, spacings, cellvol = _grid_geometry(spec, cfg)
     # the torus's gradient has mixed terms and the skew quadric's d1 phi two
     # axis tables: their Gram entries come from the jacobian, not products
-    products = geomint._gram_tables(geomint._band_tables(spec, axes, spacings), axes)
+    products = geomint._gram_tables(geomint._band_tables(spec, axes, spacings))
     assert (products is None) == (shape in ("torus", "skew"))
     ref_pts, ref_weight, ref_jac = dense_band([dict(p.terms) for p in spec.phases],
                                               spec.box, n, eps)
@@ -564,7 +583,7 @@ def test_gram_from_product_tables_is_bit_identical(shape):
             "circle": circle_spec(), "ellipsoid": _ellipsoid_spec()}[shape]
     cfg = QuadratureConfig(n=101)
     eps, axes, spacings, _ = _grid_geometry(spec, cfg)
-    assert geomint._gram_tables(geomint._band_tables(spec, axes, spacings), axes) is not None
+    assert geomint._gram_tables(geomint._band_tables(spec, axes, spacings)) is not None
     batches = list(_band_stream(spec, eps, spacings, axes))
     assert batches
     for cells in batches:
@@ -728,6 +747,216 @@ def test_cut_band_keeps_cells_where_phi_and_its_span_vanish():
     got = list(_band_stream(spec, eps, spacings, axes, VectorPoly.zero(2)))
     weight = np.concatenate([item.weight for item in got])
     assert len(weight) == 64 * 64 and np.all(weight == 0.5)
+
+
+# -- one-axis phases by lookup and the sweep's boundary decision ------------------
+
+def _lookup_batches(spec, n, cut=None):
+    # the sweep's batches, and the same sweep with every phase and the cut
+    # read cell by cell: the lookups must give the same cells, weights and
+    # boundary masks, bit for bit
+    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
+    tests = geomint._band_tables(spec, axes, spacings, cut)
+    assert any(test.axis is not None for test in tests)
+    cell_path = [copy.copy(test) for test in tests]
+    for test in cell_path:
+        test.axis = None
+    got = list(_band_stream(spec, eps, spacings, axes, cut, tests))
+    want = list(_band_stream(spec, eps, spacings, axes, cut, cell_path))
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.idx.tobytes() == b.idx.tobytes()
+        assert a.weight.tobytes() == b.weight.tobytes()
+        assert (a.bmask is None) == (b.bmask is None)
+        assert a.bmask is None or np.array_equal(a.bmask, b.bmask)
+    return got
+
+
+def _assert_band_matches_dense(spec, n, got):
+    # the same band cells as the dense sweep, at the same coordinates, with
+    # the same weights and gradients (as in test_band_sweep_matches_dense_sweep)
+    eps = QuadratureConfig(n=n).resolve_eps(spec.box)
+    ref_pts, ref_weight, ref_jac = dense_band([dict(p.terms) for p in spec.phases],
+                                              spec.box, n, eps)
+    pts, weight, jac, _ = _stream_columns(got)
+    assert pts.shape == ref_pts.shape
+    pts, weight, jac = _sorted_rows(pts, weight, jac)
+    ref_pts, ref_weight, ref_jac = _sorted_rows(ref_pts, ref_weight, ref_jac)
+    assert np.array_equal(pts, ref_pts)
+    assert np.abs(weight - ref_weight).max() <= 1e-12 * ref_weight.max()
+    assert np.allclose(jac, ref_jac, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ["sphere and x1", "sphere and x3", "x1 and x3"])
+def test_plane_phases_by_lookup_match_dense_sweep(case):
+    # k = 2 with a plane on the first axis, on the last, and on both; n = 101
+    # leaves ragged leaves at the grid edge
+    center = (Fraction(1, 20), Fraction(-3, 100), Fraction(1, 50))
+    sphere = _shifted_sphere(3, center, Fraction(11, 10))
+    first, last = xvar(1) - Fraction(1, 10), xvar(3) - Fraction(1, 5)
+    phases = {"sphere and x1": [sphere, first], "sphere and x3": [sphere, last],
+              "x1 and x3": [first, last]}[case]
+    spec = ImplicitSurfaceSpec(3, phases, BOX3)
+    n = 101
+    got = _lookup_batches(spec, n)
+    _assert_band_matches_dense(spec, n, got)
+    # the Gram entries sum the products over the axes where both gradients
+    # have a table, one lookup with a plane (none between the two planes):
+    # the bits of the jacobian's column products over every axis
+    for cells in got:
+        gram, det = cells.gram
+        want_gram, want_det = geomint._checked_gram(cells.jac)
+        assert gram.tobytes() == want_gram.tobytes() and det.tobytes() == want_det.tobytes()
+    if case != "x1 and x3":
+        # the line of the two planes crosses the box; the circles do not
+        cfg = QuadratureConfig(n=n)
+        _, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+        pts, weight, jac, _ = _stream_columns(got)
+        want = cellvol * float((weight * blade_norms(jac) * pts[:, 1]).sum())
+        assert abs(integrate_implicit(xvar(2), spec, cfg) - want) <= 1e-12 * abs(want)
+
+
+def test_one_axis_cut_by_lookup_matches_dense_cauchy():
+    # the cut x1^3 - x1/3 + 1/7, one root near x1 = -0.72, of several terms:
+    # its axis table has the bits of the term-by-term value on the cells, so
+    # the left side's fractions and the right side's phase come from lookups
+    spec = _dense_case("circle")
+    x1 = xvar(1)
+    phi = x1 ** 3 - Fraction(1, 3) * x1 + Fraction(1, 7)
+    n = 101
+    got = _lookup_batches(spec, n, phi)
+    _, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
+    pts, weight, _, _ = _stream_rows(spec, n)
+    frac = _heaviside_fraction(phi, pts, spacings)
+    inside = frac > 0.0
+    assert 0 < inside.sum() < len(pts)
+    cut_pts, cut_weight, _, _ = _sorted_rows(*_stream_columns(got))
+    assert np.array_equal(cut_pts, pts[inside])
+    want = weight[inside] * frac[inside]
+    assert np.abs(cut_weight - want).max() <= 1e-14 * want.max()
+    f, g = CliffordPoly.from_scalar(3, 1), CliffordPoly.from_poly(xvar(2))
+    cfg = QuadratureConfig(n=n)
+    res = cauchy_check(f, g, phi, spec, cfg)
+    fields = [{b: dict(p.terms) for b, p in c.terms.items()} for c in (f, g)]
+    lhs, rhs = dense_cauchy(*fields, dict(phi.terms), [dict(p.terms) for p in spec.phases],
+                            spec.box, n, cfg.resolve_eps(spec.box))
+    assert res.lhs.norm_squared() > 0.01 and res.rhs.norm_squared() > 0.01
+    _assert_blades_close(res.lhs.terms, lhs, math.sqrt(res.lhs.norm_squared()))
+    _assert_blades_close(res.rhs.terms, rhs, math.sqrt(res.rhs.norm_squared()))
+
+
+def test_one_axis_phase_with_a_zero_span_entry_takes_the_midpoint():
+    # x2^2 - 1/100 has a band that covers x2 = 0, where its span vanishes: at
+    # odd n a midpoint lies there, so the delta kernel's narrow branch runs
+    # on that axis entry; n = 101 leaves ragged leaves
+    spec = ImplicitSurfaceSpec(2, [xvar(2, 2) ** 2 - Fraction(1, 100)], BOX2)
+    n = 101
+    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
+    (test,) = geomint._band_tables(spec, axes, spacings)
+    assert test.axis == 1
+    inside, _ = geomint._axis_lookup(test, eps, False)
+    span = test.span_tables[0][1]
+    assert np.any(inside & (span <= 1e-9 * eps))
+    _assert_band_matches_dense(spec, n, _lookup_batches(spec, n))
+
+
+def test_plane_delta_values_run_once_per_sweep(monkeypatch):
+    # the plane x3 = 1/5 spans the box: its band fills several batches, but
+    # its delta values are computed once, on the axis entries in its band
+    calls = []
+    delta_values = geomint._delta_values
+
+    def spy(vals, eps, span):
+        calls.append(len(vals))
+        return delta_values(vals, eps, span)
+
+    monkeypatch.setattr(geomint, "_delta_values", spy)
+    spec = ImplicitSurfaceSpec(3, [xvar(3) - Fraction(1, 5)], BOX3)
+    n = 64
+    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
+    batches = list(_band_stream(spec, eps, spacings, axes))
+    assert len(batches) > 1
+    assert len(calls) == 1 and 0 < calls[0] < n
+    # the band is every cell whose x3 index is one of those entries
+    cells = np.concatenate([item.idx for item in batches], axis=1)
+    assert cells.shape[1] == n * n * calls[0]
+
+
+def _one_top_block_face_spec():
+    # a circle of radius 1/12 about (31/20, 1/5), its phase scaled by 16 so
+    # that its band is thin: with 64-cell batches the top grid has blocks of
+    # 16 cells per axis, and the band reaches the face x1 = 1.6 in one kept
+    # top block
+    return ImplicitSurfaceSpec(
+        2, [16 * _shifted_sphere(2, (Fraction(31, 20), Fraction(1, 5)), Fraction(1, 144))], BOX2)
+
+
+def test_boundary_contact_in_one_top_block(monkeypatch):
+    monkeypatch.setattr(geomint, "_BATCH_CELLS", 64)
+    spec = _one_top_block_face_spec()
+    n = 101
+    cfg = QuadratureConfig(n=n)
+    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    tests = geomint._band_tables(spec, axes, spacings)
+    top, size = geomint._top_blocks(tests, eps, axes, geomint._BLOCK, None)
+    face = [np.logical_or.reduceat(e, np.arange(0, n, size))
+            for e in geomint._edge_flags(spec, spacings, axes)]
+    assert size == 16 and (face[0][top[:, 0]] | face[1][top[:, 1]]).sum() == 1
+    batches = list(_band_stream(spec, eps, spacings, axes))
+    assert all(item.near_face for item in batches)
+    # the message carries the boundary and total magnitudes of the dense sweep
+    pts, weight, jac = dense_band([dict(p.terms) for p in spec.phases], spec.box, n, eps)
+    mags = cellvol * weight * blade_norms(jac)
+    edge = np.zeros(len(pts), dtype=bool)
+    for i, h in enumerate(spacings):
+        edge |= (pts[:, i] < -1.6 + h) | (pts[:, i] > 1.6 - h)
+    with pytest.raises(BoundaryContactError) as info:
+        integrate_implicit(1, spec, cfg)
+    assert str(info.value) == (
+        f"surface band carries weight {mags[edge].sum():g} in boundary cells "
+        f"(total magnitude {mags.sum():g}); enlarge the box or rescale the phases "
+        f"(eps is in phase units)")
+
+
+class _UfuncSpy(np.ndarray):
+    # a column that records the numpy functions applied to it
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _UfuncSpy.calls.append(ufunc.__name__)
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _UfuncSpy) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("shape", ["sphere", "circle", "face"])
+def test_interior_sweep_sums_no_magnitudes(shape, monkeypatch):
+    # a sweep whose kept top blocks hold no boundary cell can raise no
+    # boundary contact: it sums the columns against the weights and nothing
+    # else, in the same order as every sweep
+    monkeypatch.setattr(_UfuncSpy, "calls", [])
+    spec = _face_spec() if shape == "face" else _dense_case(shape)
+    cfg = QuadratureConfig(n=101)
+    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    f = 1 + xvar(1, spec.m) * xvar(2, spec.m)
+
+    def density(cells):
+        col = geomint._field_values(f, cells) * geomint._wedge_norms(cells)
+        return {(): col.view(_UfuncSpy)}
+
+    want = 0.0
+    batches = list(_band_stream(spec, eps, spacings, axes))
+    for cells in batches:
+        want += float(geomint._field_values(f, cells) * geomint._wedge_norms(cells)
+                      @ (cells.weight * cellvol))
+    if shape == "face":
+        assert all(item.near_face for item in batches)
+        with pytest.raises(BoundaryContactError):
+            geomint._band_sum(spec, cfg, density)
+        assert "absolute" in _UfuncSpy.calls
+        return
+    assert not any(item.near_face or item.bmask is not None for item in batches)
+    assert geomint._band_sum(spec, cfg, density)[()] == want
+    assert "matmul" in _UfuncSpy.calls and "absolute" not in _UfuncSpy.calls
 
 
 @pytest.mark.parametrize("n", [101, 201])
@@ -1398,6 +1627,31 @@ def test_gram_entries_beyond_float_range_are_refused(monkeypatch):
     # entries, the left side does not; the refusal still comes first
     with pytest.raises(FloatRangeError, match="the gradient of the cut phi has a squared length"):
         cauchy_check(1, xvar(2), 10**200 * xvar(1), circle_spec(), cfg)
+
+
+def test_gram_determinant_beyond_float_range_is_refused(monkeypatch):
+    # the circle with both phases scaled by 10^100: every Gram entry stays
+    # below about 10^202, but the determinant multiplies two of them, and a
+    # NaN determinant would pass the independence test; at 10^76 it stays
+    # near 10^305 and integrates with no warning
+    cfg = QuadratureConfig(n=64)
+    scaled = ImplicitSurfaceSpec(3, [10**76 * sphere_phase(3), 10**76 * xvar(3)], BOX3)
+    assert math.isfinite(integrate_implicit(1, scaled, cfg))
+
+    def no_cells(*args):
+        raise AssertionError("a cell was visited")
+
+    monkeypatch.setattr(geomint, "_band_leaves", no_cells)
+    spec = ImplicitSurfaceSpec(3, [10**100 * sphere_phase(3), 10**100 * xvar(3)], BOX3)
+    with pytest.raises(FloatRangeError, match="the gradients of phase 1 and phase 2 have a Gram "
+                                              "determinant beyond the float range on the grid"):
+        integrate_implicit(1, spec, cfg)
+    # the Cauchy check's right side adds the cut's gradient to the unit
+    # circle's: its squared length, 10^308, is a float, the determinant of
+    # the three is not; the left side's Gram matrix is the circle's
+    with pytest.raises(FloatRangeError, match="the gradients of the cut phi, phase 1 and phase 2 "
+                                              "have a Gram determinant beyond"):
+        cauchy_check(1, xvar(2), 10**154 * xvar(1), circle_spec(), cfg)
 
 
 def test_cauchy_sides_share_the_phase_tables(monkeypatch):

@@ -62,6 +62,16 @@ _VAR_RE = re.compile(r"^x(\d+)_(\d+)$")
 _VEC_RE = re.compile(r"^x(\d+)$")
 
 
+def _int(digits: str) -> int:
+    """The value of a run of decimal digits from a token.  A run longer than
+    the interpreter's int-string limit (sys.get_int_max_str_digits) is a
+    ParseError like any other malformed text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"numeric literal of {len(digits)} digits is too long") from None
+
+
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
@@ -146,14 +156,14 @@ class _Parser:
             kind, text = self.advance()
             if kind != "rat" or "/" in text:
                 raise ParseError(f"exponent must be an integer literal, found {text!r}")
-            return base ** int(text)
+            return base ** _int(text)
         return base
 
     def atom(self) -> VectorPoly:
         kind, text = self.advance()
         if kind == "rat":
             try:
-                value = Fraction(text)
+                value = Fraction(*map(_int, text.split("/")))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {text!r}") from None
             return VectorPoly.constant(self.m, value, self.nvars)
@@ -176,7 +186,7 @@ class _Parser:
                 return VectorPoly.norm_squared_var(self.m, j, self.nvars)
             var = _VAR_RE.match(text)
             if var:
-                j, i = int(var.group(1)), int(var.group(2))
+                j, i = _int(var.group(1)), _int(var.group(2))
                 if not 1 <= j <= self.nvars:
                     raise ParseError(f"vector index {j} out of range 1..{self.nvars}")
                 if not 1 <= i <= self.m:
@@ -190,7 +200,7 @@ class _Parser:
         match = _VEC_RE.match(text) if kind == "name" else None
         if not match:
             raise ParseError(f"expected a vector name like x1, found {text!r}")
-        j = int(match.group(1))
+        j = _int(match.group(1))
         if not 1 <= j <= self.nvars:
             raise ParseError(f"vector index {j} out of range 1..{self.nvars}")
         return j

@@ -28,16 +28,19 @@ A candidate cell pays m table lookups per value, and the remainder on its
 coordinates only when a phase has one.  A phase in one coordinate (a
 plane) is tested and weighted once per sweep on its axis's n entries, and
 a cell looks the outcome up.  The band cells go out in lazy batches: their
-weights come with them, and boundary flags only in a batch whose leaves
-touch a face of the box (none at all when no kept top block of the culling
-does), but their coordinates, jacobian rows and Gram matrices are built
-only when an integrand reads them.  Where every gradient component is one
+weights come with them, and boundary flags when some kept top block of the
+culling touches a face of the box, but their coordinates, jacobian rows
+and Gram matrices are built only when an integrand reads them.  Where every gradient component is one
 table on its own axis (shifted spheres, planes, axis-aligned quadrics),
 each Gram entry sums lookups in per-axis product tables over the axes
 where neither component vanishes identically, so integrating f = 1 reads
-neither coordinates nor jacobian.  The Gram entries, and at k >= 2 the Gram
-determinant, are bounded by the gradient tables' magnitudes before any
-cell is visited, as the values are.  The culling bounds come
+neither coordinates nor jacobian.  One range check, before any cell is
+visited, bounds from the tables' magnitudes every value, gradient, span
+and Gram entry a cell computes, and at k >= 2 the Gram determinant: a
+bound beyond the float range, or a squared gradient length or determinant
+below the least normal float, refuses the sweep, and the pointwise
+operators take the same check on the one-cell grid of their point.  The
+culling bounds come
 from the same tables; interval arithmetic on monomials remains for the
 remainders and for the cut's value.  The Heaviside cut of the
 Cauchy check keeps a term-by-term value, because its cell fraction
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -92,7 +96,7 @@ class TransversalityError(RuntimeError):
 
 
 class FloatRangeError(ValueError):
-    """A polynomial or an estimate lies beyond the range of floats."""
+    """A polynomial or an estimate lies beyond or below the range of floats."""
 
 
 @dataclass(frozen=True)
@@ -526,7 +530,7 @@ def _sum_of_maxima(tables) -> float:
     total = 0.0
     for _, table in tables:
         total = total + np.abs(table).max()
-    return total
+    return float(total)
 
 
 def _term_bound(p: VectorPoly, axes: list[np.ndarray]) -> float:
@@ -534,17 +538,16 @@ def _term_bound(p: VectorPoly, axes: list[np.ndarray]) -> float:
     |x_i| over the axis midpoints, formed in ``poly_on_points``' order of
     terms and factors: rounding is monotone, so it bounds every term and
     partial sum that function forms on the grid's cells.  inf when one of
-    them may leave the float range."""
+    them may leave the float range; call it with float overflow silenced."""
     reach = [np.abs(ax).max() for ax in axes]
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for key, coeff in p.terms.items():
-            term = abs(float(coeff))
-            for i, e in enumerate(key):
-                if e:
-                    term = term * reach[i] ** e
-            total = total + term
-    return total
+    for key, coeff in p.terms.items():
+        term = abs(float(coeff))
+        for i, e in enumerate(key):
+            if e:
+                term = term * reach[i] ** e
+        total = total + term
+    return float(total)
 
 
 class _AxisTables:
@@ -558,7 +561,11 @@ class _AxisTables:
     array, the value is sum_a T_a[idx[a]], summed in axis order, plus the
     remainder on the cells' coordinates.  A polynomial in at most one
     coordinate has one group in the order of its terms, so its values are
-    the bits ``poly_on_points`` gives on the coordinates.
+    the bits ``poly_on_points`` gives on the coordinates.  ``magnitude``
+    bounds |values| on the grid: the lookup sums, plus the remainder on the
+    coordinates; it is inf when they may leave the float range, or when a
+    coefficient has no float value (its tables are then empty and unused).
+    Build it with float overflow silenced.
     """
 
     def __init__(self, p: VectorPoly, axes: list[np.ndarray], home: int = 0):
@@ -572,14 +579,15 @@ class _AxisTables:
             else:
                 a = used[key][0] if used[key] else home
                 groups.setdefault(a, {})[(key[a],)] = coeff
-        self.tables = [(a, poly_on_points(VectorPoly(1, 1, g), axes[a][:, None]))
-                       for a, g in sorted(groups.items())]
         self.rest = VectorPoly(p.m, 1, rest) if rest else None
-        # a bound of |values| on the grid, inf when they may leave the float
-        # range: the lookup sums, plus the remainder on the coordinates
-        self.magnitude = _sum_of_maxima(self.tables)
-        if self.rest is not None:
-            self.magnitude = self.magnitude + _term_bound(self.rest, axes)
+        try:
+            self.tables = [(a, poly_on_points(VectorPoly(1, 1, g), axes[a][:, None]))
+                           for a, g in sorted(groups.items())]
+            self.magnitude = _sum_of_maxima(self.tables)
+            if self.rest is not None:
+                self.magnitude = self.magnitude + _term_bound(self.rest, axes)
+        except OverflowError:
+            self.tables, self.magnitude = [], math.inf
         self._extremes: dict[int, list] = {}
 
     def values(self, idx: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
@@ -624,12 +632,12 @@ class _PhaseTables:
     remainder) are evaluated per cell.  With every component in its own
     axis's table, the span has the bits of the sum over i in axis order.
 
-    ``finite`` tells whether every value a cell can take, of the phase, a
-    gradient component or the span, is finite: the bounds are the sums of
-    the tables' greatest magnitudes plus ``_term_bound`` of each remainder
-    (``_AxisTables.magnitude``).  The tables and bounds are built with float
+    The tables and the bounds of ``_check_range`` are built with float
     overflow silenced, so that a phase too large for floats on the grid can
-    be refused once, before any cell is visited.  ``axis`` is the one axis
+    be refused once, before any cell is visited: ``value.magnitude`` and
+    each ``grad[i].magnitude`` (``_AxisTables``), ``span_magnitude``, the
+    span's, and ``term_magnitude``, the ``_term_bound`` of the value as a
+    cut's cells evaluate it, term by term.  ``axis`` is the one axis
     of every value and span table of a phase in one coordinate (planes, and
     phi(x_a) in general: no remainder, no span component evaluated per
     cell), whose cells the sweep tests by lookup (``_axis_lookup``); else
@@ -651,11 +659,10 @@ class _PhaseTables:
                     self.span_cells.append((h, g))
             self.span_tables = sorted(span.items())
             # the span's bound adds the other components in ``span``'s order
-            span_bound = _sum_of_maxima(self.span_tables)
+            self.span_magnitude = _sum_of_maxima(self.span_tables)
             for h, g in self.span_cells:
-                span_bound = span_bound + h * g.magnitude
-            self.finite = bool(np.isfinite(
-                [self.value.magnitude, *(g.magnitude for g in self.grad), span_bound]).all())
+                self.span_magnitude = self.span_magnitude + h * g.magnitude
+            self.term_magnitude = _term_bound(phi, axes)
         self._span_maxima: dict[int, list] = {}
         self.needs_cols = self.value.rest is not None or any(
             g.rest is not None for _, g in self.span_cells)
@@ -718,66 +725,67 @@ def _axis_lookup(test: _PhaseTables, eps: float, is_cut: bool) -> tuple[np.ndarr
 def _band_tables(spec: ImplicitSurfaceSpec, axes: list[np.ndarray], spacings: list[float],
                  cut: VectorPoly | None = None) -> list[_PhaseTables]:
     """The ``_PhaseTables`` of the phases of ``spec``, then of ``cut`` when
-    one is given, for a band sweep on the grid of ``axes``.
-
-    Raises FloatRangeError, before any cell is visited, for a phase,
-    gradient or span whose values may leave the float range on the grid (by
-    the bounds of ``_PhaseTables.finite``), for a cut whose term-by-term
-    value may (by ``_term_bound``), for a gradient with a coefficient that
-    has no float value, and for phases whose Gram entries may
-    (``_check_gram_range``).
-    """
+    one is given, for a band sweep on the grid of ``axes``, after the range
+    check of ``_check_range``."""
     k = spec.k
-    tests = []
-    for j, phi in enumerate(spec.phases if cut is None else (*spec.phases, cut)):
-        try:
-            test = _PhaseTables(phi, axes, spacings)
-            # the cells evaluate the cut's value term by term
-            finite = test.finite and (j < k or bool(np.isfinite(_term_bound(cut, axes))))
-        except OverflowError:
-            # a coefficient of the gradient has no float value
-            finite = False
-        if not finite:
-            name = f"phase {j + 1}" if j < k else "the cut phi"
-            raise FloatRangeError(f"{name} takes values beyond the float range on the grid")
-        tests.append(test)
-    _check_gram_range(tests[:k], [f"phase {j + 1}" for j in range(k)])
+    phases = spec.phases if cut is None else (*spec.phases, cut)
+    tests = [_PhaseTables(phi, axes, spacings) for phi in phases]
+    _check_range(tests, [f"phase {j + 1}" for j in range(k)] + ["the cut phi"], k)
     return tests
 
 
-def _check_gram_range(phases: list[_PhaseTables], names: list[str]) -> None:
-    """Refuse phases whose Gram entries <grad phi_a, grad phi_b>, or at
-    k >= 2 whose Gram determinant, may leave the float range on the grid.
+def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> None:
+    """Refuse, before any cell is visited, a sweep whose cells may compute a
+    value beyond the float range, or a Gram matrix below it.
 
-    Each entry is bounded by sum_i mag(d_i phi_a) mag(d_i phi_b), with mag
-    the ``_AxisTables.magnitude`` of a gradient component, summed in axis
-    order as the entries are: rounding is monotone, so the bound holds on
-    every cell.  The determinant that ``_minors`` and ``_gram_det`` form is
-    a sum of k! products of one entry per row, each at most the product of
-    the diagonal entries (Cauchy-Schwarz), so it is bounded by k! times the
-    product of the diagonal bounds, doubled for rounding; that product also
-    bounds the product of the squared lengths in the independence test.
-    Raises FloatRangeError for the first pair whose bound is not finite, or
-    for a determinant bound that is not, with the phases called by
-    ``names``.
+    ``tests`` are the sweep's tables, called by ``names``: k phases, whose
+    gradients form the Gram matrices, then a cut.  The upper bounds are
+    listed, and checked, in this order:
+    - per test, its value, each gradient component and its span, by the
+      magnitudes of ``_PhaseTables``, and for a cut its value term by term,
+      as its cells evaluate it;
+    - per pair b <= a of phases, the Gram entry, by
+      sum_i mag(d_i phi_a) mag(d_i phi_b) summed in axis order as the
+      entries are (rounding is monotone, so it holds on every cell);
+    - at k >= 2, the determinant that ``_minors`` and ``_gram_det`` form, a
+      sum of k! products of one entry per row, each at most the product of
+      the diagonal entries (Cauchy-Schwarz): by k! times the product of the
+      diagonal bounds, doubled for rounding.  That product also bounds the
+      product of the squared lengths in the independence test.
+    A bound that is not finite raises FloatRangeError, "... beyond the float
+    range on the grid".  A diagonal or determinant bound below the least
+    normal float raises "... below the float range on the grid": every
+    cell's value is then subnormal or 0, and the independence test would
+    read the lost digits as dependence.  A gradient whose magnitudes are
+    all 0 is exactly 0 on every cell, in range, and dependent.
     """
-    det_bound = 2.0 * math.factorial(len(phases))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, first in enumerate(phases):
-            for b, second in enumerate(phases[:a + 1]):
-                bound = 0.0
-                for g, h in zip(second.grad, first.grad):
-                    bound = bound + g.magnitude * h.magnitude
-                if not math.isfinite(bound):
-                    what = (f"the gradient of {names[a]} has a squared length" if a == b else
-                            f"the gradients of {names[b]} and {names[a]} have an inner product")
-                    raise FloatRangeError(f"{what} beyond the float range on the grid")
-            # the last pair is the diagonal one, b = a
-            det_bound *= bound
-    if len(phases) >= 2 and not math.isfinite(det_bound):
-        listed = f"{', '.join(names[:-1])} and {names[-1]}"
-        raise FloatRangeError(f"the gradients of {listed} have a Gram determinant "
-                              f"beyond the float range on the grid")
+    checks = []
+    for j, (test, name) in enumerate(zip(tests, names)):
+        for bound in (test.value.magnitude, *(g.magnitude for g in test.grad),
+                      test.span_magnitude, *([test.term_magnitude] if j >= k else [])):
+            checks.append((bound, 0.0, f"{name} takes values"))
+    det, det_floor = 2.0 * math.factorial(k), sys.float_info.min
+    for a, first in enumerate(tests[:k]):
+        for b, second in enumerate(tests[:a + 1]):
+            bound = 0.0
+            for g, h in zip(second.grad, first.grad):
+                bound = bound + g.magnitude * h.magnitude
+            if b < a:
+                checks.append((bound, 0.0, f"the gradients of {names[b]} and {names[a]} "
+                                           f"have an inner product"))
+        # the last pair is the diagonal one, b = a
+        floor = sys.float_info.min if any(g.magnitude for g in first.grad) else 0.0
+        checks.append((bound, floor, f"the gradient of {names[a]} has a squared length"))
+        det *= bound
+        det_floor = min(det_floor, floor)
+    if k >= 2:
+        listed = f"{', '.join(names[:k - 1])} and {names[k - 1]}"
+        checks.append((det, det_floor, f"the gradients of {listed} have a Gram determinant"))
+    for bound, floor, what in checks:
+        if not math.isfinite(bound):
+            raise FloatRangeError(f"{what} beyond the float range on the grid")
+        if bound < floor:
+            raise FloatRangeError(f"{what} below the float range on the grid")
 
 
 def _gram_tables(phases: list[_PhaseTables]) -> list | None:
@@ -821,11 +829,9 @@ class _BandBatch:
 
     ``idx`` holds the cells' grid indices, an (m, N) array with one
     contiguous row per axis, ``weight`` their weights and ``bmask`` their
-    boundary flags, None when the batch's leaves touch no face of the box.
-    ``near_face``, the same on every batch of a sweep, is False when no
-    kept top block of the sweep holds a boundary cell: then no batch of it
-    carries a mask.  The rest is built on first read and then cached, so
-    that an integrand pays only for what it reads:
+    boundary flags, None on every batch of a sweep whose kept top blocks
+    hold no boundary cell.  The rest is built on first read and then
+    cached, so that an integrand pays only for what it reads:
     - ``points``, the (N, m) coordinates, the axis midpoints themselves;
     - ``jac``, the (N, k, m) phase jacobian, from the gradient tables;
     - ``gram``, the Gram matrices (k, k, N) of the gradients and their
@@ -837,9 +843,9 @@ class _BandBatch:
     """
 
     def __init__(self, idx: np.ndarray, weight: np.ndarray, bmask: np.ndarray | None,
-                 near_face: bool, cols: np.ndarray | None, axes: list[np.ndarray],
+                 cols: np.ndarray | None, axes: list[np.ndarray],
                  phases: list[_PhaseTables], products: list | None):
-        self.idx, self.weight, self.bmask, self.near_face = idx, weight, bmask, near_face
+        self.idx, self.weight, self.bmask = idx, weight, bmask
         # the coordinates, when the sweep gathered them for a test
         self._cols = cols
         self._axes = axes
@@ -902,10 +908,11 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
 
     ``tests`` are the tables of ``_band_tables`` for ``spec`` and ``cut``,
     built here when not given; that is where a polynomial whose values or
-    Gram entries may leave the float range is refused, before any cell is
-    visited.  Every phase and gradient component is split once per sweep
-    into per-axis tables and a remainder of mixed terms (``_AxisTables``),
-    so a candidate cell is carried as its (m,) grid indices only: its phase
+    Gram matrices may leave the float range is refused (``_check_range``),
+    before any cell is visited.  Every phase and gradient component is
+    split once per sweep into per-axis tables and a remainder of mixed
+    terms (``_AxisTables``), so a candidate cell is carried as its (m,)
+    grid indices only: its phase
     value and span are sums of m table lookups, plus the remainder on its
     coordinates when a phase has one.  A phase in one coordinate x_a
     (planes, and phi(x_a) in general: one table on axis a for its value
@@ -928,9 +935,8 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
     and the cut's value.  Whether the band may touch a face of the box is
     decided once, on the kept blocks of the top grid: every leaf lies in
     one, so when none holds a cell within one cell of a face, no batch
-    gathers flags and every batch says so (``near_face`` False).  Otherwise
-    the flags are gathered only for a batch with a leaf that holds a
-    flagged cell; the other batches carry None for the mask.
+    gathers flags, and every batch carries None for the mask; otherwise
+    every batch carries its flags.
 
     ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
     A cell's weight then also carries the linearized fraction of the cell
@@ -968,15 +974,10 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
     cut_tables = tests[k] if cut is not None else None
     top = _top_blocks(phases, eps, axes, leaf, cut_tables)
     groups = _band_leaves(phases, eps, axes, leaf, cut_tables, top)
-
-    def block_edges(size: int) -> list[np.ndarray]:
-        # per axis, which blocks of ``size`` cells hold a boundary cell
-        return [np.logical_or.reduceat(e, np.arange(0, len(e), size)) for e in edges]
-
     # every leaf lies in a kept top block, so when none of those holds a
     # boundary cell, no batch of the sweep does
-    near_face = bool(_gather(enumerate(block_edges(top[1])), top[0].T).any())
-    leaf_edges = block_edges(leaf) if near_face else None
+    top_edges = [np.logical_or.reduceat(e, np.arange(0, len(e), top[1])) for e in edges]
+    near_face = bool(_gather(enumerate(top_edges), top[0].T).any())
     sizes = np.array([len(ax) for ax in axes])[:, None]
     ragged = bool(np.any(sizes % leaf))
     # the cell offsets within a leaf, repeated for the most leaves in a batch
@@ -1024,10 +1025,8 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
         else:
             if weight is None:
                 weight = np.ones(idx.shape[1])
-            bmask = None
-            if near_face and _gather(enumerate(leaf_edges), subs.T).any():
-                bmask = _gather(enumerate(edges), idx)
-            yield _BandBatch(idx, weight, bmask, near_face, cols, axes, phases, products)
+            bmask = _gather(enumerate(edges), idx) if near_face else None
+            yield _BandBatch(idx, weight, bmask, cols, axes, phases, products)
 
 
 def _minors(rows: np.ndarray, cols) -> np.ndarray:
@@ -1148,12 +1147,10 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
     place by the cell volume, with one dot product per column.  ``tests``
     are the sweep's tables from ``_band_tables``, built by the sweep when
     not given.  The result maps each blade to its sum (empty when no cell
-    is in the band).  A batch with no boundary mask, whose cells are all
-    interior, skips the boundary sums.  Raises BoundaryContactError when the
-    boundary cells carry more than _BOUNDARY_TOL of the total magnitude.
-    A sweep whose batches say, from the first on, that it holds no boundary
-    cell (``_BandBatch.near_face``) can raise none, so it sums no
-    magnitudes at all.
+    is in the band).  Raises BoundaryContactError when the boundary cells
+    carry more than _BOUNDARY_TOL of the total magnitude.  A sweep whose
+    batches carry no boundary mask holds no boundary cell and can raise
+    none, so it sums no magnitudes at all.
     """
     cfg = cfg or QuadratureConfig()
     eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
@@ -1168,11 +1165,10 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
             edge_weight = weight.take(edge)
         for blade, col in integrand(cells).items():
             totals[blade] = totals.get(blade, 0.0) + float(col @ weight)
-            if cells.near_face:
+            if bmask is not None:
                 mags = np.abs(col)
                 total_abs += float(mags @ weight)
-                if bmask is not None:
-                    boundary_abs += float(mags.take(edge) @ edge_weight)
+                boundary_abs += float(mags.take(edge) @ edge_weight)
     if boundary_abs > _BOUNDARY_TOL * total_abs:
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "
@@ -1264,6 +1260,8 @@ def _surface_jacobian(spec: ImplicitSurfaceSpec, point: Sequence[float]
     """The point as a (1, m) batch and the (1, k, m) phase jacobian there.
 
     Needs k >= 1 and |phi| <= _ON_SURFACE_TOL at the point for every phase.
+    The jacobian comes from the phases' tables on the one-cell grid of the
+    point, so the band's range check (``_check_range``) covers it.
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
@@ -1276,8 +1274,9 @@ def _surface_jacobian(spec: ImplicitSurfaceSpec, point: Sequence[float]
         # not <=, so that a NaN value fails too
         if not abs(val) <= _ON_SURFACE_TOL:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
-    jac = [[poly_on_points(phi.diff(1, i), pt) for i in range(1, spec.m + 1)]
-           for phi in spec.phases]
+    tests = _band_tables(spec, list(pt.T), [0.0] * spec.m)
+    idx = np.zeros((spec.m, 1), dtype=np.intp)
+    jac = [[g.values(idx, pt.T) for g in test.grad] for test in tests]
     return pt, np.array(jac).transpose(2, 0, 1)
 
 
@@ -1285,7 +1284,7 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal normal and tangent bases at a point of the surface.
 
-    The gradients pass the band's independence test (``_checked_gram``);
+    The gradients pass the band's range check and independence test;
     the complete QR factorization of the transposed phase jacobian then
     gives the bases: the normals span the phase gradients, the tangents
     their orthogonal complement.  Returns (normals, tangents) as row-vector
@@ -1499,7 +1498,7 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     _, axes, spacings, _ = _grid_geometry(spec, cfg or QuadratureConfig())
     left = _band_tables(spec, axes, spacings, phi)
     right = [left[k], *left[:k]]
-    _check_gram_range(right, ["the cut phi", *(f"phase {j + 1}" for j in range(k))])
+    _check_range(right, ["the cut phi", *(f"phase {j + 1}" for j in range(k))], k + 1)
     lhs = _band_sum(spec, cfg, left_density, phi, left)
     rhs = _band_sum(cut, cfg, right_density, tests=right)
     lhs_norm = math.hypot(*lhs.values())

@@ -337,3 +337,12 @@ def test_quiet_suppresses_logging():
     assert loud.returncode == 0 and "INFO" in loud.stderr
     quiet = subprocess.run(base + ["-q"], capture_output=True, text=True)
     assert quiet.returncode == 0 and quiet.stderr == ""
+
+
+@pytest.mark.parametrize("template", ["{}", "1/{}", "x1_{}", "x1_1^{}", "normsq(x{})"])
+def test_literals_past_the_int_string_limit_are_parse_errors(template, capsys):
+    # a rational, an index or an exponent longer than Python's 4300-digit
+    # int-string limit is malformed input: exit 2 with one error line
+    poly = template.format("9" * 5000)
+    assert run(["pizzetti", "sphere", "--m", "3", "--poly", poly, "-q"]) == 2
+    assert capsys.readouterr().err == "error: numeric literal of 5000 digits is too long\n"

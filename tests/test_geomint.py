@@ -683,15 +683,14 @@ def test_band_does_not_depend_on_batch_or_block_size(shape, n, monkeypatch):
 def test_boundary_contact_in_a_ragged_edge_leaf(batch, n, monkeypatch):
     # at n = 101 the last leaf along each axis holds one cell, the boundary
     # cell 100 (at n = 100, a whole leaf of four); the band of the face
-    # circle reaches it on axis 0 only, so only the batches holding such a
-    # leaf carry boundary flags, and with 64-cell batches the others skip them
+    # circle reaches it on axis 0 only, and its flags must still be exact
     monkeypatch.setattr(geomint, "_BATCH_CELLS", batch)
     spec = _face_spec()
     cfg = QuadratureConfig(n=n)
     eps, axes, spacings, _ = _grid_geometry(spec, cfg)
     got = list(_band_stream(spec, eps, spacings, axes))
     flagged = [item for item in got if item.bmask is not None]
-    assert flagged and (batch == 8192 or len(flagged) < len(got))
+    assert flagged
     pts, _, _, bmask = _stream_columns(got)
     assert np.array_equal(bmask, pts[:, 0] > 1.6 - spacings[0])
     assert bmask.any()
@@ -903,7 +902,7 @@ def test_boundary_contact_in_one_top_block(monkeypatch):
             for e in geomint._edge_flags(spec, spacings, axes)]
     assert size == 16 and (face[0][top[:, 0]] | face[1][top[:, 1]]).sum() == 1
     batches = list(_band_stream(spec, eps, spacings, axes))
-    assert all(item.near_face for item in batches)
+    assert all(item.bmask is not None for item in batches)
     # the message carries the boundary and total magnitudes of the dense sweep
     pts, weight, jac = dense_band([dict(p.terms) for p in spec.phases], spec.box, n, eps)
     mags = cellvol * weight * blade_norms(jac)
@@ -949,12 +948,12 @@ def test_interior_sweep_sums_no_magnitudes(shape, monkeypatch):
         want += float(geomint._field_values(f, cells) * geomint._wedge_norms(cells)
                       @ (cells.weight * cellvol))
     if shape == "face":
-        assert all(item.near_face for item in batches)
+        assert all(item.bmask is not None for item in batches)
         with pytest.raises(BoundaryContactError):
             geomint._band_sum(spec, cfg, density)
         assert "absolute" in _UfuncSpy.calls
         return
-    assert not any(item.near_face or item.bmask is not None for item in batches)
+    assert not any(item.bmask is not None for item in batches)
     assert geomint._band_sum(spec, cfg, density)[()] == want
     assert "matmul" in _UfuncSpy.calls and "absolute" not in _UfuncSpy.calls
 
@@ -1681,6 +1680,36 @@ def test_cut_values_beyond_float_range_term_by_term_are_refused():
     box = ((0.0, 4.0),) * 2
     with pytest.raises(FloatRangeError, match="the cut phi takes values beyond the float range"):
         cauchy_check(1, xvar(1, 2), cut, ImplicitSurfaceSpec(2, [], box), QuadratureConfig(n=64))
+
+
+@pytest.mark.parametrize("phase,refusal", [
+    # a coefficient of the gradient, 4 10^308, has no float value
+    (10**308 * xvar(1, 2) ** 4 + xvar(2, 2) ** 2 - 1, "phase 1 takes values beyond"),
+    # the squared gradient length at (0, 1), 4 10^400, overflows
+    (_scaled_circle(10**200), "the gradient of phase 1 has a squared length beyond"),
+    # and at 10^-170, 4 10^-340, underflows
+    (_scaled_circle(Fraction(1, 10**170)), "the gradient of phase 1 has a squared length below"),
+])
+def test_point_operators_refuse_gradients_out_of_float_range(phase, refusal):
+    # the point operators check the phases' tables on the one-cell grid of
+    # the point with the band's bounds, before any Gram matrix is formed
+    spec = ImplicitSurfaceSpec(2, [phase], BOX2)
+    with pytest.raises(FloatRangeError, match=refusal):
+        tangent_normal_frames(spec, [0.0, 1.0])
+    with pytest.raises(FloatRangeError, match=refusal):
+        tangential_dirac(xvar(1, 2), spec, [0.0, 1.0])
+
+
+def test_a_vanishing_gradient_is_dependent_not_out_of_float_range():
+    # a gradient that is exactly 0 (a constant phase on the grid, the tip of
+    # a cone at a point) has Gram entries that are exact zeros, in range:
+    # the verdict stays the independence test's
+    with pytest.raises(IndependenceError):
+        integrate_implicit(1, ImplicitSurfaceSpec(2, [VectorPoly.zero(2, 1)], BOX2),
+                           QuadratureConfig(n=64))
+    cone = ImplicitSurfaceSpec(2, [xvar(1, 2) ** 2 - xvar(2, 2) ** 2], BOX2)
+    with pytest.raises(IndependenceError):
+        tangent_normal_frames(cone, [0.0, 0.0])
 
 
 def test_coefficients_below_float_range_are_refused_on_entry():

@@ -12,41 +12,57 @@ delta_eps(phi_1) ... delta_eps(phi_k) * |grad phi_1 ^ ... ^ grad phi_k| * f,
 and the oriented variant keeps the blade of gradients unnormalized.
 Heaviside factors stay sharp.
 
-Only a thin band of cells, |phi| < eps + span/2, carries weight.  The band
-sweep finds it by block culling (Snyder, SIGGRAPH 1992) with one rule: a
+Only a thin band of cells carries weight.  One cell rule (``_band_rule``)
+decides it: a cell is in the band where |phi| < eps + span/2, with span
+its linearized variation of phi, sum_i h_i |d_i phi|, and its factor is
+the delta value.  A Heaviside cut H(-phi) multiplies in the linearized
+fraction of the cell with phi < 0, clip(1/2 - phi/span, 0, 1)
+(midpoint-sampling the jump leaves an O(h) alignment error), and drops
+the cells where it is 0.  A cell's weight is the product of its factors,
+and with no phases (k = 0) every cell is in the band.  The band sweep
+finds the band by block culling (Snyder, SIGGRAPH 1992) with one rule: a
 block of cells is dropped when a bound of some phase over the block (the
-block extremes of its per-axis tables, below) shows |phi| stays at or
-above that threshold.
-The rule runs top down: a flat top grid of at most _BATCH_CELLS blocks,
-then the 2^m halves of each kept block, a bounded group of blocks at a
-time, down to small leaf blocks.  The cells of the kept leaves are
-evaluated in batches of at most _BATCH_CELLS cells, so no array of the
-sweep grows with the grid.  The evaluation is separable: each phase,
-each gradient component and each span is split once per sweep into
-per-axis tables over the n cell midpoints and a remainder of mixed terms.
-A candidate cell pays m table lookups per value, and the remainder on its
-coordinates only when a phase has one.  A phase in one coordinate (a
-plane) is tested and weighted once per sweep on its axis's n entries, and
-a cell looks the outcome up.  The band cells go out in lazy batches: their
-weights come with them, and boundary flags when some kept top block of the
-culling touches a face of the box, but their coordinates, jacobian rows
-and Gram matrices are built only when an integrand reads them.  Where every gradient component is one
-table on its own axis (shifted spheres, planes, axis-aligned quadrics),
-each Gram entry sums lookups in per-axis product tables over the axes
-where neither component vanishes identically, so integrating f = 1 reads
-neither coordinates nor jacobian.  One range check, before any cell is
-visited, bounds from the tables' magnitudes every value, gradient, span
-and Gram entry a cell computes, and at k >= 2 the Gram determinant: a
-bound beyond the float range, or a squared gradient length or determinant
-below the least normal float, refuses the sweep, and the pointwise
-operators take the same check on the one-cell grid of their point.  The
-culling bounds come
-from the same tables; interval arithmetic on monomials remains for the
-remainders and for the cut's value.  The Heaviside cut of the
-Cauchy check keeps a term-by-term value, because its cell fraction
+block extremes of its per-axis tables, below) shows that the cell rule
+drops every cell of it.  The rule runs top down: a flat top grid of at
+most _BATCH_CELLS blocks, then the 2^m halves of each kept block, a
+bounded group of blocks at a time, down to leaf blocks of _BLOCK cells
+per axis, halved while a leaf's cells times 2^m exceed _BATCH_CELLS.  The
+cells of the kept leaves are evaluated in batches of at most _BATCH_CELLS
+cells, each phase on the cells the earlier ones kept, so the culling
+changes only the order of the cells, and no array of the sweep grows
+with the grid.  The sweep is column-major: it holds cell indices and
+coordinates as (m, N) arrays, one contiguous row per axis, and drops
+cells by index with ``take`` along the cell axis.
+
+The evaluation is separable: each phase, each gradient component and
+each span is split once per sweep into per-axis tables over the n cell
+midpoints and a remainder of mixed terms.  A candidate cell is carried as
+its grid indices only, and pays m table lookups per value, plus the
+remainder on its coordinates only when a phase has one.  A phase in one
+coordinate (a plane) takes the cell rule once per sweep on its axis's n
+entries, and a cell looks the outcome up.  The band cells go out in lazy
+batches: their weights come with them, and boundary flags when some kept
+top block of the culling touches a face of the box (every leaf lies in a
+kept top block), but their coordinates, jacobian rows and Gram matrices
+are built only when an integrand reads them.  The coordinates are the
+axis midpoints themselves, so they do not depend on the tables.  Where
+every gradient component is one table on its own axis (shifted spheres,
+planes, axis-aligned quadrics), each Gram entry sums lookups in per-axis
+product tables over the axes where neither component vanishes
+identically, so integrating f = 1 reads neither coordinates nor jacobian.
+One range check, before any cell is visited, bounds from the tables'
+magnitudes every value, gradient, span and Gram entry a cell computes,
+and at k >= 2 the Gram determinant: a bound beyond the float range, or a
+squared gradient length or determinant below the least normal float,
+refuses the sweep.  The culling bounds come from the same tables;
+interval arithmetic on monomials remains for the remainders and for the
+cut's value.  The cut keeps a term-by-term value, because its fraction
 divides the value by the span, which would magnify the rounding of a
 table sum, unless the cut is in one coordinate, whose table has the bits
-of the term-by-term value.
+of the term-by-term value.  The cut's gradient stays out of the jacobian.
+The pointwise operators run on a one-cell band batch at their point, so
+they take the sweep's range check, jacobian, Gram matrices and
+independence test.
 
 Every grid sum runs through one band-sum driver, which sums each column of
 values against the cell weights with one dot product.  The Cauchy-type
@@ -62,7 +78,7 @@ tangential Dirac operator needs no tangent frame: it is
 sum_i e_i (P_T d F)_i with the projector P_T = I - J^T (J J^T)^-1 J of the
 phase jacobian J, and the product with each e_i relabels the columns
 through the memoized blade product ``clifford._mul_blades``.  The
-pointwise ``tangential_dirac`` is the same operator on one point.
+pointwise ``tangential_dirac`` is the same operator on one cell.
 """
 
 from __future__ import annotations
@@ -462,19 +478,19 @@ def _top_blocks(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], l
 
 
 def _band_leaves(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], leaf: int,
-                 cut: _PhaseTables | None, top: tuple[np.ndarray, int] | None = None):
+                 cut: _PhaseTables | None, top: tuple[np.ndarray, int]):
     """Yield (B, m) multi-indices of the blocks of ``leaf`` cells per axis
     that may hold band cells, by ``_may_reach_band`` on the phases' tables
     ``tests`` and the cut's tables ``cut`` (or None).
 
     The culling runs top down, from the kept blocks of the top grid and
-    their size, ``top`` (``_top_blocks``, taken here when not given).  Each
-    kept block splits into its 2^m half-size children, and the children of
-    _BATCH_CELLS >> m parents at a time take the same test, depth first,
-    down to ``leaf``.  The extremes of a table over a block bound those over
-    its sub-blocks, so this keeps the leaves that pass the test on their
-    own, and no array of the test holds more than max(_BATCH_CELLS, 2^m)
-    blocks; every leaf lies in a kept top block.
+    their size, ``top`` (``_top_blocks``).  Each kept block splits into its
+    2^m half-size children, and the children of _BATCH_CELLS >> m parents
+    at a time take the same test, depth first, down to ``leaf``.  The
+    extremes of a table over a block bound those over its sub-blocks, so
+    this keeps the leaves that pass the test on their own, and no array of
+    the test holds more than max(_BATCH_CELLS, 2^m) blocks; every leaf lies
+    in a kept top block.
     """
     m = len(axes)
     sizes = np.array([len(ax) for ax in axes])
@@ -493,7 +509,7 @@ def _band_leaves(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], 
             alive = _may_reach_band(tests, eps, axes, children.T, half, cut)
             yield from descend(children.take(np.flatnonzero(alive), axis=0), half)
 
-    yield from descend(*(top or _top_blocks(tests, eps, axes, leaf, cut)))
+    yield from descend(*top)
 
 
 def _edge_flags(spec: ImplicitSurfaceSpec, spacings: list[float],
@@ -695,30 +711,43 @@ class _PhaseTables:
         return hi
 
 
+def _band_rule(vals: np.ndarray, span: np.ndarray, eps: float,
+               is_cut: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The band's cell rule on cells of phase values ``vals`` and spans
+    ``span``: the indices of the cells it keeps and their weight factors.
+
+    For a phase, a cell is kept where |phi| < eps + span/2, with its delta
+    value (``_delta_values``) as the factor.  For the cut, the factor is the
+    Heaviside fraction clip(1/2 - phi / max(span, 1e-300), 0, 1), and a cell
+    is kept where it is nonzero.  A quotient that overflows (a large phi on
+    a cell of span 0) is an infinity, which clips to the same 0 or 1 as a
+    finite one, so the division runs with overflow silenced.
+    """
+    if is_cut:
+        with np.errstate(over="ignore"):
+            frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
+        keep = np.flatnonzero(frac)
+        return keep, frac.take(keep)
+    keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
+    return keep, _delta_values(vals.take(keep), eps, span.take(keep))
+
+
 def _axis_lookup(test: _PhaseTables, eps: float, is_cut: bool) -> tuple[np.ndarray, np.ndarray]:
     """The per-cell test and weight factor of a phase in one coordinate, as
     tables over the n entries of its ``axis``: a cell takes the entries at
     its index on that axis.
 
-    The cells' value and span are those entries themselves, so the tables
-    hold the very bits the cells would compute.  For a phase, the test is
-    |phi| < eps + span/2 and the factor the delta values, computed on the
-    entries that pass it (0 elsewhere); for the cut, the factor is the
-    Heaviside fraction clip(1/2 - phi / max(span, 1e-300), 0, 1) and the
-    test that it is nonzero.  A quotient that overflows is an infinity,
-    which clips to the same 0 or 1 as a finite one; an entry no cell reads
-    may overflow, so the division runs with overflow silenced.
+    The cells' value and span are those entries themselves, so ``_band_rule``
+    on the entries gives the very bits the cells would: the test is True and
+    the factor set on the entries it keeps, False and 0 elsewhere.
     """
     vals = test.value.tables[0][1]
     span = test.span_tables[0][1] if test.span_tables else np.zeros(len(vals))
-    if is_cut:
-        with np.errstate(over="ignore"):
-            frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
-        return frac != 0.0, frac
-    inside = np.abs(vals) < eps + 0.5 * span
+    keep, factor = _band_rule(vals, span, eps, is_cut)
+    inside = np.zeros(len(vals), dtype=bool)
+    inside[keep] = True
     weight = np.zeros(len(vals))
-    sel = np.flatnonzero(inside)
-    weight[sel] = _delta_values(vals.take(sel), eps, span.take(sel))
+    weight[keep] = factor
     return inside, weight
 
 
@@ -892,71 +921,19 @@ class _BandBatch:
 def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
                  axes: list[np.ndarray], cut: VectorPoly | None = None,
                  tests: list[_PhaseTables] | None = None):
-    """Yield the cells inside the band as ``_BandBatch`` batches.
+    """Yield the band cells of ``spec``'s phases on the grid of ``axes``
+    (cell spacings ``spacings``, mollifier half-width ``eps``) as
+    ``_BandBatch`` batches of at most _BATCH_CELLS cells, each weighted by
+    the product of its ``_band_rule`` factors.
 
-    The culling has one rule: a block of cells is kept only if a bound of
-    every phase over it can reach the band.  ``_band_leaves``
-    applies it top down, from a bounded top grid through the halvings of
-    each kept block to leaves of _BLOCK cells per axis, halved while a
-    leaf's cells times 2^m exceed _BATCH_CELLS.  The cells of the kept
-    leaves go out in batches of at most _BATCH_CELLS candidates, built from
-    leaf indices, so no array of the sweep grows with the grid.  Per batch,
-    each phase is tested on the cells the earlier phases kept, and the
-    dense test |phi| < eps + span/2 decides, so the culling changes only
-    the order of the cells.  The weight is the product of the phases'
-    delta values.
-
-    ``tests`` are the tables of ``_band_tables`` for ``spec`` and ``cut``,
-    built here when not given; that is where a polynomial whose values or
-    Gram matrices may leave the float range is refused (``_check_range``),
-    before any cell is visited.  Every phase and gradient component is
-    split once per sweep into per-axis tables and a remainder of mixed
-    terms (``_AxisTables``), so a candidate cell is carried as its (m,)
-    grid indices only: its phase
-    value and span are sums of m table lookups, plus the remainder on its
-    coordinates when a phase has one.  A phase in one coordinate x_a
-    (planes, and phi(x_a) in general: one table on axis a for its value
-    and one for its span) is decided once per sweep instead: its band test
-    and delta values run on axis a's n entries (``_axis_lookup``), and a
-    cell takes one bool and one weight lookup, in the same order of tests
-    and weight products as the other phases.  The cells that pass every
-    test go out with their indices, weights and boundary flags (from
-    per-axis flag tables); their coordinates, jacobian rows (from the
-    gradient tables) and checked Gram matrices are built when an integrand
-    first reads them.  When every gradient component is one table on its
-    own axis, or zero, each Gram entry sums lookups in per-axis product
-    tables built once per sweep (``_gram_tables``), one per axis where both
-    components have a table, so a scalar integrand of a number reads
-    neither coordinates nor jacobian.  The coordinates are the axis
-    midpoints themselves, so the points of a band cell do not depend on the
-    tables.  The culling bounds come from the same tables: per block, the
-    sums of their least and greatest entries over the block bound the value
-    and the span, and ``_interval_bounds`` remains only for the remainders
-    and the cut's value.  Whether the band may touch a face of the box is
-    decided once, on the kept blocks of the top grid: every leaf lies in
-    one, so when none holds a cell within one cell of a face, no batch
-    gathers flags, and every batch carries None for the mask; otherwise
-    every batch carries its flags.
-
-    ``cut``, a polynomial phi, cuts the band by the sharp Heaviside H(-phi).
-    A cell's weight then also carries the linearized fraction of the cell
-    with phi < 0, clip(1/2 - phi / span, 0, 1) with span the cell's
-    variation of phi (midpoint-sampling the jump itself leaves an O(h)
-    alignment error), and the cells where it is 0 are dropped, as are the
-    blocks where its bound shows it is 0 on every cell.  The cut's
-    value is evaluated term by term on the coordinates: the fraction
-    divides it by the span, which turns the table sum's rounding into an
-    error of the weight far above the rounding of the weight itself.  A
-    cut in one coordinate is the exception: its one table has those very
-    bits, so its fraction is a per-axis table too.  Its span comes from
-    the tables.  The cut's gradient stays out of the
-    jacobian.  With no phases (k = 0) every cell is in the band with weight
-    1, or its Heaviside fraction under a cut, and only a cut rules out
-    blocks.
-
-    The sweep is column-major: it holds cell indices and coordinates as
-    (m, N) arrays, one contiguous row per axis, and drops cells by index
-    with ``take`` along the cell axis.
+    ``cut``, a polynomial phi, cuts the band by the sharp Heaviside
+    H(-phi): its fraction joins the weight, and the cells where it is 0 are
+    dropped.  With no phases (k = 0) every cell is in the band, with weight
+    1 or its fraction.  ``tests`` are the tables of ``_band_tables`` for
+    ``spec`` and ``cut``, built here when not given, and then refused there,
+    before any cell is visited, when they may leave the float range
+    (FloatRangeError).  A batch's Gram matrices raise IndependenceError
+    when first read on dependent gradients.
     """
     m, k = spec.m, spec.k
     if tests is None:
@@ -1003,13 +980,8 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
                 if cols is None and (test.needs_cols or j == k):
                     cols = _coordinates(axes, idx)
                 span = test.span(idx, cols)
-                if j < k:
-                    vals = test.value.values(idx, cols)
-                    keep = np.flatnonzero(np.abs(vals) < eps + 0.5 * span)
-                else:
-                    vals = poly_on_points(cut, cols.T)
-                    frac = np.clip(0.5 - vals / np.maximum(span, 1e-300), 0.0, 1.0)
-                    keep = np.flatnonzero(frac)
+                vals = test.value.values(idx, cols) if j < k else poly_on_points(cut, cols.T)
+                keep, factor = _band_rule(vals, span, eps, j == k)
             if not len(keep):
                 break
             idx = idx.take(keep, axis=1)
@@ -1017,10 +989,6 @@ def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
                 cols = cols.take(keep, axis=1)
             if lookup is not None:
                 factor = lookup[1].take(idx[test.axis])
-            elif j < k:
-                factor = _delta_values(vals.take(keep), eps, span.take(keep))
-            else:
-                factor = frac.take(keep)
             weight = factor if weight is None else weight.take(keep) * factor
         else:
             if weight is None:
@@ -1092,36 +1060,13 @@ def _gram_det(gram: np.ndarray) -> np.ndarray:
     return det
 
 
-def _checked_gram(source) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices (k, k, N) of the phase gradients and their
-    determinants, after the independence test of ``_gram_det``.
-
-    ``source`` is an (N, k, m) jacobian (``_jacobian_gram``), or a
-    ``_BandBatch``, whose checked matrices are built once and cached.
-    """
-    if isinstance(source, _BandBatch):
-        return source.gram
-    gram = _jacobian_gram(source)
-    return gram, _gram_det(gram)
-
-
-def _wedge_norms(source) -> np.ndarray:
-    """Blade norms |grad phi_1 ^ .. ^ grad phi_k| per point of a jacobian
-    or a band batch.
-
-    The square roots of the Gram determinants, positive once the
-    independence test of ``_checked_gram`` passes.
-    """
-    return np.sqrt(_checked_gram(source)[1])
-
-
-def _inverse_gram(source) -> np.ndarray:
-    """Inverses (k, k, N) of the Gram matrices of ``_checked_gram``.
+def _inverse_gram(cells: _BandBatch) -> np.ndarray:
+    """Inverses (k, k, N) of the Gram matrices of a band batch.
 
     Closed forms for k <= 2, LAPACK above; the independence test keeps
     every determinant positive.
     """
-    gram, det = _checked_gram(source)
+    gram, det = cells.gram
     k = len(gram)
     if k <= 1:
         return 1.0 / gram
@@ -1190,7 +1135,8 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
         _check_float_range(f)
 
     def density(cells):
-        return {(): _field_values(f, cells) * _wedge_norms(cells)}
+        # the blade norm, the root of the Gram determinant
+        return {(): _field_values(f, cells) * np.sqrt(cells.gram[1])}
 
     return _band_sum(spec, cfg, density).get((), 0.0)
 
@@ -1209,7 +1155,7 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
 
     def density(cells):
         values = _field_values(f, cells)
-        _checked_gram(cells)
+        cells.gram  # the independence test
         return {blade: values * minor for blade, minor in _wedge_columns(cells.jac).items()}
 
     return Multivector(spec.m, _band_sum(spec, cfg, density))
@@ -1255,29 +1201,31 @@ def _as_poly(value, m: int) -> VectorPoly:
 # -- frames and tangential operators -----------------------------------------
 
 
-def _surface_jacobian(spec: ImplicitSurfaceSpec, point: Sequence[float]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The point as a (1, m) batch and the (1, k, m) phase jacobian there.
+def _point_batch(spec: ImplicitSurfaceSpec, point: Sequence[float]) -> _BandBatch:
+    """A one-cell ``_BandBatch`` at the point, from the phases' tables on
+    the one-cell grid of the point, so the band's range check
+    (``_check_range``) covers its jacobian and Gram matrices.
 
-    Needs k >= 1 and |phi| <= _ON_SURFACE_TOL at the point for every phase.
-    The jacobian comes from the phases' tables on the one-cell grid of the
-    point, so the band's range check (``_check_range``) covers it.
+    Needs k >= 1 and |phi| <= _ON_SURFACE_TOL at the point for every phase,
+    tested first, so that a NaN point, or one where phi overflows, is not
+    on the surface.
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
     x = np.asarray(point, dtype=float)
     if x.shape != (spec.m,):
         raise ValueError(f"point must have {spec.m} coordinates")
-    pt = x[None, :]
     for phi in spec.phases:
-        val = float(poly_on_points(phi, pt)[0])
+        # an overflow is an infinity, and inf - inf a NaN: both fail
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = float(poly_on_points(phi, x[None, :])[0])
         # not <=, so that a NaN value fails too
         if not abs(val) <= _ON_SURFACE_TOL:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
-    tests = _band_tables(spec, list(pt.T), [0.0] * spec.m)
-    idx = np.zeros((spec.m, 1), dtype=np.intp)
-    jac = [[g.values(idx, pt.T) for g in test.grad] for test in tests]
-    return pt, np.array(jac).transpose(2, 0, 1)
+    axes = list(x[:, None])
+    tests = _band_tables(spec, axes, [0.0] * spec.m)
+    return _BandBatch(np.zeros((spec.m, 1), dtype=np.intp), np.ones(1), None, None, axes,
+                      tests, _gram_tables(tests))
 
 
 def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
@@ -1291,9 +1239,9 @@ def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
     arrays of shapes (k, m) and (m - k, m), orthonormal to 1e-10.  |phi| at
     the point must not exceed _ON_SURFACE_TOL.
     """
-    jac = _surface_jacobian(spec, point)[1]
-    _checked_gram(jac)
-    q = np.linalg.qr(jac[0].T, mode="complete")[0]
+    cells = _point_batch(spec, point)
+    cells.gram  # the independence test
+    q = np.linalg.qr(cells.jac[0].T, mode="complete")[0]
     return q[:, :spec.k].T, q[:, spec.k:].T
 
 
@@ -1319,9 +1267,9 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
     a batch of one point, with the same independence test.
     """
     f = _as_cliffpoly(field, spec.m)
-    pt, jac = _surface_jacobian(spec, point)
-    partials = [_field_columns(f.diff(i), pt) for i in range(1, spec.m + 1)]
-    out = _projected_dirac(jac, _inverse_gram(jac), partials, left=True)
+    cells = _point_batch(spec, point)
+    partials = [_field_columns(f.diff(i), cells.points) for i in range(1, spec.m + 1)]
+    out = _projected_dirac(cells.jac, _inverse_gram(cells), partials, left=True)
     return Multivector(spec.m, {blade: float(col[0]) for blade, col in out.items()})
 
 
@@ -1482,7 +1430,7 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     def right_density(cells):
         # the jacobian rows are grad phi, grad phi_1, ..., grad phi_k
         try:
-            _checked_gram(cells)
+            cells.gram
         except IndependenceError as exc:
             raise TransversalityError(
                 "grad phi is not transversal to the surface on its band") from exc

@@ -21,8 +21,7 @@ from cliffint import (BoundaryContactError, CliffordPoly, FloatRangeError, Frame
 from cliffint import geomint
 from cliffint.clifford import _mul_blades, blades_of_grade
 from cliffint.geomint import (_band_stream, _columns_mul, _delta_values, _grid_geometry,
-                              _haar_frames, _interval_bounds, _minors, _wedge_columns,
-                              _wedge_norms)
+                              _haar_frames, _interval_bounds, _minors, _wedge_columns)
 from cliffint.pizzetti import sphere_pizzetti
 
 from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bump_average_cos_sin,
@@ -31,6 +30,17 @@ from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bum
 
 BOX3 = ((-1.6, 1.6),) * 3
 BOX2 = ((-1.6, 1.6),) * 2
+
+
+def _checked_gram(jac):
+    # the reference for the band batches' checked Gram matrices: the
+    # jacobian's column products, then the independence test
+    gram = geomint._jacobian_gram(jac)
+    return gram, geomint._gram_det(gram)
+
+
+def _wedge_norms(jac):
+    return np.sqrt(_checked_gram(jac)[1])
 
 
 def xvar(i, m=3):
@@ -266,7 +276,7 @@ def test_point_frames_share_the_band_independence_threshold_for_three_phases():
     spec = ImplicitSurfaceSpec(4, [x[0], x[0] + small * x[1], x[0] + small * x[2]],
                                ((-1.6, 1.6),) * 4)
     origin = [0.0] * 4
-    jac = geomint._surface_jacobian(spec, origin)[1]
+    jac = geomint._point_batch(spec, origin).jac
     with pytest.raises(IndependenceError):
         _wedge_norms(jac)
     with pytest.raises(IndependenceError):
@@ -588,7 +598,7 @@ def test_gram_from_product_tables_is_bit_identical(shape):
     assert batches
     for cells in batches:
         gram, det = cells.gram
-        want_gram, want_det = geomint._checked_gram(cells.jac)
+        want_gram, want_det = _checked_gram(cells.jac)
         assert gram.shape == (spec.k, spec.k, len(cells))
         assert gram.tobytes() == want_gram.tobytes() and det.tobytes() == want_det.tobytes()
 
@@ -733,8 +743,9 @@ def test_cut_band_keeps_every_cell_of_the_cut(case, n):
         # the disk holds about 31 % of the grid; the block test with the cut
         # rules out most of the rest before any cell is evaluated
         leaf = geomint._BLOCK
-        leaves = geomint._band_leaves([], eps, axes, leaf,
-                                      geomint._PhaseTables(phi, axes, spacings))
+        cut = geomint._PhaseTables(phi, axes, spacings)
+        leaves = geomint._band_leaves([], eps, axes, leaf, cut,
+                                      geomint._top_blocks([], eps, axes, leaf, cut))
         assert sum(map(len, leaves)) * leaf ** 2 < 0.45 * n * n
 
 
@@ -746,6 +757,23 @@ def test_cut_band_keeps_cells_where_phi_and_its_span_vanish():
     got = list(_band_stream(spec, eps, spacings, axes, VectorPoly.zero(2)))
     weight = np.concatenate([item.weight for item in got])
     assert len(weight) == 64 * 64 and np.all(weight == 0.5)
+
+
+def test_steep_cut_on_a_cell_of_zero_span_clips_without_warning():
+    # at n = 41 on [-1, 1]^2 the middle cell has midpoint 0.0 on both axes,
+    # so the cut 10^9 (|x|^2 - 1/4) has span 0 and phi = -2.5e8 there: its
+    # quotient by the 1e-300 floor overflows to an infinity, which clips
+    # like any large value, and must not warn
+    phi = 10**9 * (xvar(1, 2) ** 2 + xvar(2, 2) ** 2 - Fraction(1, 4))
+    box = ((-1.0, 1.0),) * 2
+    spec = ImplicitSurfaceSpec(2, [], box)
+    cfg = QuadratureConfig(n=41)
+    _, axes, _, _ = _grid_geometry(spec, cfg)
+    assert axes[0][20] == axes[1][20] == 0.0
+    res = cauchy_check(1, xvar(1, 2), phi, spec, cfg)
+    # G = x1 has Dirac derivative e1, so the left side is the disk's area on e1
+    assert set(res.lhs.terms) == {(1,)}
+    assert res.lhs.terms[(1,)] == pytest.approx(math.pi / 4, rel=1e-2)
 
 
 # -- one-axis phases by lookup and the sweep's boundary decision ------------------
@@ -804,7 +832,7 @@ def test_plane_phases_by_lookup_match_dense_sweep(case):
     # the bits of the jacobian's column products over every axis
     for cells in got:
         gram, det = cells.gram
-        want_gram, want_det = geomint._checked_gram(cells.jac)
+        want_gram, want_det = _checked_gram(cells.jac)
         assert gram.tobytes() == want_gram.tobytes() and det.tobytes() == want_det.tobytes()
     if case != "x1 and x3":
         # the line of the two planes crosses the box; the circles do not
@@ -939,13 +967,13 @@ def test_interior_sweep_sums_no_magnitudes(shape, monkeypatch):
     f = 1 + xvar(1, spec.m) * xvar(2, spec.m)
 
     def density(cells):
-        col = geomint._field_values(f, cells) * geomint._wedge_norms(cells)
+        col = geomint._field_values(f, cells) * np.sqrt(cells.gram[1])
         return {(): col.view(_UfuncSpy)}
 
     want = 0.0
     batches = list(_band_stream(spec, eps, spacings, axes))
     for cells in batches:
-        want += float(geomint._field_values(f, cells) * geomint._wedge_norms(cells)
+        want += float(geomint._field_values(f, cells) * np.sqrt(cells.gram[1])
                       @ (cells.weight * cellvol))
     if shape == "face":
         assert all(item.bmask is not None for item in batches)
@@ -1191,7 +1219,8 @@ def test_band_culling_in_bounded_memory(m, n, leaf, count):
     tests = [geomint._PhaseTables(phi, axes, spacings) for phi in spec.phases]
     tracemalloc.start()
     try:
-        kept = sum(len(g) for g in geomint._band_leaves(tests, eps, axes, leaf, None))
+        top = geomint._top_blocks(tests, eps, axes, leaf, None)
+        kept = sum(len(g) for g in geomint._band_leaves(tests, eps, axes, leaf, None, top))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1246,12 +1275,17 @@ def test_frames_require_surface_point():
         tangent_normal_frames(sphere_spec(), [0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("point", [[math.nan, 0.0, 0.0], [1.0, math.nan, 0.0]])
-def test_nan_point_is_not_on_the_surface(point):
+@pytest.mark.parametrize("spec,point", [
+    (sphere_spec(), [math.nan, 0.0, 0.0]),
+    (sphere_spec(), [1.0, math.nan, 0.0]),
+    # 10^307 x1^8 overflows at x1 = 1.5: phi is inf there, and the test of
+    # it must neither warn nor defer to the range check of the tables
+    (ImplicitSurfaceSpec(2, [10**307 * xvar(1, 2) ** 8 + xvar(2, 2) ** 2 - 1], BOX2), [1.5, 0.0]),
+], ids=["point0", "point1", "overflow"])
+def test_nan_point_is_not_on_the_surface(spec, point):
     # |phi| > tol is False for NaN, so the on-surface test must be not <=
-    spec = sphere_spec()
     with pytest.raises(ValueError, match="not on the surface"):
-        tangential_dirac(xvar(1), spec, point)
+        tangential_dirac(xvar(1, spec.m), spec, point)
     with pytest.raises(ValueError, match="not on the surface"):
         tangent_normal_frames(spec, point)
 

@@ -752,18 +752,33 @@ def _axis_lookup(test: _PhaseTables, eps: float, is_cut: bool) -> tuple[np.ndarr
 
 
 def _band_tables(spec: ImplicitSurfaceSpec, axes: list[np.ndarray], spacings: list[float],
-                 cut: VectorPoly | None = None) -> list[_PhaseTables]:
+                 cut: VectorPoly | None = None, f=None) -> list[_PhaseTables]:
     """The ``_PhaseTables`` of the phases of ``spec``, then of ``cut`` when
     one is given, for a band sweep on the grid of ``axes``, after the range
-    check of ``_check_range``."""
+    check of ``_check_range``.
+
+    A polynomial integrand ``f`` is checked with them: its ``_term_bound``
+    bounds its values on the cells, and that bound times the blade bound of
+    ``_check_range`` bounds their products with the blade norm and with
+    each blade component, which the scalar and oriented densities form.
+    Either bound beyond the float range raises FloatRangeError, "the
+    integrand ... beyond the float range on the grid".
+    """
     k = spec.k
     phases = spec.phases if cut is None else (*spec.phases, cut)
     tests = [_PhaseTables(phi, axes, spacings) for phi in phases]
-    _check_range(tests, [f"phase {j + 1}" for j in range(k)] + ["the cut phi"], k)
+    blade = _check_range(tests, [f"phase {j + 1}" for j in range(k)] + ["the cut phi"], k)
+    if isinstance(f, VectorPoly):
+        with np.errstate(over="ignore"):
+            values = _term_bound(f, axes)
+        for bound, what in ((values, "takes values"),
+                            (values * blade, "times the blade norm takes values")):
+            if not math.isfinite(bound):
+                raise FloatRangeError(f"the integrand {what} beyond the float range on the grid")
     return tests
 
 
-def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> None:
+def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> float:
     """Refuse, before any cell is visited, a sweep whose cells may compute a
     value beyond the float range, or a Gram matrix below it.
 
@@ -787,6 +802,13 @@ def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> None:
     cell's value is then subnormal or 0, and the independence test would
     read the lost digits as dependence.  A gradient whose magnitudes are
     all 0 is exactly 0 on every cell, in range, and dependent.
+
+    Returns a bound of the blade norm |grad phi_1 ^ .. ^ grad phi_k| and of
+    each blade component (a k x k minor of the jacobian) on every cell:
+    2 k! prod_a sqrt(G_aa), G_aa the diagonal bounds.  A minor is a sum of
+    k! products of one entry per row, an entry at most the root of its
+    row's diagonal, doubled for rounding; and its square, (2 k!)^2 prod_a
+    G_aa, is at least the determinant bound, whose root bounds the norm.
     """
     checks = []
     for j, (test, name) in enumerate(zip(tests, names)):
@@ -794,6 +816,7 @@ def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> None:
                       test.span_magnitude, *([test.term_magnitude] if j >= k else [])):
             checks.append((bound, 0.0, f"{name} takes values"))
     det, det_floor = 2.0 * math.factorial(k), sys.float_info.min
+    blade = det
     for a, first in enumerate(tests[:k]):
         for b, second in enumerate(tests[:a + 1]):
             bound = 0.0
@@ -806,6 +829,7 @@ def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> None:
         floor = sys.float_info.min if any(g.magnitude for g in first.grad) else 0.0
         checks.append((bound, floor, f"the gradient of {names[a]} has a squared length"))
         det *= bound
+        blade *= math.sqrt(bound)
         det_floor = min(det_floor, floor)
     if k >= 2:
         listed = f"{', '.join(names[:k - 1])} and {names[k - 1]}"
@@ -815,6 +839,7 @@ def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> None:
             raise FloatRangeError(f"{what} beyond the float range on the grid")
         if bound < floor:
             raise FloatRangeError(f"{what} below the float range on the grid")
+    return blade
 
 
 def _gram_tables(phases: list[_PhaseTables]) -> list | None:
@@ -1080,7 +1105,8 @@ def _inverse_gram(cells: _BandBatch) -> np.ndarray:
 
 def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
               integrand: Callable[[_BandBatch], dict],
-              cut: VectorPoly | None = None, tests: list[_PhaseTables] | None = None) -> dict:
+              cut: VectorPoly | None = None, tests: list[_PhaseTables] | None = None,
+              f=None) -> dict:
     """Grid sum over the surface band of weights * integrand.
 
     Every grid sum of the module runs through here.  ``integrand(cells)``
@@ -1090,15 +1116,20 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
     This driver applies the weights of ``_band_stream`` (the delta product,
     times the Heaviside fraction of ``cut`` when one is given), scaled in
     place by the cell volume, with one dot product per column.  ``tests``
-    are the sweep's tables from ``_band_tables``, built by the sweep when
-    not given.  The result maps each blade to its sum (empty when no cell
-    is in the band).  Raises BoundaryContactError when the boundary cells
-    carry more than _BOUNDARY_TOL of the total magnitude.  A sweep whose
-    batches carry no boundary mask holds no boundary cell and can raise
-    none, so it sums no magnitudes at all.
+    are the sweep's tables from ``_band_tables``, built here when not given,
+    with the range check of the integrand's polynomial ``f``.  The result
+    maps each blade to its sum (empty when no cell is in the band).  Raises
+    FloatRangeError when a sum lies beyond the float range (the range
+    checks bound each cell's value, not the sum over the band), and
+    BoundaryContactError when the boundary cells carry more than
+    _BOUNDARY_TOL of the total magnitude.  A sweep whose batches carry no
+    boundary mask holds no boundary cell and can raise none, so it sums no
+    magnitudes at all.
     """
     cfg = cfg or QuadratureConfig()
     eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    if tests is None:
+        tests = _band_tables(spec, axes, spacings, cut, f)
     totals: dict[tuple, float] = {}
     total_abs = boundary_abs = 0.0
     for cells in _band_stream(spec, eps, spacings, axes, cut, tests):
@@ -1108,12 +1139,19 @@ def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
         if bmask is not None:
             edge = np.flatnonzero(bmask)
             edge_weight = weight.take(edge)
+        # np.vdot is the BLAS dot product of @, with the same bits, but it
+        # flags no overflow: a sum beyond the float range is an infinity,
+        # refused below, where @ would also warn (an errstate per batch
+        # cost 1.7 % of the benchmark's surface_quadrature op time on a
+        # 2-core x86 host)
         for blade, col in integrand(cells).items():
-            totals[blade] = totals.get(blade, 0.0) + float(col @ weight)
+            totals[blade] = totals.get(blade, 0.0) + float(np.vdot(col, weight))
             if bmask is not None:
                 mags = np.abs(col)
-                total_abs += float(mags @ weight)
-                boundary_abs += float(mags.take(edge) @ edge_weight)
+                total_abs += float(np.vdot(mags, weight))
+                boundary_abs += float(np.vdot(mags.take(edge), edge_weight))
+    if not all(map(math.isfinite, totals.values())):
+        raise FloatRangeError("the integral lies beyond the float range")
     if boundary_abs > _BOUNDARY_TOL * total_abs:
         raise BoundaryContactError(
             f"surface band carries weight {boundary_abs:g} in boundary cells "
@@ -1138,7 +1176,7 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
         # the blade norm, the root of the Gram determinant
         return {(): _field_values(f, cells) * np.sqrt(cells.gram[1])}
 
-    return _band_sum(spec, cfg, density).get((), 0.0)
+    return _band_sum(spec, cfg, density, f=f).get((), 0.0)
 
 
 def integrate_oriented(f, spec: ImplicitSurfaceSpec,
@@ -1158,7 +1196,7 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
         cells.gram  # the independence test
         return {blade: values * minor for blade, minor in _wedge_columns(cells.jac).items()}
 
-    return Multivector(spec.m, _band_sum(spec, cfg, density))
+    return Multivector(spec.m, _band_sum(spec, cfg, density, f=f))
 
 
 def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence],
@@ -1471,17 +1509,18 @@ def _haar_frames(rng: np.random.Generator, m: int, k: int, count: int) -> np.nda
     Raises ValueError when a drawn column lies in the span of the earlier
     ones, where the frame is undefined.
 
-    The draw is copied once into contiguous rows, rows[j, i] holding
-    coordinate i of column j over the batch, so every inner product is a
-    sum of row products; the result is a view of those rows.
+    The draw has shape (k, m, count), so rows[j, i] is coordinate i of
+    column j over the batch, one contiguous row, and every inner product is
+    a sum of row products; the result is a view of those rows.
     """
-    rows = rng.standard_normal((count, m, k)).transpose(2, 1, 0).copy()
+    rows = rng.standard_normal((k, m, count))
     for j, v in enumerate(rows):
-        length = np.sqrt((v * v).sum(axis=0))
-        for _ in range(2 if j else 0):
-            coeffs = [(u * v).sum(axis=0) for u in rows[:j]]
-            v -= sum(u * c for u, c in zip(rows[:j], coeffs))
-        norm = np.sqrt((v * v).sum(axis=0))
+        norm = length = np.sqrt((v * v).sum(axis=0))
+        if j:
+            for _ in range(2):
+                coeffs = [(u * v).sum(axis=0) for u in rows[:j]]
+                v -= sum(u * c for u, c in zip(rows[:j], coeffs))
+            norm = np.sqrt((v * v).sum(axis=0))
         # an exactly dependent column keeps a residual of a few machine
         # epsilons of its length (2e-16 for a repeated one); a Gaussian
         # column comes this close to the span with probability about 1e-13
@@ -1501,18 +1540,21 @@ def haar_sample_stiefel(m: int, k: int,
 
 
 def _partition_rng(seed: int, partition: int) -> np.random.Generator:
+    """The stream of one Monte Carlo partition: SFC64 seeded by the
+    SeedSequence of (seed, partition), whose spawn keys give independent
+    streams for any bit generator."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(partition,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def mc_stiefel_integral(p: VectorPoly, m: int, k: int, n_samples: int,
                         seed: int) -> MCEstimate:
     """Monte Carlo estimate of the integral of P over orthonormal k-frames.
 
-    Samples are drawn in partitions of _MC_CHUNK with independent
-    counter-based streams keyed by (seed, partition index), so results are
-    reproducible for a given seed.  Partition sums are combined by
-    count-weighted summation.  The estimate and its standard error are
+    Samples are drawn in partitions of _MC_CHUNK with independent SFC64
+    streams keyed by (seed, partition index) (``_partition_rng``), so
+    results are reproducible for a given seed.  Partition sums are
+    combined by count-weighted summation.  The estimate and its standard error are
     scaled by the manifold volume, matching the exact integrators.
 
     Frame entries lie in [-1, 1], so |P| <= sum |c_alpha| < 2^e.  The sums

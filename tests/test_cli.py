@@ -225,6 +225,19 @@ def test_gram_determinant_beyond_float_range_exit_code(capsys):
         "range on the grid"]
 
 
+def test_integrand_beyond_float_range_exit_code(capsys):
+    # 10^308 x1^8 overflows on the box though its coefficient is a float:
+    # refused before the sweep, with one error line, no numpy warning and
+    # no infinite value
+    code = run(["integrate", "implicit", "--m", "2", "--phases", "x1_1^2+x1_2^2-1",
+                "--f", "10^308*x1_1^8", "--box=-1.6,1.6", "--n", "64", "-q"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the integrand takes values beyond the float range on the grid"]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["pizzetti", "sphere", "--m", "3"]) == 2
 

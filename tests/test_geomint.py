@@ -954,6 +954,11 @@ class _UfuncSpy(np.ndarray):
         inputs = tuple(x.view(np.ndarray) if isinstance(x, _UfuncSpy) else x for x in inputs)
         return getattr(ufunc, method)(*inputs, **kwargs)
 
+    def __array_function__(self, func, types, args, kwargs):
+        # the functions that are not ufuncs, such as np.vdot
+        _UfuncSpy.calls.append(func.__name__)
+        return super().__array_function__(func, types, args, kwargs)
+
 
 @pytest.mark.parametrize("shape", ["sphere", "circle", "face"])
 def test_interior_sweep_sums_no_magnitudes(shape, monkeypatch):
@@ -983,7 +988,7 @@ def test_interior_sweep_sums_no_magnitudes(shape, monkeypatch):
         return
     assert not any(item.bmask is not None for item in batches)
     assert geomint._band_sum(spec, cfg, density)[()] == want
-    assert "matmul" in _UfuncSpy.calls and "absolute" not in _UfuncSpy.calls
+    assert "vdot" in _UfuncSpy.calls and "absolute" not in _UfuncSpy.calls
 
 
 @pytest.mark.parametrize("n", [101, 201])
@@ -1492,7 +1497,9 @@ def test_haar_sample_scalar_case():
 def test_haar_frames_match_sign_fixed_qr(m):
     for k in range(1, m + 1):
         got = _haar_frames(np.random.default_rng(100 * m + k), m, k, 500)
-        gauss = np.random.default_rng(100 * m + k).standard_normal((500, m, k))
+        # the draw is (k, m, count), column j of frame n at [j, :, n]; the
+        # oracle takes the (count, m, k) stack
+        gauss = np.random.default_rng(100 * m + k).standard_normal((k, m, 500)).transpose(2, 1, 0)
         assert got.shape == (500, m, k)
         assert np.max(np.abs(got - haar_frames_qr(gauss))) <= 1e-12
 
@@ -1518,12 +1525,38 @@ class _StubNormal:
         return self.values.copy()
 
 
+def _reference_gram_schmidt(gauss):
+    """The arithmetic reference of ``_haar_frames``: its Gram-Schmidt as it
+    ran on (count, m, k) draws copied once into contiguous rows."""
+    rows = gauss.transpose(2, 1, 0).copy()
+    for j, v in enumerate(rows):
+        length = np.sqrt((v * v).sum(axis=0))
+        for _ in range(2 if j else 0):
+            coeffs = [(u * v).sum(axis=0) for u in rows[:j]]
+            v -= sum(u * c for u, c in zip(rows[:j], coeffs))
+        norm = np.sqrt((v * v).sum(axis=0))
+        if np.any(norm <= 1e-13 * length):
+            raise ValueError("Gaussian draw has a dependent column; its frame is undefined")
+        v /= norm
+    return rows.transpose(2, 1, 0)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_haar_frames_keep_the_reference_arithmetic(m):
+    # drawn in (k, m, count) rows, the frames are the reference's to the bit
+    for k in range(1, m + 1):
+        draw = np.random.default_rng([m, k]).standard_normal((k, m, 300))
+        got = _haar_frames(_StubNormal(draw), m, k, 300)
+        assert np.array_equal(got, _reference_gram_schmidt(draw.transpose(2, 1, 0)))
+
+
 def test_haar_frames_reject_dependent_draws():
-    good = np.random.default_rng(23).standard_normal((4, 3, 2))
+    # (k, m, count) draws: draw[j, :, n] is column j of frame n
+    good = np.random.default_rng(23).standard_normal((2, 3, 4))
     zero = good.copy()
-    zero[2, :, 1] = 0.0
+    zero[1, :, 2] = 0.0
     repeated = good.copy()
-    repeated[1, :, 1] = repeated[1, :, 0]
+    repeated[1, :, 1] = repeated[0, :, 1]
     for draw in (zero, repeated):
         with pytest.raises(ValueError, match="dependent column"):
             _haar_frames(_StubNormal(draw), 3, 2, 4)
@@ -1553,10 +1586,9 @@ def test_mc_reproducible_and_partitioned():
     assert abs(a.mean - exact) < 6 * a.standard_error
 
 
-@pytest.mark.parametrize("m, k", [(3, 2), (4, 2), (5, 3), (4, 4)])
-def test_mc_matches_qr_oracle_on_the_same_draws(m, k):
-    # 30 000 samples are two partitions; each partition's Gaussian draw is
-    # rebuilt from its stream and turned into frames by sign-fixed QR
+def _even_terms(m: int, k: int) -> dict:
+    """Three seeded terms of even degree 4 in k m-vectors, the Monte Carlo
+    integrands of (m, k)."""
     rng = np.random.default_rng(m * 10 + k)
     terms = {}
     for _ in range(3):
@@ -1564,10 +1596,19 @@ def test_mc_matches_qr_oracle_on_the_same_draws(m, k):
         for _ in range(2):
             key[int(rng.integers(m * k))] += 2
         terms[tuple(key)] = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+    return terms
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (4, 2), (5, 3), (4, 4)])
+def test_mc_matches_qr_oracle_on_the_same_draws(m, k):
+    # 30 000 samples are two partitions; each partition's Gaussian draw is
+    # rebuilt from its stream and turned into frames by sign-fixed QR
+    terms = _even_terms(m, k)
     n, seed = 30_000, 11
     vals = []
     for part, cnt in enumerate((20_000, 10_000)):
-        q = haar_frames_qr(geomint._partition_rng(seed, part).standard_normal((cnt, m, k)))
+        draw = geomint._partition_rng(seed, part).standard_normal((k, m, cnt))
+        q = haar_frames_qr(draw.transpose(2, 1, 0))
         vals.append(poly_values(terms, q.transpose(0, 2, 1).reshape(cnt, k * m)))
     vals = np.concatenate(vals)
     vol = bench_oracles.exact_to_float(bench_oracles.stiefel_volume(m, k))
@@ -1576,6 +1617,30 @@ def test_mc_matches_qr_oracle_on_the_same_draws(m, k):
     est = mc_stiefel_integral(VectorPoly(m, k, terms), m, k, n, seed)
     assert est.mean == pytest.approx(vol * mean, rel=1e-12)
     assert est.standard_error == pytest.approx(vol * math.sqrt(var / n), rel=1e-12)
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (4, 2), (5, 3), (4, 4)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_streams_agree_with_the_exact_frame_averages(m, k, seed):
+    # 30 000 samples are two partitions, two streams of each seed; the
+    # integrand's exact value comes from the benchmark's frame oracle
+    terms = _even_terms(m, k)
+    oracle = bench_oracles.FrameOracle(m)
+    vol = bench_oracles.exact_to_float(bench_oracles.stiefel_volume(m, k))
+    exact = vol * float(sum(c * oracle.mean(key) for key, c in terms.items()))
+    est = mc_stiefel_integral(VectorPoly(m, k, terms), m, k, 30_000, seed)
+    assert est.standard_error > 0
+    assert abs(est.mean - exact) <= 5 * est.standard_error
+
+
+def test_mc_partition_streams_are_distinct_sfc64_streams():
+    firsts = set()
+    for seed in range(1, 5):
+        for part in range(8):
+            rng = geomint._partition_rng(seed, part)
+            assert isinstance(rng.bit_generator, np.random.SFC64)
+            firsts.add(tuple(rng.standard_normal(4)))
+    assert len(firsts) == 32
 
 
 def test_mc_scales_huge_coefficients_exactly():
@@ -1702,6 +1767,38 @@ def test_cauchy_sides_share_the_phase_tables(monkeypatch):
     res = cauchy_check(1, xvar(2), phi, spec, QuadratureConfig(n=96))
     assert built == [*spec.phases, phi]
     assert res.residual < 0.05 and res.rhs.norm_squared() > 1.0
+
+
+def test_integrands_beyond_float_range_are_refused(monkeypatch):
+    # every coefficient is a float; on [-1.6, 1.6]^2 at n = 64 the cells
+    # reach |x| = 1.575, where 10^308 x1^8 is not, and 10^307 x1^2 is, but
+    # not times the blade bound 2 |grad phi| <= 2 (2 1.575^2 4)^(1/2) of the
+    # unit circle; both integrals refuse them before any cell is visited
+    spec, cfg = ImplicitSurfaceSpec(2, [_scaled_circle(1)], BOX2), QuadratureConfig(n=64)
+
+    def no_cells(*args):
+        raise AssertionError("a cell was visited")
+
+    monkeypatch.setattr(geomint, "_band_leaves", no_cells)
+    for f, refusal in ((10**308 * xvar(1, 2) ** 8, "the integrand takes values beyond"),
+                       (10**307 * xvar(1, 2) ** 2, "the integrand times the blade norm takes "
+                                                   "values beyond")):
+        for integral in (integrate_implicit, integrate_oriented):
+            with pytest.raises(FloatRangeError, match=refusal):
+                integral(f, spec, cfg)
+
+
+def test_integrals_beyond_float_range_are_refused():
+    # 1.5 10^307 times the blade norm stays below 10^308 on every cell, but
+    # its integral over a sphere of area 4 pi 1.96 does not; at n = 24 one
+    # batch's dot product overflows, at n = 48 only the sum of the batches,
+    # and either is a refusal, not a warning
+    spec = ImplicitSurfaceSpec(3, [sphere_phase(3) - Fraction(24, 25)], BOX3)
+    for n in (24, 48):
+        with pytest.raises(FloatRangeError, match="the integral lies beyond the float range"):
+            integrate_implicit(VectorPoly.constant(3, 15 * 10**306), spec, QuadratureConfig(n=n))
+    tenth = integrate_implicit(VectorPoly.constant(3, 15 * 10**305), spec, QuadratureConfig(n=48))
+    assert tenth == pytest.approx(4 * math.pi * 1.96 * 1.5e306, rel=0.05)
 
 
 def test_cut_values_beyond_float_range_term_by_term_are_refused():

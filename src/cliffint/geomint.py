@@ -64,11 +64,12 @@ The pointwise operators run on a one-cell band batch at their point, so
 they take the sweep's range check, jacobian, Gram matrices and
 independence test.
 
-Every grid sum runs through one band-sum driver, which sums each column of
-values against the cell weights with one dot product.  The Cauchy-type
-check is two: the band cut by the Heaviside of phi, whose sweep also drops
-the blocks and cells where H(-phi) = 0, and the band of (phi, phi_1, ...,
-phi_k), so it needs k < m; both sweeps share one set of tables.  Its
+Every grid sum runs through one sweep object, which builds its grid,
+tables, range check and culling once and sums each column of values
+against the cell weights with one dot product.  The Cauchy-type check is
+two sweeps on one set of tables: the band cut by the Heaviside of phi,
+which also drops the blocks and cells where H(-phi) = 0, and the band of
+(phi, phi_1, ..., phi_k), so it needs k < m.  Its
 Clifford-valued fields, blades and products take a column-sparse batched
 form: a dict from blade, the index tuple that keys ``Multivector``, to one
 column of coefficients over the points, holding only the blades the value
@@ -83,6 +84,7 @@ pointwise ``tangential_dirac`` is the same operator on one cell.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import sys
@@ -280,11 +282,27 @@ def poly_on_points(p: VectorPoly, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field_values(f, cells) -> np.ndarray:
-    """Values of the integrand f on a band batch (``_BandBatch``) or on an
-    (N, m) array of points; a number reads no coordinates."""
+def _as_integrand(f, m: int):
+    """The integrand f, a number taken as the constant polynomial in one
+    m-vector; a polynomial's coefficients (``_check_float_range``) and shape
+    are checked, and a NaN or an infinity raises FloatRangeError."""
+    if isinstance(f, float) and not math.isfinite(f):
+        raise FloatRangeError(f"the integrand {f} is not a finite number")
     if isinstance(f, (int, float, Fraction)):
-        return np.full(len(cells), float(f))
+        f = VectorPoly.constant(m, f)
+    if isinstance(f, VectorPoly):
+        _check_float_range(f)
+        if (f.m, f.nvars) != (m, 1):
+            raise ValueError("the integrand must be a polynomial in one m-vector")
+    return f
+
+
+def _field_values(f, cells) -> np.ndarray:
+    """Values of the integrand f, a polynomial or a callable, on a band
+    batch (``_BandBatch``) or on an (N, m) array of points; a constant
+    reads no coordinates (the bits of ``poly_on_points``: 0.0 plus it)."""
+    if isinstance(f, VectorPoly) and f.degree() == 0:
+        return np.full(len(cells), float(f.eval_zero()))
     pts = cells if isinstance(cells, np.ndarray) else cells.points
     if isinstance(f, VectorPoly):
         return poly_on_points(f, pts)
@@ -372,19 +390,6 @@ _DET_TOL = 1e-6
 _ON_SURFACE_TOL = 1e-8
 _BLOCK_ORTHOGONAL_TOL = 1e-10
 _MC_CHUNK = 20000
-
-
-def _grid_geometry(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig):
-    """(eps, cell-midpoint axes, spacings, cell volume) of the quadrature grid."""
-    eps = cfg.resolve_eps(spec.box)
-    axes = []
-    spacings = []
-    for lo, hi in spec.box:
-        h = (hi - lo) / cfg.n
-        axes.append(lo + h * (np.arange(cfg.n) + 0.5))
-        spacings.append(h)
-    cellvol = math.prod(spacings)
-    return eps, axes, spacings, cellvol
 
 
 def _interval_bounds(p: VectorPoly, ranges) -> tuple[np.ndarray, np.ndarray]:
@@ -510,13 +515,6 @@ def _band_leaves(tests: list[_PhaseTables], eps: float, axes: list[np.ndarray], 
             yield from descend(children.take(np.flatnonzero(alive), axis=0), half)
 
     yield from descend(*top)
-
-
-def _edge_flags(spec: ImplicitSurfaceSpec, spacings: list[float],
-                axes: list[np.ndarray]) -> list[np.ndarray]:
-    """Per axis, which cell midpoints lie within one cell of a face of the
-    box: a cell is a boundary cell where any of its axes flags it."""
-    return [(ax < lo + h) | (ax > hi - h) for ax, (lo, hi), h in zip(axes, spec.box, spacings)]
 
 
 def _gather(tables, idx: np.ndarray) -> np.ndarray | None:
@@ -751,33 +749,6 @@ def _axis_lookup(test: _PhaseTables, eps: float, is_cut: bool) -> tuple[np.ndarr
     return inside, weight
 
 
-def _band_tables(spec: ImplicitSurfaceSpec, axes: list[np.ndarray], spacings: list[float],
-                 cut: VectorPoly | None = None, f=None) -> list[_PhaseTables]:
-    """The ``_PhaseTables`` of the phases of ``spec``, then of ``cut`` when
-    one is given, for a band sweep on the grid of ``axes``, after the range
-    check of ``_check_range``.
-
-    A polynomial integrand ``f`` is checked with them: its ``_term_bound``
-    bounds its values on the cells, and that bound times the blade bound of
-    ``_check_range`` bounds their products with the blade norm and with
-    each blade component, which the scalar and oriented densities form.
-    Either bound beyond the float range raises FloatRangeError, "the
-    integrand ... beyond the float range on the grid".
-    """
-    k = spec.k
-    phases = spec.phases if cut is None else (*spec.phases, cut)
-    tests = [_PhaseTables(phi, axes, spacings) for phi in phases]
-    blade = _check_range(tests, [f"phase {j + 1}" for j in range(k)] + ["the cut phi"], k)
-    if isinstance(f, VectorPoly):
-        with np.errstate(over="ignore"):
-            values = _term_bound(f, axes)
-        for bound, what in ((values, "takes values"),
-                            (values * blade, "times the blade norm takes values")):
-            if not math.isfinite(bound):
-                raise FloatRangeError(f"the integrand {what} beyond the float range on the grid")
-    return tests
-
-
 def _check_range(tests: list[_PhaseTables], names: list[str], k: int) -> float:
     """Refuse, before any cell is visited, a sweep whose cells may compute a
     value beyond the float range, or a Gram matrix below it.
@@ -879,7 +850,7 @@ def _coordinates(axes: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
 
 
 class _BandBatch:
-    """One batch of band cells from ``_band_stream``.
+    """One batch of band cells of a ``_Sweep``.
 
     ``idx`` holds the cells' grid indices, an (m, N) array with one
     contiguous row per axis, ``weight`` their weights and ``bmask`` their
@@ -896,28 +867,25 @@ class _BandBatch:
     every per-axis column a caller reads is contiguous.
     """
 
-    def __init__(self, idx: np.ndarray, weight: np.ndarray, bmask: np.ndarray | None,
-                 cols: np.ndarray | None, axes: list[np.ndarray],
-                 phases: list[_PhaseTables], products: list | None):
+    def __init__(self, sweep: _Sweep, idx: np.ndarray, weight: np.ndarray,
+                 bmask: np.ndarray | None = None, cols: np.ndarray | None = None):
         self.idx, self.weight, self.bmask = idx, weight, bmask
         # the coordinates, when the sweep gathered them for a test
         self._cols = cols
-        self._axes = axes
-        self._phases = phases
-        self._products = products
+        self._sweep = sweep
 
     def __len__(self) -> int:
         return self.idx.shape[1]
 
     @cached_property
     def points(self) -> np.ndarray:
-        cols = _coordinates(self._axes, self.idx) if self._cols is None else self._cols
+        cols = _coordinates(self._sweep.axes, self.idx) if self._cols is None else self._cols
         return cols.T
 
     @cached_property
     def jac(self) -> np.ndarray:
-        jcols = np.empty((len(self._phases), len(self._axes), len(self)))
-        for j, test in enumerate(self._phases):
+        jcols = np.empty((len(self._sweep.phases), len(self._sweep.axes), len(self)))
+        for j, test in enumerate(self._sweep.phases):
             for i, g in enumerate(test.grad):
                 # only a remainder of mixed terms reads the coordinates
                 jcols[j, i] = g.values(self.idx, None if g.rest is None else self.points.T)
@@ -925,12 +893,12 @@ class _BandBatch:
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._products is None:
+        if self._sweep.products is None:
             gram = _jacobian_gram(self.jac)
         else:
-            k = len(self._phases)
+            k = len(self._sweep.phases)
             gram = np.empty((k, k, len(self)))
-            for a, b, tables in self._products:
+            for a, b, tables in self._sweep.products:
                 entry = gram[a, b]
                 if tables:
                     (i, first), *rest = tables
@@ -943,83 +911,182 @@ class _BandBatch:
         return gram, _gram_det(gram)
 
 
-def _band_stream(spec: ImplicitSurfaceSpec, eps: float, spacings: list[float],
-                 axes: list[np.ndarray], cut: VectorPoly | None = None,
-                 tests: list[_PhaseTables] | None = None):
-    """Yield the band cells of ``spec``'s phases on the grid of ``axes``
-    (cell spacings ``spacings``, mollifier half-width ``eps``) as
-    ``_BandBatch`` batches of at most _BATCH_CELLS cells, each weighted by
-    the product of its ``_band_rule`` factors.
+class _Sweep:
+    """One band sweep of the quadrature grid, its state built once.
 
-    ``cut``, a polynomial phi, cuts the band by the sharp Heaviside
-    H(-phi): its fraction joins the weight, and the cells where it is 0 are
-    dropped.  With no phases (k = 0) every cell is in the band, with weight
-    1 or its fraction.  ``tests`` are the tables of ``_band_tables`` for
-    ``spec`` and ``cut``, built here when not given, and then refused there,
-    before any cell is visited, when they may leave the float range
-    (FloatRangeError).  A batch's Gram matrices raise IndependenceError
-    when first read on dependent gradients.
+    The constructor takes (spec, cfg, cut, f).  It resolves ``eps``, the
+    mollifier half-width, the cell-midpoint ``axes``, the ``spacings`` and
+    the cell volume ``cellvol``.  It builds the ``_PhaseTables`` of the
+    phases, then of ``cut``, a polynomial phi, when one is given, and
+    refuses, before any cell is visited, tables that may leave the float
+    range (``_check_range``), and a polynomial integrand ``f`` whose
+    ``_term_bound`` on the grid, or that bound times the blade bound of
+    ``_check_range``, is not finite (FloatRangeError, "the integrand ...
+    beyond the float range on the grid"): they bound its values on the
+    cells and their products with the blade norm and each blade component.
+    It then builds the Gram product tables (``_gram_tables``), the one-axis
+    lookups (``_axis_lookup``), the per-axis ``edges`` (the midpoints
+    within one cell of a face of the box: a cell is a boundary cell where
+    any of its axes flags it) and the kept ``top`` blocks of the culling
+    (``_top_blocks``).  Given a point in place of cfg, the grid is the
+    point's one cell, of spacing 0, with no band to find (``_point_batch``).
+    ``cut_as_phase`` gives the sweep of (phi, phi_1, ..., phi_k) on the
+    same geometry, edges and tables.
+
+    ``batches()`` yields the band cells as ``_BandBatch`` batches of at
+    most _BATCH_CELLS cells, each weighted by the product of its
+    ``_band_rule`` factors: the cut's Heaviside fraction H(-phi) joins the
+    weight, and the cells where it is 0 are dropped.  With no phases
+    (k = 0) every cell is in the band.  A batch's Gram matrices raise
+    IndependenceError when first read on dependent gradients.
+
+    ``sum(integrand)``, through which every grid sum runs, sums the
+    weights times ``integrand(cells)``, a dict of (N,) value columns, one
+    per blade it can carry, over the batches; the integrand reads only
+    what it needs of a batch (its points, jacobian or checked Gram
+    matrices, each built on first read).  The weights, scaled in place by
+    the cell volume, take one dot product per column.  The result maps
+    each blade to its sum (empty when no cell is in the band).  Raises
+    FloatRangeError when a sum lies beyond the float range (the range
+    checks bound each cell's value, not the sum over the band), and
+    BoundaryContactError when the boundary cells carry more than
+    _BOUNDARY_TOL of the total magnitude.  A sweep whose batches carry no
+    boundary mask holds no boundary cell and can raise none, so it sums no
+    magnitudes at all.
     """
-    m, k = spec.m, spec.k
-    if tests is None:
-        tests = _band_tables(spec, axes, spacings, cut)
-    phases = tests[:k]
-    products = _gram_tables(phases)
-    # a phase in one coordinate is tested and weighted by lookup; the tables
-    # are the sweep's, since a cut of one sweep is a phase of another
-    lookups = [None if test.axis is None else _axis_lookup(test, eps, j == k)
-               for j, test in enumerate(tests)]
-    edges = _edge_flags(spec, spacings, axes)
-    leaf = _BLOCK
-    while leaf > 1 and leaf ** m > _BATCH_CELLS >> m:
-        leaf //= 2
-    cut_tables = tests[k] if cut is not None else None
-    top = _top_blocks(phases, eps, axes, leaf, cut_tables)
-    groups = _band_leaves(phases, eps, axes, leaf, cut_tables, top)
-    # every leaf lies in a kept top block, so when none of those holds a
-    # boundary cell, no batch of the sweep does
-    top_edges = [np.logical_or.reduceat(e, np.arange(0, len(e), top[1])) for e in edges]
-    near_face = bool(_gather(enumerate(top_edges), top[0].T).any())
-    sizes = np.array([len(ax) for ax in axes])[:, None]
-    ragged = bool(np.any(sizes % leaf))
-    # the cell offsets within a leaf, repeated for the most leaves in a batch
-    per_leaf = leaf ** m
-    per_batch = _BATCH_CELLS // per_leaf
-    offsets = np.tile(np.indices((leaf,) * m).reshape(m, -1), per_batch)
 
-    for subs in (g[s:s + per_batch] for g in groups for s in range(0, len(g), per_batch)):
-        # leaf by leaf, the leaf's corner plus each offset: a repeat and one
-        # flat add cost less than a broadcast add over rows of per_leaf cells
-        idx = (subs.T * leaf).repeat(per_leaf, axis=1)
-        idx += offsets[:, :idx.shape[1]]
-        if ragged:
-            # the last block along an axis may stick out of the grid
-            idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)
-        cols = None
-        # the first factor starts the weight
-        weight = None
-        for j, (test, lookup) in enumerate(zip(tests, lookups)):
-            if lookup is not None:
-                keep = np.flatnonzero(lookup[0].take(idx[test.axis]))
-            else:
-                if cols is None and (test.needs_cols or j == k):
-                    cols = _coordinates(axes, idx)
-                span = test.span(idx, cols)
-                vals = test.value.values(idx, cols) if j < k else poly_on_points(cut, cols.T)
-                keep, factor = _band_rule(vals, span, eps, j == k)
-            if not len(keep):
-                break
-            idx = idx.take(keep, axis=1)
-            if cols is not None:
-                cols = cols.take(keep, axis=1)
-            if lookup is not None:
-                factor = lookup[1].take(idx[test.axis])
-            weight = factor if weight is None else weight.take(keep) * factor
+    def __init__(self, spec: ImplicitSurfaceSpec,
+                 cfg: QuadratureConfig | np.ndarray | None = None,
+                 cut: VectorPoly | None = None, f=None):
+        k = spec.k
+        if isinstance(cfg, np.ndarray):
+            self.eps, self.axes, self.spacings = None, list(cfg[:, None]), [0.0] * spec.m
         else:
-            if weight is None:
-                weight = np.ones(idx.shape[1])
-            bmask = _gather(enumerate(edges), idx) if near_face else None
-            yield _BandBatch(idx, weight, bmask, cols, axes, phases, products)
+            cfg = cfg or QuadratureConfig()
+            self.eps = cfg.resolve_eps(spec.box)
+            self.spacings = [(hi - lo) / cfg.n for lo, hi in spec.box]
+            self.axes = [lo + h * (np.arange(cfg.n) + 0.5)
+                         for (lo, _), h in zip(spec.box, self.spacings)]
+            self.edges = [(ax < lo + h) | (ax > hi - h)
+                          for ax, (lo, hi), h in zip(self.axes, spec.box, self.spacings)]
+        self.cellvol = math.prod(self.spacings)
+        phases = spec.phases if cut is None else (*spec.phases, cut)
+        tests = [_PhaseTables(phi, self.axes, self.spacings) for phi in phases]
+        blade = _check_range(tests, [f"phase {j + 1}" for j in range(k)] + ["the cut phi"], k)
+        with np.errstate(over="ignore"):
+            values = _term_bound(f, self.axes) if isinstance(f, VectorPoly) else 0.0
+        for bound, what in ((values, "takes values"),
+                            (values * blade, "times the blade norm takes values")):
+            if not math.isfinite(bound):
+                raise FloatRangeError(f"the integrand {what} beyond the float range on the grid")
+        self._build(tests, k)
+
+    def cut_as_phase(self) -> _Sweep:
+        """The sweep of (phi, phi_1, ..., phi_k), phi this sweep's cut, on
+        this sweep's geometry, edges and tables, after their range check in
+        that order."""
+        right = copy.copy(self)
+        tests = [self.cut, *self.phases]
+        _check_range(tests, ["the cut phi", *(f"phase {j + 1}" for j in range(self.k))],
+                     self.k + 1)
+        right._build(tests, self.k + 1)
+        return right
+
+    def _build(self, tests: list[_PhaseTables], k: int) -> None:
+        """The state of k phases' tables, then of a cut's when there is one."""
+        self.tests, self.k, self.phases = tests, k, tests[:k]
+        self.cut = tests[k] if len(tests) > k else None
+        self.products = _gram_tables(self.phases)
+        if self.eps is None:
+            return  # a point has no band to find
+        # per sweep, not per table: a cut of one sweep is a phase of another
+        self.lookups = [None if test.axis is None else _axis_lookup(test, self.eps, j == k)
+                        for j, test in enumerate(tests)]
+        m = len(self.axes)
+        self.leaf = _BLOCK
+        while self.leaf > 1 and self.leaf ** m > _BATCH_CELLS >> m:
+            self.leaf //= 2
+        self.top = _top_blocks(self.phases, self.eps, self.axes, self.leaf, self.cut)
+        # every leaf lies in a kept top block, so when none of those holds a
+        # boundary cell, no batch of the sweep does
+        top_edges = [np.logical_or.reduceat(e, np.arange(0, len(e), self.top[1]))
+                     for e in self.edges]
+        self.near_face = bool(_gather(enumerate(top_edges), self.top[0].T).any())
+
+    def batches(self):
+        m, k, eps, axes, leaf = len(self.axes), self.k, self.eps, self.axes, self.leaf
+        groups = _band_leaves(self.phases, eps, axes, leaf, self.cut, self.top)
+        sizes = np.array([len(ax) for ax in axes])[:, None]
+        ragged = bool(np.any(sizes % leaf))
+        # the cell offsets within a leaf, repeated for the most leaves in a batch
+        per_leaf = leaf ** m
+        per_batch = _BATCH_CELLS // per_leaf
+        offsets = np.tile(np.indices((leaf,) * m).reshape(m, -1), per_batch)
+
+        for subs in (g[s:s + per_batch] for g in groups for s in range(0, len(g), per_batch)):
+            # leaf by leaf, the leaf's corner plus each offset: a repeat and one
+            # flat add cost less than a broadcast add over rows of per_leaf cells
+            idx = (subs.T * leaf).repeat(per_leaf, axis=1)
+            idx += offsets[:, :idx.shape[1]]
+            if ragged:
+                # the last block along an axis may stick out of the grid
+                idx = idx.take(np.flatnonzero((idx < sizes).all(axis=0)), axis=1)
+            cols = None
+            # the first factor starts the weight
+            weight = None
+            for j, (test, lookup) in enumerate(zip(self.tests, self.lookups)):
+                if lookup is not None:
+                    keep = np.flatnonzero(lookup[0].take(idx[test.axis]))
+                else:
+                    if cols is None and (test.needs_cols or j == k):
+                        cols = _coordinates(axes, idx)
+                    span = test.span(idx, cols)
+                    vals = (test.value.values(idx, cols) if j < k
+                            else poly_on_points(test.phi, cols.T))
+                    keep, factor = _band_rule(vals, span, eps, j == k)
+                if not len(keep):
+                    break
+                idx = idx.take(keep, axis=1)
+                if cols is not None:
+                    cols = cols.take(keep, axis=1)
+                if lookup is not None:
+                    factor = lookup[1].take(idx[test.axis])
+                weight = factor if weight is None else weight.take(keep) * factor
+            else:
+                if weight is None:
+                    weight = np.ones(idx.shape[1])
+                bmask = _gather(enumerate(self.edges), idx) if self.near_face else None
+                yield _BandBatch(self, idx, weight, bmask, cols)
+
+    def sum(self, integrand: Callable[[_BandBatch], dict]) -> dict:
+        totals: dict[tuple, float] = {}
+        total_abs = boundary_abs = 0.0
+        for cells in self.batches():
+            weight = cells.weight
+            weight *= self.cellvol
+            bmask = cells.bmask
+            if bmask is not None:
+                edge = np.flatnonzero(bmask)
+                edge_weight = weight.take(edge)
+            # np.vdot is the BLAS dot product of @, with the same bits, but it
+            # flags no overflow: a sum beyond the float range is an infinity,
+            # refused below, where @ would also warn (an errstate per batch
+            # cost 1.7 % of the benchmark's surface_quadrature op time on a
+            # 2-core x86 host)
+            for blade, col in integrand(cells).items():
+                totals[blade] = totals.get(blade, 0.0) + float(np.vdot(col, weight))
+                if bmask is not None:
+                    mags = np.abs(col)
+                    total_abs += float(np.vdot(mags, weight))
+                    boundary_abs += float(np.vdot(mags.take(edge), edge_weight))
+        if not all(map(math.isfinite, totals.values())):
+            raise FloatRangeError("the integral lies beyond the float range")
+        if boundary_abs > _BOUNDARY_TOL * total_abs:
+            raise BoundaryContactError(
+                f"surface band carries weight {boundary_abs:g} in boundary cells "
+                f"(total magnitude {total_abs:g}); enlarge the box or rescale the "
+                f"phases (eps is in phase units)")
+        return totals
 
 
 def _minors(rows: np.ndarray, cols) -> np.ndarray:
@@ -1103,63 +1170,6 @@ def _inverse_gram(cells: _BandBatch) -> np.ndarray:
 # -- scalar and oriented quadrature ------------------------------------------
 
 
-def _band_sum(spec: ImplicitSurfaceSpec, cfg: QuadratureConfig | None,
-              integrand: Callable[[_BandBatch], dict],
-              cut: VectorPoly | None = None, tests: list[_PhaseTables] | None = None,
-              f=None) -> dict:
-    """Grid sum over the surface band of weights * integrand.
-
-    Every grid sum of the module runs through here.  ``integrand(cells)``
-    maps a ``_BandBatch`` of band cells to a dict of (N,) value columns, one
-    per blade it can carry, and reads only what it needs of the batch (its
-    points, jacobian or checked Gram matrices, each built on first read).
-    This driver applies the weights of ``_band_stream`` (the delta product,
-    times the Heaviside fraction of ``cut`` when one is given), scaled in
-    place by the cell volume, with one dot product per column.  ``tests``
-    are the sweep's tables from ``_band_tables``, built here when not given,
-    with the range check of the integrand's polynomial ``f``.  The result
-    maps each blade to its sum (empty when no cell is in the band).  Raises
-    FloatRangeError when a sum lies beyond the float range (the range
-    checks bound each cell's value, not the sum over the band), and
-    BoundaryContactError when the boundary cells carry more than
-    _BOUNDARY_TOL of the total magnitude.  A sweep whose batches carry no
-    boundary mask holds no boundary cell and can raise none, so it sums no
-    magnitudes at all.
-    """
-    cfg = cfg or QuadratureConfig()
-    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
-    if tests is None:
-        tests = _band_tables(spec, axes, spacings, cut, f)
-    totals: dict[tuple, float] = {}
-    total_abs = boundary_abs = 0.0
-    for cells in _band_stream(spec, eps, spacings, axes, cut, tests):
-        weight = cells.weight
-        weight *= cellvol
-        bmask = cells.bmask
-        if bmask is not None:
-            edge = np.flatnonzero(bmask)
-            edge_weight = weight.take(edge)
-        # np.vdot is the BLAS dot product of @, with the same bits, but it
-        # flags no overflow: a sum beyond the float range is an infinity,
-        # refused below, where @ would also warn (an errstate per batch
-        # cost 1.7 % of the benchmark's surface_quadrature op time on a
-        # 2-core x86 host)
-        for blade, col in integrand(cells).items():
-            totals[blade] = totals.get(blade, 0.0) + float(np.vdot(col, weight))
-            if bmask is not None:
-                mags = np.abs(col)
-                total_abs += float(np.vdot(mags, weight))
-                boundary_abs += float(np.vdot(mags.take(edge), edge_weight))
-    if not all(map(math.isfinite, totals.values())):
-        raise FloatRangeError("the integral lies beyond the float range")
-    if boundary_abs > _BOUNDARY_TOL * total_abs:
-        raise BoundaryContactError(
-            f"surface band carries weight {boundary_abs:g} in boundary cells "
-            f"(total magnitude {total_abs:g}); enlarge the box or rescale the "
-            f"phases (eps is in phase units)")
-    return totals
-
-
 def integrate_implicit(f, spec: ImplicitSurfaceSpec,
                        cfg: QuadratureConfig | None = None) -> float:
     """Scalar surface integral of f over the implicit surface.
@@ -1169,14 +1179,13 @@ def integrate_implicit(f, spec: ImplicitSurfaceSpec,
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
-    if isinstance(f, VectorPoly):
-        _check_float_range(f)
+    f = _as_integrand(f, spec.m)
 
     def density(cells):
         # the blade norm, the root of the Gram determinant
         return {(): _field_values(f, cells) * np.sqrt(cells.gram[1])}
 
-    return _band_sum(spec, cfg, density, f=f).get((), 0.0)
+    return _Sweep(spec, cfg, f=f).sum(density).get((), 0.0)
 
 
 def integrate_oriented(f, spec: ImplicitSurfaceSpec,
@@ -1188,15 +1197,14 @@ def integrate_oriented(f, spec: ImplicitSurfaceSpec,
     """
     if spec.k < 1:
         raise ValueError("need at least one phase")
-    if isinstance(f, VectorPoly):
-        _check_float_range(f)
+    f = _as_integrand(f, spec.m)
 
     def density(cells):
         values = _field_values(f, cells)
         cells.gram  # the independence test
         return {blade: values * minor for blade, minor in _wedge_columns(cells.jac).items()}
 
-    return Multivector(spec.m, _band_sum(spec, cfg, density, f=f))
+    return Multivector(spec.m, _Sweep(spec, cfg, f=f).sum(density))
 
 
 def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence],
@@ -1224,7 +1232,8 @@ def phase_rescale_invariance(spec: ImplicitSurfaceSpec, alpha: Sequence[Sequence
                              "on the surface band")
         return _field_values(f, pts)
 
-    plain = integrate_implicit(f, spec, cfg)  # first: it refuses f before any grid work
+    f = _as_integrand(f, spec.m)  # refused before any grid work
+    plain = integrate_implicit(f, spec, cfg)
     return plain, integrate_implicit(checked_f, ImplicitSurfaceSpec(spec.m, psis, spec.box), cfg)
 
 
@@ -1240,9 +1249,8 @@ def _as_poly(value, m: int) -> VectorPoly:
 
 
 def _point_batch(spec: ImplicitSurfaceSpec, point: Sequence[float]) -> _BandBatch:
-    """A one-cell ``_BandBatch`` at the point, from the phases' tables on
-    the one-cell grid of the point, so the band's range check
-    (``_check_range``) covers its jacobian and Gram matrices.
+    """The one cell of a ``_Sweep`` at the point, as a ``_BandBatch``: the
+    band's range check covers its jacobian and Gram matrices.
 
     Needs k >= 1 and |phi| <= _ON_SURFACE_TOL at the point for every phase,
     tested first, so that a NaN point, or one where phi overflows, is not
@@ -1260,10 +1268,7 @@ def _point_batch(spec: ImplicitSurfaceSpec, point: Sequence[float]) -> _BandBatc
         # not <=, so that a NaN value fails too
         if not abs(val) <= _ON_SURFACE_TOL:
             raise ValueError(f"point is not on the surface: |phi| = {abs(val):g}")
-    axes = list(x[:, None])
-    tests = _band_tables(spec, axes, [0.0] * spec.m)
-    return _BandBatch(np.zeros((spec.m, 1), dtype=np.intp), np.ones(1), None, None, axes,
-                      tests, _gram_tables(tests))
+    return _BandBatch(_Sweep(spec, x), np.zeros((spec.m, 1), dtype=np.intp), np.ones(1))
 
 
 def tangent_normal_frames(spec: ImplicitSurfaceSpec, point: Sequence[float]
@@ -1419,13 +1424,13 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     The surface must have dimension m - k >= 1, so k < m.
 
     The left side is the band sum cut by the Heaviside of phi, which visits
-    only the cells with H(-phi) > 0.  The two sweeps share the tables of
-    phi and of the phases (``_band_tables``), and every float-range refusal
-    of either comes before the first visits a cell.  The Clifford fields,
-    the blades and their products are column-sparse batches that carry
-    only the blades they can hold, and each side runs on whole band
-    batches.  The
-    tangential Dirac operator is the frame-free projector form of
+    only the cells with H(-phi) > 0; the right side's sweep is the left
+    one's with the cut as its first phase (``_Sweep.cut_as_phase``), on
+    the same tables, and every float-range refusal of either comes before
+    the first visits a cell.  The Clifford fields, the blades and their
+    products are column-sparse batches that carry only the blades they can
+    hold, and each side runs on whole band batches.  The tangential Dirac
+    operator is the frame-free projector form of
     ``tangential_dirac``, with the inverse Gram matrices of the phase
     gradients in closed form for k <= 2; it raises IndependenceError on the
     band's test, and a field whose derivatives all vanish (F = 1, say)
@@ -1477,16 +1482,11 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
         g_vals = _field_columns(g_cp, cells.points)
         return _columns_mul(_columns_mul(f_vals, blade), g_vals)
 
-    cut = ImplicitSurfaceSpec(m, (phi, *spec.phases), spec.box)  # checks phi
-    # one set of tables serves both sweeps, the left one cut by phi and the
-    # right one with phi as its first phase, and both sweeps' refusals come
-    # before either visits a cell
-    _, axes, spacings, _ = _grid_geometry(spec, cfg or QuadratureConfig())
-    left = _band_tables(spec, axes, spacings, phi)
-    right = [left[k], *left[:k]]
-    _check_range(right, ["the cut phi", *(f"phase {j + 1}" for j in range(k))], k + 1)
-    lhs = _band_sum(spec, cfg, left_density, phi, left)
-    rhs = _band_sum(cut, cfg, right_density, tests=right)
+    _check_float_range(phi)
+    left = _Sweep(spec, cfg, phi)
+    right = left.cut_as_phase()
+    lhs = left.sum(left_density)
+    rhs = right.sum(right_density)
     lhs_norm = math.hypot(*lhs.values())
     rhs_norm = math.hypot(*rhs.values())
     diff = math.hypot(*(lhs.get(b, 0.0) - rhs.get(b, 0.0) for b in lhs.keys() | rhs.keys()))

@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 import warnings
@@ -20,8 +19,8 @@ from cliffint import (BoundaryContactError, CliffordPoly, FloatRangeError, Frame
                       tangent_normal_frames, tangential_dirac)
 from cliffint import geomint
 from cliffint.clifford import _mul_blades, blades_of_grade
-from cliffint.geomint import (_band_stream, _columns_mul, _delta_values, _grid_geometry,
-                              _haar_frames, _interval_bounds, _minors, _wedge_columns)
+from cliffint.geomint import (_Sweep, _columns_mul, _delta_values, _haar_frames,
+                              _interval_bounds, _minors, _wedge_columns)
 from cliffint.pizzetti import sphere_pizzetti
 
 from oracles import (bench_oracles, blade_minors, blade_norms, bump_average, bump_average_cos_sin,
@@ -548,14 +547,14 @@ def test_band_sweep_matches_dense_sweep(shape, n):
     spec = _dense_case(shape)
     cfg = QuadratureConfig(n=n)
     eps = cfg.resolve_eps(spec.box)
-    _, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    sweep = _Sweep(spec, cfg)
+    cellvol = sweep.cellvol
     # the torus's gradient has mixed terms and the skew quadric's d1 phi two
     # axis tables: their Gram entries come from the jacobian, not products
-    products = geomint._gram_tables(geomint._band_tables(spec, axes, spacings))
-    assert (products is None) == (shape in ("torus", "skew"))
+    assert (sweep.products is None) == (shape in ("torus", "skew"))
     ref_pts, ref_weight, ref_jac = dense_band([dict(p.terms) for p in spec.phases],
                                               spec.box, n, eps)
-    pts, weight, jac, _ = _stream_columns(list(_band_stream(spec, eps, spacings, axes)))
+    pts, weight, jac, _ = _stream_columns(list(sweep.batches()))
     # the same band cells, at the same coordinates, with the same weights
     assert pts.shape == ref_pts.shape
     pts, weight, jac = _sorted_rows(pts, weight, jac)
@@ -592,9 +591,9 @@ def test_gram_from_product_tables_is_bit_identical(shape):
     spec = {"sphere": sphere_spec(), "shifted sphere": _dense_case("sphere"),
             "circle": circle_spec(), "ellipsoid": _ellipsoid_spec()}[shape]
     cfg = QuadratureConfig(n=101)
-    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
-    assert geomint._gram_tables(geomint._band_tables(spec, axes, spacings)) is not None
-    batches = list(_band_stream(spec, eps, spacings, axes))
+    sweep = _Sweep(spec, cfg)
+    assert sweep.products is not None
+    batches = list(sweep.batches())
     assert batches
     for cells in batches:
         gram, det = cells.gram
@@ -655,9 +654,8 @@ def _stream_columns(got):
 
 
 def _stream_rows(spec, n, cut=None):
-    cfg = QuadratureConfig(n=n)
-    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
-    return _sorted_rows(*_stream_columns(list(_band_stream(spec, eps, spacings, axes, cut))))
+    sweep = _Sweep(spec, QuadratureConfig(n=n), cut)
+    return _sorted_rows(*_stream_columns(list(sweep.batches())))
 
 
 def _face_spec():
@@ -697,12 +695,12 @@ def test_boundary_contact_in_a_ragged_edge_leaf(batch, n, monkeypatch):
     monkeypatch.setattr(geomint, "_BATCH_CELLS", batch)
     spec = _face_spec()
     cfg = QuadratureConfig(n=n)
-    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
-    got = list(_band_stream(spec, eps, spacings, axes))
+    sweep = _Sweep(spec, cfg)
+    got = list(sweep.batches())
     flagged = [item for item in got if item.bmask is not None]
     assert flagged
     pts, _, _, bmask = _stream_columns(got)
-    assert np.array_equal(bmask, pts[:, 0] > 1.6 - spacings[0])
+    assert np.array_equal(bmask, pts[:, 0] > 1.6 - sweep.spacings[0])
     assert bmask.any()
     with pytest.raises(BoundaryContactError):
         integrate_implicit(1, spec, cfg)
@@ -727,10 +725,9 @@ def test_cut_band_keeps_every_cell_of_the_cut(case, n):
     else:
         spec = ImplicitSurfaceSpec(2, [], BOX2)
         phi = _shifted_sphere(2, (Fraction(1, 20), Fraction(-3, 100)), 1)
-    cfg = QuadratureConfig(n=n)
-    eps, axes, spacings, _ = _grid_geometry(spec, cfg)
+    sweep = _Sweep(spec, QuadratureConfig(n=n), phi)
     pts, weight, jac, bmask = _stream_rows(spec, n)
-    frac = _heaviside_fraction(phi, pts, spacings)
+    frac = _heaviside_fraction(phi, pts, sweep.spacings)
     inside = frac > 0.0
     assert 0 < inside.sum() < len(pts)
     cut_pts, cut_weight, cut_jac, cut_bmask = _stream_rows(spec, n, phi)
@@ -742,10 +739,8 @@ def test_cut_band_keeps_every_cell_of_the_cut(case, n):
     if case == "disk":
         # the disk holds about 31 % of the grid; the block test with the cut
         # rules out most of the rest before any cell is evaluated
-        leaf = geomint._BLOCK
-        cut = geomint._PhaseTables(phi, axes, spacings)
-        leaves = geomint._band_leaves([], eps, axes, leaf, cut,
-                                      geomint._top_blocks([], eps, axes, leaf, cut))
+        leaf = sweep.leaf
+        leaves = geomint._band_leaves([], sweep.eps, sweep.axes, leaf, sweep.cut, sweep.top)
         assert sum(map(len, leaves)) * leaf ** 2 < 0.45 * n * n
 
 
@@ -753,8 +748,7 @@ def test_cut_band_keeps_cells_where_phi_and_its_span_vanish():
     # phi = 0 gives every cell the Heaviside fraction 1/2: a block test
     # that dropped blocks with phi >= span/2 instead of > would drop them all
     spec = ImplicitSurfaceSpec(2, [], BOX2)
-    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=64))
-    got = list(_band_stream(spec, eps, spacings, axes, VectorPoly.zero(2)))
+    got = list(_Sweep(spec, QuadratureConfig(n=64), VectorPoly.zero(2)).batches())
     weight = np.concatenate([item.weight for item in got])
     assert len(weight) == 64 * 64 and np.all(weight == 0.5)
 
@@ -768,7 +762,7 @@ def test_steep_cut_on_a_cell_of_zero_span_clips_without_warning():
     box = ((-1.0, 1.0),) * 2
     spec = ImplicitSurfaceSpec(2, [], box)
     cfg = QuadratureConfig(n=41)
-    _, axes, _, _ = _grid_geometry(spec, cfg)
+    axes = _Sweep(spec, cfg).axes
     assert axes[0][20] == axes[1][20] == 0.0
     res = cauchy_check(1, xvar(1, 2), phi, spec, cfg)
     # G = x1 has Dirac derivative e1, so the left side is the disk's area on e1
@@ -782,14 +776,12 @@ def _lookup_batches(spec, n, cut=None):
     # the sweep's batches, and the same sweep with every phase and the cut
     # read cell by cell: the lookups must give the same cells, weights and
     # boundary masks, bit for bit
-    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
-    tests = geomint._band_tables(spec, axes, spacings, cut)
-    assert any(test.axis is not None for test in tests)
-    cell_path = [copy.copy(test) for test in tests]
-    for test in cell_path:
-        test.axis = None
-    got = list(_band_stream(spec, eps, spacings, axes, cut, tests))
-    want = list(_band_stream(spec, eps, spacings, axes, cut, cell_path))
+    sweep = _Sweep(spec, QuadratureConfig(n=n), cut)
+    assert any(test.axis is not None for test in sweep.tests)
+    cell_path = _Sweep(spec, QuadratureConfig(n=n), cut)
+    cell_path.lookups = [None] * len(cell_path.tests)
+    got = list(sweep.batches())
+    want = list(cell_path.batches())
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert a.idx.tobytes() == b.idx.tobytes()
@@ -837,7 +829,7 @@ def test_plane_phases_by_lookup_match_dense_sweep(case):
     if case != "x1 and x3":
         # the line of the two planes crosses the box; the circles do not
         cfg = QuadratureConfig(n=n)
-        _, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+        cellvol = _Sweep(spec, cfg).cellvol
         pts, weight, jac, _ = _stream_columns(got)
         want = cellvol * float((weight * blade_norms(jac) * pts[:, 1]).sum())
         assert abs(integrate_implicit(xvar(2), spec, cfg) - want) <= 1e-12 * abs(want)
@@ -852,7 +844,7 @@ def test_one_axis_cut_by_lookup_matches_dense_cauchy():
     phi = x1 ** 3 - Fraction(1, 3) * x1 + Fraction(1, 7)
     n = 101
     got = _lookup_batches(spec, n, phi)
-    _, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
+    spacings = _Sweep(spec, QuadratureConfig(n=n)).spacings
     pts, weight, _, _ = _stream_rows(spec, n)
     frac = _heaviside_fraction(phi, pts, spacings)
     inside = frac > 0.0
@@ -878,12 +870,12 @@ def test_one_axis_phase_with_a_zero_span_entry_takes_the_midpoint():
     # on that axis entry; n = 101 leaves ragged leaves
     spec = ImplicitSurfaceSpec(2, [xvar(2, 2) ** 2 - Fraction(1, 100)], BOX2)
     n = 101
-    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
-    (test,) = geomint._band_tables(spec, axes, spacings)
+    sweep = _Sweep(spec, QuadratureConfig(n=n))
+    (test,) = sweep.tests
     assert test.axis == 1
-    inside, _ = geomint._axis_lookup(test, eps, False)
+    inside, _ = geomint._axis_lookup(test, sweep.eps, False)
     span = test.span_tables[0][1]
-    assert np.any(inside & (span <= 1e-9 * eps))
+    assert np.any(inside & (span <= 1e-9 * sweep.eps))
     _assert_band_matches_dense(spec, n, _lookup_batches(spec, n))
 
 
@@ -900,8 +892,7 @@ def test_plane_delta_values_run_once_per_sweep(monkeypatch):
     monkeypatch.setattr(geomint, "_delta_values", spy)
     spec = ImplicitSurfaceSpec(3, [xvar(3) - Fraction(1, 5)], BOX3)
     n = 64
-    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
-    batches = list(_band_stream(spec, eps, spacings, axes))
+    batches = list(_Sweep(spec, QuadratureConfig(n=n)).batches())
     assert len(batches) > 1
     assert len(calls) == 1 and 0 < calls[0] < n
     # the band is every cell whose x3 index is one of those entries
@@ -923,13 +914,12 @@ def test_boundary_contact_in_one_top_block(monkeypatch):
     spec = _one_top_block_face_spec()
     n = 101
     cfg = QuadratureConfig(n=n)
-    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
-    tests = geomint._band_tables(spec, axes, spacings)
-    top, size = geomint._top_blocks(tests, eps, axes, geomint._BLOCK, None)
-    face = [np.logical_or.reduceat(e, np.arange(0, n, size))
-            for e in geomint._edge_flags(spec, spacings, axes)]
+    sweep = _Sweep(spec, cfg)
+    eps, spacings, cellvol = sweep.eps, sweep.spacings, sweep.cellvol
+    top, size = sweep.top
+    face = [np.logical_or.reduceat(e, np.arange(0, n, size)) for e in sweep.edges]
     assert size == 16 and (face[0][top[:, 0]] | face[1][top[:, 1]]).sum() == 1
-    batches = list(_band_stream(spec, eps, spacings, axes))
+    batches = list(sweep.batches())
     assert all(item.bmask is not None for item in batches)
     # the message carries the boundary and total magnitudes of the dense sweep
     pts, weight, jac = dense_band([dict(p.terms) for p in spec.phases], spec.box, n, eps)
@@ -968,7 +958,7 @@ def test_interior_sweep_sums_no_magnitudes(shape, monkeypatch):
     monkeypatch.setattr(_UfuncSpy, "calls", [])
     spec = _face_spec() if shape == "face" else _dense_case(shape)
     cfg = QuadratureConfig(n=101)
-    eps, axes, spacings, cellvol = _grid_geometry(spec, cfg)
+    sweep = _Sweep(spec, cfg)
     f = 1 + xvar(1, spec.m) * xvar(2, spec.m)
 
     def density(cells):
@@ -976,18 +966,18 @@ def test_interior_sweep_sums_no_magnitudes(shape, monkeypatch):
         return {(): col.view(_UfuncSpy)}
 
     want = 0.0
-    batches = list(_band_stream(spec, eps, spacings, axes))
+    batches = list(sweep.batches())
     for cells in batches:
         want += float(geomint._field_values(f, cells) * np.sqrt(cells.gram[1])
-                      @ (cells.weight * cellvol))
+                      @ (cells.weight * sweep.cellvol))
     if shape == "face":
         assert all(item.bmask is not None for item in batches)
         with pytest.raises(BoundaryContactError):
-            geomint._band_sum(spec, cfg, density)
+            sweep.sum(density)
         assert "absolute" in _UfuncSpy.calls
         return
     assert not any(item.bmask is not None for item in batches)
-    assert geomint._band_sum(spec, cfg, density)[()] == want
+    assert sweep.sum(density)[()] == want
     assert "vdot" in _UfuncSpy.calls and "absolute" not in _UfuncSpy.calls
 
 
@@ -1162,7 +1152,8 @@ def test_block_bounds_hold_every_kept_cell(m, n):
         cut = x[0] * x[2] + x[1] - Fraction(1, 5)
     box = ((-1.6, 1.6),) * m
     cfg = QuadratureConfig(n=n)
-    eps, axes, spacings, _ = _grid_geometry(ImplicitSurfaceSpec(m, [], box), cfg)
+    sweep = _Sweep(ImplicitSurfaceSpec(m, [], box), cfg)
+    eps, axes, spacings = sweep.eps, sweep.axes, sweep.spacings
     idx = np.indices((n,) * m).reshape(m, -1)
     cols = np.array([ax.take(row) for ax, row in zip(axes, idx)])
     cases = [(geomint._PhaseTables(phi, axes, spacings), False) for phi in phases]
@@ -1191,11 +1182,11 @@ def test_boundary_flags_match_the_predicate_on_the_points(n):
     # reaches four faces; the box is not symmetric, and 101 leaves ragged blocks
     box = ((-1.6, 1.6), (-1.2, 2.0), (-2.0, 1.3))
     spec = ImplicitSurfaceSpec(3, [xvar(1) - Fraction(1, 10)], box)
-    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
-    pts, _, _, bmask = _stream_columns(list(_band_stream(spec, eps, spacings, axes)))
+    sweep = _Sweep(spec, QuadratureConfig(n=n))
+    pts, _, _, bmask = _stream_columns(list(sweep.batches()))
     # the boundary test of the sweep before its per-axis tables
     want = np.zeros(len(pts), dtype=bool)
-    for i, ((lo, hi), h) in enumerate(zip(box, spacings)):
+    for i, ((lo, hi), h) in enumerate(zip(box, sweep.spacings)):
         want |= (pts[:, i] < lo + h) | (pts[:, i] > hi - h)
     assert np.array_equal(bmask, want)
     assert 0 < bmask.sum() < len(pts)
@@ -1220,8 +1211,9 @@ def test_band_culling_in_bounded_memory(m, n, leaf, count):
     # n = 80 has 40^5 leaves, and one flat test of even their 20^5 parents
     # holds about 285 MB
     spec = sphere_spec(m)
-    eps, axes, spacings, _ = _grid_geometry(spec, QuadratureConfig(n=n))
-    tests = [geomint._PhaseTables(phi, axes, spacings) for phi in spec.phases]
+    sweep = _Sweep(spec, QuadratureConfig(n=n))
+    eps, axes, tests = sweep.eps, sweep.axes, sweep.phases
+    assert sweep.leaf == leaf
     tracemalloc.start()
     try:
         top = geomint._top_blocks(tests, eps, axes, leaf, None)
@@ -1773,7 +1765,10 @@ def test_integrands_beyond_float_range_are_refused(monkeypatch):
     # every coefficient is a float; on [-1.6, 1.6]^2 at n = 64 the cells
     # reach |x| = 1.575, where 10^308 x1^8 is not, and 10^307 x1^2 is, but
     # not times the blade bound 2 |grad phi| <= 2 (2 1.575^2 4)^(1/2) of the
-    # unit circle; both integrals refuse them before any cell is visited
+    # unit circle; both integrals refuse them before any cell is visited.  A
+    # number is the constant polynomial and takes the same checks: 10^308 is
+    # a float, but not times the blade bound, and 10^400 is none; a NaN or an
+    # infinity is refused on entry
     spec, cfg = ImplicitSurfaceSpec(2, [_scaled_circle(1)], BOX2), QuadratureConfig(n=64)
 
     def no_cells(*args):
@@ -1782,10 +1777,52 @@ def test_integrands_beyond_float_range_are_refused(monkeypatch):
     monkeypatch.setattr(geomint, "_band_leaves", no_cells)
     for f, refusal in ((10**308 * xvar(1, 2) ** 8, "the integrand takes values beyond"),
                        (10**307 * xvar(1, 2) ** 2, "the integrand times the blade norm takes "
-                                                   "values beyond")):
+                                                   "values beyond"),
+                       (10**308, "the integrand times the blade norm takes values beyond"),
+                       (1e308, "the integrand times the blade norm takes values beyond"),
+                       (10**400, r"the constant term, about 10\^400, lies beyond the float range"),
+                       (Fraction(10**400), r"the constant term, about 10\^400, lies beyond"),
+                       (math.nan, "the integrand nan is not a finite number"),
+                       (math.inf, "the integrand inf is not a finite number")):
         for integral in (integrate_implicit, integrate_oriented):
             with pytest.raises(FloatRangeError, match=refusal):
                 integral(f, spec, cfg)
+
+
+def test_integrands_of_another_shape_are_refused():
+    # a polynomial in more coordinates raised a bare IndexError from its
+    # bound on the grid, and one in fewer a ValueError from inside the sweep
+    for f in (xvar(4, 4), VectorPoly.constant(2, 1),
+              VectorPoly.monomial(3, (1, 0, 0, 0, 0, 0), nvars=2)):
+        for integral in (integrate_implicit, integrate_oriented):
+            with pytest.raises(ValueError, match="the integrand must be a polynomial in one "
+                                                 "m-vector"):
+                integral(f, sphere_spec(), QuadratureConfig(n=32))
+
+
+@pytest.mark.parametrize("case", ["circle", "disk"])
+def test_cut_as_phase_sweep_equals_a_fresh_sweep(case):
+    # the Cauchy check's right side reuses the left sweep's geometry, tables
+    # and edge flags, with the cut as phase 1: its batches must be those of
+    # a sweep built afresh from (phi, phi_1, ..., phi_k), bit for bit
+    if case == "circle":
+        spec, phi = _dense_case("circle"), xvar(1) - Fraction(1, 10)
+    else:
+        spec = ImplicitSurfaceSpec(2, [], BOX2)
+        phi = _shifted_sphere(2, (Fraction(1, 20), Fraction(-3, 100)), 1)
+    cfg = QuadratureConfig(n=101)
+    derived = _Sweep(spec, cfg, phi).cut_as_phase()
+    fresh = _Sweep(ImplicitSurfaceSpec(spec.m, (phi, *spec.phases), spec.box), cfg)
+    got, want = list(derived.batches()), list(fresh.batches())
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.idx.tobytes() == b.idx.tobytes()
+        assert a.weight.tobytes() == b.weight.tobytes()
+        assert (a.bmask is None) == (b.bmask is None)
+        assert a.bmask is None or np.array_equal(a.bmask, b.bmask)
+        assert a.gram[0].shape == (spec.k + 1, spec.k + 1, len(a))
+        for x, y in zip(a.gram, b.gram):
+            assert x.tobytes() == y.tobytes()
 
 
 def test_integrals_beyond_float_range_are_refused():

@@ -137,11 +137,11 @@ class _Parser:
                 return out
 
     def term(self) -> VectorPoly:
-        out = self.factor()
+        factors = [self.factor()]
         while self.peek()[1] == "*":
             self.advance()
-            out = out * self.factor()
-        return out
+            factors.append(self.factor())
+        return VectorPoly.product(factors)
 
     def factor(self) -> VectorPoly:
         if self.peek()[1] == "-":
@@ -311,16 +311,17 @@ def _rand_poly(rng: random.Random, m: int, nvars: int = 1, deg: int = 2,
 
 
 def _rand_quadratic_phase(rng: random.Random, m: int) -> VectorPoly:
-    out = VectorPoly.constant(m, rng.randint(-2, 2))
-    for i in range(1, m + 1):
+    """c + sum_i c_i x_i + sum_{i <= j} c_ij x_i x_j, the terms in the order drawn."""
+    terms = {(0,) * m: rng.randint(-2, 2)}
+    for i in range(m):
         ci = rng.randint(-2, 2)
         if ci:
-            out = out + VectorPoly.variable(m, 1, i) * ci
-        for j in range(i, m + 1):
+            terms[tuple(int(t == i) for t in range(m))] = ci
+        for j in range(i, m):
             cij = rng.randint(-1, 1)
             if cij:
-                out = out + VectorPoly.variable(m, 1, i) * VectorPoly.variable(m, 1, j) * cij
-    return out
+                terms[tuple((t == i) + (t == j) for t in range(m))] = cij
+    return VectorPoly(m, 1, terms)
 
 
 def _directional_power_brute(j: int, k: int, m: int) -> VectorPoly:

@@ -69,8 +69,10 @@ tables, range check and culling once and sums each column of values
 against the cell weights with one dot product.  The Cauchy-type check is
 two sweeps on one set of tables: the band cut by the Heaviside of phi,
 which also drops the blocks and cells where H(-phi) = 0, and the band of
-(phi, phi_1, ..., phi_k), so it needs k < m.  Its
-Clifford-valued fields, blades and products take a column-sparse batched
+(phi, phi_1, ..., phi_k), so it needs k < m.  Before either visits a
+cell, the fields, their derivatives and the products the two sides form
+with the blade of each sweep are bounded on the grid like an integrand.
+Its Clifford-valued fields, blades and products take a column-sparse batched
 form: a dict from blade, the index tuple that keys ``Multivector``, to one
 column of coefficients over the points, holding only the blades the value
 can carry.  A geometric product is vectorized
@@ -919,7 +921,8 @@ class _Sweep:
     the cell volume ``cellvol``.  It builds the ``_PhaseTables`` of the
     phases, then of ``cut``, a polynomial phi, when one is given, and
     refuses, before any cell is visited, tables that may leave the float
-    range (``_check_range``), and a polynomial integrand ``f`` whose
+    range (``_check_range``, whose bound of the blade norm it keeps as
+    ``blade``), and a polynomial integrand ``f`` whose
     ``_term_bound`` on the grid, or that bound times the blade bound of
     ``_check_range``, is not finite (FloatRangeError, "the integrand ...
     beyond the float range on the grid"): they bound its values on the
@@ -972,11 +975,12 @@ class _Sweep:
         self.cellvol = math.prod(self.spacings)
         phases = spec.phases if cut is None else (*spec.phases, cut)
         tests = [_PhaseTables(phi, self.axes, self.spacings) for phi in phases]
-        blade = _check_range(tests, [f"phase {j + 1}" for j in range(k)] + ["the cut phi"], k)
+        names = [f"phase {j + 1}" for j in range(k)] + ["the cut phi"]
+        self.blade = _check_range(tests, names, k)
         with np.errstate(over="ignore"):
             values = _term_bound(f, self.axes) if isinstance(f, VectorPoly) else 0.0
         for bound, what in ((values, "takes values"),
-                            (values * blade, "times the blade norm takes values")):
+                            (values * self.blade, "times the blade norm takes values")):
             if not math.isfinite(bound):
                 raise FloatRangeError(f"the integrand {what} beyond the float range on the grid")
         self._build(tests, k)
@@ -987,8 +991,8 @@ class _Sweep:
         that order."""
         right = copy.copy(self)
         tests = [self.cut, *self.phases]
-        _check_range(tests, ["the cut phi", *(f"phase {j + 1}" for j in range(self.k))],
-                     self.k + 1)
+        right.blade = _check_range(tests, ["the cut phi",
+                                           *(f"phase {j + 1}" for j in range(self.k))], self.k + 1)
         right._build(tests, self.k + 1)
         return right
 
@@ -1409,6 +1413,54 @@ def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list,
 # -- Cauchy-type boundary-value check ----------------------------------------
 
 
+def _field_bound(field: CliffordPoly, axes: list[np.ndarray]) -> float:
+    """The sum over a Clifford field's blades of their ``_term_bound``s on
+    the grid, inf when a coefficient has no float value; call it with float
+    overflow silenced."""
+    try:
+        return float(sum(_term_bound(p, axes) for p in field.terms.values()))
+    except OverflowError:
+        return math.inf
+
+
+def _check_field_range(f: CliffordPoly, g: CliffordPoly, df: list, dg: list,
+                       left: _Sweep, right: _Sweep) -> None:
+    """Refuse, before either Cauchy sweep visits a cell, fields whose values,
+    or whose products with the blade W and each other, may leave the float
+    range (FloatRangeError, "... beyond the float range on the grid").
+
+    A field's bound (``_field_bound``) bounds each of its blade columns on
+    every cell.  For fixed blades of one factor and of the product, the
+    blade of the other factor is fixed, so a column of a geometric product
+    is at most the first factor's bound times the greatest column of the
+    second: every column the densities form is bounded by the product of
+    the bounds of its factors, W's being the blade bound that
+    ``_check_range`` returns for the side's sweep (its doubling covers the
+    rounding).  The derivatives d_1 F, ..., d_m F are bounded by the sum D_F
+    of their bounds; the tangential projection shortens the vector of
+    partials of each blade, so each column of F d_par, a signed sum over i
+    of one projected d_i F column each, is at most m D_F.  Every partial
+    product of the densities is listed.
+    """
+    m = len(left.axes)
+    with np.errstate(over="ignore"):
+        f_b, g_b = _field_bound(f, left.axes), _field_bound(g, left.axes)
+        df_b = sum(_field_bound(d, left.axes) for d in df)
+        dg_b = sum(_field_bound(d, left.axes) for d in dg)
+        checks = [(f_b, "the field F takes values"), (g_b, "the field G takes values"),
+                  (df_b, "the derivatives of F take values"),
+                  (dg_b, "the derivatives of G take values")]
+        lb, rb = left.blade, right.blade
+        checks += [(bound, "the left side's integrand takes values")
+                   for bound in (m * df_b, m * df_b * lb, m * df_b * lb * g_b,
+                                 m * dg_b, f_b * lb, f_b * lb * m * dg_b)]
+        checks += [(bound, "the right side's integrand takes values")
+                   for bound in (f_b * rb, f_b * rb * g_b)]
+    for bound, what in checks:
+        if not math.isfinite(bound):
+            raise FloatRangeError(f"{what} beyond the float range on the grid")
+
+
 def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
                  cfg: QuadratureConfig | None = None) -> CauchyResult:
     """Compare both sides of the boundary-value identity on the surface.
@@ -1426,10 +1478,11 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     The left side is the band sum cut by the Heaviside of phi, which visits
     only the cells with H(-phi) > 0; the right side's sweep is the left
     one's with the cut as its first phase (``_Sweep.cut_as_phase``), on
-    the same tables, and every float-range refusal of either comes before
-    the first visits a cell.  The Clifford fields, the blades and their
-    products are column-sparse batches that carry only the blades they can
-    hold, and each side runs on whole band batches.  The tangential Dirac
+    the same tables, and every float-range refusal of either, the fields'
+    (``_check_field_range``) included, comes before the first visits a
+    cell.  The Clifford fields, the blades and their products are
+    column-sparse batches that carry only the blades they can hold, and
+    each side runs on whole band batches.  The tangential Dirac
     operator is the frame-free projector form of
     ``tangential_dirac``, with the inverse Gram matrices of the phase
     gradients in closed form for k <= 2; it raises IndependenceError on the
@@ -1485,6 +1538,7 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     _check_float_range(phi)
     left = _Sweep(spec, cfg, phi)
     right = left.cut_as_phase()
+    _check_field_range(f_cp, g_cp, df, dg, left, right)
     lhs = left.sum(left_density)
     rhs = right.sum(right_density)
     lhs_norm = math.hypot(*lhs.values())

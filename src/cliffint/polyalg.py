@@ -8,9 +8,12 @@ x_{j,i} (vector j, coordinate i, both 1-based) sits at flat index
 
 ``VectorPoly`` shares its addition, negation, equality and hashing with
 the blade algebras of ``clifford`` through the base ``_SparseTerms``.  Its
-coefficients are always ``Fraction``s; a product of two polynomials with
-several terms each runs on integer numerators over a common denominator
-and divides once per output term.  Every other sum of terms in the exact
+coefficients are always ``Fraction``s.  Products of any number of factors
+(``VectorPoly.product``), and with them ``*``, powers, the parser's terms
+and ``compose_linear``, share one product on integer numerators over one
+denominator, which builds each output Fraction once.  ``__init__``
+validates the terms callers pass in; the constructors that build their
+own keys skip it.  Every other sum of terms in the exact
 algebras, here and in ``pizzetti``, ``clifford``, ``exterior`` and
 ``geomint``, yields (key, coefficient) pairs into one accumulator,
 ``_SparseTerms._sum``, so it is linear in the terms summed.
@@ -172,8 +175,9 @@ class VectorPoly(_SparseTerms):
 
     @classmethod
     def constant(cls, m: int, value, nvars: int = 1) -> "VectorPoly":
+        # __init__ checks the shape; the one key is built here, so it is trusted
         value = Fraction(value)
-        return cls(m, nvars, {(0,) * (m * nvars): value} if value else {})
+        return cls(m, nvars)._like({(0,) * (m * nvars): value} if value else {})
 
     @classmethod
     def variable(cls, m: int, j: int, i: int, nvars: int = 1) -> "VectorPoly":
@@ -184,7 +188,7 @@ class VectorPoly(_SparseTerms):
             raise ValueError(f"coordinate index {i} out of range 1..{m}")
         key = [0] * (m * nvars)
         key[(j - 1) * m + (i - 1)] = 1
-        return cls(m, nvars, {tuple(key): Fraction(1)})
+        return cls(m, nvars)._like({tuple(key): Fraction(1)})
 
     @classmethod
     def monomial(cls, m: int, exponents: Sequence[int], coeff=1, nvars: int = 1) -> "VectorPoly":
@@ -196,7 +200,7 @@ class VectorPoly(_SparseTerms):
         # the m products have distinct monomials: one dict holds them all
         products = (cls.variable(m, ja, i, nvars) * cls.variable(m, jb, i, nvars)
                     for i in range(1, m + 1))
-        return cls(m, nvars, {k: c for p in products for k, c in p.terms.items()})
+        return cls(m, nvars)._like({k: c for p in products for k, c in p.terms.items()})
 
     @classmethod
     def norm_squared_var(cls, m: int, j: int, nvars: int = 1) -> "VectorPoly":
@@ -204,15 +208,58 @@ class VectorPoly(_SparseTerms):
 
     # -- ring operations ---------------------------------------------------
 
-    def __mul__(self, other):
-        """Product with a number or a polynomial of the same shape.
+    @staticmethod
+    def product(factors: Sequence["VectorPoly"]) -> "VectorPoly":
+        """Product of one or more factors, in their order: a polynomial,
+        then polynomials of its shape or numbers.
 
-        A one-term factor shifts the other's keys and scales its
-        coefficients.  Otherwise the double loop runs on integer numerators
-        over each factor's common denominator and divides once per output
-        term; Fractions are canonical, so every coefficient equals the
-        term-by-term Fraction sum.
+        Every polynomial product runs here: ``*`` of two polynomials, powers,
+        parsed terms and ``compose_linear``.  The running product holds
+        integer numerators over one denominator, the product of the
+        factors' common denominators, and builds its Fractions once, at the
+        end; Fractions are canonical, so every coefficient equals the
+        term-by-term Fraction sum.  Where the factor or the running product
+        has one term, the other's keys are shifted and its numerators
+        scaled; otherwise a double loop runs over the running terms, then
+        the factor's.  The zero sums are dropped after each factor, so the
+        terms come in the order of the left fold of ``*``.
         """
+        first, *rest = factors
+        if not rest:
+            return first
+        add = operator.add
+        nums, den = _numerators(first.terms)
+        for factor in rest:
+            factor = first._coerce(factor)
+            if factor is NotImplemented:
+                raise TypeError("a product takes polynomials and numbers")
+            terms = factor.terms
+            if not nums or not terms:
+                # the product is zero; the later factors' shapes are still checked
+                nums = []
+            elif len(terms) == 1:
+                (kb, cb), = terms.items()
+                nb = cb.numerator
+                nums = [(tuple(map(add, ka, kb)), na * nb) for ka, na in nums]
+                den *= cb.denominator
+            else:
+                b, db = _numerators(terms)
+                den *= db
+                if len(nums) == 1:
+                    (ka, na), = nums
+                    nums = [(tuple(map(add, ka, kb)), na * nb) for kb, nb in b]
+                else:
+                    out: dict[ExpKey, int] = {}
+                    get = out.get
+                    for ka, na in nums:
+                        for kb, nb in b:
+                            key = tuple(map(add, ka, kb))
+                            out[key] = get(key, 0) + na * nb
+                    nums = [(k, n) for k, n in out.items() if n]
+        return first._like(_over(nums, den))
+
+    def __mul__(self, other):
+        """Product with a number or a polynomial of the same shape."""
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self._like({})
@@ -220,36 +267,23 @@ class VectorPoly(_SparseTerms):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        add = operator.add
-        short, long = self.terms, other.terms
-        if len(long) == 1:
-            short, long = long, short
-        if len(short) == 1:
-            (ks, cs), = short.items()
-            return self._like({tuple(map(add, ks, k)): cs * c for k, c in long.items()})
-        a, da = _numerators(self.terms)
-        b, db = _numerators(other.terms)
-        out: dict[ExpKey, int] = {}
-        get = out.get
-        for ka, na in a:
-            for kb, nb in b:
-                key = tuple(map(add, ka, kb))
-                out[key] = get(key, 0) + na * nb
-        return self._like(_over(out, da * db))
+        return VectorPoly.product((self, other))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """The n-th power, n >= 0.  A one-term base scales its key and
+        raises its coefficient; otherwise the product of n copies, which
+        multiplies the running power by the base and so equals repeated
+        ``*``, term order included."""
         if n < 0:
             raise ValueError("negative power")
-        out = VectorPoly.constant(self.m, 1, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        if n == 0:
+            return VectorPoly.constant(self.m, 1, self.nvars)
+        if len(self.terms) == 1:
+            (key, coeff), = self.terms.items()
+            return self._like({tuple(e * n for e in key): coeff ** n})
+        return VectorPoly.product((self,) * n)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -349,19 +383,20 @@ class VectorPoly(_SparseTerms):
         # each power of a form is built once
         powers: dict[tuple[int, int], VectorPoly] = {}
 
-        def term(key, coeff):
-            # a coefficient 1 (every monomial) skips one scaling product
-            out = None if coeff == 1 else VectorPoly.constant(m, coeff, self.nvars)
+        def image(key, coeff):
+            # a coefficient 1 (every monomial) is no factor
+            factors = [] if coeff == 1 else [VectorPoly.constant(m, coeff, self.nvars)]
             for idx, e in enumerate(key):
                 if e:
                     power = powers.get((idx, e))
                     if power is None:
                         power = powers[(idx, e)] = lin[idx] ** e
-                    out = power if out is None else out * power
-            return VectorPoly.constant(m, 1, self.nvars) if out is None else out
+                    factors.append(power)
+            return (VectorPoly.product(factors) if factors
+                    else VectorPoly.constant(m, 1, self.nvars))
 
         return self._sum(pair for key, coeff in self.terms.items()
-                         for pair in term(key, coeff).terms.items())
+                         for pair in image(key, coeff).terms.items())
 
     def monomial_text(self, key: ExpKey) -> str:
         """The monomial of exponent key ``key`` as text, e.g. 'x1_2^3*x2_1'; '' for 1."""
@@ -390,9 +425,9 @@ def _numerators(terms: dict) -> tuple[list, int]:
     return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
 
 
-def _over(nums: dict, den: int) -> dict:
-    """Terms ``n / den`` as Fractions, dropping the zero sums."""
-    return {k: Fraction(n, den) for k, n in nums.items() if n}
+def _over(nums: list, den: int) -> dict:
+    """(key, integer numerator) pairs, none of them zero, as terms ``n / den``."""
+    return {k: Fraction(n, den) for k, n in nums}
 
 
 def _check_shapes(symbol: VectorPoly, p: VectorPoly):

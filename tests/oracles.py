@@ -6,12 +6,14 @@ product ``poly_mul`` and ``FrameOracle``, the exact frame-moment recursion,
 live in ``bench/oracles.py``, which shares no code with the library.  This
 module loads that file as ``bench_oracles``, under its own name since both
 modules are called ``oracles``.  What stays here is test-only: the
-single-index kernel oracles, the blade products, the dense grid sweeps
+single-index kernel oracles, the parser's polynomials built from dicts
+(term order included), the blade products, the dense grid sweeps
 recomputed over every cell in plain numpy, the QR Haar sampler and the
 Cayley rotations.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,107 @@ def tangential_terms(terms: dict, m: int, j: int) -> dict:
         for key, c in twice.items():
             _accumulate(out, key, -c)
     return out
+
+
+# -- the parser's polynomials, built from dicts ----------------------------------
+#
+# The order of a dict's terms is part of the reference: the float kernels sum
+# terms in dict order.  A sum copies its left operand and adds the right one's
+# terms in order, deleting a key whose sum cancels; a product runs the double
+# loop over the left terms, then the right ones, keeps each key where it first
+# appears and drops the zero sums at the end.
+
+
+def product_terms(a: dict, b: dict) -> dict:
+    """a * b by the double loop, in first-appearance order."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def power_terms(a: dict, n: int, width: int) -> dict:
+    """a^n as 1 * a * ... * a, n factors a."""
+    out = {(0,) * width: Fraction(1)}
+    for _ in range(n):
+        out = product_terms(out, a)
+    return out
+
+
+def parse_tree_terms(tree: tuple, m: int, nvars: int) -> dict:
+    """The polynomial of an expression tree, as ``cliffint.cli.parse_poly``
+    builds it from the tree's text, in value and in term order.
+
+    Nodes: ("num", Fraction >= 0), ("var", j, i), ("dot", ja, jb),
+    ("normsq", j), ("neg", t), ("pow", t, n), ("mul", [t, ...]) and
+    ("add", [(sign, t), ...]) with signs +1 or -1, the first +1.
+    """
+    width = m * nvars
+
+    def unit(*flat):
+        key = [0] * width
+        for idx in flat:
+            key[idx] += 1
+        return tuple(key)
+
+    def build(node):
+        kind = node[0]
+        if kind == "num":
+            return {(0,) * width: Fraction(node[1])} if node[1] else {}
+        if kind == "var":
+            return {unit((node[1] - 1) * m + node[2] - 1): Fraction(1)}
+        if kind in ("dot", "normsq"):
+            ja, jb = node[1], node[-1]
+            return {unit((ja - 1) * m + i, (jb - 1) * m + i): Fraction(1) for i in range(m)}
+        if kind == "neg":
+            return {k: -c for k, c in build(node[1]).items()}
+        if kind == "pow":
+            return power_terms(build(node[1]), node[2], width)
+        if kind == "mul":
+            first, *rest = [build(t) for t in node[1]]
+            for factor in rest:
+                first = product_terms(first, factor)
+            return first
+        out = {}
+        for sign, t in node[1]:
+            for key, c in build(t).items():
+                _accumulate(out, key, sign * c)
+        return out
+
+    return build(tree)
+
+
+def parse_tree_text(tree: tuple) -> str:
+    """The text of an expression tree (see ``parse_tree_terms``), with the
+    parentheses its structure needs."""
+    kind = tree[0]
+    if kind == "num":
+        return str(tree[1])
+    if kind == "var":
+        return f"x{tree[1]}_{tree[2]}"
+    if kind == "dot":
+        return f"dot(x{tree[1]},x{tree[2]})"
+    if kind == "normsq":
+        return f"normsq(x{tree[1]})"
+
+    def wrapped(t, bare):
+        text = parse_tree_text(t)
+        return text if t[0] in bare else f"({text})"
+
+    if kind == "neg":
+        return "-" + wrapped(tree[1], ("num", "var", "dot", "normsq", "neg", "pow"))
+    if kind == "pow":
+        return wrapped(tree[1], ("num", "var", "dot", "normsq")) + f"^{tree[2]}"
+    if kind == "mul":
+        return "*".join(wrapped(t, ("num", "var", "dot", "normsq", "neg", "pow"))
+                        for t in tree[1])
+    text = ""
+    for sign, t in tree[1]:
+        term = wrapped(t, ("num", "var", "dot", "normsq", "neg", "pow", "mul"))
+        text += term if not text else (" + " if sign > 0 else " - ") + term
+    return text
 
 
 # -- blade products ------------------------------------------------------------

@@ -3,14 +3,17 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffint import geomint
-from cliffint.cli import ParseError, parse_exact, run, run_suite
+from cliffint.cli import ParseError, parse_exact, parse_poly, run, run_suite
 
-from oracles import bench_oracles
+from oracles import bench_oracles, parse_tree_terms, parse_tree_text
 
 
 def run_json(args, capsys):
@@ -359,3 +362,38 @@ def test_literals_past_the_int_string_limit_are_parse_errors(template, capsys):
     poly = template.format("9" * 5000)
     assert run(["pizzetti", "sphere", "--m", "3", "--poly", poly, "-q"]) == 2
     assert capsys.readouterr().err == "error: numeric literal of 5000 digits is too long\n"
+
+
+@st.composite
+def expression_trees(draw):
+    """(m, nvars, tree): a random expression tree over m-vectors x1..x_nvars,
+    in the node format of ``oracles.parse_tree_terms``."""
+    m, nvars = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    vec = st.integers(1, nvars)
+    leaves = st.one_of(
+        st.builds(lambda p, q: ("num", Fraction(p, q)), st.integers(0, 9),
+                  st.sampled_from((1, 2, 3, 7))),
+        st.builds(lambda j, i: ("var", j, i), vec, st.integers(1, m)),
+        st.builds(lambda a, b: ("dot", a, b), vec, vec),
+        st.builds(lambda j: ("normsq", j), vec))
+
+    def composites(children):
+        return st.one_of(
+            st.builds(lambda t: ("neg", t), children),
+            st.builds(lambda t, n: ("pow", t, n), children, st.integers(0, 3)),
+            st.builds(lambda ts: ("mul", ts), st.lists(children, min_size=2, max_size=4)),
+            st.builds(lambda t, rest: ("add", [(1, t), *rest]), children,
+                      st.lists(st.tuples(st.sampled_from((1, -1)), children),
+                               min_size=1, max_size=3)))
+
+    return m, nvars, draw(st.recursive(leaves, composites, max_leaves=10))
+
+
+@given(expression_trees())
+@settings(max_examples=300, deadline=None)
+def test_parse_poly_matches_the_dict_reference(case):
+    # the parsed polynomial's terms, in value and in order, against the tree
+    # built on plain dicts with no polynomial arithmetic of the library
+    m, nvars, tree = case
+    got = parse_poly(parse_tree_text(tree), m, nvars)
+    assert list(got.terms.items()) == list(parse_tree_terms(tree, m, nvars).items())

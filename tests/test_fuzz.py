@@ -1,8 +1,9 @@
 """Fuzzers for the float paths and the polynomial parser.
 
 The scale fuzzer multiplies the phases of surfaces whose gradients are
-independent on the surface by 10^e, e in [-400, 400], and runs the grid
-quadrature and the Cauchy check at n = 32.  Each run must end in a result
+independent on the surface by 10^e, e in [-400, 400], or the integrand or
+the Cauchy fields on unscaled surfaces, and runs the grid quadrature and
+the Cauchy check at n = 32.  Each run must end in a result
 (exit 0), a verdict on the band (exit 1, boundary contact) or a refusal
 (exit 2, a coefficient or a grid value beyond or below the float range),
 with no traceback and no RuntimeWarning, and never in a diagnosis of
@@ -24,8 +25,8 @@ from cliffint import (BoundaryContactError, FloatRangeError, ImplicitSurfaceSpec
 from cliffint.cli import ParseError, parse_poly, run
 
 SPHERE = "x1_1^2+x1_2^2+x1_3^2-1"
-# family -> (command, m, phases with S for the scale, integrand); each
-# surface's exact gradients are independent at every point of it
+# family -> (command, m, phases, integrand), S in either standing for the
+# scale; each surface's exact gradients are independent at every point of it
 GRID_FAMILIES = {
     "sphere": ("implicit", 3, f"S*({SPHERE})", "1"),
     "circle": ("implicit", 3, f"S*({SPHERE});S*x1_3", "1"),
@@ -33,6 +34,7 @@ GRID_FAMILIES = {
     "torus": ("implicit", 3, "S*((x1_1^2+x1_2^2+x1_3^2+1/2)^2-9/4*(x1_1^2+x1_2^2))", "1"),
     "ellipsoid": ("implicit", 3, "S*(x1_1^2+4*x1_2^2+9/4*x1_3^2-1)", "x1_3^2"),
     "oriented": ("oriented", 2, "S*(x1_1^2+x1_2^2-1)", "x1_1"),
+    "integrand": ("oriented", 3, f"{SPHERE};x1_3", "S*x1_1*x1_2^2"),
 }
 # family -> (m, phases, cut phi, F, G) of the Cauchy check: the unit disk,
 # and the half x1 <= 0 of the unit circle in R^3, where grad phi = e1 is
@@ -40,6 +42,9 @@ GRID_FAMILIES = {
 CUT_FAMILIES = {
     "disk_cut": (2, "", "S*(x1_1^2+x1_2^2-1)", "1", "x1_1"),
     "circle_cut": (3, f"S*({SPHERE});S*x1_3", "S*x1_1", "1", "x1_2"),
+    # the fields scaled, on unscaled surfaces and cuts
+    "disk_fields": (2, "", "x1_1^2+x1_2^2-1", "S", "S*x1_1"),
+    "circle_fields": (3, f"{SPHERE};x1_3", "x1_1", "S*(1+x1_1*x1_2)", "S*x1_2^2"),
 }
 FALSE_DIAGNOSES = ("numerically dependent", "not transversal")
 
@@ -60,16 +65,17 @@ def run_scaled(family: str, e: int) -> tuple[int, str]:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = run(["integrate", command, "--m", str(m), "--phases",
-                            phases.replace("S", scale), "--f", f, "--box=-1.6,1.6",
-                            "--n", "32", "-q"])
+                            phases.replace("S", scale), "--f", f.replace("S", scale),
+                            "--box=-1.6,1.6", "--n", "32", "-q"])
             return code, err.getvalue()
         m, phases, cut, f, g = CUT_FAMILIES[family]
         try:
             spec = ImplicitSurfaceSpec(m, [parse_poly(p, m) for p in
                                            phases.replace("S", scale).split(";") if p],
                                        ((-1.6, 1.6),) * m)
-            cauchy_check(parse_poly(f, m), parse_poly(g, m), parse_poly(cut.replace("S", scale), m),
-                         spec, QuadratureConfig(n=32))
+            f_field, g_field = (parse_poly(text.replace("S", scale), m) for text in (f, g))
+            cauchy_check(f_field, g_field, parse_poly(cut.replace("S", scale), m), spec,
+                         QuadratureConfig(n=32))
         except FloatRangeError as exc:
             return 2, str(exc)
         except (BoundaryContactError, IndependenceError, TransversalityError) as exc:
@@ -88,6 +94,9 @@ def run_scaled(family: str, e: int) -> tuple[int, str]:
 # squared gradient lengths that overflow
 @example("circle_one_scaled", 160)
 @example("oriented", 160)
+# fields whose products overflow, on a cell or only in the sum over the band
+@example("disk_fields", 300)
+@example("disk_fields", 154)
 def test_scaled_phases_end_in_a_verdict_or_a_refusal(family, e):
     code, err = run_scaled(family, e)
     assert code in (0, 1, 2), (family, e, code, err)

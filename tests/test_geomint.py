@@ -1789,6 +1789,44 @@ def test_integrands_beyond_float_range_are_refused(monkeypatch):
                 integral(f, spec, cfg)
 
 
+def test_cauchy_fields_beyond_float_range_are_refused(monkeypatch):
+    # every coefficient is a float, but on [-1.6, 1.6]^m at n = 64, where the
+    # cells reach |x| = 1.575: F W G overflows for F = 10^300, G = 10^300 x1
+    # (k = 0, W = 1) and for F = G = 10^200 x2 on the circle; F = 10^154,
+    # G = 10^154 x1 stays in range on each cell but not within the bound,
+    # and the sum over the band overflows; the projected d F of 10^308 x1
+    # times G = x2 overflows; 10^308 x2^2 takes no float value at x2 = 1.575,
+    # and its derivative's coefficient, 2 10^308, has none.  Each is refused
+    # before either sweep visits a cell
+    disk = ImplicitSurfaceSpec(2, [], BOX2)
+    circle = _dense_case("circle")
+    unit = _scaled_circle(1)
+
+    def no_cells(*args):
+        raise AssertionError("a cell was visited")
+
+    monkeypatch.setattr(geomint, "_band_leaves", no_cells)
+    for spec, phi, f, g, refusal in (
+            (disk, unit, 10**300, 10**300 * xvar(1, 2), "the left side's integrand"),
+            (disk, unit, 10**154, 10**154 * xvar(1, 2), "the left side's integrand"),
+            (disk, unit, 10**308 * xvar(1, 2), xvar(2, 2), "the left side's integrand"),
+            (disk, unit, 1, 10**308 * xvar(2, 2) ** 2, "the field G"),
+            (circle, xvar(1), 10**200 * xvar(2), 10**200 * xvar(2), "the left side's integrand")):
+        with pytest.raises(FloatRangeError, match=f"{refusal} takes values beyond the float "
+                                                  f"range on the grid"):
+            cauchy_check(f, g, phi, spec, QuadratureConfig(n=64))
+
+
+def test_cauchy_fields_near_the_float_range_still_run():
+    # G = 10^307 x2 on the unit disk: every product the two sides form stays
+    # within its bound, so the check runs, and the left side is the closed
+    # form pi 10^307 on e2 (the disk's value for G = x2, scaled)
+    res = cauchy_check(1, 10**307 * xvar(2, 2), _scaled_circle(1),
+                       ImplicitSurfaceSpec(2, [], BOX2), QuadratureConfig(n=64))
+    assert res.residual < 0.01
+    assert res.lhs.terms[(2,)] == pytest.approx(math.pi * 1e307, rel=1e-2)
+
+
 def test_integrands_of_another_shape_are_refused():
     # a polynomial in more coordinates raised a bare IndexError from its
     # bound on the grid, and one in fewer a ValueError from inside the sweep

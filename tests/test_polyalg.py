@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffint import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
@@ -11,7 +11,7 @@ from cliffint import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
                       pochhammer_half, sphere_pizzetti)
 
 from oracles import (bench_oracles, cayley_rotation, diffop_terms, directional_terms,
-                     laplacian_terms, reflect_terms)
+                     laplacian_terms, power_terms, product_terms, reflect_terms)
 
 
 def x(j, i, m=3, nvars=2):
@@ -95,6 +95,77 @@ def test_product_matches_fraction_oracle(pair, n):
     for _ in range(n):
         power = power * p
     assert p ** n == power
+
+
+@st.composite
+def factor_lists(draw):
+    """1 to 5 polynomials of one shape (nvars 1 or 2), each zero, one term or
+    several; a factor may repeat an earlier one with its signs flipped in
+    part, so that products cancel."""
+    m, nvars = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    keys = st.tuples(*[st.integers(0, 2)] * (m * nvars))
+    factors = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.sampled_from((0, 1, 2, 4)))
+        terms = draw(st.dictionaries(keys, rationals.filter(bool), min_size=min(size, 1),
+                                     max_size=size))
+        if factors and draw(st.booleans()):
+            terms = {k: c if draw(st.booleans()) else -c for k, c in factors[-1].terms.items()}
+        factors.append(VectorPoly(m, nvars, terms))
+    return factors
+
+
+def items(p):
+    return list(p.terms.items())
+
+
+@given(factor_lists())
+@settings(max_examples=200, deadline=None)
+def test_product_is_the_left_fold_of_mul(factors):
+    # term order is part of the value: the float kernels sum terms in dict order
+    got = VectorPoly.product(factors)
+    folded, reference = factors[0], factors[0].terms
+    for factor in factors[1:]:
+        folded = folded * factor
+        reference = product_terms(reference, factor.terms)
+    assert items(got) == items(folded) == list(reference.items())
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@given(factor_lists(), st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+# (x^2 + 2x - 2)^2 has no x^2 term, so p * p^2, the order of repeated
+# squaring, puts the terms of p^3 in another order than (p * p) * p
+@example([VectorPoly(1, 1, {(0,): -2, (1,): 2, (2,): 1})], 3)
+def test_power_is_repeated_mul(factors, n):
+    p = factors[-1]
+    repeated = VectorPoly.constant(p.m, 1, p.nvars)
+    for _ in range(n):
+        repeated = repeated * p
+    got = p ** n
+    assert items(got) == items(repeated) == list(power_terms(p.terms, n, p.m * p.nvars).items())
+
+
+def test_product_refuses_mixed_shapes_and_other_types():
+    with pytest.raises(ValueError, match="shape"):
+        VectorPoly.product([x(1, 1), VectorPoly.variable(3, 1, 1)])
+    with pytest.raises(TypeError):
+        VectorPoly.product([x(1, 1), 1.5])
+    # a number is a constant factor
+    assert VectorPoly.product([x(1, 1), 3, Fraction(1, 2)]) == Fraction(3, 2) * x(1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: VectorPoly.variable(3, 0, 1), lambda: VectorPoly.variable(3, 2, 1),
+    lambda: VectorPoly.variable(3, 1, 0), lambda: VectorPoly.variable(3, 1, 4),
+    lambda: VectorPoly.variable(0, 1, 1), lambda: VectorPoly.variable(2, 1, 1, nvars=0),
+    lambda: VectorPoly.constant(0, 1), lambda: VectorPoly.constant(0, 0),
+    lambda: VectorPoly.constant(2, 1, nvars=0),
+], ids=["j0", "j_past_nvars", "i0", "i_past_m", "m0", "nvars0",
+        "constant_m0", "zero_m0", "constant_nvars0"])
+def test_trusted_constructors_still_check_their_arguments(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_init_stores_exact_fractions():

@@ -40,7 +40,8 @@ from .geomint import (BoundaryContactError, FloatRangeError, ImplicitSurfaceSpec
                       mc_stiefel_integral)
 from .pizzetti import (directional_power_closed_form, gauss_sum_check, sphere_pizzetti_detailed,
                        stiefel2_explicit, stiefel_pizzetti_composed)
-from .polyalg import ExactScalar, VectorPoly, delta_pair, fischer_commute
+from .polyalg import (ExactScalar, VectorPoly, _dot_keys, _int_neg, _int_power, _int_product,
+                      _int_sum, _over, _unit_key, delta_pair, fischer_commute)
 
 log = logging.getLogger("cliffint")
 
@@ -95,6 +96,14 @@ class _Parser:
     power is an atom optionally raised to a nonnegative integer literal.
     Atoms: rational literals, components xJ_I, dot(xA, xB), normsq(xJ),
     parenthesized expressions.
+
+    Every subexpression is a form of ``polyalg``: (key, integer numerator)
+    pairs over one denominator.  Sums, products, negation and powers act on
+    forms through ``_int_sum``, ``_int_product``, ``_int_neg`` and
+    ``_int_power``, in the term order of the ``VectorPoly`` operations they
+    stand for: a sum cancels a term where it stands, a product is the left
+    fold of ``*``, a one-term power scales its key.  ``parse`` builds the
+    one polynomial, one Fraction per term.
     """
 
     def __init__(self, tokens: list[tuple[str, str]], m: int, nvars: int):
@@ -102,6 +111,8 @@ class _Parser:
         self.idx = 0
         self.m = m
         self.nvars = nvars
+        self.zero = VectorPoly.zero(m, nvars)  # checks the shape
+        self.one = self.zero._scalar_key()
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.idx]
@@ -121,52 +132,54 @@ class _Parser:
         kind, text = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}")
-        return out
+        return self.zero._like(_over(*out))
 
-    def expression(self) -> VectorPoly:
-        out = self.term()
+    def expression(self) -> tuple[list, int]:
+        forms = [self.term()]
         while True:
             kind, text = self.peek()
             if text == "+":
                 self.advance()
-                out = out + self.term()
+                forms.append(self.term())
             elif text == "-":
                 self.advance()
-                out = out - self.term()
+                nums, den = self.term()
+                forms.append((_int_neg(nums), den))
             else:
-                return out
+                return forms[0] if len(forms) == 1 else _int_sum(forms)
 
-    def term(self) -> VectorPoly:
+    def term(self) -> tuple[list, int]:
         factors = [self.factor()]
         while self.peek()[1] == "*":
             self.advance()
             factors.append(self.factor())
-        return VectorPoly.product(factors)
+        return factors[0] if len(factors) == 1 else _int_product(factors)
 
-    def factor(self) -> VectorPoly:
+    def factor(self) -> tuple[list, int]:
         if self.peek()[1] == "-":
             self.advance()
-            return -self.factor()
+            nums, den = self.factor()
+            return _int_neg(nums), den
         return self.power()
 
-    def power(self) -> VectorPoly:
+    def power(self) -> tuple[list, int]:
         base = self.atom()
         if self.peek()[1] == "^":
             self.advance()
             kind, text = self.advance()
             if kind != "rat" or "/" in text:
                 raise ParseError(f"exponent must be an integer literal, found {text!r}")
-            return base ** _int(text)
+            return _int_power(base, _int(text), self.one)
         return base
 
-    def atom(self) -> VectorPoly:
+    def atom(self) -> tuple[list, int]:
         kind, text = self.advance()
         if kind == "rat":
-            try:
-                value = Fraction(*map(_int, text.split("/")))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {text!r}") from None
-            return VectorPoly.constant(self.m, value, self.nvars)
+            num, _, den = text.partition("/")
+            num, den = _int(num), _int(den) if den else 1
+            if not den:
+                raise ParseError(f"zero denominator in {text!r}")
+            return ([(self.one, num)], den) if num else ([], 1)
         if text == "(":
             inner = self.expression()
             self.expect(")")
@@ -178,12 +191,12 @@ class _Parser:
                 self.expect(",")
                 jb = self.vector_name()
                 self.expect(")")
-                return VectorPoly.dot_vars(self.m, self.nvars, ja, jb)
+                return [(key, 1) for key in _dot_keys(self.m, self.nvars, ja, jb)], 1
             if text == "normsq":
                 self.expect("(")
                 j = self.vector_name()
                 self.expect(")")
-                return VectorPoly.norm_squared_var(self.m, j, self.nvars)
+                return [(key, 1) for key in _dot_keys(self.m, self.nvars, j, j)], 1
             var = _VAR_RE.match(text)
             if var:
                 j, i = _int(var.group(1)), _int(var.group(2))
@@ -191,7 +204,7 @@ class _Parser:
                     raise ParseError(f"vector index {j} out of range 1..{self.nvars}")
                 if not 1 <= i <= self.m:
                     raise ParseError(f"coordinate index {i} out of range 1..{self.m}")
-                return VectorPoly.variable(self.m, j, i, self.nvars)
+                return [(_unit_key(self.m * self.nvars, (j - 1) * self.m + i - 1), 1)], 1
             raise ParseError(f"unknown name {text!r}")
         raise ParseError(f"unexpected token {text or 'end of input'!r}")
 

@@ -1156,19 +1156,43 @@ def _gram_det(gram: np.ndarray) -> np.ndarray:
     return det
 
 
-def _inverse_gram(cells: _BandBatch) -> np.ndarray:
-    """Inverses (k, k, N) of the Gram matrices of a band batch.
+def _projection_factors(cells: _BandBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The jacobian J (N, k, m) and the inverse Gram matrices (k, k, N) of
+    a band batch, as the tangential projection reads them, with phase a's
+    rows scaled by 2^-e_a.
 
-    Closed forms for k <= 2, LAPACK above; the independence test keeps
-    every determinant positive.
+    e_a is the binary exponent (``math.frexp``) of the largest gradient
+    magnitude of phase a (``_AxisTables.magnitude``), so the scaled rows
+    are at most 1 and the scaled Gram matrix S G S, S = diag(2^-e_a), has
+    entries near 1 however the phases are scaled: G^-1 J d F no longer
+    overflows for tiny gradients.  J^T G^-1 J does not change.  The range
+    check keeps every 2^-e_a a float (the Gram diagonal bounds lie in the
+    float range, so |e_a| stays near 512 or below), and a product by a
+    power of 2 is exact unless it falls below the normal range: G's
+    entries are multiplied by 2^-e_a and then by 2^-e_b, both steps exact
+    for every scaled entry above 2^-510 (the scaled diagonal is near 1).
+    The closed-form inverse for k <= 2, its determinant formed from the
+    scaled entries as ``_gram_det`` forms it, then scales exactly too
+    (LAPACK above), so the projection's bits change only where a value
+    would have left the float range.  The independence test of the
+    unscaled Gram matrices comes first and keeps every determinant
+    positive.
     """
-    gram, det = cells.gram
+    gram = cells.gram[0]
+    jac = cells.jac
     k = len(gram)
+    e = [math.frexp(max((g.magnitude for g in test.grad), default=0.0))[1]
+         for test in cells._sweep.phases]
+    if any(e):
+        rows = np.array([math.ldexp(1.0, -a) for a in e])
+        jac = jac * rows[:, None]
+        gram = gram * rows[:, None, None] * rows[None, :, None]
     if k <= 1:
-        return 1.0 / gram
+        return jac, 1.0 / gram
     if k == 2:
-        return np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
-    return np.linalg.inv(gram.transpose(2, 0, 1)).transpose(1, 2, 0)
+        det = _minors(gram.transpose(2, 0, 1), range(2))
+        return jac, np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
+    return jac, np.linalg.inv(gram.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 # -- scalar and oriented quadrature ------------------------------------------
@@ -1316,7 +1340,7 @@ def tangential_dirac(field, spec: ImplicitSurfaceSpec,
     f = _as_cliffpoly(field, spec.m)
     cells = _point_batch(spec, point)
     partials = [_field_columns(f.diff(i), cells.points) for i in range(1, spec.m + 1)]
-    out = _projected_dirac(cells.jac, _inverse_gram(cells), partials, left=True)
+    out = _projected_dirac(*_projection_factors(cells), partials, left=True)
     return Multivector(spec.m, {blade: float(col[0]) for blade, col in out.items()})
 
 
@@ -1384,7 +1408,9 @@ def _projected_dirac(jac: np.ndarray, gram_inv: np.ndarray, partials: list,
 
     ``jac`` (N, k, m) holds the phase gradients J, ``gram_inv`` (k, k, N)
     the inverses of G = J J^T, and ``partials`` the m partial derivatives
-    d_i F as column-sparse batches (empty where one vanishes).  With
+    d_i F as column-sparse batches (empty where one vanishes).  Scaling a
+    row of J, and G to match, leaves the projection unchanged; the callers
+    pass the rows scaled by ``_projection_factors``.  With
         A_i = d_i F - sum_a J_ai sum_b (G^-1)_ab sum_j J_bj d_j F,
     the derivative along the tangential projection of e_i, returns
     sum_i e_i A_i when ``left``, else sum_i A_i e_i; with k = 0 the
@@ -1505,9 +1531,9 @@ def cauchy_check(f_field, g_field, phi: VectorPoly, spec: ImplicitSurfaceSpec,
     dg = [g_cp.diff(i) for i in range(1, m + 1)]
 
     def left_density(cells):
-        gram_inv = _inverse_gram(cells)
-        jac = cells.jac
-        wedge = _wedge_columns(jac)
+        jac, gram_inv = _projection_factors(cells)
+        # the blade W of the unscaled gradients
+        wedge = _wedge_columns(cells.jac)
         out: dict = {}
         # a field whose derivatives all vanish drops its whole term
         f_right = _projected_dirac(jac, gram_inv, [_field_columns(d, cells.points) for d in df],

@@ -22,10 +22,12 @@ is a separate loop over the Laplacian powers.
 
 For two-column frames an explicit double sum in the operators
 A = Delta_x + Delta_y and B = Delta_x Delta_y - <d/dx, d/dy>^2 is provided
-as an independent route to the same value.  Each of its terms S(d/dx) P at
-the origin is read off through the Fischer pairing
-    <S, P> = sum_alpha s_alpha p_alpha alpha!,
-one coefficient lookup per monomial instead of a full differentiation.
+as an independent route to the same value.  The double sum is linear in
+its symbols, so it is one symbol K(m, S), the kernel, built once per
+(m, S) and cached; its value K(d/dx) P at the origin is read off through
+one Fischer pairing
+    <K, P> = sum_alpha k_alpha p_alpha alpha!,
+one coefficient lookup per monomial of P instead of a full differentiation.
 """
 
 from __future__ import annotations
@@ -192,13 +194,23 @@ def stiefel_pizzetti_composed(p: VectorPoly, m: int, k: int) -> ExactScalar:
     return _pizzetti_series(p, m, k)[0]
 
 
-@lru_cache(maxsize=256)
-def _ab_symbol_power(m: int, a: int, r: int) -> VectorPoly:
-    """Symbol (|x|^2 + |y|^2)^a (|x|^2 |y|^2 - <x,y>^2)^r (cached; immutable)."""
+@lru_cache(maxsize=64)
+def _two_frame_kernel(m: int, top: int) -> VectorPoly:
+    """The symbol K(m, S) of the two-frame series up to S = ``top`` (cached; immutable):
+        sum_{s <= S} sum_{r <= s/2} A^(s-2r) B^r / (4^s (m/2)_s ((m-1)/2)_r (s-2r)! r!)
+    with A = |x|^2 + |y|^2 and B = |x|^2 |y|^2 - <x,y>^2.
+    """
     nx = VectorPoly.norm_squared_var(m, 1, 2)
     ny = VectorPoly.norm_squared_var(m, 2, 2)
     xy = VectorPoly.dot_vars(m, 2, 1, 2)
-    return (nx + ny) ** a * (nx * ny - xy * xy) ** r
+    a_sym, b_sym = nx + ny, nx * ny - xy * xy
+    pairs = []
+    for s in range(top + 1):
+        for r in range(s // 2 + 1):
+            coeff = 1 / (4**s * pochhammer_half(m, s) * pochhammer_half(m - 1, r)
+                         * factorial(s - 2 * r) * factorial(r))
+            pairs += (a_sym ** (s - 2 * r) * b_sym ** r * coeff).terms.items()
+    return VectorPoly.zero(m, 2)._sum(pairs)
 
 
 def stiefel2_explicit(p: VectorPoly, m: int) -> ExactScalar:
@@ -207,7 +219,9 @@ def stiefel2_explicit(p: VectorPoly, m: int) -> ExactScalar:
     vol * sum_{s <= deg P / 2} sum_{r <= s/2}
         [1 / (4^s (m/2)_s)] [1 / ((m-1)/2)_r] (A^{s-2r}/(s-2r)!) (B^r/r!) P |_0
     where A and B act as constant-coefficient operators and (a)_n is the
-    rising factorial.
+    rising factorial: vol times one Fischer pairing of P with the cached
+    kernel K(m, deg P // 2) (``_two_frame_kernel``), the same Fraction as
+    the term-by-term sum.
     """
     if p.nvars != 2:
         raise ValueError("integrand must use exactly two vector variables")
@@ -215,13 +229,7 @@ def stiefel2_explicit(p: VectorPoly, m: int) -> ExactScalar:
         raise ValueError("dimension mismatch")
     if m < 3:
         raise ValueError("need m >= 3 for two-frames")
-    total = Fraction(0)
-    for s in range(p.degree() // 2 + 1):
-        for r in range(s // 2 + 1):
-            val = fischer_pair(_ab_symbol_power(m, s - 2 * r, r), p)
-            if val:  # most pairings vanish; build the coefficient only when needed
-                total += val / (4**s * pochhammer_half(m, s) * pochhammer_half(m - 1, r)
-                                * factorial(s - 2 * r) * factorial(r))
+    total = fischer_pair(_two_frame_kernel(m, p.degree() // 2), p)
     return stiefel_volume(m, 2) * ExactScalar(total, 0)
 
 

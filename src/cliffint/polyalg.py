@@ -8,15 +8,21 @@ x_{j,i} (vector j, coordinate i, both 1-based) sits at flat index
 
 ``VectorPoly`` shares its addition, negation, equality and hashing with
 the blade algebras of ``clifford`` through the base ``_SparseTerms``.  Its
-coefficients are always ``Fraction``s.  Products of any number of factors
-(``VectorPoly.product``), and with them ``*``, powers, the parser's terms
-and ``compose_linear``, share one product on integer numerators over one
-denominator, which builds each output Fraction once.  ``__init__``
-validates the terms callers pass in; the constructors that build their
-own keys skip it.  Every other sum of terms in the exact
-algebras, here and in ``pizzetti``, ``clifford``, ``exterior`` and
-``geomint``, yields (key, coefficient) pairs into one accumulator,
-``_SparseTerms._sum``, so it is linear in the terms summed.
+coefficients are always ``Fraction``s.  ``__init__`` validates the terms
+callers pass in; the constructors that build their own keys skip it.
+
+Exact arithmetic that builds a polynomial from many small pieces runs on
+*forms*: (key, integer numerator) pairs, none zero, over one positive
+denominator.  The private ``_int_sum``, ``_int_neg``, ``_int_product``
+and ``_int_power`` act on forms in the term order of the ``VectorPoly``
+operations they stand for, and ``_over`` builds one Fraction per output
+term at the end.  ``_int_product`` is the one polynomial product:
+``VectorPoly.product``, and with it ``*``, powers, ``compose_linear`` and
+the terms of ``cli``'s parser, which holds every subexpression as a form,
+all run through it.  Every other sum of terms in the exact algebras, here
+and in ``pizzetti``, ``clifford``, ``exterior`` and ``geomint``, yields
+(key, coefficient) pairs into one accumulator, ``_SparseTerms._sum``, so
+it is linear in the terms summed; ``_int_sum`` follows its rule.
 
 Constant-coefficient differential operators arise from polynomials by the
 substitution x_{j,i} -> d/dx_{j,i} (``apply_diffop``).  The module also
@@ -186,9 +192,7 @@ class VectorPoly(_SparseTerms):
             raise ValueError(f"vector index {j} out of range 1..{nvars}")
         if not 1 <= i <= m:
             raise ValueError(f"coordinate index {i} out of range 1..{m}")
-        key = [0] * (m * nvars)
-        key[(j - 1) * m + (i - 1)] = 1
-        return cls(m, nvars)._like({tuple(key): Fraction(1)})
+        return cls(m, nvars)._like({_unit_key(m * nvars, (j - 1) * m + i - 1): Fraction(1)})
 
     @classmethod
     def monomial(cls, m: int, exponents: Sequence[int], coeff=1, nvars: int = 1) -> "VectorPoly":
@@ -197,10 +201,7 @@ class VectorPoly(_SparseTerms):
     @classmethod
     def dot_vars(cls, m: int, nvars: int, ja: int, jb: int) -> "VectorPoly":
         """Euclidean inner product <x_ja, x_jb> as a polynomial."""
-        # the m products have distinct monomials: one dict holds them all
-        products = (cls.variable(m, ja, i, nvars) * cls.variable(m, jb, i, nvars)
-                    for i in range(1, m + 1))
-        return cls(m, nvars)._like({k: c for p in products for k, c in p.terms.items()})
+        return cls(m, nvars)._like({key: Fraction(1) for key in _dot_keys(m, nvars, ja, jb)})
 
     @classmethod
     def norm_squared_var(cls, m: int, j: int, nvars: int = 1) -> "VectorPoly":
@@ -213,50 +214,22 @@ class VectorPoly(_SparseTerms):
         """Product of one or more factors, in their order: a polynomial,
         then polynomials of its shape or numbers.
 
-        Every polynomial product runs here: ``*`` of two polynomials, powers,
-        parsed terms and ``compose_linear``.  The running product holds
-        integer numerators over one denominator, the product of the
-        factors' common denominators, and builds its Fractions once, at the
-        end; Fractions are canonical, so every coefficient equals the
-        term-by-term Fraction sum.  Where the factor or the running product
-        has one term, the other's keys are shifted and its numerators
-        scaled; otherwise a double loop runs over the running terms, then
-        the factor's.  The zero sums are dropped after each factor, so the
-        terms come in the order of the left fold of ``*``.
+        The factors' forms go through ``_int_product``, the left fold of
+        ``*``, and the Fractions are built once, at the end; Fractions are
+        canonical, so every coefficient equals the term-by-term Fraction
+        sum.  The later factors' shapes are checked even when the product
+        is zero.
         """
         first, *rest = factors
         if not rest:
             return first
-        add = operator.add
-        nums, den = _numerators(first.terms)
+        forms = [_numerators(first.terms)]
         for factor in rest:
             factor = first._coerce(factor)
             if factor is NotImplemented:
                 raise TypeError("a product takes polynomials and numbers")
-            terms = factor.terms
-            if not nums or not terms:
-                # the product is zero; the later factors' shapes are still checked
-                nums = []
-            elif len(terms) == 1:
-                (kb, cb), = terms.items()
-                nb = cb.numerator
-                nums = [(tuple(map(add, ka, kb)), na * nb) for ka, na in nums]
-                den *= cb.denominator
-            else:
-                b, db = _numerators(terms)
-                den *= db
-                if len(nums) == 1:
-                    (ka, na), = nums
-                    nums = [(tuple(map(add, ka, kb)), na * nb) for kb, nb in b]
-                else:
-                    out: dict[ExpKey, int] = {}
-                    get = out.get
-                    for ka, na in nums:
-                        for kb, nb in b:
-                            key = tuple(map(add, ka, kb))
-                            out[key] = get(key, 0) + na * nb
-                    nums = [(k, n) for k, n in out.items() if n]
-        return first._like(_over(nums, den))
+            forms.append(_numerators(factor.terms))
+        return first._like(_over(*_int_product(forms)))
 
     def __mul__(self, other):
         """Product with a number or a polynomial of the same shape."""
@@ -272,18 +245,11 @@ class VectorPoly(_SparseTerms):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """The n-th power, n >= 0.  A one-term base scales its key and
-        raises its coefficient; otherwise the product of n copies, which
-        multiplies the running power by the base and so equals repeated
+        """The n-th power, n >= 0, by ``_int_power``: equal to repeated
         ``*``, term order included."""
         if n < 0:
             raise ValueError("negative power")
-        if n == 0:
-            return VectorPoly.constant(self.m, 1, self.nvars)
-        if len(self.terms) == 1:
-            (key, coeff), = self.terms.items()
-            return self._like({tuple(e * n for e in key): coeff ** n})
-        return VectorPoly.product((self,) * n)
+        return self._like(_over(*_int_power(_numerators(self.terms), n, self._scalar_key())))
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -370,33 +336,32 @@ class VectorPoly(_SparseTerms):
 
         ``rows`` is an m x m matrix of rationals; the same substitution is
         applied to each vector variable, as when rotating all arguments by
-        one orthogonal matrix.
+        one orthogonal matrix.  Each term's image is the ``_int_product``
+        of its coefficient and the powers of the substituted linear forms,
+        each power built once; the images are summed by ``_int_sum``.
         """
         if len(rows) != self.m or any(len(r) != self.m for r in rows):
             raise ValueError("need an m x m matrix")
         m, width = self.m, self.m * self.nvars
         rows = [[Fraction(c) for c in row] for row in rows]
         # the linear form substituted for the flat index j*m + i
-        lin = [self._like({tuple(int(t == j * m + l) for t in range(width)): c
-                           for l, c in enumerate(rows[i]) if c})
+        lin = [_numerators({_unit_key(width, j * m + l): c for l, c in enumerate(rows[i]) if c})
                for j in range(self.nvars) for i in range(m)]
-        # each power of a form is built once
-        powers: dict[tuple[int, int], VectorPoly] = {}
+        one = self._scalar_key()
+        powers: dict[tuple[int, int], tuple[list, int]] = {}
 
         def image(key, coeff):
-            # a coefficient 1 (every monomial) is no factor
-            factors = [] if coeff == 1 else [VectorPoly.constant(m, coeff, self.nvars)]
+            forms = [([(one, coeff.numerator)], coeff.denominator)]
             for idx, e in enumerate(key):
                 if e:
                     power = powers.get((idx, e))
                     if power is None:
-                        power = powers[(idx, e)] = lin[idx] ** e
-                    factors.append(power)
-            return (VectorPoly.product(factors) if factors
-                    else VectorPoly.constant(m, 1, self.nvars))
+                        power = powers[(idx, e)] = _int_power(lin[idx], e, one)
+                    forms.append(power)
+            return _int_product(forms)
 
-        return self._sum(pair for key, coeff in self.terms.items()
-                         for pair in image(key, coeff).terms.items())
+        return self._like(_over(*_int_sum([image(key, coeff)
+                                           for key, coeff in self.terms.items()])))
 
     def monomial_text(self, key: ExpKey) -> str:
         """The monomial of exponent key ``key`` as text, e.g. 'x1_2^3*x2_1'; '' for 1."""
@@ -419,15 +384,106 @@ class VectorPoly(_SparseTerms):
         return " + ".join(parts)
 
 
+def _unit_key(width: int, *flat: int) -> ExpKey:
+    """Exponent key of the product of the components at the flat indices ``flat``."""
+    key = [0] * width
+    for idx in flat:
+        key[idx] += 1
+    return tuple(key)
+
+
+def _dot_keys(m: int, nvars: int, ja: int, jb: int) -> list[ExpKey]:
+    """The m distinct keys of <x_ja, x_jb> = sum_i x_{ja,i} x_{jb,i}, in order of i."""
+    return [_unit_key(m * nvars, (ja - 1) * m + i, (jb - 1) * m + i) for i in range(m)]
+
+
 def _numerators(terms: dict) -> tuple[list, int]:
-    """Terms as (key, integer numerator) pairs over their least common denominator."""
+    """Terms as a form: (key, integer numerator) pairs over their least common denominator."""
     den = math.lcm(*[c.denominator for c in terms.values()])
     return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
 
 
 def _over(nums: list, den: int) -> dict:
-    """(key, integer numerator) pairs, none of them zero, as terms ``n / den``."""
+    """A form's pairs as terms ``n / den``, one Fraction each."""
+    if den == 1:  # Fraction's one-integer path skips the gcd
+        return {k: Fraction(n) for k, n in nums}
     return {k: Fraction(n, den) for k, n in nums}
+
+
+def _int_neg(nums: list) -> list:
+    """A form's pairs negated."""
+    return [(k, -n) for k, n in nums]
+
+
+def _int_sum(forms: list) -> tuple[list, int]:
+    """The sum of a list of forms, over the lcm of their denominators.
+
+    The pairs are summed in order by the rule of ``_SparseTerms._sum``: a
+    key whose sum cancels is deleted where it stands.  Scaling by a common
+    denominator keeps a sum zero exactly where the Fraction sum is, so the
+    terms come in the order of the left fold of ``+``.
+    """
+    den = math.lcm(*[d for _, d in forms])
+    out: dict[ExpKey, int] = {}
+    get = out.get
+    for nums, d in forms:
+        scale = den // d
+        for key, n in nums:
+            if scale != 1:
+                n *= scale
+            acc = get(key)
+            if acc is None:
+                out[key] = n
+            elif acc := acc + n:
+                out[key] = acc
+            else:
+                del out[key]
+    return list(out.items()), den
+
+
+def _int_product(forms: list) -> tuple[list, int]:
+    """The product of one or more forms, in their order.
+
+    The denominators multiply.  Where the factor or the running product
+    has one term, the other's keys are shifted and its numerators scaled;
+    otherwise a double loop runs over the running terms, then the
+    factor's, and the zero sums are dropped after each factor, so the terms
+    come in the order of the left fold of ``*``.
+    """
+    add = operator.add
+    (nums, den), *rest = forms
+    for b, db in rest:
+        den *= db
+        if not nums or not b:
+            nums = []
+        elif len(b) == 1:
+            (kb, nb), = b
+            nums = [(tuple(map(add, ka, kb)), na * nb) for ka, na in nums]
+        elif len(nums) == 1:
+            (ka, na), = nums
+            nums = [(tuple(map(add, ka, kb)), na * nb) for kb, nb in b]
+        else:
+            out: dict[ExpKey, int] = {}
+            get = out.get
+            for ka, na in nums:
+                for kb, nb in b:
+                    key = tuple(map(add, ka, kb))
+                    out[key] = get(key, 0) + na * nb
+            nums = [(k, n) for k, n in out.items() if n]
+    return nums, den
+
+
+def _int_power(form: tuple[list, int], n: int, one: ExpKey) -> tuple[list, int]:
+    """The n-th power of a form, n >= 0; ``one`` is the key of the constant
+    term.  A one-term base scales its key and raises its numerator and
+    denominator; otherwise ``_int_product`` of n copies."""
+    if n == 0:
+        return [(one, 1)], 1
+    nums, den = form
+    if len(nums) == 1:
+        (key, num), = nums
+        return [(tuple(e * n for e in key), num ** n)], den ** n
+    return _int_product([form] * n)
 
 
 def _check_shapes(symbol: VectorPoly, p: VectorPoly):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffint import geomint
@@ -364,6 +364,41 @@ def test_literals_past_the_int_string_limit_are_parse_errors(template, capsys):
     assert capsys.readouterr().err == "error: numeric literal of 5000 digits is too long\n"
 
 
+# (text, m, nvars, the exact ParseError message)
+_MALFORMED = [
+    ("y1", 3, 1, "unknown name 'y1'"),
+    ("x1_1 $ 2", 3, 1, "unexpected character '$' at position 5"),
+    ("1.5", 3, 1, "unexpected character '.' at position 1"),
+    ("x1_1 x1_2", 3, 1, "unexpected trailing input 'x1_2'"),
+    ("x1_1)", 3, 1, "unexpected trailing input ')'"),
+    ("x1_1^x1_2", 3, 1, "exponent must be an integer literal, found 'x1_2'"),
+    ("x1_1^1/2", 3, 1, "exponent must be an integer literal, found '1/2'"),
+    ("x1_1^-1", 3, 1, "exponent must be an integer literal, found '-'"),
+    ("1/0", 3, 1, "zero denominator in '1/0'"),
+    ("x1_1 + 2/0*x1_2", 3, 1, "zero denominator in '2/0'"),
+    ("x2_1", 3, 1, "vector index 2 out of range 1..1"),
+    ("x1_4", 3, 1, "coordinate index 4 out of range 1..3"),
+    ("x1_0", 3, 1, "coordinate index 0 out of range 1..3"),
+    ("(x1_1 + 1", 3, 1, "expected ')', found 'end of input'"),
+    ("x1_1 +", 3, 1, "unexpected token 'end of input'"),
+    ("* x1_1", 3, 1, "unexpected token '*'"),
+    ("dot(x1)", 3, 2, "expected ',', found ')'"),
+    ("dot(x1, 2)", 3, 2, "expected a vector name like x1, found '2'"),
+    ("dot(x1,x3)", 3, 2, "vector index 3 out of range 1..2"),
+    ("normsq(x1_1)", 3, 1, "expected a vector name like x1, found 'x1_1'"),
+    ("(" * 300 + "x1_1^2" + ")" * 300, 3, 1, "expression is nested too deeply"),
+    ("9" * 5000, 3, 1, "numeric literal of 5000 digits is too long"),
+]
+
+
+@pytest.mark.parametrize("text, m, nvars, message", _MALFORMED,
+                         ids=[f"case{i}" for i in range(len(_MALFORMED))])
+def test_malformed_polynomials_give_their_parse_error(text, m, nvars, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, m, nvars)
+    assert str(info.value) == message
+
+
 @st.composite
 def expression_trees(draw):
     """(m, nvars, tree): a random expression tree over m-vectors x1..x_nvars,
@@ -390,6 +425,12 @@ def expression_trees(draw):
 
 
 @given(expression_trees())
+# a sum that cancels x1_1 where it stands, then brings it back at the end
+@example((2, 1, ("add", [(1, ("var", 1, 1)), (1, ("var", 1, 2)), (-1, ("var", 1, 1)),
+                         (1, ("num", Fraction(1, 3))), (1, ("var", 1, 1))])))
+# a power of a several-term base: the left fold of its copies
+@example((2, 2, ("pow", ("add", [(1, ("var", 1, 1)), (-1, ("var", 2, 2)),
+                                 (1, ("num", Fraction(1, 2)))]), 3)))
 @settings(max_examples=300, deadline=None)
 def test_parse_poly_matches_the_dict_reference(case):
     # the parsed polynomial's terms, in value and in order, against the tree

@@ -1827,6 +1827,72 @@ def test_cauchy_fields_near_the_float_range_still_run():
     assert res.lhs.terms[(2,)] == pytest.approx(math.pi * 1e307, rel=1e-2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("small, big", [(150, 160), (75, 240), (150, 200)])
+def test_projection_of_tiny_phase_gradients_does_not_overflow(small, big):
+    # the unit circle scaled by 10^-small, F = 10^big x2^2: G^-1 J dF, of
+    # size |dF| / |grad phi|, overflowed before the phases' rows were scaled
+    # to magnitude 1; now the check runs to its verdict with no warning, and
+    # the band (eps is in phase units) fills the box
+    phase = _scaled_circle(Fraction(1, 10**small))
+    spec = ImplicitSurfaceSpec(2, [phase], BOX2)
+    with pytest.raises(BoundaryContactError):
+        cauchy_check(10**big * xvar(2, 2) ** 2, 1, xvar(1, 2), spec, QuadratureConfig(n=32))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tangential_dirac_is_exact_under_power_of_two_phase_scales():
+    # scaling a phase by 2^-500 scales its gradient exactly and shifts its
+    # scale exponent by 500, so the scaled rows of J are the same bits, and
+    # F = 2^530 x2^2 gives exactly 2^530 times the value for x2^2; without
+    # the row scaling G^-1 J dF overflowed
+    sphere, plane = sphere_phase(), xvar(3)
+    point = (0.6, 0.8, 0.0)
+    base = tangential_dirac(xvar(2) ** 2, ImplicitSurfaceSpec(3, [sphere, plane], BOX3), point)
+    scaled = tangential_dirac(2**530 * xvar(2) ** 2,
+                              ImplicitSurfaceSpec(3, [sphere * Fraction(1, 2**500), plane], BOX3),
+                              point)
+    assert base.terms and scaled.terms == {b: c * 2.0**530 for b, c in base.terms.items()}
+
+
+def _unscaled_projection_factors(cells):
+    # the projection's factors before the row scaling: J and the closed-form
+    # inverse of the unscaled Gram matrices
+    gram, det = cells.gram
+    if len(gram) <= 1:
+        return cells.jac, 1.0 / gram
+    return cells.jac, np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
+
+
+def test_projection_keeps_the_bits_at_one_and_two_phases(monkeypatch):
+    # the scaled projection is exact at k <= 2, where the inverse Gram
+    # matrix is in closed form: Cauchy left sides and tangential Dirac
+    # values equal those of the unscaled factors, bit for bit
+    sphere = sphere_phase()
+    field = xvar(1) * xvar(2) + xvar(3) ** 2
+
+    def values():
+        out = []
+        # the last case scales its phases by unequal powers of 10, so the
+        # rows' scale exponents differ
+        for phases, f, g in (([sphere], xvar(2) + 2, xvar(3) * xvar(1) + 1),
+                             ([sphere, xvar(3)], xvar(1) * xvar(2) + 1, xvar(2)),
+                             ([sphere * 10**60, (xvar(3) - Fraction(1, 5)) * 10**40],
+                              xvar(2) ** 3, xvar(1))):
+            res = cauchy_check(f, g, xvar(1) - Fraction(1, 10), ImplicitSurfaceSpec(3, phases, BOX3),
+                               QuadratureConfig(n=40))
+            out.append({b: c.hex() for b, c in res.lhs.terms.items()})
+        for phases, point in (([sphere], (0.6, 0.0, 0.8)), ([sphere, xvar(3)], (0.6, 0.8, 0.0))):
+            dirac = tangential_dirac(field, ImplicitSurfaceSpec(3, phases, BOX3), point)
+            out.append({b: c.hex() for b, c in dirac.terms.items()})
+        return out
+
+    scaled = values()
+    monkeypatch.setattr(geomint, "_projection_factors", _unscaled_projection_factors)
+    assert values() == scaled
+    assert all(scaled)
+
+
 def test_integrands_of_another_shape_are_refused():
     # a polynomial in more coordinates raised a bare IndexError from its
     # bound on the grid, and one in fewer a ValueError from inside the sweep

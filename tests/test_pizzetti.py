@@ -170,6 +170,82 @@ def test_composed_matches_frame_oracle_on_random_even_integrands(case):
     assert stiefel_pizzetti_composed(p, m, k) == expected
 
 
+# (a, b, c) with a^2 + b^2 = c^2: the rotations by (a/c, b/c) are rational
+_PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17)]
+
+
+@st.composite
+def frame_mixings(draw):
+    """(m, k, p, R): an even integrand as in ``even_frame_integrands``, at
+    m = 3..5, and a rational orthogonal k x k matrix R, a product of
+    Pythagorean-triple rotations in a plane of two columns, swaps of two
+    columns and sign flips of one."""
+    m = draw(st.integers(3, 5))
+    k = draw(st.integers(2, min(3, m - 1)))
+    width = m * k
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def monomial(degree):
+        key = [0] * width
+        for _ in range(degree):
+            key[draw(st.integers(0, width - 1))] += 1
+        return VectorPoly(m, k, {tuple(key): draw(coeff)})
+
+    q = VectorPoly.zero(m, k)
+    for _ in range(draw(st.integers(1, 3))):
+        q = q + monomial(draw(st.integers(1, 2)))
+    p = q * q + monomial(draw(st.sampled_from([0, 2, 4])))
+    r = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        step = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        kind = draw(st.sampled_from(["rotation", "swap", "flip"]))
+        if kind == "rotation":
+            x, y, z = draw(st.sampled_from(_PYTHAGOREAN))
+            c, s = Fraction(x, z), Fraction(y, z) * draw(st.sampled_from([1, -1]))
+            step[a][a], step[a][b], step[b][a], step[b][b] = c, -s, s, c
+        elif kind == "swap":
+            step[a][a], step[a][b], step[b][a], step[b][b] = 0, 1, 1, 0
+        else:
+            step[a][a] = Fraction(-1)
+        r = [[sum(r[i][t] * step[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    return m, k, p, r
+
+
+def _mix_frames(p: VectorPoly, r) -> VectorPoly:
+    """P((x_1, ..., x_k) R), term by term: x_{j,i} -> sum_l x_{l,i} R[l][j]."""
+    m, k = p.m, p.nvars
+    image = {}
+    for j in range(k):
+        for i in range(m):
+            image[j * m + i] = sum((VectorPoly.variable(m, l + 1, i + 1, k) * r[l][j]
+                                    for l in range(k) if r[l][j]), VectorPoly.zero(m, k))
+    out = VectorPoly.zero(m, k)
+    for key, c in p.terms.items():
+        term = VectorPoly.constant(m, c, k)
+        for idx, e in enumerate(key):
+            if e:
+                term = term * image[idx] ** e
+        out = out + term
+    return out
+
+
+@given(frame_mixings())
+@settings(max_examples=40, deadline=None)
+def test_frame_integrals_are_invariant_under_column_mixing(case):
+    # Haar measure on k-frames is invariant under X -> X R for R in O(k)
+    m, k, p, r = case
+    k_eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    assert [[sum(r[t][i] * r[t][j] for t in range(k)) for j in range(k)]
+            for i in range(k)] == k_eye
+    mixed = _mix_frames(p, r)
+    value = stiefel_pizzetti_composed(p, m, k)
+    assert stiefel_pizzetti_composed(mixed, m, k) == value
+    if k == 2:
+        assert stiefel2_explicit(p, m) == value
+        assert stiefel2_explicit(mixed, m) == value
+
+
 def test_stiefel_domain_validation():
     one2 = VectorPoly.constant(3, 1, nvars=2)
     with pytest.raises(ValueError):

@@ -12,10 +12,11 @@ Subcommands:
   the builder of its surface, cut and fields.  A new suite or case is a
   new row, and the row's name is a ``--suite`` or ``--case`` choice.
 
-Results are emitted as a single JSON object on stdout (optionally mirrored
-to ``--out``); logs go to stderr.  Exit status: 0 on success, 1 when a
-computation fails or a verification does not pass, 2 on usage or parse
-errors.
+Polynomial text is read by ``polyalg.parse_poly`` and a parsed polynomial
+printed as its ``repr``.  Results are emitted as a single JSON object on
+stdout (optionally mirrored to ``--out``); logs go to stderr.  Exit
+status: 0 on success, 1 when a computation fails or a verification does
+not pass, 2 on usage or parse errors and on values JSON cannot carry.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import logging
 import math
 import operator
 import random
-import re
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -40,221 +40,9 @@ from .geomint import (BoundaryContactError, FloatRangeError, ImplicitSurfaceSpec
                       mc_stiefel_integral)
 from .pizzetti import (directional_power_closed_form, gauss_sum_check, sphere_pizzetti_detailed,
                        stiefel2_explicit, stiefel_pizzetti_composed)
-from .polyalg import (ExactScalar, VectorPoly, _dot_keys, _int_neg, _int_power, _int_product,
-                      _int_sum, _over, _unit_key, delta_pair, fischer_commute)
+from .polyalg import ExactScalar, ParseError, VectorPoly, delta_pair, fischer_commute, parse_poly
 
 log = logging.getLogger("cliffint")
-
-
-class ParseError(Exception):
-    """Malformed expression or malformed CLI value."""
-
-
-# -- polynomial expression parsing -------------------------------------------
-
-_TOKEN_RE = re.compile(r"""
-    (?P<rat>\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[-+*^(),])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
-
-_VAR_RE = re.compile(r"^x(\d+)_(\d+)$")
-_VEC_RE = re.compile(r"^x(\d+)$")
-
-
-def _int(digits: str) -> int:
-    """The value of a run of decimal digits from a token.  A run longer than
-    the interpreter's int-string limit (sys.get_int_max_str_digits) is a
-    ParseError like any other malformed text."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"numeric literal of {len(digits)} digits is too long") from None
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = match.end()
-        kind = match.lastgroup
-        if kind != "ws":
-            tokens.append((kind, match.group()))
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for polynomial expressions.
-
-    Grammar: sums and differences of terms; terms are products of factors;
-    a factor is an optional chain of unary minuses applied to a power; a
-    power is an atom optionally raised to a nonnegative integer literal.
-    Atoms: rational literals, components xJ_I, dot(xA, xB), normsq(xJ),
-    parenthesized expressions.
-
-    Every subexpression is a form of ``polyalg``: (key, integer numerator)
-    pairs over one denominator.  Sums, products, negation and powers act on
-    forms through ``_int_sum``, ``_int_product``, ``_int_neg`` and
-    ``_int_power``, in the term order of the ``VectorPoly`` operations they
-    stand for: a sum cancels a term where it stands, a product is the left
-    fold of ``*``, a one-term power scales its key.  ``parse`` builds the
-    one polynomial, one Fraction per term.
-    """
-
-    def __init__(self, tokens: list[tuple[str, str]], m: int, nvars: int):
-        self.tokens = tokens
-        self.idx = 0
-        self.m = m
-        self.nvars = nvars
-        self.zero = VectorPoly.zero(m, nvars)  # checks the shape
-        self.one = self.zero._scalar_key()
-
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.idx]
-
-    def advance(self) -> tuple[str, str]:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text = self.advance()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}")
-
-    def parse(self) -> VectorPoly:
-        out = self.expression()
-        kind, text = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}")
-        return self.zero._like(_over(*out))
-
-    def expression(self) -> tuple[list, int]:
-        forms = [self.term()]
-        while True:
-            kind, text = self.peek()
-            if text == "+":
-                self.advance()
-                forms.append(self.term())
-            elif text == "-":
-                self.advance()
-                nums, den = self.term()
-                forms.append((_int_neg(nums), den))
-            else:
-                return forms[0] if len(forms) == 1 else _int_sum(forms)
-
-    def term(self) -> tuple[list, int]:
-        factors = [self.factor()]
-        while self.peek()[1] == "*":
-            self.advance()
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else _int_product(factors)
-
-    def factor(self) -> tuple[list, int]:
-        if self.peek()[1] == "-":
-            self.advance()
-            nums, den = self.factor()
-            return _int_neg(nums), den
-        return self.power()
-
-    def power(self) -> tuple[list, int]:
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.advance()
-            kind, text = self.advance()
-            if kind != "rat" or "/" in text:
-                raise ParseError(f"exponent must be an integer literal, found {text!r}")
-            return _int_power(base, _int(text), self.one)
-        return base
-
-    def atom(self) -> tuple[list, int]:
-        kind, text = self.advance()
-        if kind == "rat":
-            num, _, den = text.partition("/")
-            num, den = _int(num), _int(den) if den else 1
-            if not den:
-                raise ParseError(f"zero denominator in {text!r}")
-            return ([(self.one, num)], den) if num else ([], 1)
-        if text == "(":
-            inner = self.expression()
-            self.expect(")")
-            return inner
-        if kind == "name":
-            if text == "dot":
-                self.expect("(")
-                ja = self.vector_name()
-                self.expect(",")
-                jb = self.vector_name()
-                self.expect(")")
-                return [(key, 1) for key in _dot_keys(self.m, self.nvars, ja, jb)], 1
-            if text == "normsq":
-                self.expect("(")
-                j = self.vector_name()
-                self.expect(")")
-                return [(key, 1) for key in _dot_keys(self.m, self.nvars, j, j)], 1
-            var = _VAR_RE.match(text)
-            if var:
-                j, i = _int(var.group(1)), _int(var.group(2))
-                if not 1 <= j <= self.nvars:
-                    raise ParseError(f"vector index {j} out of range 1..{self.nvars}")
-                if not 1 <= i <= self.m:
-                    raise ParseError(f"coordinate index {i} out of range 1..{self.m}")
-                return [(_unit_key(self.m * self.nvars, (j - 1) * self.m + i - 1), 1)], 1
-            raise ParseError(f"unknown name {text!r}")
-        raise ParseError(f"unexpected token {text or 'end of input'!r}")
-
-    def vector_name(self) -> int:
-        kind, text = self.advance()
-        match = _VEC_RE.match(text) if kind == "name" else None
-        if not match:
-            raise ParseError(f"expected a vector name like x1, found {text!r}")
-        j = _int(match.group(1))
-        if not 1 <= j <= self.nvars:
-            raise ParseError(f"vector index {j} out of range 1..{self.nvars}")
-        return j
-
-
-def parse_poly(text: str, m: int, nvars: int = 1) -> VectorPoly:
-    """Parse a polynomial expression into a VectorPoly.
-
-    The parser recurses once per parenthesis and unary minus, so an
-    expression nested past the interpreter's recursion limit is a
-    ParseError like any other malformed text.
-    """
-    try:
-        return _Parser(_tokenize(text), m, nvars).parse()
-    except RecursionError:
-        raise ParseError("expression is nested too deeply") from None
-
-
-def parse_exact(text: str) -> ExactScalar:
-    """Inverse of str(ExactScalar): accepts 'q', 'q * pi', 'q * pi^p', 'q * pi^(h/2)'."""
-    text = text.strip()
-    if "*" not in text:
-        try:
-            return ExactScalar(Fraction(text), 0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad exact scalar {text!r}") from exc
-    qpart, _, pipart = text.partition("*")
-    try:
-        q = Fraction(qpart.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational part {qpart.strip()!r}") from exc
-    pipart = pipart.strip()
-    if pipart == "pi":
-        return ExactScalar(q, 2)
-    half = re.fullmatch(r"pi\^\((\d+)/2\)", pipart)
-    if half:
-        return ExactScalar(q, int(half.group(1)))
-    whole = re.fullmatch(r"pi\^(\d+)", pipart)
-    if whole:
-        return ExactScalar(q, 2 * int(whole.group(1)))
-    raise ParseError(f"bad pi part {pipart!r}")
 
 
 def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
@@ -277,8 +65,21 @@ def _multivector_json(mv: Multivector) -> dict[str, float]:
     return {name or "1": float(coeff) for name, coeff in mv._named_terms()}
 
 
+def _text(value) -> str:
+    """``str(value)``; a number past Python's int-string limit is refused."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ParseError("the output holds a number past Python's int-string limit") from None
+
+
 def _exact_json(value: ExactScalar) -> dict:
-    return {"value": str(value), "float": value.to_float()}
+    """The exact value's text and float; JSON has no infinity to carry an overflow."""
+    try:
+        number = value.to_float()
+    except OverflowError:
+        raise FloatRangeError("the exact value lies beyond the float range") from None
+    return {"value": _text(value), "float": number}
 
 
 # -- randomized identity suites ----------------------------------------------
@@ -450,7 +251,7 @@ def _handle_pizzetti_sphere(args) -> tuple[dict, bool]:
     detail = sphere_pizzetti_detailed(poly)
     log.info("sphere integral in dimension %d, %d series terms", args.m, detail.terms_used)
     payload = {"command": "pizzetti sphere", "m": args.m,
-               "poly": repr(poly), "terms_used": detail.terms_used}
+               "poly": _text(poly), "terms_used": detail.terms_used}
     payload.update(_exact_json(detail.value))
     return payload, True
 
@@ -467,7 +268,7 @@ def _handle_pizzetti_stiefel(args) -> tuple[dict, bool]:
         value = stiefel_pizzetti_composed(poly, args.m, args.k)
     log.info("frame integral on %d-frames in R^%d via %s", args.k, args.m, args.method)
     payload = {"command": "pizzetti stiefel", "m": args.m, "k": args.k,
-               "method": args.method, "poly": repr(poly)}
+               "method": args.method, "poly": _text(poly)}
     payload.update(_exact_json(value))
     return payload, True
 
@@ -483,7 +284,7 @@ def _handle_oracle_mc(args) -> tuple[dict, bool]:
     est = mc_stiefel_integral(poly, args.m, args.k, args.n_samples, args.seed)
     log.info("Monte Carlo with %d samples, seed %d", est.n_samples, est.seed)
     payload = {"command": "oracle mc", "m": args.m, "k": args.k,
-               "poly": repr(poly), "n_samples": est.n_samples,
+               "poly": _text(poly), "n_samples": est.n_samples,
                "seed": est.seed, "mean": est.mean,
                "standard_error": est.standard_error}
     return payload, True

@@ -11,18 +11,20 @@ the blade algebras of ``clifford`` through the base ``_SparseTerms``.  Its
 coefficients are always ``Fraction``s.  ``__init__`` validates the terms
 callers pass in; the constructors that build their own keys skip it.
 
-Exact arithmetic that builds a polynomial from many small pieces runs on
-*forms*: (key, integer numerator) pairs, none zero, over one positive
-denominator.  The private ``_int_sum``, ``_int_neg``, ``_int_product``
-and ``_int_power`` act on forms in the term order of the ``VectorPoly``
-operations they stand for, and ``_over`` builds one Fraction per output
-term at the end.  ``_int_product`` is the one polynomial product:
-``VectorPoly.product``, and with it ``*``, powers, ``compose_linear`` and
-the terms of ``cli``'s parser, which holds every subexpression as a form,
-all run through it.  Every other sum of terms in the exact algebras, here
-and in ``pizzetti``, ``clifford``, ``exterior`` and ``geomint``, yields
-(key, coefficient) pairs into one accumulator, ``_SparseTerms._sum``, so
-it is linear in the terms summed; ``_int_sum`` follows its rule.
+The module owns the polynomial formats.  Exact arithmetic that builds a
+polynomial from many small pieces runs on *forms*: (key, integer
+numerator) pairs, none zero, over one positive denominator.  The private
+``_int_sum``, ``_int_neg``, ``_int_product`` and ``_int_power`` act on
+forms in the term order of the ``VectorPoly`` operations they stand for,
+and ``_over`` builds one Fraction per output term at the end.
+``_int_product`` is the one polynomial product: ``VectorPoly.product``,
+and with it ``*``, powers, ``compose_linear`` and the terms of the text
+parser all run through it.  Every other sum of terms in the exact
+algebras, here and in ``pizzetti``, ``clifford``, ``exterior`` and
+``geomint``, forms included, runs through one accumulator,
+``_accumulate``, so it is linear in the terms summed.  The text of a
+polynomial is written by ``VectorPoly.__repr__`` and read back by
+``parse_poly``; ``parse_exact`` reads the text of an ``ExactScalar``.
 
 Constant-coefficient differential operators arise from polynomials by the
 substitution x_{j,i} -> d/dx_{j,i} (``apply_diffop``).  The module also
@@ -35,11 +37,33 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 ExpKey = tuple[int, ...]
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """``out`` with the (key, coeff) pairs added in order, in time linear in
+    the pairs: the one accumulator of the exact algebras' sums.
+
+    A key whose sum cancels is deleted where it stands, and a zero
+    coefficient for a new key is not stored: Clifford coefficients have
+    zero divisors, so a product of two nonzero coefficients may vanish.
+    """
+    get = out.get
+    for key, coeff in pairs:
+        acc = get(key)
+        if acc is None:
+            if coeff:
+                out[key] = coeff
+        elif acc := acc + coeff:
+            out[key] = acc
+        else:
+            del out[key]
+    return out
 
 
 class _SparseTerms:
@@ -90,27 +114,10 @@ class _SparseTerms:
         return bool(self.terms)
 
     def _sum(self, pairs, start=None):
-        """Same class and shape with the (key, coeff) pairs summed in order.
-
-        Every sum of terms in the exact algebras runs through here.  The sum
-        starts from a copy of ``start``'s terms (none when it is None), so
-        it takes time linear in the pairs.  A key whose sum cancels is
-        deleted where it stands, and a zero coefficient for a new key is not
-        stored: Clifford coefficients have zero divisors, so a product of
-        two nonzero coefficients may vanish.
-        """
-        out = dict(start.terms) if start is not None else {}
-        get = out.get
-        for key, coeff in pairs:
-            acc = get(key)
-            if acc is None:
-                if coeff:
-                    out[key] = coeff
-            elif acc := acc + coeff:
-                out[key] = acc
-            else:
-                del out[key]
-        return self._like(out)
+        """Same class and shape with the (key, coeff) pairs summed in order
+        by ``_accumulate``, starting from a copy of ``start``'s terms (none
+        when it is None)."""
+        return self._like(_accumulate(dict(start.terms) if start is not None else {}, pairs))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -234,9 +241,7 @@ class VectorPoly(_SparseTerms):
     def __mul__(self, other):
         """Product with a number or a polynomial of the same shape."""
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self._like({})
-            return self._like({k: c * other for k, c in self.terms.items()})
+            return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -261,9 +266,6 @@ class VectorPoly(_SparseTerms):
 
     # -- calculus ----------------------------------------------------------
 
-    def _flat(self, j: int, i: int) -> int:
-        return (j - 1) * self.m + (i - 1)
-
     def diff_index(self, idx: int) -> "VectorPoly":
         out: dict[ExpKey, Fraction] = {}
         for key, coeff in self.terms.items():
@@ -276,7 +278,7 @@ class VectorPoly(_SparseTerms):
 
     def diff(self, j: int, i: int) -> "VectorPoly":
         """Partial derivative with respect to x_{j,i}."""
-        return self.diff_index(self._flat(j, i))
+        return self.diff_index((j - 1) * self.m + i - 1)
 
     def laplacian(self, j: int = 1) -> "VectorPoly":
         """Laplacian in the j-th vector variable."""
@@ -418,26 +420,14 @@ def _int_neg(nums: list) -> list:
 def _int_sum(forms: list) -> tuple[list, int]:
     """The sum of a list of forms, over the lcm of their denominators.
 
-    The pairs are summed in order by the rule of ``_SparseTerms._sum``: a
-    key whose sum cancels is deleted where it stands.  Scaling by a common
-    denominator keeps a sum zero exactly where the Fraction sum is, so the
-    terms come in the order of the left fold of ``+``.
+    The scaled pairs are summed in order by ``_accumulate``.  Scaling by a
+    common denominator keeps a sum zero exactly where the Fraction sum is,
+    so the terms come in the order of the left fold of ``+``.
     """
     den = math.lcm(*[d for _, d in forms])
     out: dict[ExpKey, int] = {}
-    get = out.get
     for nums, d in forms:
-        scale = den // d
-        for key, n in nums:
-            if scale != 1:
-                n *= scale
-            acc = get(key)
-            if acc is None:
-                out[key] = n
-            elif acc := acc + n:
-                out[key] = acc
-            else:
-                del out[key]
+        _accumulate(out, nums if d == den else [(k, n * (den // d)) for k, n in nums])
     return list(out.items()), den
 
 
@@ -599,7 +589,16 @@ class ExactScalar:
         return ExactScalar(self.q / other.q, self.h - other.h)
 
     def to_float(self) -> float:
-        return float(self.q) * math.pi ** (self.h / 2)
+        """The float of q pi^(h/2); OverflowError beyond the float range.
+
+        q is carried as a mantissa and a power of two, and pi^(h/2) multiplied
+        in by at most pi^600 at a time, so no partial product leaves the range."""
+        e = self.q.numerator.bit_length() - self.q.denominator.bit_length()
+        mant, half = float(self.q / 2**e if e >= 0 else self.q * 2**-e), self.h / 2
+        while half > 600:
+            mant, shift = math.frexp(mant * math.pi ** 600)
+            e, half = e + shift, half - 600
+        return math.ldexp(mant * math.pi ** half, e)
 
     def __str__(self):
         if not self.q:
@@ -643,3 +642,203 @@ def pochhammer_half(two_a: int, n: int) -> Fraction:
     for t in range(n):
         out *= Fraction(two_a + 2 * t, 2)
     return out
+
+
+# -- polynomial and exact-scalar text ---------------------------------------
+
+
+class ParseError(Exception):
+    """Malformed polynomial or exact-scalar text; ``cli`` raises it for any
+    malformed command-line value too."""
+
+
+_TOKEN_RE = re.compile(r"""
+    (?P<rat>\d+(?:/\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*^(),])
+  | (?P<ws>\s+)
+""", re.VERBOSE)
+
+_VAR_RE = re.compile(r"^x(\d+)_(\d+)$")
+_VEC_RE = re.compile(r"^x(\d+)$")
+
+
+def _int(digits: str) -> int:
+    """The value of a run of decimal digits from a token.  A run longer than
+    the interpreter's int-string limit (sys.get_int_max_str_digits) is a
+    ParseError like any other malformed text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"numeric literal of {len(digits)} digits is too long") from None
+
+
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if not match:
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+        pos = match.end()
+        kind = match.lastgroup
+        if kind != "ws":
+            tokens.append((kind, match.group()))
+    tokens.append(("end", ""))
+    return tokens
+
+
+class _Parser:
+    """Recursive-descent parser for polynomial expressions.
+
+    Grammar: sums and differences of terms; terms are products of factors;
+    a factor is an optional chain of unary minuses applied to a power; a
+    power is an atom optionally raised to a nonnegative integer literal.
+    Atoms: rational literals, components xJ_I, dot(xA, xB), normsq(xJ),
+    parenthesized expressions.
+
+    The text ``VectorPoly.__repr__`` writes reads back as that polynomial.
+    Every subexpression is a form.  Sums, products, negation and powers act
+    on forms through ``_int_sum``, ``_int_product``, ``_int_neg`` and
+    ``_int_power``, in the term order of the ``VectorPoly`` operations they
+    stand for: a sum cancels a term where it stands, a product is the left
+    fold of ``*``, a one-term power scales its key.  ``parse`` builds the
+    one polynomial, one Fraction per term.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str]], m: int, nvars: int):
+        self.tokens = tokens
+        self.idx = 0
+        self.m = m
+        self.nvars = nvars
+        self.zero = VectorPoly.zero(m, nvars)  # checks the shape
+        self.one = self.zero._scalar_key()
+
+    def peek(self) -> tuple[str, str]:
+        return self.tokens[self.idx]
+
+    def advance(self) -> tuple[str, str]:
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, text = self.advance()
+        if text != value:
+            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}")
+
+    def parse(self) -> VectorPoly:
+        out = self.expression()
+        kind, text = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}")
+        return self.zero._like(_over(*out))
+
+    def expression(self) -> tuple[list, int]:
+        forms = [self.term()]
+        while True:
+            kind, text = self.peek()
+            if text == "+":
+                self.advance()
+                forms.append(self.term())
+            elif text == "-":
+                self.advance()
+                nums, den = self.term()
+                forms.append((_int_neg(nums), den))
+            else:
+                return forms[0] if len(forms) == 1 else _int_sum(forms)
+
+    def term(self) -> tuple[list, int]:
+        factors = [self.factor()]
+        while self.peek()[1] == "*":
+            self.advance()
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else _int_product(factors)
+
+    def factor(self) -> tuple[list, int]:
+        if self.peek()[1] == "-":
+            self.advance()
+            nums, den = self.factor()
+            return _int_neg(nums), den
+        return self.power()
+
+    def power(self) -> tuple[list, int]:
+        base = self.atom()
+        if self.peek()[1] == "^":
+            self.advance()
+            kind, text = self.advance()
+            if kind != "rat" or "/" in text:
+                raise ParseError(f"exponent must be an integer literal, found {text!r}")
+            return _int_power(base, _int(text), self.one)
+        return base
+
+    def atom(self) -> tuple[list, int]:
+        kind, text = self.advance()
+        if kind == "rat":
+            num, _, den = text.partition("/")
+            num, den = _int(num), _int(den) if den else 1
+            if not den:
+                raise ParseError(f"zero denominator in {text!r}")
+            return ([(self.one, num)], den) if num else ([], 1)
+        if text == "(":
+            inner = self.expression()
+            self.expect(")")
+            return inner
+        if kind == "name":
+            if text in ("dot", "normsq"):
+                self.expect("(")
+                ja = jb = self.vector_name()
+                if text == "dot":
+                    self.expect(",")
+                    jb = self.vector_name()
+                self.expect(")")
+                return [(key, 1) for key in _dot_keys(self.m, self.nvars, ja, jb)], 1
+            var = _VAR_RE.match(text)
+            if var:
+                j, i = _int(var.group(1)), _int(var.group(2))
+                if not 1 <= j <= self.nvars:
+                    raise ParseError(f"vector index {j} out of range 1..{self.nvars}")
+                if not 1 <= i <= self.m:
+                    raise ParseError(f"coordinate index {i} out of range 1..{self.m}")
+                return [(_unit_key(self.m * self.nvars, (j - 1) * self.m + i - 1), 1)], 1
+            raise ParseError(f"unknown name {text!r}")
+        raise ParseError(f"unexpected token {text or 'end of input'!r}")
+
+    def vector_name(self) -> int:
+        kind, text = self.advance()
+        match = _VEC_RE.match(text) if kind == "name" else None
+        if not match:
+            raise ParseError(f"expected a vector name like x1, found {text!r}")
+        j = _int(match.group(1))
+        if not 1 <= j <= self.nvars:
+            raise ParseError(f"vector index {j} out of range 1..{self.nvars}")
+        return j
+
+
+def parse_poly(text: str, m: int, nvars: int = 1) -> VectorPoly:
+    """Parse a polynomial expression into a VectorPoly.
+
+    The parser recurses once per parenthesis and unary minus, so an
+    expression nested past the interpreter's recursion limit is a
+    ParseError like any other malformed text.
+    """
+    try:
+        return _Parser(_tokenize(text), m, nvars).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
+
+
+def parse_exact(text: str) -> ExactScalar:
+    """Inverse of str(ExactScalar): accepts 'q', 'q * pi', 'q * pi^p', 'q * pi^(h/2)'."""
+    qpart, star, pipart = (part.strip() for part in text.partition("*"))
+    try:
+        q = Fraction(qpart)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {'rational part' if star else 'exact scalar'} {qpart!r}") from exc
+    if not star:
+        return ExactScalar(q, 0)
+    pi = re.fullmatch(r"pi(?:\^(\d+)|\^\((\d+)/2\))?", pipart)
+    if not pi:
+        raise ParseError(f"bad pi part {pipart!r}")
+    whole, half = pi.groups()
+    return ExactScalar(q, 2 * _int(whole) if whole else _int(half) if half else 2)

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffint import geomint
-from cliffint.cli import ParseError, parse_exact, parse_poly, run, run_suite
+from cliffint.cli import ParseError, parse_poly, run, run_suite
+from cliffint.polyalg import parse_exact
 
 from oracles import bench_oracles, parse_tree_terms, parse_tree_text
 
@@ -33,9 +34,12 @@ def test_pizzetti_sphere_round_trip(capsys):
         bench_oracles.exact_to_float(bench_oracles.sphere_monomial((2, 0, 0))), rel=1e-12)
 
 
-@pytest.mark.parametrize("text", ["1/0", "1/0 * pi", "x", "2 * tau"])
+@pytest.mark.parametrize("text", ["1/0", "1/0 * pi", "x", "2 * tau",
+                                  pytest.param("2 * pi^" + "9" * 5000, id="long-pi-power"),
+                                  pytest.param("2 * pi^(" + "9" * 5000 + "/2)", id="long-half-power")])
 def test_parse_exact_rejects_malformed_scalars(text):
-    # a zero denominator has no value, like any other malformed literal
+    # a zero denominator has no value, like any other malformed literal, and
+    # a power of pi past the int-string limit is malformed as in parse_poly
     with pytest.raises(ParseError):
         parse_exact(text)
 
@@ -295,6 +299,29 @@ def test_coefficients_below_float_range_are_usage_errors(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "about 10^-400, lies below the float range" in captured.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sphere", "--m", "3", "--poly", "2^1100"],
+     "the exact value lies beyond the float range"),
+    (["sphere", "--m", "6", "--poly", "10^307"],
+     "the exact value lies beyond the float range"),
+    (["sphere", "--m", "3", "--poly=-2^1100"],
+     "the exact value lies beyond the float range"),
+    (["stiefel", "--m", "4", "--k", "2", "--poly", "10^307", "--method", "explicit2"],
+     "the exact value lies beyond the float range"),
+    (["sphere", "--m", "3", "--poly", "2^99999"],
+     "the output holds a number past Python's int-string limit"),
+    (["sphere", "--m", "3", "--poly", "(2^15000 + 1)*(1/2)^15000"],
+     "the output holds a number past Python's int-string limit"),
+], ids=["float-overflow", "overflow-by-pi", "negative", "stiefel", "digits", "digits-finite"])
+def test_exact_values_json_cannot_carry_are_usage_errors(args, message, capsys):
+    # JSON has no infinity, and a number past the int-string limit has no
+    # text: the exact series ran, but its output is refused with one line
+    assert run(["pizzetti", *args, "-q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_dependent_haar_draw_is_a_computation_failure(monkeypatch, capsys):

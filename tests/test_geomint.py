@@ -1312,11 +1312,12 @@ def test_tangential_dirac_in_r10_builds_only_the_rows_it_uses():
     assert peak < 16e6
 
 
-@pytest.mark.parametrize("m,k", [(3, 1), (4, 1), (3, 2)])
+@pytest.mark.parametrize("m,k", [(3, 1), (4, 1), (3, 2), (4, 3)])
 def test_tangential_dirac_matches_frame_free_oracle(m, k):
-    # S^2, S^3 and the unit circle in the x1 x2 plane of R^3
+    # S^2, S^3 and the unit circle in the x1 x2 plane of R^3 and of R^4; at
+    # k = 3 the tangential projection inverts the Gram matrix in general form
     x = [xvar(i, m) for i in range(1, m + 1)]
-    phases = [sphere_phase(m)] + [x[2]] * (k - 1)
+    phases = [sphere_phase(m)] + x[2:k + 1]
     spec = ImplicitSurfaceSpec(m, phases, ((-1.6, 1.6),) * m)
     field = (CliffordPoly.basis(m, (1,)) * (x[0] * x[1])
              + CliffordPoly.basis(m, (1, 2)) * x[m - 1] ** 2
@@ -1326,8 +1327,7 @@ def test_tangential_dirac_matches_frame_free_oracle(m, k):
     rng = np.random.default_rng(30 + 10 * m + k)
     for _ in range(8):
         point = rng.standard_normal(m)
-        if k == 2:
-            point[2] = 0.0
+        point[2:k + 1] = 0.0
         point /= np.linalg.norm(point)
         want = tangential_dirac_frame_free(field_terms, phase_terms, point)
         scale = max(1.0, math.sqrt(sum(c * c for c in want.values())))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cliffint import (ExactScalar, VectorPoly, apply_diffop, delta_pair,
                       fischer_commute, fischer_pair, gamma_half,
-                      pochhammer_half, sphere_pizzetti)
+                      pochhammer_half, sphere_pizzetti, stiefel_volume)
+from cliffint.polyalg import parse_poly
 
 from oracles import (bench_oracles, cayley_rotation, diffop_terms, directional_terms,
                      laplacian_terms, power_terms, product_terms, reflect_terms)
@@ -95,6 +96,23 @@ def test_product_matches_fraction_oracle(pair, n):
     for _ in range(n):
         power = power * p
     assert p ** n == power
+
+
+@st.composite
+def text_polys(draw):
+    """A polynomial with m <= 4, nvars <= 3 and at most six terms, zero included."""
+    m, nvars = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(0, 3)] * (m * nvars))
+    return VectorPoly(m, nvars, draw(st.dictionaries(keys, rationals, max_size=6)))
+
+
+@given(text_polys())
+@example(VectorPoly.zero(2, 3))
+@settings(max_examples=300, deadline=None)
+def test_parse_poly_reads_back_the_repr(p):
+    # the CLI prints a parsed polynomial as its repr: the reader and the
+    # writer of the text format agree
+    assert parse_poly(repr(p), p.m, p.nvars) == p
 
 
 @st.composite
@@ -392,6 +410,27 @@ def test_exact_scalar_arithmetic():
     assert two_pi / two_pi == ExactScalar(Fraction(1), 0)
     assert (-two_pi).q == -2
     assert two_pi.to_float() == pytest.approx(2 * math.pi)
+
+
+# q below the float range, or pi^(h/2) past 2^1024 (10^1559 at 112-111),
+# with a value in range
+@pytest.mark.parametrize("value", [
+    ExactScalar(Fraction(5, 7 * 10**500), 1399), ExactScalar(Fraction(1, 2**1100), 1300),
+    stiefel_volume(46, 45), stiefel_volume(60, 59), stiefel_volume(112, 111) * 10**2000],
+    ids=["q-underflows", "pi-overflows", "frames-46-45", "frames-60-59", "frames-112-111"])
+def test_exact_scalar_to_float_where_a_factor_leaves_the_range(value):
+    q = value.q
+    exact = math.log10(q.numerator) - math.log10(q.denominator) + value.h / 2 * math.log10(math.pi)
+    assert math.log10(value.to_float()) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_scalar_to_float_overflows_with_its_value(sign):
+    # a product of two floats in range may overflow: not to an infinity,
+    # which JSON cannot carry
+    value = ExactScalar(Fraction(sign * 10**307), 6)
+    with pytest.raises(OverflowError):
+        value.to_float()
 
 
 def test_exact_scalar_zero_normalizes():
